@@ -328,8 +328,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model kind selecting the embedded defaults")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), help="data file format")
-        p.add_argument("--threads", type=int, help="concurrent sweep points")
         p.add_argument("--tol", type=float, help="relative tolerance override")
+        if name in ("sweep", "single"):
+            p.add_argument("--threads", type=int, help="concurrent sweep points")
     return parser
 
 
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
             model_kind=args.model,
             out_dir=args.out,
             out_format=args.format,
-            threads=args.threads,
+            threads=getattr(args, "threads", None),
             rtol=args.tol,
         )
     except ConfigInvalid as exc:

@@ -10,6 +10,7 @@ keys fail with the offending key path spelled out.
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +59,7 @@ def _defaults(experiment: str, kind: str) -> dict:
             numerics = {"samples": 65, "threads": 1, **_EXACT_TOLS}
         else:
             protocol["t_f"] = 1.0
-            numerics = {"samples": 129, "threads": 1}
+            numerics = {"samples": 129}
     elif experiment == "open":
         model = {
             "kind": "tls",
@@ -71,7 +72,6 @@ def _defaults(experiment: str, kind: str) -> dict:
             "points": 101,
             "rtol": 1e-10,
             "atol": 1e-12,
-            "threads": 1,
             "lamb_shift": False,
             "picture": "schrodinger",
         }
@@ -89,7 +89,7 @@ def _defaults(experiment: str, kind: str) -> dict:
                 "closed": True,
                 "samples": None,
             }
-        numerics = {"modes": "all", "method": "line", "threads": 1}
+        numerics = {"modes": "all", "method": "line"}
     else:
         raise ConfigInvalid(
             f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
@@ -153,7 +153,10 @@ def _merge(base: dict, override: dict, path: str):
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json parses NaN and Infinity, which no numeric setting accepts
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or math.isfinite(v)
 
 
 def _require(cond: bool, path: str, message: str):
@@ -170,7 +173,7 @@ def _check_positive(cfg: dict, section: str, *keys):
 def _check_number(cfg: dict, section: str, *keys):
     for key in keys:
         v = cfg[section][key]
-        _require(_is_number(v), f"{section}.{key}", "must be a number")
+        _require(_is_number(v), f"{section}.{key}", "must be a finite number")
 
 
 def _check_count(cfg: dict, section: str, key: str, minimum: int):
@@ -199,8 +202,8 @@ def _validate(cfg: dict) -> RunConfig:
         isinstance(cfg["output"]["stem"], str) and cfg["output"]["stem"] != "",
         "output.stem", "must be a non-empty file stem",
     )
-    _check_count(cfg, "numerics", "threads", 1)
-
+    if experiment in ("sweep", "single"):
+        _check_count(cfg, "numerics", "threads", 1)
     if experiment in ("sweep", "diagnose", "single"):
         _check_positive(cfg, "protocol", "omega_start", "omega_target")
         _check_number(cfg, "protocol", "acceleration")
@@ -237,7 +240,7 @@ def _validate(cfg: dict) -> RunConfig:
         _check_number(cfg, "protocol", "chi0", "abar")
         bath = cfg["model"]["bath"]
         for key in ("temperature", "coupling", "cutoff"):
-            _require(_is_number(bath.get(key)), f"model.bath.{key}", "must be a number")
+            _require(_is_number(bath.get(key)), f"model.bath.{key}", "must be a finite number")
         _require(bath["temperature"] >= 0, "model.bath.temperature", "must be >= 0")
         _require(bath["coupling"] >= 0, "model.bath.coupling", "must be >= 0")
         _require(bath["cutoff"] > 0, "model.bath.cutoff", "must be positive")
@@ -365,6 +368,8 @@ def resolve_config(
     if out_format is not None:
         cfg["output"]["format"] = out_format
     if threads is not None:
+        if "threads" not in cfg["numerics"]:
+            raise ConfigInvalid(f"numerics.threads: {experiment} takes no thread count")
         cfg["numerics"]["threads"] = threads
     if rtol is not None:
         if "rtol" not in cfg["numerics"]:

@@ -23,6 +23,7 @@ from .engine import (
 )
 from .errors import (
     DegenerateSpectrum,
+    DomainExceeded,
     LiouvdynError,
     SingularDenominator,
     UnphysicalState,
@@ -360,13 +361,22 @@ def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
     )
     deficit = one_minus_fidelity(exact, inertial)
     mu_max, ups_max = max_parameters_along(m, t_f, samples)
-    return (
+    row = (
         1.0 - deficit,
         fidelity(exact, adiabatic),
         mu_max,
         ups_max,
         -math.log10(deficit) if deficit > 0.0 else math.inf,
     )
+    # the scores mean nothing outside the oscillator's diagonalizable domain
+    if isinstance(m, HOModel) and mu_max >= 2.0:
+        raise DomainExceeded(
+            f"max |mu| = {mu_max:.6g} reaches the exceptional point |mu| = 2"
+        )
+    nan = [name for name, x in zip(SweepResult.COLUMNS[1:], row) if math.isnan(x)]
+    if nan:
+        raise FloatingPointError(f"{', '.join(nan)} evaluated to NaN")
+    return row
 
 
 def fidelity_sweep(

@@ -20,7 +20,7 @@ import scipy.integrate
 import scipy.optimize
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged
-from .linalg import EigenFrame, bi_eigendecompose, track_continuity
+from .linalg import EigenFrame, bi_eigendecompose, eigenframes, transport
 
 _PHASE_TOL = 1e-10
 _N_START = 64
@@ -198,14 +198,6 @@ def propagate_exact(
     return LiouvilleVector(coeffs=sol.y[:n, -1], t=t, theta=theta_f)
 
 
-def _block_frames_at(fact, t: float, dim: int):
-    """Raw per-block eigenframes of B(chi(t))."""
-    B = fact.B_of_chi(fact.chi_of_t(t))
-    return [
-        bi_eigendecompose(B[lo:hi, lo:hi]) for lo, hi in fact.block_ranges(dim)
-    ]
-
-
 def propagate_adiabatic(
     fact: GeneratorFactorization, v0: LiouvilleVector, t: float
 ) -> LiouvilleVector:
@@ -225,53 +217,54 @@ def propagate_adiabatic(
     return LiouvilleVector(coeffs=out, t=t, theta=theta_f)
 
 
-def _permuted_raw(frame: EigenFrame, perm: np.ndarray) -> EigenFrame:
-    # reorder columns without the transport re-phasing
-    return EigenFrame(
-        lambdas=frame.lambdas[perm].copy(),
-        rights=frame.rights[:, perm].copy(),
-        lefts=frame.lefts[:, perm].copy(),
-        chi=frame.chi,
-        gauge_tag=frame.gauge_tag,
-    )
+def _node_data(fact, ts, blocks):
+    """Pace values and per-block eigenframe stacks at the nodes ts.
 
-
-def _inertial_pass(fact, v0, t: float, n_nodes: int):
-    """One fixed-grid sweep: frames, transport logs, phase integrals."""
-    n = v0.dim
-    ts = np.linspace(0.0, t, n_nodes + 1)
+    B(chi(t)) is evaluated once per node and sliced into its blocks.
+    """
     omegas = np.array([fact.omega_of_t(s) for s in ts])
+    B = np.array([fact.B_of_chi(fact.chi_of_t(s)) for s in ts])
+    return omegas, [eigenframes(B[:, lo:hi, lo:hi]) for lo, hi in blocks]
 
-    c_all = np.empty(n, dtype=complex)
-    dyn_all = np.empty(n, dtype=complex)
-    geo_all = np.empty(n, dtype=complex)
-    final_frames = []
-    for lo, hi in fact.block_ranges(n):
-        m = hi - lo
-        frame = None
-        lam_path = np.empty((n_nodes + 1, m), dtype=complex)
-        log_sum = np.zeros(m, dtype=complex)
-        for i, s in enumerate(ts):
-            B = fact.B_of_chi(fact.chi_of_t(s))
-            raw = bi_eigendecompose(B[lo:hi, lo:hi])
-            if frame is None:
-                frame = raw
-                c_all[lo:hi] = frame.lefts.conj().T @ v0.coeffs[lo:hi]
-            else:
-                perm = track_continuity(frame, raw).permutation
-                nxt = _permuted_raw(raw, perm)
-                for k in range(m):
-                    log_sum[k] += np.log(
-                        np.vdot(frame.left(k), nxt.right(k))
-                    )
-                frame = nxt
-            lam_path[i] = frame.lambdas
-        dyn_all[lo:hi] = scipy.integrate.simpson(
-            lam_path * omegas[:, None], x=ts, axis=0
-        )
-        geo_all[lo:hi] = 1j * log_sum
-        final_frames.append(frame)
-    return c_all, dyn_all, geo_all, final_frames
+
+def _inertial_passes(fact, v0, t: float):
+    """Fixed-grid sweeps at _N_START, 2 * _N_START, ... up to _N_MAX nodes.
+
+    Each pass yields the expansion coefficients, the dynamical and
+    transport phase integrals, and the transported final right frame of
+    every block.  The grids are nested: a doubling diagonalizes only the
+    new midpoints and interleaves them with the previous frames, so no
+    node is evaluated or diagonalized twice.
+    """
+    n = v0.dim
+    blocks = fact.block_ranges(n)
+    ts = np.linspace(0.0, t, _N_START + 1)
+    omegas, frames = _node_data(fact, ts, blocks)
+    while True:
+        c = np.empty(n, dtype=complex)
+        dyn = np.empty(n, dtype=complex)
+        geo = np.empty(n, dtype=complex)
+        final_rights = []
+        for (lo, hi), (lam, rights, lefts) in zip(blocks, frames):
+            perms, logs = transport(rights, lefts)
+            c[lo:hi] = lefts[0].conj().T @ v0.coeffs[lo:hi]
+            lam_path = np.take_along_axis(lam, perms, axis=1)
+            dyn[lo:hi] = scipy.integrate.simpson(
+                lam_path * omegas[:, None], x=ts, axis=0
+            )
+            geo[lo:hi] = 1j * logs
+            final_rights.append(rights[-1][:, perms[-1]])
+        yield c, dyn, geo, final_rights
+        if 2 * (ts.size - 1) > _N_MAX:
+            return
+        mids = np.arange(1, ts.size)
+        ts = np.linspace(0.0, t, 2 * ts.size - 1)
+        new_omegas, new_frames = _node_data(fact, ts[1::2], blocks)
+        omegas = np.insert(omegas, mids, new_omegas)
+        frames = [
+            tuple(np.insert(old, mids, new, axis=0) for old, new in zip(*pair))
+            for pair in zip(frames, new_frames)
+        ]
 
 
 def propagate_inertial(
@@ -296,12 +289,13 @@ def propagate_inertial(
         raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
     n = v0.dim
     if t == 0.0:
-        frames = _block_frames_at(fact, 0.0, n)
+        blocks = fact.block_ranges(n)
+        _, frames = _node_data(fact, [0.0], blocks)
         c = np.empty(n, dtype=complex)
         out = np.empty(n, dtype=complex)
-        for (lo, hi), frame in zip(fact.block_ranges(n), frames):
-            c[lo:hi] = frame.lefts.conj().T @ v0.coeffs[lo:hi]
-            out[lo:hi] = frame.rights @ c[lo:hi]
+        for (lo, hi), (_, rights, lefts) in zip(blocks, frames):
+            c[lo:hi] = lefts[0].conj().T @ v0.coeffs[lo:hi]
+            out[lo:hi] = rights[0] @ c[lo:hi]
         zeros = np.zeros(n, dtype=complex)
         sol = InertialSolution(
             c=c, dyn_phase=zeros, geo_phase=zeros, Lambda=zeros, t=0.0
@@ -314,9 +308,7 @@ def propagate_inertial(
     # loop exits once successive extrapolants agree.
     history = []
     prev_est = None
-    n_nodes = _N_START
-    while n_nodes <= _N_MAX:
-        c, dyn, geo, final_frames = _inertial_pass(fact, v0, t, n_nodes)
+    for c, dyn, geo, final_rights in _inertial_passes(fact, v0, t):
         history.append((dyn, geo))
         if len(history) >= 3:
             g0, g1, g2 = (h[1] for h in history[-3:])
@@ -330,7 +322,6 @@ def propagate_inertial(
                     dyn, geo = dyn_est, geo_est
                     break
             prev_est = (dyn_est, geo_est)
-        n_nodes *= 2
     else:
         raise NotConverged(
             f"phase integrals not stable to {phase_tol} at {_N_MAX} nodes"
@@ -338,9 +329,9 @@ def propagate_inertial(
 
     used_geo = geo if include_geo else np.zeros(n, dtype=complex)
     out = np.empty(n, dtype=complex)
-    for (lo, hi), frame in zip(fact.block_ranges(n), final_frames):
+    for (lo, hi), rights in zip(fact.block_ranges(n), final_rights):
         mode_factor = c[lo:hi] * np.exp(-1j * dyn[lo:hi] + 1j * used_geo[lo:hi])
-        out[lo:hi] = frame.rights @ mode_factor
+        out[lo:hi] = rights @ mode_factor
     sol = InertialSolution(
         c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo, t=t
     )

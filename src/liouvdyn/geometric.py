@@ -28,9 +28,9 @@ from .errors import (
 from .linalg import (
     DEGENERACY_GAP,
     EigenFrame,
-    _order_key,
-    bi_eigendecompose,
-    track_continuity,
+    _mode_order,
+    eigenframes,
+    transport,
 )
 from .models import (
     HO_BLOCKS,
@@ -255,7 +255,7 @@ def _plain_frame(B: np.ndarray) -> EigenFrame:
     threshold guards against degeneracy.
     """
     lam, rights = np.linalg.eig(np.asarray(B, dtype=complex))
-    order = sorted(range(lam.size), key=lambda i: _order_key(lam[i]))
+    order = _mode_order(lam[None])[0]
     lam = lam[order]
     rights = rights[:, order]
     if lam.size > 1:
@@ -290,60 +290,42 @@ def _frame_at(family: GeneratorFamily, chi: np.ndarray) -> EigenFrame:
     return EigenFrame(lambdas=lambdas, rights=rights, lefts=lefts)
 
 
-def _permuted_columns(frame: EigenFrame, perm: np.ndarray) -> EigenFrame:
-    # column reordering only; transport phases must stay in the overlaps
-    return EigenFrame(
-        lambdas=frame.lambdas[perm].copy(),
-        rights=frame.rights[:, perm].copy(),
-        lefts=frame.lefts[:, perm].copy(),
-    )
+def _walk_matrix(mats: np.ndarray, closed: bool) -> np.ndarray:
+    """Per-mode transport log sums along a path of sampled generators.
 
-
-def _walk_matrix(mat_fn, args, closed: bool) -> np.ndarray:
-    """Per-mode transport log sums along a sampled parameter path.
-
-    For closed paths, the final point reuses the starting frame object so
-    per-node gauge choices cancel exactly; a non-identity closing
-    permutation means the circuit encloses a branch point.
+    For closed paths ``mats`` stops short of the return to the start,
+    whose node reuses the starting frame so per-node gauge choices cancel
+    exactly; a non-identity closing permutation means the circuit
+    encloses a branch point.
     """
-    frame0 = bi_eigendecompose(mat_fn(args[0]))
-    frame = frame0
-    m = frame.dim
-    logs = np.zeros(m, dtype=complex)
-    last = len(args) - 1
-    for i in range(1, last + 1):
-        raw = frame0 if (closed and i == last) else bi_eigendecompose(mat_fn(args[i]))
-        perm = track_continuity(frame, raw).permutation
-        if closed and i == last and np.any(perm != np.arange(m)):
-            raise DegenerateSpectrum(
-                "circuit monodromy permutes modes; a spectral degeneracy "
-                "is enclosed"
-            )
-        nxt = _permuted_columns(raw, perm)
-        logs += np.log(np.einsum("ij,ij->j", frame.lefts.conj(), nxt.rights))
-        frame = nxt
+    _, rights, lefts = eigenframes(mats)
+    if closed:
+        rights = np.concatenate([rights, rights[:1]])
+        lefts = np.concatenate([lefts, lefts[:1]])
+    perms, logs = transport(rights, lefts)
+    if closed and np.any(perms[-1] != np.arange(perms.shape[1])):
+        raise DegenerateSpectrum(
+            "circuit monodromy permutes modes; a spectral degeneracy "
+            "is enclosed"
+        )
     return logs
 
 
 def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.ndarray:
+    nodes = pts[:-1] if closed else pts
     if family.factors is not None:
-        per_factor = [
-            _walk_matrix(f.matrix, pts[:, j], closed)
-            for j, f in enumerate(family.factors)
-        ]
-        total = per_factor[0]
-        for logs in per_factor[1:]:
-            total = np.add.outer(total, logs).ravel()
+        total = np.zeros(1, dtype=complex)
+        for j, f in enumerate(family.factors):
+            mats = np.array([f.matrix(x) for x in nodes[:, j]])
+            total = np.add.outer(total, _walk_matrix(mats, closed)).ravel()
         return total
+    mats = np.array([family.matrix(p) for p in nodes])
     if family.blocks is not None:
-        n = family.matrix(pts[0]).shape[0]
-        out = np.zeros(n, dtype=complex)
+        out = np.zeros(mats.shape[1], dtype=complex)
         for lo, hi in family.blocks:
-            out[lo:hi] = _walk_matrix(
-                lambda v, lo=lo, hi=hi: family.matrix(v)[lo:hi, lo:hi], pts, closed
-            )
+            out[lo:hi] = _walk_matrix(mats[:, lo:hi, lo:hi], closed)
         return out
-    return _walk_matrix(family.matrix, pts, closed)
+    return _walk_matrix(mats, closed)
 
 
 def _mode_count(family: GeneratorFamily, circuit: ParameterCircuit) -> int:

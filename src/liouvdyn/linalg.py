@@ -2,7 +2,8 @@
 
 The propagators in this package diagonalize non-Hermitian generators whose
 right and left eigenvectors differ.  This module produces gauge-fixed
-bi-orthonormal frames and tracks eigenpair identity along parameter sweeps.
+bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
+on whole stacks of generators at once (``eigenframes``, ``transport``).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AmbiguousMatching, DegenerateSpectrum, NotDiagonalizable
 
@@ -80,17 +80,85 @@ class Alignment:
     phases: np.ndarray
 
 
-def _order_key(lam: complex):
-    # magnitude groups first (rounded so +k/-k pairs tie), then descending
-    # real part, resolving the tie as {0, +k, -k} for the model generators
-    return (round(abs(lam), 9), -lam.real, -lam.imag)
+def _mode_order(lam: np.ndarray) -> np.ndarray:
+    # per row of an (N, m) eigenvalue stack: magnitude groups first (rounded
+    # so +k/-k pairs tie), then descending real part, resolving the tie as
+    # {0, +k, -k} for the model generators
+    return np.lexsort((-lam.imag, -lam.real, np.round(np.abs(lam), 9)), axis=-1)
 
 
-def _gauge_pivot(F: np.ndarray) -> int:
+def _first(bad: np.ndarray):
+    """Index tuple of the first True entry of a guard mask, or None."""
+    hits = np.argwhere(bad)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def eigenframes(B, *, gap_threshold: float = DEGENERACY_GAP):
+    """Gauge-fixed bi-orthonormal frames of an (N, m, m) stack of generators.
+
+    Returns ``(lambdas, rights, lefts)`` stacks, each frame ordered by
+    ``_mode_order``.  The gauge makes the largest-magnitude component of
+    each right eigenvector real and positive with unit 2-norm; the lefts
+    come from the inverse right-eigenvector matrix, so G_k^H F_n =
+    delta_kn.  Raises DegenerateSpectrum when a minimal eigenvalue gap
+    falls below ``gap_threshold`` and NotDiagonalizable when a right/left
+    pair is numerically orthogonal (defective generator) or the
+    bi-orthonormality or residual bound fails, for the first failing node.
+    """
+    B = np.asarray(B, dtype=complex)
+    if B.ndim != 3 or B.shape[1] != B.shape[2]:
+        raise ValueError(f"expected square matrices, got shape {B.shape[1:]}")
+    if not np.all(np.isfinite(B)):
+        raise ValueError("generator contains non-finite entries")
+    m = B.shape[1]
+    if m == 1:
+        return B[:, 0, :].copy(), np.ones_like(B), np.ones_like(B)
+
+    lam, vr = np.linalg.eig(B)
+    order = _mode_order(lam)
+    lam = np.take_along_axis(lam, order, axis=1)
+    vr = np.take_along_axis(vr, order[:, None, :], axis=2)
+
+    upper = np.triu_indices(m, k=1)
+    gap = np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
+    if bad := _first(gap < gap_threshold):
+        raise DegenerateSpectrum(
+            f"minimal eigenvalue gap {gap[bad]:.3e} below threshold "
+            f"{gap_threshold:.1e}"
+        )
+
     # smallest index whose magnitude ties the maximum, so exact ties
     # resolve identically regardless of rounding noise
-    mags = np.abs(F)
-    return int(np.argmax(mags >= (1.0 - _GAUGE_TIE) * mags.max()))
+    comp = np.abs(vr)
+    pivot = np.argmax(comp >= (1.0 - _GAUGE_TIE) * comp.max(axis=1, keepdims=True), axis=1)
+    top = np.take_along_axis(vr, pivot[:, None, :], axis=1)
+    rights = vr / (top / np.abs(top))
+    rights = rights / np.linalg.norm(rights, axis=1, keepdims=True)
+    try:
+        inverse = np.linalg.inv(rights)
+    except np.linalg.LinAlgError as exc:
+        raise NotDiagonalizable("right eigenvectors are linearly dependent") from exc
+    lefts = inverse.conj().transpose(0, 2, 1)
+
+    cross = inverse @ rights
+    quality = np.abs(np.diagonal(cross, axis1=1, axis2=2)) / (
+        np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=1)
+    )
+    if bad := _first(quality < _QUALITY_FLOOR):
+        raise NotDiagonalizable(
+            f"right/left pair {bad[1]} nearly orthogonal "
+            f"(normalized |G^H F| = {quality[bad]:.3e})"
+        )
+    if _first(np.abs(cross - np.eye(m)).max(axis=(1, 2)) > _BIORTHO_TOL):
+        raise NotDiagonalizable(
+            "bi-orthonormality violated beyond tolerance; generator is "
+            "too close to defective"
+        )
+    residual = np.abs(B @ rights - rights * lam[:, None, :]).max(axis=(1, 2))
+    bound = _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))
+    if bad := _first(residual > bound):
+        raise NotDiagonalizable(f"eigenpair residual {residual[bad]:.3e} too large")
+    return lam, rights, lefts
 
 
 def bi_eigendecompose(
@@ -101,68 +169,57 @@ def bi_eigendecompose(
 ) -> EigenFrame:
     """Diagonalize B with bi-orthonormal right/left eigenvector pairs.
 
-    The gauge makes the largest-magnitude component of each right
-    eigenvector real and positive, with the vector normalized to unit
-    2-norm; each left eigenvector is then scaled to G_k^H F_k = 1.
-
-    Raises DegenerateSpectrum when the minimal eigenvalue gap falls below
+    The single-matrix view of ``eigenframes``, with the same gauge and
+    guards: DegenerateSpectrum when the minimal eigenvalue gap falls below
     ``gap_threshold`` and NotDiagonalizable when a right/left pair is
     numerically orthogonal (defective generator).
     """
-    B = np.asarray(B, dtype=complex)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {B.shape}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("generator contains non-finite entries")
-
-    lam, vl, vr = scipy.linalg.eig(B, left=True, right=True)
-    order = sorted(range(lam.size), key=lambda k: _order_key(lam[k]))
-    lam = lam[order]
-    vl = vl[:, order]
-    vr = vr[:, order]
-
-    n = lam.size
-    if n > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(n, k=1)]
-        gap = gaps.min()
-        if gap < gap_threshold:
-            raise DegenerateSpectrum(
-                f"minimal eigenvalue gap {gap:.3e} below threshold "
-                f"{gap_threshold:.1e}"
-            )
-
-    rights = np.empty_like(vr)
-    lefts = np.empty_like(vl)
-    for k in range(n):
-        F = vr[:, k]
-        G = vl[:, k]
-        overlap = np.vdot(G, F)
-        quality = abs(overlap) / (np.linalg.norm(G) * np.linalg.norm(F))
-        if quality < _QUALITY_FLOOR:
-            raise NotDiagonalizable(
-                f"right/left pair {k} nearly orthogonal "
-                f"(normalized |G^H F| = {quality:.3e})"
-            )
-        j = _gauge_pivot(F)
-        F = F / (F[j] / abs(F[j]))
-        F = F / np.linalg.norm(F)
-        G = G / np.conj(np.vdot(G, F))
-        rights[:, k] = F
-        lefts[:, k] = G
-
-    cross = lefts.conj().T @ rights
-    if np.max(np.abs(cross - np.eye(n))) > _BIORTHO_TOL:
-        raise NotDiagonalizable(
-            "bi-orthonormality violated beyond tolerance; generator is "
-            "too close to defective"
-        )
-    residual = np.max(np.abs(B @ rights - rights * lam))
-    if residual > _RESIDUAL_TOL * max(1.0, np.linalg.norm(B)):
-        raise NotDiagonalizable(f"eigenpair residual {residual:.3e} too large")
-
+    B = np.asarray(B, dtype=complex)[None]
+    lam, rights, lefts = eigenframes(B, gap_threshold=gap_threshold)
     if chi is not None and not isinstance(chi, tuple):
         chi = (float(chi),)
-    return EigenFrame(lambdas=lam, rights=rights, lefts=lefts, chi=chi)
+    return EigenFrame(lambdas=lam[0], rights=rights[0], lefts=lefts[0], chi=chi)
+
+
+def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
+    """Follow every mode along a path of frames, given as (N+1, m, m) stacks.
+
+    Mode k continues into the column of the next frame with the largest
+    normalized overlap |G_k . F_n|.  Returns ``(perms, logs)``:
+    ``perms[i, k]`` is the column of frame i continuing column k of frame
+    0, and ``logs[k]`` sums ln(G_k . F_k) over the steps of mode k.
+    Raises AmbiguousMatching when the two best overlaps of any column are
+    within ``ambiguity_threshold``, or two columns claim one successor.
+    """
+    rights = np.asarray(rights)
+    lefts = np.asarray(lefts)
+    if rights.shape != lefts.shape or rights.ndim != 3:
+        raise ValueError("frames of different dimension cannot be matched")
+    steps, m = rights.shape[0] - 1, rights.shape[2]
+    raw = lefts[:-1].conj().transpose(0, 2, 1) @ rights[1:]
+    norms = (
+        np.linalg.norm(lefts[:-1], axis=1)[:, :, None]
+        * np.linalg.norm(rights[1:], axis=1)[:, None, :]
+    )
+    overlaps = np.abs(raw) / norms
+    succ = np.argmax(overlaps, axis=2)
+    if m > 1:
+        top = np.partition(overlaps, -2, axis=2)
+        if bad := _first(top[:, :, -1] - top[:, :, -2] < ambiguity_threshold):
+            raise AmbiguousMatching(
+                f"mode {bad[1]} at step {bad[0] + 1}: top overlaps "
+                f"{top[bad][-1]:.6f} and {top[bad][-2]:.6f} are too close "
+                "to resolve"
+            )
+    ident = np.arange(m)
+    if np.any(np.sort(succ, axis=1) != ident):
+        raise AmbiguousMatching("two modes matched the same successor column")
+
+    perms = np.tile(ident, (steps + 1, 1))
+    for i in np.flatnonzero(np.any(succ != ident, axis=1)):
+        perms[i + 1 :] = succ[i][perms[i]]
+    chosen = raw[np.arange(steps)[:, None], perms[:-1], perms[1:]]
+    return perms, np.log(chosen).sum(axis=0)
 
 
 def track_continuity(
@@ -173,54 +230,23 @@ def track_continuity(
 ) -> Alignment:
     """Reorder and re-gauge ``nxt`` so each mode continues ``prev``.
 
-    Mode k of the result is the column of ``nxt`` with the largest
-    normalized overlap |G_k^prev . F_n^next|, phase-rotated so the overlap
-    is real and positive (discrete parallel transport).
-
-    Raises AmbiguousMatching when the two best overlaps for any mode are
-    within ``ambiguity_threshold`` of each other, or when two modes claim
-    the same successor.
+    The one-step view of ``transport``: mode k of the result is the column
+    of ``nxt`` with the largest normalized overlap |G_k^prev . F_n^next|,
+    phase-rotated so the overlap is real and positive (discrete parallel
+    transport).  Raises AmbiguousMatching as ``transport`` does.
     """
-    if prev.dim != nxt.dim:
-        raise ValueError("frames of different dimension cannot be matched")
-    n = prev.dim
-    raw = prev.lefts.conj().T @ nxt.rights
-    norms = (
-        np.linalg.norm(prev.lefts, axis=0)[:, None]
-        * np.linalg.norm(nxt.rights, axis=0)[None, :]
+    perms, logs = transport(
+        np.stack([prev.rights, nxt.rights]),
+        np.stack([prev.lefts, nxt.lefts]),
+        ambiguity_threshold=ambiguity_threshold,
     )
-    overlaps = np.abs(raw) / norms
-
-    permutation = np.empty(n, dtype=int)
-    for k in range(n):
-        row = overlaps[k]
-        best = int(np.argmax(row))
-        if n > 1:
-            second = np.partition(row, -2)[-2]
-            if row[best] - second < ambiguity_threshold:
-                raise AmbiguousMatching(
-                    f"mode {k}: top overlaps {row[best]:.6f} and "
-                    f"{second:.6f} are too close to resolve"
-                )
-        permutation[k] = best
-    if len(set(permutation.tolist())) != n:
-        raise AmbiguousMatching("two modes matched the same successor column")
-
-    phases = np.empty(n, dtype=complex)
-    rights = np.empty_like(nxt.rights)
-    lefts = np.empty_like(nxt.lefts)
-    for k in range(n):
-        s = raw[k, permutation[k]]
-        phase = np.conj(s / abs(s))
-        phases[k] = phase
-        # same factor on F and G keeps G^H F = 1
-        rights[:, k] = nxt.rights[:, permutation[k]] * phase
-        lefts[:, k] = nxt.lefts[:, permutation[k]] * phase
-
+    permutation = perms[1]
+    # same factor on F and G keeps G^H F = 1
+    phases = np.exp(-1j * logs.imag)
     frame = EigenFrame(
         lambdas=nxt.lambdas[permutation],
-        rights=rights,
-        lefts=lefts,
+        rights=nxt.rights[:, permutation] * phases,
+        lefts=nxt.lefts[:, permutation] * phases,
         chi=nxt.chi,
         gauge_tag="transported",
     )

@@ -1,1 +1,12 @@
-"""Pytest path hook: makes the shared oracle helpers importable."""
+"""Pytest path hook: makes the shared oracle helpers importable.
+
+Property tests run under a derandomized hypothesis profile, so every run
+draws the same examples in a bounded time and writes no example database.
+"""
+
+from hypothesis import settings
+
+settings.register_profile(
+    "tier1", derandomize=True, database=None, max_examples=40, deadline=None
+)
+settings.load_profile("tier1")

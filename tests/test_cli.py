@@ -2,11 +2,12 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from liouvdyn import __version__
+from liouvdyn import __version__, diagnostics
 from liouvdyn.cli import main
 from liouvdyn.config import RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid
@@ -205,6 +206,43 @@ class TestExitCodes:
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 4
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "experiment, sections",
+        [
+            ("sweep", lambda v: {"protocol": {"acceleration": v}}),
+            ("single", lambda v: {"protocol": {"t_f": v}}),
+            ("diagnose", lambda v: {"model": {"q0": v}}),
+            ("open", lambda v: {"protocol": {"chi0": v}}),
+            (
+                "geo",
+                lambda v: {
+                    "model": {"kind": "tls"},
+                    "protocol": {"waypoints": [[0.1], [v], [0.25]]},
+                },
+            ),
+        ],
+        ids=["sweep", "single", "diagnose", "open", "geo"],
+    )
+    def test_non_finite_numbers_exit_two(self, tmp_path, experiment, sections, value):
+        # json writes and reads these as NaN, Infinity and -Infinity
+        cfg = write_json(tmp_path / "c.json", {"experiment": experiment, **sections(value)})
+        start = time.monotonic()
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert time.monotonic() - start < 5.0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["diagnose", "open", "geo"])
+    def test_threads_outside_sweeps_exits_two(self, tmp_path, experiment):
+        cfg = write_json(
+            tmp_path / "c.json", {"experiment": experiment, "numerics": {"threads": 7}}
+        )
+        assert run_cli([experiment, "--config", cfg]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli([experiment, "--threads", 2])
+        assert exc.value.code == 2
+
+
 class TestGeoCommand:
     def test_retraced_circuit_gives_zero_phases(self, tmp_path):
         cfg = write_json(
@@ -323,6 +361,36 @@ class TestSweepCommand:
             assert "time" not in key and "date" not in key
         # no wall-clock leakage anywhere in the payload
         assert "2026" not in (sweep_dir / "sweep_manifest.json").read_text()
+
+
+class TestSweepFlags:
+    def run_partial(self, tmp_path, numerics):
+        cfg = write_json(tmp_path / "c.json", {"experiment": "sweep", "numerics": numerics})
+        assert run_cli(["sweep", "--config", cfg, "--out", tmp_path]) == 3
+        manifest = json.loads((tmp_path / "sweep_manifest.json").read_text())
+        assert manifest["status"] == "partial"
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        return manifest["point_errors"], rows
+
+    def test_oscillator_beyond_exceptional_point_is_flagged(self, tmp_path):
+        # mu_max is 2.5 at t_f = 0.02, beyond the |mu| < 2 domain
+        errors, rows = self.run_partial(
+            tmp_path, {"t_min": 0.02, "t_max": 0.05, "points": 2}
+        )
+        assert errors[0].startswith("DomainExceeded") and errors[1] is None
+        assert all(math.isnan(x) for x in rows[0][1:])
+
+    def test_nan_column_is_flagged(self, tmp_path, monkeypatch):
+        real = diagnostics.max_parameters_along
+
+        def nan_upsilon_below(model, t_f, samples=65):
+            mu, ups = real(model, t_f, samples)
+            return mu, (math.nan if t_f < 0.1 else ups)
+
+        monkeypatch.setattr(diagnostics, "max_parameters_along", nan_upsilon_below)
+        errors, _ = self.run_partial(tmp_path, {"t_min": 0.05, "t_max": 0.5, "points": 2})
+        assert errors[0].startswith("FloatingPointError") and "max_upsilon" in errors[0]
+        assert errors[1] is None
 
 
 class TestDeterminism:

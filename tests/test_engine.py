@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -265,6 +266,22 @@ class TestInertialPropagation:
         err_i = np.max(np.abs(vi.coeffs - ve.coeffs))
         err_a = np.max(np.abs(va.coeffs - ve.coeffs))
         assert err_i < err_a
+
+    def test_refinement_evaluates_each_node_once(self):
+        # the default ramp leaves after passes at 64, 128, 256 and 512
+        # nodes; nested grids share every node, so B is built 512 + 1 times
+        model = HOModel(protocol=HOProtocol.solve_boundary(20.0, 10.0, 1.0, -5e-3))
+        fact = model.factorization()
+        chis = []
+
+        def counted(chi):
+            chis.append(chi)
+            return fact.B_of_chi(chi)
+
+        counting = dataclasses.replace(fact, B_of_chi=counted)
+        propagate_inertial(counting, initial_vector(model), 1.0)
+        assert len(chis) == 513
+        assert len(set(chis)) == 513
 
     def test_dynamic_phase_against_quadrature(self):
         import scipy.integrate

@@ -1,0 +1,97 @@
+"""Properties of the stacked eigenframe and transport layer.
+
+Inputs are random diagonalizable non-Hermitian stacks V(s) diag(lam(s))
+V(s)^-1 along a path s in [0, 1], with a well-conditioned V and a
+spectrum spaced far above the degeneracy gap.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from liouvdyn.linalg import bi_eigendecompose, eigenframes, transport
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 5)
+
+
+def path_stack(seed, m, s, real=False):
+    """Generators along the parameter values s.
+
+    ``real`` builds 1j times a real non-normal matrix, the structure of
+    the shipped model generators, whose modes are real up to the gauge.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x if real else x + 1j * rng.normal(size=shape)
+
+    V0, V1 = np.eye(m) + 0.2 * draw(m, m), 0.2 * draw(m, m)
+    lam0, dlam = 1.5 * np.arange(1, m + 1) + 0.2 * draw(m), 0.2 * draw(m)
+    B = np.array(
+        [
+            (V0 + x * V1) @ np.diag(lam0 + x * dlam) @ np.linalg.inv(V0 + x * V1)
+            for x in s
+        ]
+    )
+    return 1j * B if real else B
+
+
+@given(seeds, dims, st.integers(1, 6))
+def test_frames_reconstruct_and_are_biorthonormal(seed, m, n):
+    B = path_stack(seed, m, np.linspace(0.0, 1.0, n))
+    lam, rights, lefts = eigenframes(B)
+    recon = (rights * lam[:, None, :]) @ lefts.conj().transpose(0, 2, 1)
+    assert np.max(np.abs(recon - B)) < 1e-9 * max(1.0, np.max(np.abs(B)))
+    cross = lefts.conj().transpose(0, 2, 1) @ rights
+    assert np.max(np.abs(cross - np.eye(m))) < 1e-12
+
+
+@given(seeds, dims, st.integers(1, 6))
+def test_stack_equals_node_by_node(seed, m, n):
+    B = path_stack(seed, m, np.linspace(0.0, 1.0, n))
+    lam, rights, lefts = eigenframes(B)
+    for i in range(n):
+        frame = bi_eigendecompose(B[i])
+        np.testing.assert_allclose(frame.lambdas, lam[i], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(frame.rights, rights[i], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(frame.lefts, lefts[i], rtol=0, atol=1e-13)
+
+
+@given(seeds, dims, st.data())
+def test_matching_is_equivariant_under_column_permutation(seed, m, data):
+    _, rights, lefts = eigenframes(path_stack(seed, m, np.linspace(0.0, 1.0, 12)))
+    perms, logs = transport(rights, lefts)
+    sigma = np.array(
+        [data.draw(st.permutations(range(m))) for _ in range(rights.shape[0])]
+    )
+    shuffled = [np.take_along_axis(f, sigma[:, None, :], axis=2) for f in (rights, lefts)]
+    got_perms, got_logs = transport(*shuffled)
+    # column j of shuffled frame i is column sigma[i, j] of frame i
+    inverse = np.argsort(sigma, axis=1)
+    want = np.take_along_axis(inverse, perms[:, sigma[0]], axis=1)
+    assert np.array_equal(got_perms, want)
+    np.testing.assert_allclose(got_logs, logs[sigma[0]], rtol=0, atol=1e-12)
+
+
+@given(seeds, dims)
+def test_retraced_closed_loop_has_zero_transport_phase(seed, m):
+    s = np.linspace(0.0, 1.0, 17)
+    _, rights, lefts = eigenframes(path_stack(seed, m, np.r_[s, s[-2::-1]], real=True))
+    perms, logs = transport(rights, lefts)
+    assert np.array_equal(perms[-1], np.arange(m))
+    # a phase is defined modulo 2 pi; a gauge pivot flip adds a full turn
+    assert np.max(np.abs(np.exp(1j * logs.imag) - 1.0)) < 1e-12
+
+
+@given(seeds, dims)
+def test_closed_loop_product_is_gauge_invariant(seed, m):
+    s = np.linspace(0.0, 1.0, 17)
+    _, rights, lefts = eigenframes(path_stack(seed, m, np.r_[s, s[-2::-1]]))
+    _, logs = transport(rights, lefts)
+    # rephase every node but the shared endpoint; F and G turn together
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, rights.shape[::2]))
+    phases[[0, -1]] = 1.0
+    _, rephased = transport(rights * phases[:, None, :], lefts * phases[:, None, :])
+    np.testing.assert_allclose(np.exp(rephased), np.exp(logs), rtol=0, atol=1e-12)
