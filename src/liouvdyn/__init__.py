@@ -31,7 +31,6 @@ from .engine import (
     propagate_constant_chi,
     propagate_exact,
     propagate_inertial,
-    scaled_time,
 )
 from .errors import (
     AmbiguousMatching,

@@ -66,37 +66,30 @@ _GEO_FAMILIES = {
 }
 
 
+def _seed_model(cfg: RunConfig):
+    """The configured model on a chi0 = 0 ramp from protocol.omega_start."""
+    proto, model = cfg.protocol, cfg.model
+    if model["kind"] == "ho":
+        p = HOProtocol(proto["omega_start"], 0.0, proto["acceleration"])
+        return HOModel(protocol=p, mass=model["mass"], q0=model["q0"], p0=model["p0"])
+    eps = proto["epsilon"]
+    omega0 = math.sqrt(proto["omega_start"] ** 2 - eps**2)
+    p = TLSProtocol(eps, omega0, 0.0, proto["acceleration"])
+    return TLSModel(protocol=p, initial_values=tuple(model["initial_values"]))
+
+
 def _ramp_model(cfg: RunConfig, t_f: float):
-    proto = cfg.protocol
-    if cfg.model["kind"] == "ho":
-        p = HOProtocol.solve_boundary(
-            proto["omega_start"], proto["omega_target"], t_f, proto["acceleration"]
-        )
-        return HOModel(
-            protocol=p,
-            mass=cfg.model["mass"],
-            q0=cfg.model["q0"],
-            p0=cfg.model["p0"],
-        )
-    p = TLSProtocol.solve_boundary(
-        proto["omega_start"],
-        proto["omega_target"],
-        proto["epsilon"],
-        t_f,
-        proto["acceleration"],
-    )
-    return TLSModel(protocol=p, initial_values=tuple(cfg.model["initial_values"]))
+    """The configured ramp reaching protocol.omega_target at t_f."""
+    return _seed_model(cfg).for_duration(t_f, cfg.protocol["omega_target"])
 
 
 def _sweep_outputs(cfg: RunConfig, grid):
     num = cfg.numerics
-    model = _ramp_model(cfg, float(grid[0]))
     result = fidelity_sweep(
-        model,
+        _seed_model(cfg),
         grid,
         omega_target=cfg.protocol["omega_target"],
         samples=num["samples"],
-        threads=num["threads"],
         rtol=num["rtol"],
         atol=num["atol"],
         phase_tol=num["phase_tol"],
@@ -156,23 +149,11 @@ def _run_diagnose(cfg: RunConfig):
 
 
 def _run_open(cfg: RunConfig):
-    proto = cfg.protocol
     num = cfg.numerics
-    model = TLSModel(
-        protocol=TLSProtocol(
-            epsilon=proto["epsilon"],
-            omega0=proto["omega0"],
-            chi0=proto["chi0"],
-            abar=proto["abar"],
-        )
-    )
-    bath = BathSpec(
-        temperature=cfg.model["bath"]["temperature"],
-        coupling=cfg.model["bath"]["coupling"],
-        cutoff=cfg.model["bath"]["cutoff"],
-    )
+    # the open protocol and bath sections hold exactly the dataclass fields
+    model = TLSModel(protocol=TLSProtocol(**cfg.protocol))
+    bath = BathSpec(**cfg.model["bath"])
     ts = np.linspace(0.0, num["t_final"], num["points"])
-    notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         states = mesolve(
@@ -185,7 +166,7 @@ def _run_open(cfg: RunConfig):
             rtol=num["rtol"],
             atol=num["atol"],
         )
-    notes.extend(str(w.message) for w in caught)
+    notes = [str(w.message) for w in caught]
     rows = trajectory_rows(model, ts, states)
     columns = (
         "t",
@@ -329,8 +310,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), help="data file format")
         p.add_argument("--tol", type=float, help="relative tolerance override")
-        if name in ("sweep", "single"):
-            p.add_argument("--threads", type=int, help="concurrent sweep points")
     return parser
 
 
@@ -344,7 +323,6 @@ def main(argv=None) -> int:
             model_kind=args.model,
             out_dir=args.out,
             out_format=args.format,
-            threads=getattr(args, "threads", None),
             rtol=args.tol,
         )
     except ConfigInvalid as exc:

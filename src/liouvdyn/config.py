@@ -51,12 +51,11 @@ def _defaults(experiment: str, kind: str) -> dict:
                 "t_max": 5.0,
                 "points": 20,
                 "samples": 65,
-                "threads": 1,
                 **_EXACT_TOLS,
             }
         elif experiment == "single":
             protocol["t_f"] = 1.0
-            numerics = {"samples": 65, "threads": 1, **_EXACT_TOLS}
+            numerics = {"samples": 65, **_EXACT_TOLS}
         else:
             protocol["t_f"] = 1.0
             numerics = {"samples": 129}
@@ -146,7 +145,9 @@ def _merge(base: dict, override: dict, path: str):
             raise ConfigInvalid(
                 f"unknown key {path}{key} (known: {', '.join(sorted(base))})"
             )
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigInvalid(f"{path}{key}: must be an object")
             _merge(base[key], value, f"{path}{key}.")
         else:
             base[key] = value
@@ -194,16 +195,9 @@ def _validate(cfg: dict) -> RunConfig:
 
     fmt = cfg["output"]["format"]
     _require(fmt in ("csv", "json"), "output.format", "must be csv or json")
-    _require(
-        isinstance(cfg["output"]["dir"], str) and cfg["output"]["dir"] != "",
-        "output.dir", "must be a non-empty path",
-    )
-    _require(
-        isinstance(cfg["output"]["stem"], str) and cfg["output"]["stem"] != "",
-        "output.stem", "must be a non-empty file stem",
-    )
-    if experiment in ("sweep", "single"):
-        _check_count(cfg, "numerics", "threads", 1)
+    for key, what in (("dir", "path"), ("stem", "file stem")):
+        v = cfg["output"][key]
+        _require(isinstance(v, str) and v != "", f"output.{key}", f"must be a non-empty {what}")
     if experiment in ("sweep", "diagnose", "single"):
         _check_positive(cfg, "protocol", "omega_start", "omega_target")
         _check_number(cfg, "protocol", "acceleration")
@@ -316,7 +310,6 @@ def resolve_config(
     model_kind: str = None,
     out_dir: str = None,
     out_format: str = None,
-    threads: int = None,
     rtol: float = None,
 ) -> RunConfig:
     """Merge defaults, an optional config file, and command-line overrides.
@@ -342,7 +335,8 @@ def resolve_config(
                 f"experiment: config file says {file_config['experiment']!r} "
                 f"but the command line asked for {experiment!r}"
             )
-        file_kind = file_config.get("model", {}).get("kind")
+        model = file_config.get("model")
+        file_kind = model.get("kind") if isinstance(model, dict) else None
         if file_kind is not None:
             if kind is not None and file_kind != kind:
                 raise ConfigInvalid(
@@ -367,10 +361,6 @@ def resolve_config(
         cfg["output"]["dir"] = out_dir
     if out_format is not None:
         cfg["output"]["format"] = out_format
-    if threads is not None:
-        if "threads" not in cfg["numerics"]:
-            raise ConfigInvalid(f"numerics.threads: {experiment} takes no thread count")
-        cfg["numerics"]["threads"] = threads
     if rtol is not None:
         if "rtol" not in cfg["numerics"]:
             raise ConfigInvalid(f"numerics.rtol: {experiment} takes no tolerance flag")

@@ -9,7 +9,6 @@ solutions against the exact one with state fidelities.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,12 @@ from .errors import (
     SingularDenominator,
     UnphysicalState,
 )
-from .linalg import DEGENERACY_GAP, EigenFrame, bi_eigendecompose
+from .linalg import DEGENERACY_GAP, EigenFrame, eigenframes
 from .models import (
     BlochState,
     GaussianState,
     HOModel,
     HOProtocol,
-    TLSModel,
-    TLSProtocol,
     TwoQubitState,
     initial_vector,
     reconstruct_state,
@@ -48,16 +45,14 @@ def adiabatic_parameter(model, t: float) -> float:
     """Instantaneous drive-rate parameter of the model's protocol.
 
     Oscillator: d(omega)/dt / omega^2.  Spin: the same ratio built from
-    the dressed gap, (d(omega)/dt * epsilon) / Omega^3.  For the linear
-    ramp protocols both reduce to chi0 + a*t.
+    the dressed gap, (d(omega)/dt * epsilon) / Omega^3.  The linear ramp
+    protocols are built so that both equal mu(t) = chi0 + a*t.
     """
-    if isinstance(model, HOModel):
-        p = model.protocol
-        return p.omega_dot(t) / p.omega(t) ** 2
-    if isinstance(model, TLSModel):
-        p = model.protocol
-        return p.omega_dot(t) * p.epsilon / p.Omega(t) ** 3
-    raise ValueError("drive-rate parameter is defined for HOModel and TLSModel")
+    try:
+        mu = model.protocol.mu
+    except AttributeError:
+        raise ValueError("drive-rate parameter needs a model with a ramp protocol") from None
+    return mu(t)
 
 
 def _directional_gradient(grad_B, dchi_dtheta) -> np.ndarray:
@@ -76,6 +71,29 @@ def _directional_gradient(grad_B, dchi_dtheta) -> np.ndarray:
     return out
 
 
+def _pair_sums(lam, rights, lefts, directional, occupied=None) -> np.ndarray:
+    """Drive-acceleration parameter of every frame of an (N, m, m) stack.
+
+    Sums |G_k^H D F_n| / |lambda_n - lambda_k|^2 over ordered pairs
+    n != k, with k restricted to `occupied` when given, where D is the
+    node's directional gradient.
+    """
+    m = lam.shape[1]
+    ks = np.arange(m) if occupied is None else np.asarray(occupied)
+    gaps = np.abs(lam[:, None, :] - lam[:, ks, None])
+    gaps[:, ks[:, None] == np.arange(m)] = np.inf  # n == k is not a pair
+    scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
+    close = gaps < DEGENERACY_GAP * scale[:, None, None]
+    if close.any():
+        _, k, n = np.argwhere(close)[0]
+        raise DegenerateSpectrum(
+            f"modes {ks[k]} and {n} are too close to evaluate the "
+            "drive-acceleration parameter"
+        )
+    elements = lefts.conj().transpose(0, 2, 1)[:, ks] @ directional @ rights
+    return (np.abs(elements) / gaps**2).sum(axis=(1, 2))
+
+
 def inertial_parameter(
     frame: EigenFrame, grad_B, dchi_dtheta, *, occupied=None
 ) -> float:
@@ -88,22 +106,31 @@ def inertial_parameter(
     directional = _directional_gradient(grad_B, dchi_dtheta)
     if directional.shape != (frame.dim, frame.dim):
         raise ValueError("gradient shape does not match the frame dimension")
-    lam = frame.lambdas
-    ks = range(frame.dim) if occupied is None else tuple(occupied)
-    scale = max(np.max(np.abs(lam)), 1.0)
-    total = 0.0
-    for k in ks:
-        gk = frame.left(k)
-        for n in range(frame.dim):
-            if n == k:
-                continue
-            gap = lam[n] - lam[k]
-            if abs(gap) < DEGENERACY_GAP * scale:
-                raise DegenerateSpectrum(
-                    f"modes {k} and {n} are too close to evaluate the "
-                    "drive-acceleration parameter"
-                )
-            total += abs(np.vdot(gk, directional @ frame.right(n)) / gap**2)
+    stacks = (frame.lambdas, frame.rights, frame.lefts, directional)
+    return float(_pair_sums(*(a[None] for a in stacks), occupied)[0])
+
+
+def _inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
+    """Drive-acceleration parameter at every time in `ts`, one stack per block.
+
+    Single-element blocks cannot mix and contribute nothing.
+    """
+    if fact.grad_B is None or fact.dchi_dtheta is None:
+        raise ValueError("factorization lacks grad_B or dchi_dtheta")
+    chis = [fact.chi_of_t(t) for t in ts]
+    B = np.stack([np.asarray(fact.B_of_chi(chi)) for chi in chis])
+    directional = np.stack(
+        [
+            _directional_gradient(fact.grad_B(chi), fact.dchi_dtheta(t))
+            for t, chi in zip(ts, chis)
+        ]
+    )
+    total = np.zeros(len(ts))
+    for lo, hi in fact.block_ranges(B.shape[1]):
+        if hi - lo == 1:
+            continue
+        lam, rights, lefts = eigenframes(B[:, lo:hi, lo:hi])
+        total += _pair_sums(lam, rights, lefts, directional[:, lo:hi, lo:hi])
     return total
 
 
@@ -111,27 +138,9 @@ def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:
     """Drive-acceleration parameter of a factorized generator at time t.
 
     Diagonalizes every closed block at the instantaneous parameter value
-    and accumulates the block sums.  Single-element blocks cannot mix
-    and contribute nothing.
+    and accumulates the block sums.
     """
-    if fact.grad_B is None or fact.dchi_dtheta is None:
-        raise ValueError("factorization lacks grad_B or dchi_dtheta")
-    chi = fact.chi_of_t(t)
-    B = np.asarray(fact.B_of_chi(chi))
-    grad = fact.grad_B(chi)
-    rate = fact.dchi_dtheta(t)
-    if isinstance(grad, np.ndarray) and grad.ndim == 2:
-        grads = (grad,)
-    else:
-        grads = tuple(np.asarray(g) for g in grad)
-    total = 0.0
-    for lo, hi in fact.block_ranges(B.shape[0]):
-        if hi - lo == 1:
-            continue
-        frame = bi_eigendecompose(B[lo:hi, lo:hi])
-        sub = tuple(g[lo:hi, lo:hi] for g in grads)
-        total += inertial_parameter(frame, sub, rate)
-    return total
+    return float(_inertial_parameters(fact, [t])[0])
 
 
 def ho_inertial_parameter_closed(t: float, protocol: HOProtocol) -> float:
@@ -312,20 +321,6 @@ class SweepResult:
         return out
 
 
-def _rebuild_for_duration(model, t_f: float, omega_target: float):
-    if isinstance(model, HOModel):
-        p = model.protocol
-        proto = HOProtocol.solve_boundary(p.omega0, omega_target, t_f, p.a)
-        return HOModel(protocol=proto, mass=model.mass, q0=model.q0, p0=model.p0)
-    if isinstance(model, TLSModel):
-        p = model.protocol
-        proto = TLSProtocol.solve_boundary(
-            p.Omega0, omega_target, p.epsilon, t_f, p.abar
-        )
-        return TLSModel(protocol=proto, initial_values=model.initial_values)
-    raise ValueError("sweeps support HOModel and TLSModel")
-
-
 def max_parameters_along(model, t_f: float, samples: int = 65):
     """Largest |mu| and largest Upsilon over an even time sample of the run.
 
@@ -334,22 +329,19 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
     """
     ts = np.linspace(0.0, t_f, samples)
     mu_max = max(abs(adiabatic_parameter(model, t)) for t in ts)
+    if not isinstance(model, HOModel):
+        return mu_max, float(_inertial_parameters(model.factorization(), ts).max())
     ups = []
-    if isinstance(model, HOModel):
-        for t in ts:
-            try:
-                ups.append(ho_inertial_parameter_closed(t, model.protocol))
-            except SingularDenominator:
-                continue
-    else:
-        fact = model.factorization()
-        for t in ts:
-            ups.append(inertial_parameter_at(fact, t))
+    for t in ts:
+        try:
+            ups.append(ho_inertial_parameter_closed(t, model.protocol))
+        except SingularDenominator:
+            continue
     return mu_max, (max(ups) if ups else math.nan)
 
 
 def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
-    m = _rebuild_for_duration(model, t_f, omega_target)
+    m = model.for_duration(t_f, omega_target)
     fact = m.factorization()
     v0 = initial_vector(m)
     v_exact = propagate_exact(fact, v0, t_f, rtol=tols[0], atol=tols[1])
@@ -385,20 +377,17 @@ def fidelity_sweep(
     *,
     omega_target: float = None,
     samples: int = 65,
-    threads: int = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     phase_tol: float = 1e-10,
 ) -> SweepResult:
     """Score the approximate propagators over a grid of protocol durations.
 
-    Each grid point solves the boundary-value protocol reaching
-    `omega_target` (default: half the starting frequency) in t_f,
+    Each grid point re-drives the model (``model.for_duration``) to reach
+    `omega_target` (default: half its starting frequency) in t_f,
     propagates the exact, inertial-frame and frozen-frame solutions,
-    and scores the approximations against the exact state.  Points are
-    independent; `threads` > 1 evaluates them concurrently with
-    order-preserving assembly.  A failed point is recorded and the
-    sweep continues.
+    and scores the approximations against the exact state.  A failed
+    point is recorded and the sweep continues.
 
     `rtol`/`atol` control the exact reference integration and
     `phase_tol` the inertial phase refinement; tighten them when the
@@ -407,26 +396,21 @@ def fidelity_sweep(
     grid = np.asarray(t_f_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_f grid must be a non-empty 1-d array")
+    if not hasattr(type(model), "for_duration"):
+        raise ValueError(f"{type(model).__name__} cannot be re-driven for a sweep")
     if omega_target is None:
-        p = model.protocol
-        omega_target = 0.5 * (p.Omega0 if isinstance(model, TLSModel) else p.omega0)
+        omega_target = 0.5 * model.omega_start
 
     tols = (rtol, atol, phase_tol)
-
-    def run(t_f):
+    values, errors = [], []
+    for t_f in grid:
         try:
-            return _sweep_point(model, float(t_f), omega_target, samples, tols), None
+            values.append(_sweep_point(model, float(t_f), omega_target, samples, tols))
+            errors.append(None)
         except (LiouvdynError, ArithmeticError, ValueError) as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+            values.append((math.nan,) * 5)
+            errors.append(f"{type(exc).__name__}: {exc}")
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, grid))
-    else:
-        outcomes = [run(t) for t in grid]
-
-    nan_row = (math.nan,) * 5
-    values = [row if row is not None else nan_row for row, _ in outcomes]
     cols = list(zip(*values))
     return SweepResult(
         t_f=grid,
@@ -435,5 +419,5 @@ def fidelity_sweep(
         max_abs_mu=np.array(cols[2]),
         max_upsilon=np.array(cols[3]),
         neg_log10_one_minus_fidelity=np.array(cols[4]),
-        errors=tuple(err for _, err in outcomes),
+        errors=tuple(errors),
     )

@@ -100,13 +100,6 @@ class InertialSolution:
     t: float = None
 
 
-def scaled_time(protocol, t: float) -> float:
-    """theta(t), the pace integral of the protocol."""
-    if t == 0.0:
-        return 0.0
-    return protocol.theta(t)
-
-
 def inverse_scaled_time(protocol, theta: float) -> float:
     """The physical time at which the protocol reaches scaled time theta."""
     if theta < 0.0:

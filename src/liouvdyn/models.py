@@ -8,8 +8,10 @@ from basis expectation values back to physical states.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -21,7 +23,6 @@ from .errors import DomainExceeded, UnphysicalState
 HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
 # (energy-like triple)(identity)
 TLS_BLOCKS = ((0, 3), (3, 4))
-TWO_SPIN_LOCAL_BLOCKS = ((0, 3), (3, 6))
 
 _DOUBLE_ROOT_REL = 1e-14
 
@@ -152,7 +153,7 @@ class HOProtocol:
         # inverse frequency 1/omega(t); the protocol ends where it hits 0
         return 1.0 / self.omega0 - self.chi0 * t - 0.5 * self.a * t * t
 
-    @property
+    @cached_property
     def t_max(self) -> float:
         """Earliest positive time at which the frequency diverges."""
         if self.a == 0.0:
@@ -279,7 +280,7 @@ class TLSProtocol:
     def z(self, t: float) -> float:
         return self.z0 + self.epsilon * (self.chi0 * t + 0.5 * self.abar * t * t)
 
-    @property
+    @cached_property
     def t_max(self) -> float:
         """Earliest positive time at which |z| reaches 1."""
         candidates = []
@@ -364,19 +365,6 @@ class TLSProtocol:
                 f"boundary solve residual {residual:.3e} too large"
             )
         return protocol
-
-
-def ho_protocol(t: float, omega0: float, chi0: float, a: float = 0.0):
-    """(omega, chi, pace) of the oscillator ramp at time t; pace == omega."""
-    p = HOProtocol(omega0=omega0, chi0=chi0, a=a)
-    w = p.omega(t)
-    return w, p.mu(t), w
-
-
-def tls_protocol(t: float, epsilon: float, chi0: float, abar: float, omega0: float):
-    """(omega, Omega, chi) of the two-level ramp at time t."""
-    p = TLSProtocol(epsilon=epsilon, omega0=omega0, chi0=chi0, abar=abar)
-    return p.omega(t), p.Omega(t), p.mu(t)
 
 
 def two_spin_alpha_protocol(t, chi, Omega, alpha0: float = 0.0) -> float:
@@ -498,9 +486,9 @@ class HOModel:
     q0: float = 0.0
     p0: float = 0.0
 
-    basis_size = 6
-    identity_index = 5
-    blocks = HO_BLOCKS
+    @property
+    def omega_start(self) -> float:
+        return self.protocol.omega0
 
     @property
     def rescaling_weights(self) -> np.ndarray:
@@ -508,6 +496,55 @@ class HOModel:
 
     def rescaling_base(self, t: float) -> float:
         return self.protocol.omega(t) / self.protocol.omega0
+
+    def for_duration(self, t_f: float, omega_target: float) -> "HOModel":
+        """This model re-driven from omega0 to omega(t_f) = omega_target at
+        the same acceleration; errors as HOProtocol.solve_boundary."""
+        p = self.protocol
+        proto = HOProtocol.solve_boundary(p.omega0, omega_target, t_f, p.a)
+        return dataclasses.replace(self, protocol=proto)
+
+    def initial_vector(self) -> LiouvilleVector:
+        """Moments of the (optionally displaced) ground state of the
+        initial trap."""
+        w0, m = self.protocol.omega0, self.mass
+        q0, p0 = self.q0, self.p0
+        kinetic = p0 * p0 / (2.0 * m)
+        potential = 0.5 * m * w0 * w0 * q0 * q0
+        coeffs = np.array(
+            [
+                0.5 * w0 + kinetic + potential,
+                kinetic - potential,
+                -w0 * q0 * p0,
+                math.sqrt(w0) * q0,
+                -p0 / (m * math.sqrt(w0)),
+                1.0,
+            ],
+            dtype=complex,
+        )
+        return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
+
+    def reconstruct_state(self, coeffs: np.ndarray, t: float) -> GaussianState:
+        c = _real_coeffs(coeffs, 6)
+        w = self.protocol.omega(t)
+        w0 = self.protocol.omega0
+        m = self.mass
+        # undo the frequency scaling of the quadratic block
+        H, L, C = (w / w0) * c[:3]
+        K, J = c[3], c[4]
+        pp = m * (H + L)
+        qq = (H - L) / (m * w * w)
+        qp_sym = -2.0 * C / w
+        q = K / math.sqrt(w)
+        p = -m * math.sqrt(w) * J
+        state = GaussianState(
+            q=q,
+            p=p,
+            sigma_qq=qq - q * q,
+            sigma_pp=pp - p * p,
+            sigma_qp=0.5 * qp_sym - q * p,
+        )
+        return state.validate()
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
@@ -535,13 +572,9 @@ class TLSModel:
     protocol: TLSProtocol
     initial_values: tuple = (4.0, 1.0, 1.0)
 
-    basis_size = 4
-    identity_index = 3
-    blocks = TLS_BLOCKS
-
     @property
-    def epsilon(self) -> float:
-        return self.protocol.epsilon
+    def omega_start(self) -> float:
+        return self.protocol.Omega0
 
     @property
     def rescaling_weights(self) -> np.ndarray:
@@ -549,6 +582,28 @@ class TLSModel:
 
     def rescaling_base(self, t: float) -> float:
         return self.protocol.Omega(t) / self.protocol.Omega0
+
+    def for_duration(self, t_f: float, omega_target: float) -> "TLSModel":
+        """This model re-driven from Omega0 to Omega(t_f) = omega_target at
+        the same epsilon and acceleration; errors as TLSProtocol.solve_boundary."""
+        p = self.protocol
+        proto = TLSProtocol.solve_boundary(p.Omega0, omega_target, p.epsilon, t_f, p.abar)
+        return dataclasses.replace(self, protocol=proto)
+
+    def initial_vector(self) -> LiouvilleVector:
+        """The configured triple plus the identity."""
+        coeffs = np.array([*self.initial_values, 1.0], dtype=complex)
+        return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
+
+    def reconstruct_state(self, coeffs: np.ndarray, t: float) -> BlochState:
+        c = _real_coeffs(coeffs, 4)
+        p = self.protocol
+        w, Om, eps = p.omega(t), p.Omega(t), p.epsilon
+        H, L, C = c[:3]
+        sz = (w * H - eps * L) / (Om * Om)
+        sx = (eps * H + w * L) / (Om * Om)
+        sy = C / Om
+        return BlochState(r=2.0 * np.array([sx, sy, sz])).validate()
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
@@ -613,8 +668,6 @@ class TwoSpinModel:
     chi2: float
     alpha0: tuple = (0.0, 0.0)
 
-    local_blocks = TWO_SPIN_LOCAL_BLOCKS
-
     def alpha(self, t: float, spin: int) -> float:
         chi = (self.chi1, self.chi2)[spin]
         return two_spin_alpha_protocol(t, chi, self.Omega, self.alpha0[spin])
@@ -629,6 +682,13 @@ class TwoSpinModel:
     @property
     def cross_rescaling_weights(self) -> np.ndarray:
         return 2.0 * np.ones(9)
+
+    def reconstruct_state(self, coeffs: np.ndarray, t: float) -> TwoQubitState:
+        if coeffs.shape != (15,):
+            raise ValueError(
+                "two-spin reconstruction expects local(6) + cross(9) stacked"
+            )
+        return self.reconstruct_two_qubit(coeffs[:6], coeffs[6:], t)
 
     def reconstruct_two_qubit(
         self, v_local, v_cross, t: float
@@ -667,33 +727,10 @@ class TwoSpinModel:
 
 
 def initial_vector(model) -> LiouvilleVector:
-    """Default starting vector of a model at t = 0.
-
-    Oscillator: moments of the (optionally displaced) ground state of the
-    initial trap.  Two-level system: the configured triple plus identity.
-    """
-    if isinstance(model, HOModel):
-        w0 = model.protocol.omega0
-        m = model.mass
-        q0, p0 = model.q0, model.p0
-        kinetic = p0 * p0 / (2.0 * m)
-        potential = 0.5 * m * w0 * w0 * q0 * q0
-        coeffs = np.array(
-            [
-                0.5 * w0 + kinetic + potential,
-                kinetic - potential,
-                -w0 * q0 * p0,
-                math.sqrt(w0) * q0,
-                -p0 / (m * math.sqrt(w0)),
-                1.0,
-            ],
-            dtype=complex,
-        )
-        return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
-    if isinstance(model, TLSModel):
-        coeffs = np.array([*model.initial_values, 1.0], dtype=complex)
-        return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
-    raise TypeError(f"no initial vector defined for {type(model).__name__}")
+    """Default starting vector of a model at t = 0 (``model.initial_vector``)."""
+    if not hasattr(type(model), "initial_vector"):
+        raise TypeError(f"no initial vector defined for {type(model).__name__}")
+    return model.initial_vector()
 
 
 def _real_coeffs(v: np.ndarray, n: int, tol: float = 1e-6) -> np.ndarray:
@@ -708,46 +745,12 @@ def _real_coeffs(v: np.ndarray, n: int, tol: float = 1e-6) -> np.ndarray:
 def reconstruct_state(model, v, t: float):
     """Physical state from a (rescaled, physical) basis vector at time t.
 
-    Raises UnphysicalState when the recovered moments violate positivity
-    or uncertainty constraints beyond 1e-6, which signals a propagation or
-    rescaling error upstream.
+    Dispatches to ``model.reconstruct_state``.  Raises UnphysicalState
+    when the recovered moments violate positivity or uncertainty
+    constraints beyond 1e-6, which signals a propagation or rescaling
+    error upstream.
     """
-    coeffs = v.coeffs if isinstance(v, LiouvilleVector) else np.asarray(v)
-    if isinstance(model, HOModel):
-        c = _real_coeffs(np.asarray(coeffs), 6)
-        w = model.protocol.omega(t)
-        w0 = model.protocol.omega0
-        m = model.mass
-        # undo the frequency scaling of the quadratic block
-        H, L, C = (w / w0) * c[:3]
-        K, J = c[3], c[4]
-        pp = m * (H + L)
-        qq = (H - L) / (m * w * w)
-        qp_sym = -2.0 * C / w
-        q = K / math.sqrt(w)
-        p = -m * math.sqrt(w) * J
-        state = GaussianState(
-            q=q,
-            p=p,
-            sigma_qq=qq - q * q,
-            sigma_pp=pp - p * p,
-            sigma_qp=0.5 * qp_sym - q * p,
-        )
-        return state.validate()
-    if isinstance(model, TLSModel):
-        c = _real_coeffs(np.asarray(coeffs), 4)
-        p = model.protocol
-        w, Om, eps = p.omega(t), p.Omega(t), p.epsilon
-        H, L, C = c[:3]
-        sz = (w * H - eps * L) / (Om * Om)
-        sx = (eps * H + w * L) / (Om * Om)
-        sy = C / Om
-        return BlochState(r=2.0 * np.array([sx, sy, sz])).validate()
-    if isinstance(model, TwoSpinModel):
-        coeffs = np.asarray(coeffs)
-        if coeffs.shape != (15,):
-            raise ValueError(
-                "two-spin reconstruction expects local(6) + cross(9) stacked"
-            )
-        return model.reconstruct_two_qubit(coeffs[:6], coeffs[6:], t)
-    raise TypeError(f"no reconstruction defined for {type(model).__name__}")
+    if not hasattr(type(model), "reconstruct_state"):
+        raise TypeError(f"no reconstruction defined for {type(model).__name__}")
+    coeffs = v.coeffs if isinstance(v, LiouvilleVector) else v
+    return model.reconstruct_state(np.asarray(coeffs), t)

@@ -171,7 +171,6 @@ def test_criterion_3_ramp_fidelity_comparison(capsys):
             model,
             RAMP_GRID,
             omega_target=10.0,
-            threads=4,
             rtol=1e-12,
             atol=1e-14,
         )

@@ -6,10 +6,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouvdyn import __version__, diagnostics
 from liouvdyn.cli import main
-from liouvdyn.config import RunConfig, load_config_file, resolve_config
+from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid
 
 
@@ -73,11 +75,9 @@ class TestConfigResolution:
             "sweep",
             {"experiment": "sweep", "output": {"format": "csv"}},
             out_format="json",
-            threads=3,
             rtol=1e-8,
         )
         assert cfg.output["format"] == "json"
-        assert cfg.numerics["threads"] == 3
         assert cfg.numerics["rtol"] == 1e-8
 
     def test_model_kind_conflict_is_rejected(self):
@@ -136,6 +136,68 @@ class TestConfigResolution:
         cfg = resolve_config("sweep")
         with pytest.raises(AttributeError):
             cfg.experiment = "open"
+
+
+KINDS = ("ho", "tls", "two-spin-local", "two-spin-nonlocal")
+SECTIONS = ("model", "protocol", "numerics", "output")
+
+
+def _defaults_by_key(experiment):
+    """Section -> key -> every default value of that key over the model kinds."""
+    out = {section: {"threads": [], "zzz": []} for section in SECTIONS}
+    for kind in KINDS:
+        try:
+            cfg = resolve_config(experiment, model_kind=kind).to_dict()
+        except ConfigInvalid:
+            continue
+        for section in SECTIONS:
+            for key, value in cfg[section].items():
+                out[section].setdefault(key, []).append(value)
+    out["model"]["kind"] = list(KINDS)
+    return out
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def file_configs(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    config = {"experiment": experiment}
+    for section, keys in _defaults_by_key(experiment).items():
+        entries = st.sampled_from(sorted(keys)).flatmap(
+            lambda key: st.tuples(st.just(key), st.sampled_from(keys[key] or [None]) | _JSON)
+        )
+        body = st.lists(entries, max_size=4).map(dict)
+        if draw(st.booleans()):
+            config[section] = draw(body | _JSON)
+    return experiment, config
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(file_configs())
+    def test_resolution_returns_config_or_config_invalid(self, case):
+        # unknown keys, wrong types, nested non-objects, NaN/Infinity and
+        # bools where numbers go all end as ConfigInvalid, never a crash
+        experiment, file_config = case
+        try:
+            cfg = resolve_config(experiment, file_config)
+        except ConfigInvalid:
+            return
+        assert isinstance(cfg, RunConfig)
 
 
 class TestConfigFileLoading:
@@ -232,8 +294,9 @@ class TestExitCodes:
         assert time.monotonic() - start < 5.0
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("experiment", ["diagnose", "open", "geo"])
+    @pytest.mark.parametrize("experiment", ["sweep", "single", "diagnose", "open", "geo"])
     def test_threads_outside_sweeps_exits_two(self, tmp_path, experiment):
+        # no experiment takes a thread count: the key is unknown, the flag absent
         cfg = write_json(
             tmp_path / "c.json", {"experiment": experiment, "numerics": {"threads": 7}}
         )
@@ -241,6 +304,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli([experiment, "--threads", 2])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("numerics", {"experiment": "sweep", "numerics": 3}),
+            ("model.bath", {"experiment": "open", "model": {"bath": 5}}),
+            ("model", {"experiment": "sweep", "model": 5}),
+        ],
+        ids=["numerics", "model.bath", "model"],
+    )
+    def test_non_object_section_exits_two(self, tmp_path, capsys, path, payload):
+        cfg = write_json(tmp_path / "c.json", payload)
+        assert run_cli([payload["experiment"], "--config", cfg]) == 2
+        assert f"{path}: must be an object" in capsys.readouterr().err
 
 
 class TestGeoCommand:
@@ -412,24 +489,6 @@ class TestDeterminism:
         assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
         for name, payload in first.items():
             assert (out / name).read_bytes() == payload
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "c.json",
-            {
-                "experiment": "sweep",
-                "numerics": {"points": 4, "t_min": 0.1, "t_max": 0.4, "samples": 17},
-            },
-        )
-        serial = tmp_path / "serial"
-        pooled = tmp_path / "pooled"
-        assert run_cli(["sweep", "--config", cfg, "--out", serial]) == 0
-        assert (
-            run_cli(["sweep", "--config", cfg, "--out", pooled, "--threads", 3]) == 0
-        )
-        assert (serial / "sweep.csv").read_bytes() == (
-            pooled / "sweep.csv"
-        ).read_bytes()
 
     def test_csv_keeps_full_precision(self, tmp_path):
         cfg = write_json(

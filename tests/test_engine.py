@@ -14,7 +14,6 @@ from liouvdyn.engine import (
     propagate_constant_chi,
     propagate_exact,
     propagate_inertial,
-    scaled_time,
 )
 from liouvdyn.errors import DomainExceeded
 from liouvdyn.linalg import bi_eigendecompose
@@ -53,8 +52,8 @@ def blockwise_constant_chi(fact, v0, theta):
 class TestScaledTime:
     def test_trivial_values(self):
         p = HOProtocol(20.0, 0.0, 0.0)
-        assert scaled_time(p, 0.5) == 10.0
-        assert scaled_time(p, 0.0) == 0.0
+        assert p.theta(0.5) == 10.0
+        assert p.theta(0.0) == 0.0
 
     def test_round_trip(self):
         for p in (
@@ -64,7 +63,7 @@ class TestScaledTime:
             TLSProtocol(8.0, math.sqrt(336.0), -0.0375, 0.0),
         ):
             for t in (0.2, 0.8, 1.4):
-                theta = scaled_time(p, t)
+                theta = p.theta(t)
                 assert abs(inverse_scaled_time(p, theta) - t) < 1e-10
 
     def test_inverse_rejects_unreachable(self):
@@ -75,7 +74,7 @@ class TestScaledTime:
 
     def test_monotone(self):
         p = HOProtocol(20.0, -0.04, -5e-3)
-        thetas = [scaled_time(p, t) for t in np.linspace(0.0, 2.0, 40)]
+        thetas = [p.theta(t) for t in np.linspace(0.0, 2.0, 40)]
         assert np.all(np.diff(thetas) > 0)
 
 

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liouvdyn.engine import LiouvilleVector, apply_identity_rescaling
 from liouvdyn.errors import DomainExceeded, UnphysicalState
@@ -17,12 +20,10 @@ from liouvdyn.models import (
     TwoQubitState,
     TwoSpinModel,
     ho_generator,
-    ho_protocol,
     initial_vector,
     reconstruct_state,
     tls_generator,
     tls_generator_embedded,
-    tls_protocol,
     two_spin_alpha_protocol,
     two_spin_generators,
 )
@@ -263,20 +264,6 @@ class TestTLSProtocol:
             TLSProtocol.solve_boundary(20.0, 10.0, epsilon=12.0, t_f=1.0)
 
 
-class TestProtocolFunctions:
-    def test_ho_tuple(self):
-        w, chi, pace = ho_protocol(0.5, omega0=20.0, chi0=-0.05)
-        p = HOProtocol(20.0, -0.05)
-        assert (w, chi, pace) == (p.omega(0.5), p.mu(0.5), p.omega(0.5))
-
-    def test_tls_tuple(self):
-        vals = tls_protocol(
-            0.5, epsilon=8.0, chi0=-0.03, abar=0.0, omega0=math.sqrt(336.0)
-        )
-        p = TLSProtocol(epsilon=8.0, omega0=math.sqrt(336.0), chi0=-0.03)
-        assert vals == (p.omega(0.5), p.Omega(0.5), p.mu(0.5))
-
-
 class TestAlphaProtocol:
     def test_static(self):
         assert two_spin_alpha_protocol(2.0, 0.0, 20.0, alpha0=0.3) == 0.3
@@ -330,6 +317,69 @@ class TestInitialVectors:
     def test_tls_configured_triple(self):
         model = TLSModel(protocol=TLSProtocol(8.0, math.sqrt(336.0), -0.0375))
         assert np.allclose(initial_vector(model).coeffs, [4, 1, 1, 1])
+
+
+    def test_other_objects_have_no_initial_vector(self):
+        for other in (object(), TwoSpinModel(Omega=20.0, chi1=0.1, chi2=0.2)):
+            with pytest.raises(TypeError):
+                initial_vector(other)
+
+
+class TestForDuration:
+    # a chi0 = 0 seed of each ramp, with every non-protocol field off its default
+    HO_SEED = HOModel(protocol=HOProtocol(20.0, 0.0, -5e-3), mass=1.7, q0=0.3, p0=-0.2)
+    TLS_SEED = TLSModel(
+        protocol=TLSProtocol(8.0, math.sqrt(336.0), 0.0, -5e-3),
+        initial_values=(1.0, 2.0, 0.5),
+    )
+
+    @pytest.mark.parametrize("t_f", [0.05, 1.0, 5.0])
+    def test_ho_hits_target_and_keeps_fields(self, t_f):
+        m = self.HO_SEED.for_duration(t_f, 10.0)
+        assert abs(m.protocol.omega(t_f) - 10.0) <= 1e-12 * 10.0
+        assert (m.protocol.omega0, m.protocol.a) == (20.0, -5e-3)
+        assert (m.mass, m.q0, m.p0) == (1.7, 0.3, -0.2)
+
+    @pytest.mark.parametrize("t_f", [0.05, 1.0, 5.0])
+    def test_tls_hits_target_and_keeps_fields(self, t_f):
+        m = self.TLS_SEED.for_duration(t_f, 10.0)
+        assert abs(m.protocol.Omega(t_f) - 10.0) <= 1e-12 * 10.0
+        assert abs(m.protocol.Omega0 - self.TLS_SEED.protocol.Omega0) <= 1e-12 * 20.0
+        assert (m.protocol.epsilon, m.protocol.abar) == (8.0, -5e-3)
+        assert m.initial_values == (1.0, 2.0, 0.5)
+
+    @staticmethod
+    def outcome(solve):
+        try:
+            solve()
+        except (DomainExceeded, ArithmeticError, ValueError) as exc:
+            return type(exc)
+        return None
+
+    @given(
+        t_f=st.floats(1e-3, 50.0),
+        target=st.floats(9.0, 60.0),
+        accel=st.floats(-5.0, 5.0),
+    )
+    def test_fails_exactly_where_solve_boundary_does(self, t_f, target, accel):
+        ho = dataclasses.replace(self.HO_SEED, protocol=HOProtocol(20.0, 0.0, accel))
+        assert self.outcome(lambda: ho.for_duration(t_f, target)) is self.outcome(
+            lambda: HOProtocol.solve_boundary(20.0, target, t_f, accel)
+        )
+        tls = TLSModel(protocol=TLSProtocol(8.0, math.sqrt(336.0), 0.0, accel))
+        Omega0 = tls.protocol.Omega0
+        assert self.outcome(lambda: tls.for_duration(t_f, target)) is self.outcome(
+            lambda: TLSProtocol.solve_boundary(Omega0, target, 8.0, t_f, accel)
+        )
+
+    def test_domain_exceeded_propagates(self):
+        # strong deceleration: the ramp diverges before t_f
+        ho = HOModel(protocol=HOProtocol(20.0, 0.0, -4.0))
+        with pytest.raises(DomainExceeded):
+            ho.for_duration(1.0, 10.0)
+        tls = TLSModel(protocol=TLSProtocol(8.0, math.sqrt(336.0), 0.0, 5.0))
+        with pytest.raises(DomainExceeded):
+            tls.for_duration(1.0, 10.0)
 
 
 class TestReconstruction:
@@ -397,6 +447,10 @@ class TestReconstruction:
         )
         with pytest.raises(UnphysicalState):
             reconstruct_state(model, bad, 0.0)
+
+    def test_other_objects_have_no_reconstruction(self):
+        with pytest.raises(TypeError):
+            reconstruct_state(object(), np.zeros(4), 0.0)
 
 
 class TestTwoQubitReconstruction:
