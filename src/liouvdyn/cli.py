@@ -152,6 +152,11 @@ def _run_open(cfg: RunConfig):
     num = cfg.numerics
     # the open protocol and bath sections hold exactly the dataclass fields
     model = TLSModel(protocol=TLSProtocol(**cfg.protocol))
+    if num["t_final"] >= model.protocol.t_max:
+        raise ConfigInvalid(
+            f"numerics.t_final: must be below the protocol's horizon "
+            f"t_max = {model.protocol.t_max:.6g}, where |omega/Omega| reaches 1"
+        )
     bath = BathSpec(**cfg.model["bath"])
     ts = np.linspace(0.0, num["t_final"], num["points"])
     with warnings.catch_warnings(record=True) as caught:
@@ -340,9 +345,13 @@ def main(argv=None) -> int:
 
     columns, rows, sources, errors = outputs[:4]
     notes = outputs[4] if len(outputs) > 4 else ()
-    data_path, manifest_path, status = write_outputs(
-        cfg, columns, rows, sources, errors, notes
-    )
+    try:
+        data_path, manifest_path, status = write_outputs(
+            cfg, columns, rows, sources, errors, notes
+        )
+    except OSError as exc:
+        print(f"run failed: OSError: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {data_path} and {manifest_path} ({status})")
     if status == "failed":
         return 4

@@ -11,6 +11,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,6 +199,11 @@ def _validate(cfg: dict) -> RunConfig:
     for key, what in (("dir", "path"), ("stem", "file stem")):
         v = cfg["output"][key]
         _require(isinstance(v, str) and v != "", f"output.{key}", f"must be a non-empty {what}")
+        _require("\0" not in v, f"output.{key}", "must not contain a NUL character")
+    _require(
+        not any(sep in cfg["output"]["stem"] for sep in (os.sep, os.altsep) if sep),
+        "output.stem", "must be a file name without a path separator",
+    )
     if experiment in ("sweep", "diagnose", "single"):
         _check_positive(cfg, "protocol", "omega_start", "omega_target")
         _check_number(cfg, "protocol", "acceleration")

@@ -37,7 +37,12 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex) / 2.0
 
 # overflow guard for the Bose-Einstein exponent
 _MAX_EXPONENT = 700.0
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
+_QUAD_KW = dict(epsrel=1e-11, limit=400)
+# absolute level-shift quadrature tolerance, per unit of cutoff^3 / 3: the
+# size of the sum both integrals enter, so a term that crosses zero on its
+# own (the thermal principal value near |alpha| = 31.63 at the default
+# bath) is not held to an absolute accuracy the sum cannot resolve
+_SHIFT_EPSABS = 1e-11
 
 
 @dataclass(frozen=True)
@@ -110,11 +115,11 @@ def decay_rate(bath: BathSpec, alpha: float) -> float:
     return bath.coupling * mag**3 * n
 
 
-def _quad(f, a, b, **kw):
+def _quad(f, a, b, epsabs, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
-            value, err = scipy.integrate.quad(f, a, b, **_QUAD_KW, **kw)
+            value, err = scipy.integrate.quad(f, a, b, epsabs=epsabs, **_QUAD_KW, **kw)
         except scipy.integrate.IntegrationWarning as exc:
             raise NotConverged(f"level-shift quadrature failed: {exc}") from exc
     return value
@@ -135,6 +140,7 @@ def lamb_shift(bath: BathSpec, alpha: float) -> float:
     if alpha == 0.0:
         return -2.0 * bath.coupling * wc**3 / 3.0
     T = bath.temperature
+    tol = _SHIFT_EPSABS * wc**3 / 3.0
 
     def emission(w):
         if w <= 0.0:
@@ -148,15 +154,15 @@ def lamb_shift(bath: BathSpec, alpha: float) -> float:
 
     if alpha > 0.0:
         # (1+N)/(alpha-w) carries the pole; N/(alpha+w) is regular
-        principal = -_quad(emission, 0.0, wc, weight="cauchy", wvar=alpha)
-        regular = _quad(lambda w: absorption(w) / (alpha + w), 0.0, wc)
+        principal = -_quad(emission, 0.0, wc, tol, weight="cauchy", wvar=alpha)
+        regular = _quad(lambda w: absorption(w) / (alpha + w), 0.0, wc, tol)
     else:
         principal = (
-            _quad(absorption, 0.0, wc, weight="cauchy", wvar=-alpha)
+            _quad(absorption, 0.0, wc, tol, weight="cauchy", wvar=-alpha)
             if T > 0.0
             else 0.0
         )
-        regular = _quad(lambda w: emission(w) / (alpha - w), 0.0, wc)
+        regular = _quad(lambda w: emission(w) / (alpha - w), 0.0, wc, tol)
     return 2.0 * bath.coupling * (principal + regular)
 
 
@@ -334,6 +340,36 @@ def _secular_phase_check(spec: MasterEquationSpec, t_end: float):
         )
 
 
+def _level_shift_frame(F, weights):
+    """Eigenbasis V of the zero mode F_0 and the diagonal of F_j^dagger F_j in it.
+
+    The level-shift Hamiltonian sum_j w_j S(alpha_j) F_j^dagger F_j then
+    acts as a phase on each basis vector, and it commutes with the
+    dissipator when every weighted F_j is, in V, either diagonal or a
+    single transition |a><b|: conjugating by any V-diagonal unitary only
+    multiplies such an F_j by a phase.  That also makes each F_j^dagger
+    F_j diagonal in V.  A matrix with one entry per row is not enough
+    (sigma_x' picks up opposite phases on its two entries), so any other
+    shape raises LiouvdynError.
+    """
+    # mode 0 is the Hermitian zero mode, sigma_z of the t = 0 eigenoperator frame
+    _, V = np.linalg.eigh(0.5 * (F[0] + F[0].conj().T))
+    levels = np.zeros((len(F), 2))
+    for j, op in enumerate(F):
+        if weights[j] == 0.0:
+            continue
+        Fv = V.conj().T @ op @ V
+        support = np.abs(Fv) > 1e-10 * np.max(np.abs(Fv))
+        if np.any(support & ~np.eye(2, dtype=bool)) and np.count_nonzero(support) > 1:
+            raise LiouvdynError(
+                f"jump operator {j} is neither diagonal nor a single transition "
+                "in the zero-mode basis, so the level shift does not commute "
+                "with the dissipator"
+            )
+        levels[j] = np.sum(np.abs(Fv) ** 2, axis=0)
+    return V, levels
+
+
 def mesolve(
     model,
     bath: BathSpec,
@@ -352,6 +388,15 @@ def mesolve(
     gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) and, on request, maps
     back to the lab frame with the exact free propagator.  Returns the
     stack of density matrices on ``t_grid`` (which must start at 0).
+
+    The level shift H_LS(t) = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t))
+    F_j^dagger F_j is diagonal in the eigenbasis V of the zero mode and
+    commutes with the dissipator, so it only rotates the state:
+    rho = U rho_D U^dagger, with rho_D the solution without H_LS and
+    U = V diag(e^(-i theta)) V^dagger.  The two level phases theta, with
+    theta_k' = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t)) (V^dagger
+    F_j^dagger F_j V)_kk, are integrated under the same tolerances in a
+    solve of their own, so rho_D is bit for bit the run without the shift.
     """
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
@@ -387,18 +432,13 @@ def mesolve(
     Fd = [op.conj().T for op in F]
     FdF = [d @ op for d, op in zip(Fd, F)]
     weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
+    if lamb_shift_enabled:
+        V, levels = _level_shift_frame(F, weights)
 
     def rhs(t, y):
         rho = y.reshape(2, 2)
         alphas = spec.alpha_of_t(t)
         out = np.zeros((2, 2), dtype=complex)
-        if lamb_shift_enabled:
-            H = np.zeros((2, 2), dtype=complex)
-            for j in range(len(F)):
-                if weights[j] == 0.0:
-                    continue
-                H += weights[j] * lamb_shift(bath, float(alphas[j])) * FdF[j]
-            out -= 1j * (H @ rho - rho @ H)
         for j in range(len(F)):
             g = weights[j] * decay_rate(bath, float(alphas[j]))
             if g == 0.0:
@@ -418,6 +458,37 @@ def mesolve(
     if not sol.success:
         raise IntegratorFailure(f"master-equation integration failed: {sol.message}")
     states = sol.y.T.reshape(-1, 2, 2)
+    if lamb_shift_enabled:
+        shifts = {}  # lamb_shift by alpha; a static drive repeats one per channel
+
+        def level_phase_rates(t, theta):
+            alphas = spec.alpha_of_t(t)
+            out = np.zeros(2)
+            for j in range(len(F)):
+                if weights[j] == 0.0:
+                    continue
+                a = float(alphas[j])
+                if a not in shifts:
+                    shifts[a] = lamb_shift(bath, a)
+                out += weights[j] * shifts[a] * levels[j]
+            return out
+
+        phases = scipy.integrate.solve_ivp(
+            level_phase_rates,
+            (0.0, ts[-1]),
+            np.zeros(2),
+            method="DOP853",
+            t_eval=ts,
+            rtol=rtol,
+            atol=atol,
+        )
+        if not phases.success:
+            raise IntegratorFailure(
+                f"level-shift phase integration failed: {phases.message}"
+            )
+        # rho = U rho_D U^dagger with U = V diag(e^(-i theta)) V^dagger
+        U = (V * np.exp(-1j * phases.y.T)[:, None, :]) @ V.conj().T
+        states = U @ states @ U.conj().transpose(0, 2, 1)
     for t, rho in zip(ts, states):
         _check_state(rho, t, "interaction-picture")
     if picture == "interaction":

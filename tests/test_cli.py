@@ -255,8 +255,20 @@ class TestExitCodes:
         assert run_cli(["sweep", "--config", cfg]) == 2
 
     def test_total_runtime_failure_exits_four(self, tmp_path):
-        # chi leaves the unit disc almost immediately: every propagation
-        # inside mesolve fails before a single state is produced
+        # a cutoff below the gap leaves the level shift undefined: mesolve
+        # fails before a single state is produced
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "experiment": "open",
+                "model": {"bath": {"cutoff": 5.0}},
+                "numerics": {"lamb_shift": True},
+            },
+        )
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 4
+
+    def test_open_horizon_beyond_the_protocol_exits_two(self, tmp_path, capsys):
+        # |omega/Omega| reaches 1 at t ~ 0.012, long before t_final
         cfg = write_json(
             tmp_path / "c.json",
             {
@@ -265,7 +277,35 @@ class TestExitCodes:
                 "numerics": {"t_final": 2.0},
             },
         )
-        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 4
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "numerics.t_final" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output_location_exits_four(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "experiment": "geo",
+                "model": {"kind": "tls"},
+                "protocol": {"waypoints": [[0.1], [0.3]], "closed": True},
+            },
+        )
+        assert run_cli(["geo", "--config", cfg, "--out", blocker / "out"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: OSError: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stem", ["", "geo\0run", "sub/geo"], ids=["empty", "nul", "separator"])
+    def test_bad_output_stem_exits_two(self, tmp_path, capsys, stem):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"experiment": "geo", "model": {"kind": "tls"}, "output": {"stem": stem}},
+        )
+        assert run_cli(["geo", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "output.stem" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -5,19 +5,28 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import (
+    free_two_level_propagators,
     gibbs_two_level,
     lamb_shift_zero_temperature,
+    mp_lamb_shift,
     optical_bloch_trajectory,
     pv_lamb_shift,
     qubit_density,
+    shifted_master_equation,
     trace_distance,
 )
 
+from liouvdyn import open_quantum
 from liouvdyn.engine import propagate_inertial
 from liouvdyn.errors import (
     DomainExceeded,
     IntegratorFailure,
+    LiouvdynError,
+    NotConverged,
     PositivityViolation,
     UnphysicalState,
     UnsupportedDimension,
@@ -174,6 +183,23 @@ class TestLambShift:
             + a**3 * math.log((wc2 - a) / (wc1 - a))
         )
         assert abs(diff - cubic) <= 1.0001 * subleading
+
+    @pytest.mark.parametrize("temperature", [2.0, 10.0, 30.0])
+    def test_thermal_principal_value_zero_crossing(self, temperature):
+        # at T = 10 the thermal principal value int w^3 N/(w - |alpha|)
+        # crosses zero near alpha = -31.63 while the sum it enters is
+        # of order cutoff^3 / 3; a high-precision pole subtraction pins
+        # the whole band
+        bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
+        for a in np.linspace(-31.66, -31.60, 7):
+            want = mp_lamb_shift(2e-3, temperature, 100.0, float(a))
+            assert lamb_shift(bath, float(a)) == pytest.approx(want, rel=1e-10)
+
+    def test_quadrature_failure_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(open_quantum, "_QUAD_KW", dict(epsrel=1e-11, limit=1))
+        bath = BathSpec(temperature=10.0, coupling=2e-3, cutoff=100.0)
+        with pytest.raises(NotConverged):
+            lamb_shift(bath, 20.0)
 
     def test_frequency_beyond_cutoff_rejected(self):
         bath = BathSpec(temperature=0.0, coupling=1e-3, cutoff=10.0)
@@ -524,3 +550,155 @@ class TestTrajectoryRows:
             assert rz == pytest.approx(np.trace(rho @ np.diag([1.0, -1.0])).real, abs=1e-12)
         vec = np.array([rows[0][1], rows[0][2], rows[0][3]])
         assert vec == pytest.approx([0.3, -0.2, 0.5], abs=1e-12)
+
+
+DEFAULT_BATH = BathSpec(temperature=10.0, coupling=2e-3, cutoff=100.0)
+DEFAULT_RHO0 = qubit_density([0.3, -0.2, 0.5])
+
+
+def open_default_model(chi0=0.0, abar=0.0):
+    return TLSModel(protocol=TLSProtocol(epsilon=8.0, omega0=15.0, chi0=chi0, abar=abar))
+
+
+def zero_mode_basis(model):
+    # eigenbasis of the Hermitian zero-mode jump operator
+    return np.linalg.eigh(build_master_equation(model).jump_ops[0])[1]
+
+
+@pytest.fixture(
+    scope="class", params=[(0.0, 0.0, 1.0), (0.008, 0.002, 0.5)], ids=["static", "driven"]
+)
+def shifted_reference(request):
+    """Model, grid and states with the shift inside the generator, both pictures."""
+    chi0, abar, t_final = request.param
+    m = open_default_model(chi0, abar)
+    spec = build_master_equation(m)
+    ts = np.linspace(0.0, t_final, 11)
+    rot = shifted_master_equation(
+        spec.jump_ops,
+        [abs(a) ** 2 for a in spec.dipole_coeffs],
+        spec.alpha_of_t,
+        lambda a: decay_rate(DEFAULT_BATH, a),
+        lambda a: lamb_shift(DEFAULT_BATH, a),
+        DEFAULT_RHO0,
+        ts,
+    )
+    U = free_two_level_propagators(m.protocol.omega, m.protocol.epsilon, ts)
+    lab = U @ rot @ U.conj().transpose(0, 2, 1)
+    return m, ts, {"interaction": rot, "schrodinger": lab}
+
+
+class TestLevelShiftRotation:
+    @pytest.mark.parametrize("picture", ["interaction", "schrodinger"])
+    def test_matches_shift_inside_the_generator(self, shifted_reference, picture):
+        m, ts, want = shifted_reference
+        got = quiet_evolve(
+            m, DEFAULT_BATH, DEFAULT_RHO0, ts, lamb_shift_enabled=True, picture=picture
+        )
+        assert np.max(np.abs(got - want[picture])) < 1e-9
+
+    @given(
+        chi0=st.floats(-0.01, 0.01),
+        abar=st.floats(-3e-3, 3e-3),
+        temperature=st.floats(0.0, 20.0),
+        r=st.tuples(*[st.floats(-0.55, 0.55)] * 3),
+        t_final=st.floats(0.05, 0.5),
+    )
+    def test_shift_leaves_zero_mode_populations(self, chi0, abar, temperature, r, t_final):
+        m = open_default_model(chi0, abar)
+        bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
+        ts = np.linspace(0.0, t_final, 5)
+        V = zero_mode_basis(m)
+        pops = []
+        for enabled in (False, True):
+            states = quiet_evolve(
+                m, bath, qubit_density(r), ts, lamb_shift_enabled=enabled,
+                picture="interaction",
+            )
+            pops.append(np.einsum("ik,nij,jk->nk", V.conj(), states, V).real)
+        assert np.max(np.abs(pops[1] - pops[0])) < 1e-10
+
+    @pytest.mark.parametrize(
+        "crafted",
+        [
+            # one entry per row and F^+F = 1, yet its two entries pick up
+            # opposite phases under the level-shift rotation
+            np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+            # a transition with a diagonal admixture: F^+F is not diagonal
+            np.array([[0.2, 1.0], [0.0, 0.0]], dtype=complex),
+        ],
+        ids=["flip", "admixture"],
+    )
+    def test_guard_rejects_non_covariant_jump_operator(self, monkeypatch, crafted):
+        m = static_model()
+        spec = build_master_equation(m)
+        V = zero_mode_basis(m)
+        ops = list(spec.jump_ops)
+        ops[1] = V @ crafted @ V.conj().T
+
+        def crafted_spec(model, dipole=None, *, lamb_shift_enabled=False):
+            return MasterEquationSpec(
+                tuple(ops), spec.dipole_coeffs, spec.alpha_of_t, lamb_shift_enabled
+            )
+
+        monkeypatch.setattr(open_quantum, "build_master_equation", crafted_spec)
+        bath = BathSpec(temperature=2.0, coupling=1e-4, cutoff=100.0)
+        ts = [0.0, 0.1]
+        quiet_evolve(m, bath, DEFAULT_RHO0, ts)  # without the shift nothing is checked
+        with pytest.raises(LiouvdynError, match="jump operator 1"):
+            quiet_evolve(m, bath, DEFAULT_RHO0, ts, lamb_shift_enabled=True)
+
+    def test_default_static_run_counts_level_shifts(self, monkeypatch):
+        # with the shift inside the generator this run made 27,267
+        # quadratures; memoized by alpha, a static drive needs one per
+        # channel frequency: 0 and +-gap
+        calls = []
+
+        def counted(bath, alpha):
+            calls.append(alpha)
+            return lamb_shift(bath, alpha)
+
+        monkeypatch.setattr(open_quantum, "lamb_shift", counted)
+        mesolve(
+            open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 101),
+            lamb_shift_enabled=True,
+        )
+        assert len(calls) == len(set(calls)) == 3
+
+    def test_quadrature_failure_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(open_quantum, "_QUAD_KW", dict(epsrel=1e-11, limit=1))
+        with pytest.raises(NotConverged):
+            mesolve(
+                open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
+                lamb_shift_enabled=True,
+            )
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            ("rhs", "master-equation integration failed"),
+            ("level_phase_rates", "level-shift phase integration failed"),
+            ("schrodinger_rhs", "lost unitarity"),
+        ],
+        ids=["master-equation", "level-phases", "free-propagator"],
+    )
+    def test_integrator_guards_fire(self, monkeypatch, solve, message):
+        # spoil one solve_ivp result, picked by its right-hand side: a
+        # failed solve, or a free propagator that is no longer unitary
+        real = scipy.integrate.solve_ivp
+
+        def spoiled(fun, *args, **kwargs):
+            sol = real(fun, *args, **kwargs)
+            if fun.__name__ == solve:
+                if solve == "schrodinger_rhs":
+                    sol.y = 1.01 * sol.y
+                else:
+                    sol.success, sol.message = False, "spoiled"
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", spoiled)
+        with pytest.raises(IntegratorFailure, match=message):
+            mesolve(
+                open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
+                lamb_shift_enabled=True,
+            )
