@@ -53,7 +53,9 @@ from .geometric import (
     geometric_phase_line,
     geometric_phase_surface,
     ho_family,
+    line_phases,
     liouville_curvature,
+    surface_phases,
     tls_family,
     two_spin_local_family,
     two_spin_nonlocal_family,

@@ -31,9 +31,9 @@ from .diagnostics import (
 from .errors import ConfigInvalid, LiouvdynError, SingularDenominator
 from .geometric import (
     ParameterCircuit,
-    geometric_phase_line,
-    geometric_phase_surface,
     ho_family,
+    line_phases,
+    surface_phases,
     tls_family,
     two_spin_local_family,
     two_spin_nonlocal_family,
@@ -208,33 +208,19 @@ def _run_geo(cfg: RunConfig):
             )
     method = cfg.numerics["method"]
     columns = ("mode",)
-    if method in ("line", "both"):
-        columns += ("phase_line",)
-    if method in ("surface", "both"):
-        columns += ("phase_surface",)
-    sources = {
-        "mode": "config.numerics.modes",
-        "phase_line": "geometric.geometric_phase_line",
-        "phase_surface": "geometric.geometric_phase_surface",
-    }
-    sources = {k: v for k, v in sources.items() if k in columns}
-    rows, errors = [], []
-    for mode in modes:
-        row = [mode]
-        error = None
-        for fn, name in (
-            (geometric_phase_line, "line"),
-            (geometric_phase_surface, "surface"),
-        ):
-            if method not in (name, "both"):
-                continue
-            try:
-                row.append(fn(family, circuit, mode))
-            except (LiouvdynError, ValueError, ArithmeticError) as exc:
-                row.append(math.nan)
-                error = f"{type(exc).__name__}: {exc}"
-        rows.append(tuple(row))
-        errors.append(error)
+    sources = {"mode": "config.numerics.modes"}
+    values, errors = [], [None] * len(modes)
+    for fn, name in ((line_phases, "line"), (surface_phases, "surface")):
+        if method not in (name, "both"):
+            continue
+        columns += (f"phase_{name}",)
+        sources[f"phase_{name}"] = f"geometric.{fn.__name__}"
+        try:
+            values.append(fn(family, circuit)[modes])
+        except (LiouvdynError, ValueError, ArithmeticError) as exc:
+            values.append([math.nan] * len(modes))
+            errors = [f"{type(exc).__name__}: {exc}"] * len(modes)
+    rows = [tuple(row) for row in zip(modes, *values)]
     return columns, rows, sources, errors
 
 

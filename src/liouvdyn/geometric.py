@@ -25,13 +25,7 @@ from .errors import (
     NotConverged,
     UnsupportedDimension,
 )
-from .linalg import (
-    DEGENERACY_GAP,
-    EigenFrame,
-    _mode_order,
-    eigenframes,
-    transport,
-)
+from .linalg import DEGENERACY_GAP, eigenframes, transport
 from .models import (
     HO_BLOCKS,
     TLS_BLOCKS,
@@ -234,71 +228,53 @@ def _grad_list(family: GeneratorFamily, chi: np.ndarray):
     return tuple(out)
 
 
-def _kron_frames(frames):
-    rights = frames[0].rights
-    lefts = frames[0].lefts
-    lambdas = frames[0].lambdas
-    for f in frames[1:]:
-        rights = np.kron(rights, f.rights)
-        lefts = np.kron(lefts, f.lefts)
-        lambdas = np.add.outer(lambdas, f.lambdas).ravel()
-    return EigenFrame(lambdas=lambdas, rights=rights, lefts=lefts)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of matching (N, i, j) and (N, k, l) stacks."""
+    n, i, j = a.shape
+    _, k, l = b.shape
+    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, i * k, j * l)
 
 
-def _plain_frame(B: np.ndarray) -> EigenFrame:
-    """Bi-orthonormal frame without gauge fixing, for curvature sampling.
+def _frames(family: GeneratorFamily, chis: np.ndarray):
+    """Full-dimension ``(lambdas, rights, lefts)`` stacks at the points chis.
 
-    Curvature is invariant under per-mode rescaling, so the lefts come
-    straight from the inverse of the right-eigenvector matrix.  The
-    eigenvalue ordering matches bi_eigendecompose so mode labels agree
-    between the line and surface forms, and the same absolute gap
-    threshold guards against degeneracy.
+    One ``eigenframes`` call per Kronecker factor, combined by a stacked
+    Kronecker product, or per closed block, assembled block-diagonally, so
+    declared structure keeps modes apart where their eigenvalues collide
+    accidentally.
     """
-    lam, rights = np.linalg.eig(np.asarray(B, dtype=complex))
-    order = _mode_order(lam[None])[0]
-    lam = lam[order]
-    rights = rights[:, order]
-    if lam.size > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, k=1)]
-        if gaps.min() < DEGENERACY_GAP:
-            raise DegenerateSpectrum(
-                f"minimal eigenvalue gap {gaps.min():.3e} below threshold "
-                f"{DEGENERACY_GAP:.1e}"
-            )
-    lefts = np.linalg.inv(rights).conj().T
-    return EigenFrame(lambdas=lam, rights=rights, lefts=lefts)
-
-
-def _frame_at(family: GeneratorFamily, chi: np.ndarray) -> EigenFrame:
-    """Full-dimension eigenframe, using declared structure when present."""
     if family.factors is not None:
-        return _kron_frames(
-            [_plain_frame(f.matrix(chi[j])) for j, f in enumerate(family.factors)]
-        )
-    B = family.matrix(chi)
+        parts = [
+            eigenframes(np.array([f.matrix(x) for x in chis[:, j]]))
+            for j, f in enumerate(family.factors)
+        ]
+        lam, rights, lefts = parts[0]
+        for lam_j, rights_j, lefts_j in parts[1:]:
+            lam = (lam[:, :, None] + lam_j[:, None, :]).reshape(len(chis), -1)
+            rights = _kron(rights, rights_j)
+            lefts = _kron(lefts, lefts_j)
+        return lam, rights, lefts
+    mats = np.array([family.matrix(p) for p in chis])
     if family.blocks is None:
-        return _plain_frame(B)
-    n = B.shape[0]
-    rights = np.zeros((n, n), dtype=complex)
-    lefts = np.zeros((n, n), dtype=complex)
-    lambdas = np.zeros(n, dtype=complex)
+        return eigenframes(mats)
+    lam = np.zeros(mats.shape[:2], dtype=complex)
+    rights = np.zeros_like(mats, dtype=complex)
+    lefts = np.zeros_like(mats, dtype=complex)
     for lo, hi in family.blocks:
-        sub = _plain_frame(B[lo:hi, lo:hi])
-        rights[lo:hi, lo:hi] = sub.rights
-        lefts[lo:hi, lo:hi] = sub.lefts
-        lambdas[lo:hi] = sub.lambdas
-    return EigenFrame(lambdas=lambdas, rights=rights, lefts=lefts)
+        lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = eigenframes(
+            mats[:, lo:hi, lo:hi]
+        )
+    return lam, rights, lefts
 
 
-def _walk_matrix(mats: np.ndarray, closed: bool) -> np.ndarray:
-    """Per-mode transport log sums along a path of sampled generators.
+def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.ndarray:
+    """Per-mode transport log sums along a path of sampled parameter points.
 
-    For closed paths ``mats`` stops short of the return to the start,
-    whose node reuses the starting frame so per-node gauge choices cancel
-    exactly; a non-identity closing permutation means the circuit
-    encloses a branch point.
+    For closed paths the return to the start reuses the starting frame, so
+    per-node gauge choices cancel exactly; a non-identity closing
+    permutation means the circuit encloses a branch point.
     """
-    _, rights, lefts = eigenframes(mats)
+    _, rights, lefts = _frames(family, pts[:-1] if closed else pts)
     if closed:
         rights = np.concatenate([rights, rights[:1]])
         lefts = np.concatenate([lefts, lefts[:1]])
@@ -311,58 +287,101 @@ def _walk_matrix(mats: np.ndarray, closed: bool) -> np.ndarray:
     return logs
 
 
-def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.ndarray:
-    nodes = pts[:-1] if closed else pts
-    if family.factors is not None:
-        total = np.zeros(1, dtype=complex)
-        for j, f in enumerate(family.factors):
-            mats = np.array([f.matrix(x) for x in nodes[:, j]])
-            total = np.add.outer(total, _walk_matrix(mats, closed)).ravel()
-        return total
-    mats = np.array([family.matrix(p) for p in nodes])
-    if family.blocks is not None:
-        out = np.zeros(mats.shape[1], dtype=complex)
-        for lo, hi in family.blocks:
-            out[lo:hi] = _walk_matrix(mats[:, lo:hi, lo:hi], closed)
-        return out
-    return _walk_matrix(mats, closed)
-
-
 def _mode_count(family: GeneratorFamily, circuit: ParameterCircuit) -> int:
     return family.matrix(np.atleast_1d(circuit.path(0.0))).shape[0]
 
 
-def _refine(evaluate, n0: int) -> float:
+def _refine(evaluate, n0: int) -> np.ndarray:
     """Doubling loop with Richardson extrapolation at the observed order.
 
-    The contraction ratio of the doubling sequence fixes the
+    ``evaluate(n)`` returns the estimates of every mode at n samples.
+    The contraction ratio of each mode's doubling sequence fixes its
     extrapolation weight (Aitken form), so second-order estimators and
-    faster-converging special cases are handled alike.  Returns as soon
-    as the raw sequence goes flat or two successive extrapolants agree.
+    faster-converging special cases are handled alike.  A mode stops as
+    soon as its raw sequence goes flat or two successive extrapolants
+    agree, and keeps that value; the loop returns once every mode has
+    stopped and raises NotConverged if any has not.
     """
     raws = []
-    prev_ext = None
+    result = prev_ext = done = None
     n = int(n0)
     for _ in range(_MAX_DOUBLINGS + 1):
         try:
-            raws.append(evaluate(n))
+            raws.append(np.asarray(evaluate(n), dtype=float))
         except AmbiguousMatching:
             raws.append(None)  # sampling too coarse to track modes; refine
         if len(raws) >= 2 and raws[-1] is not None and raws[-2] is not None:
+            if result is None:
+                result = prev_ext = np.full(raws[-1].shape, np.nan)
+                done = np.zeros(raws[-1].shape, dtype=bool)
             d_new = raws[-1] - raws[-2]
-            if abs(d_new) <= 0.1 * _REFINE_TOL:
-                return raws[-1]
+            stop = ~done & (np.abs(d_new) <= 0.1 * _REFINE_TOL)
+            result = np.where(stop, raws[-1], result)
             if len(raws) >= 3 and raws[-3] is not None:
                 d_old = raws[-2] - raws[-3]
-                if abs(d_old) > 2.0 * abs(d_new):
+                moving = ~done & ~stop & (np.abs(d_old) > 2.0 * np.abs(d_new))
+                with np.errstate(divide="ignore", invalid="ignore"):
                     ext = raws[-1] + d_new * d_new / (d_old - d_new)
-                    if prev_ext is not None and abs(ext - prev_ext) <= _REFINE_TOL:
-                        return ext
-                    prev_ext = ext
+                    agree = moving & (np.abs(ext - prev_ext) <= _REFINE_TOL)
+                result = np.where(agree, ext, result)
+                prev_ext = np.where(moving, ext, prev_ext)
+                stop |= agree
+            done = done | stop
+            if done.all():
+                return result
         n *= 2
+    pending = "every mode" if done is None else f"modes {np.flatnonzero(~done).tolist()}"
     raise NotConverged(
-        f"phase estimate not stable to {_REFINE_TOL} after {_MAX_DOUBLINGS} doublings"
+        f"phase estimate of {pending} not stable to {_REFINE_TOL} after "
+        f"{_MAX_DOUBLINGS} doublings"
     )
+
+
+def _pad(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(3)
+    out[: v.size] = v
+    return out
+
+
+def _curvatures(family: GeneratorFamily, chis: np.ndarray) -> np.ndarray:
+    """(N, m, 3) stack of ``liouville_curvature`` at the points chis (N, d)."""
+    if family.n_params > 3:
+        raise UnsupportedDimension(
+            "curvature cross product is defined for at most 3 parameters"
+        )
+    lam, rights, lefts = _frames(family, chis)
+    grads = np.array([_grad_list(family, chi) for chi in chis])
+    N, m = lam.shape
+    A = np.zeros((N, 3, m, m), dtype=complex)
+    lefts_h = lefts.conj().transpose(0, 2, 1)
+    A[:, : grads.shape[1]] = lefts_h[:, None] @ grads @ rights[:, None]
+    gscale = np.maximum(np.abs(A).max(axis=(1, 2, 3)), 1.0)
+    lscale = np.maximum(np.abs(lam).max(axis=1), 1.0)
+
+    # pair (n, mm) couples through v1[a] = A[a, n, mm], v2[a] = A[a, mm, n]
+    mags = np.abs(A).max(axis=1)
+    active = mags * mags.transpose(0, 2, 1) > ((1e-12 * gscale) ** 2)[:, None, None]
+    active &= ~np.eye(m, dtype=bool)
+    gap = lam[:, None, :] - lam[:, :, None]
+    close = np.abs(gap) < DEGENERACY_GAP * lscale[:, None, None]
+    near = (active & close).any(axis=(1, 2))
+    if near.any():
+        raise DegenerateSpectrum(
+            f"coupled near-degenerate modes at chi={chis[np.argmax(near)]}"
+        )
+    weight = np.zeros((N, m, m), dtype=complex)
+    weight[active] = 1.0 / gap[active] ** 2
+
+    At = A.transpose(0, 1, 3, 2)
+    cross = np.stack(
+        [
+            A[:, 1] * At[:, 2] - A[:, 2] * At[:, 1],
+            A[:, 2] * At[:, 0] - A[:, 0] * At[:, 2],
+            A[:, 0] * At[:, 1] - A[:, 1] * At[:, 0],
+        ],
+        axis=1,
+    )
+    return np.einsum("ncij,nij->nic", cross, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +389,74 @@ def _refine(evaluate, n0: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def geometric_phase_line(
-    family: GeneratorFamily, circuit: ParameterCircuit, k: int
-) -> float:
-    """Transport phase of mode k: -Im sum_i ln (G_k(chi_i) | F_k(chi_{i+1})).
+def line_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.ndarray:
+    """Transport phases of every mode: -Im sum_i ln (G_k(chi_i) | F_k(chi_{i+1})).
 
-    Gauge-invariant for closed circuits.  The discretization is doubled,
-    Richardson-extrapolated, and declared converged when successive
-    extrapolants move by no more than 1e-8.
+    Gauge-invariant for closed circuits.  One walk per refinement level
+    serves every mode; the discretization is doubled,
+    Richardson-extrapolated, and each mode declared converged when its
+    successive extrapolants move by no more than 1e-8.
     """
+    return _refine(
+        lambda n: -_walk_logs(family, circuit.points(n), circuit.closed).imag,
+        circuit.samples,
+    )
+
+
+def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.ndarray:
+    """Curvature flux -Im of every mode through a cone spanning the circuit.
+
+    The surface is a cone swept from the boundary centroid, integrated
+    with Gauss-Legendre nodes along each spoke and a midpoint rule along
+    the boundary, refined like the line form.  The curvature is evaluated
+    as one stack per boundary segment.  One parameter dimension has no
+    enclosed area, so every phase is zero.
+    """
+    if family.n_params > 3:
+        raise UnsupportedDimension(
+            "surface form is defined for at most 3 parameters"
+        )
+    if not circuit.closed:
+        raise ValueError("a spanning surface needs a closed circuit")
+    if circuit.dim == 1:
+        return np.zeros(_mode_count(family, circuit))
+
+    def evaluate(n):
+        pts = circuit.points(n)
+        center = pts[:-1].mean(axis=0)
+        # boundary error dominates, so the spoke rule only needs enough
+        # nodes that its residual keeps shrinking under refinement
+        nodes, weights = np.polynomial.legendre.leggauss(
+            max(8, round(2.0 * math.log2(n)))
+        )
+        r, w = (nodes + 1.0) / 2.0, weights / 2.0
+        flux = 0.0
+        for i in range(n):
+            mid = np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float))
+            spoke = mid - center
+            patch = np.cross(_pad(spoke), _pad(pts[i + 1] - pts[i]))
+            curv = _curvatures(family, center + r[:, None] * spoke)
+            # node by node: a dot product rounds differently, and the
+            # extrapolation amplifies that to ~5e-14
+            for term in (w * r)[:, None] * (curv @ patch):
+                flux = flux + term
+        return -flux.imag
+
+    return _refine(evaluate, circuit.samples)
+
+
+def _check_mode(family: GeneratorFamily, circuit: ParameterCircuit, k: int):
     n_modes = _mode_count(family, circuit)
     if not 0 <= k < n_modes:
         raise ValueError(f"mode index {k} outside 0..{n_modes - 1}")
 
-    def evaluate(n):
-        logs = _walk_logs(family, circuit.points(n), circuit.closed)
-        return -float(logs[k].imag)
 
-    return _refine(evaluate, circuit.samples)
+def geometric_phase_line(
+    family: GeneratorFamily, circuit: ParameterCircuit, k: int
+) -> float:
+    """Transport phase of mode k; the one-mode view of ``line_phases``."""
+    _check_mode(family, circuit, k)
+    return float(line_phases(family, circuit)[k])
 
 
 def liouville_curvature(family: GeneratorFamily, chi) -> np.ndarray:
@@ -400,86 +469,15 @@ def liouville_curvature(family: GeneratorFamily, chi) -> np.ndarray:
     a small gap between coupled modes raises DegenerateSpectrum.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
-    if family.n_params > 3:
-        raise UnsupportedDimension(
-            "curvature cross product is defined for at most 3 parameters"
-        )
-    frame = _frame_at(family, chi)
-    grads = _grad_list(family, chi)
-    m = frame.dim
-    A = np.zeros((3, m, m), dtype=complex)
-    for a, g in enumerate(grads):
-        A[a] = frame.lefts.conj().T @ g @ frame.rights
-    gscale = max(np.max(np.abs(A)), 1.0)
-    lscale = max(np.max(np.abs(frame.lambdas)), 1.0)
-
-    # pair (n, mm) couples through v1[a] = A[a, n, mm], v2[a] = A[a, mm, n]
-    mags = np.max(np.abs(A), axis=0)
-    active = mags * mags.T > (1e-12 * gscale) ** 2
-    np.fill_diagonal(active, False)
-    gap = frame.lambdas[None, :] - frame.lambdas[:, None]
-    if np.any(active & (np.abs(gap) < DEGENERACY_GAP * lscale)):
-        raise DegenerateSpectrum(
-            f"coupled near-degenerate modes at chi={chi}"
-        )
-    weight = np.zeros((m, m), dtype=complex)
-    weight[active] = 1.0 / gap[active] ** 2
-
-    At = A.transpose(0, 2, 1)
-    cross = np.empty((3, m, m), dtype=complex)
-    cross[0] = A[1] * At[2] - A[2] * At[1]
-    cross[1] = A[2] * At[0] - A[0] * At[2]
-    cross[2] = A[0] * At[1] - A[1] * At[0]
-    return np.einsum("cnm,nm->nc", cross, weight)
+    return _curvatures(family, chi[None])[0]
 
 
 def geometric_phase_surface(
     family: GeneratorFamily, circuit: ParameterCircuit, k: int
 ) -> float:
-    """Curvature flux -Im of mode k through a cone surface spanning the circuit.
-
-    The surface is a cone swept from the boundary centroid, integrated
-    with Gauss-Legendre nodes along each spoke and a midpoint rule along
-    the boundary, refined like the line form.  One parameter dimension
-    has no enclosed area, so the phase is zero.
-    """
-    if family.n_params > 3:
-        raise UnsupportedDimension(
-            "surface form is defined for at most 3 parameters"
-        )
-    if not circuit.closed:
-        raise ValueError("a spanning surface needs a closed circuit")
-    n_modes = _mode_count(family, circuit)
-    if not 0 <= k < n_modes:
-        raise ValueError(f"mode index {k} outside 0..{n_modes - 1}")
-    if circuit.dim == 1:
-        return 0.0
-
-    def pad(v):
-        out = np.zeros(3)
-        out[: v.size] = v
-        return out
-
-    def evaluate(n):
-        pts = circuit.points(n)
-        center = pts[:-1].mean(axis=0)
-        # boundary error dominates, so the spoke rule only needs enough
-        # nodes that its residual keeps shrinking under refinement
-        nodes, weights = np.polynomial.legendre.leggauss(
-            max(8, round(2.0 * math.log2(n)))
-        )
-        radial = [((x + 1.0) / 2.0, w / 2.0) for x, w in zip(nodes, weights)]
-        flux = 0.0 + 0.0j
-        for i in range(n):
-            mid = np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float))
-            spoke = mid - center
-            patch = np.cross(pad(spoke), pad(pts[i + 1] - pts[i]))
-            for r, w in radial:
-                curv = liouville_curvature(family, center + r * spoke)[k]
-                flux += (w * r) * (curv @ patch)
-        return -float(flux.imag)
-
-    return _refine(evaluate, circuit.samples)
+    """Curvature flux of mode k; the one-mode view of ``surface_phases``."""
+    _check_mode(family, circuit, k)
+    return float(surface_phases(family, circuit)[k])
 
 
 def accumulated_phase(solution, t: float = None) -> np.ndarray:

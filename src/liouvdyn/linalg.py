@@ -6,8 +6,6 @@ bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +31,11 @@ class EigenFrame:
 
     Columns of ``rights`` are the right eigenvectors F_k, columns of
     ``lefts`` the left eigenvectors G_k, scaled so that G_k^H F_n = delta_kn.
-    ``chi`` records the parameter point the frame was computed at and
-    ``gauge_tag`` the phase convention in force.
     """
 
     lambdas: np.ndarray
     rights: np.ndarray
     lefts: np.ndarray
-    chi: tuple | None = None
-    gauge_tag: str = "largest-real-positive"
 
     def __post_init__(self):
         for arr in (self.lambdas, self.rights, self.lefts):
@@ -162,10 +156,7 @@ def eigenframes(B, *, gap_threshold: float = DEGENERACY_GAP):
 
 
 def bi_eigendecompose(
-    B: np.ndarray,
-    *,
-    chi: tuple | float | None = None,
-    gap_threshold: float = DEGENERACY_GAP,
+    B: np.ndarray, *, gap_threshold: float = DEGENERACY_GAP
 ) -> EigenFrame:
     """Diagonalize B with bi-orthonormal right/left eigenvector pairs.
 
@@ -176,9 +167,7 @@ def bi_eigendecompose(
     """
     B = np.asarray(B, dtype=complex)[None]
     lam, rights, lefts = eigenframes(B, gap_threshold=gap_threshold)
-    if chi is not None and not isinstance(chi, tuple):
-        chi = (float(chi),)
-    return EigenFrame(lambdas=lam[0], rights=rights[0], lefts=lefts[0], chi=chi)
+    return EigenFrame(lambdas=lam[0], rights=rights[0], lefts=lefts[0])
 
 
 def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
@@ -247,7 +236,5 @@ def track_continuity(
         lambdas=nxt.lambdas[permutation],
         rights=nxt.rights[:, permutation] * phases,
         lefts=nxt.lefts[:, permutation] * phases,
-        chi=nxt.chi,
-        gauge_tag="transported",
     )
     return Alignment(frame=frame, permutation=permutation, phases=phases)

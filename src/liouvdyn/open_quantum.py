@@ -28,7 +28,7 @@ from .errors import (
     UnphysicalState,
     UnsupportedDimension,
 )
-from .linalg import bi_eigendecompose
+from .linalg import bi_eigendecompose, eigenframes
 from .models import BlochState, TLSModel, tls_generator
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
@@ -185,19 +185,14 @@ def effective_frequencies(model, t: float) -> np.ndarray:
     pace = fact.omega_of_t(t)
     drift = fact.dchi_dtheta(t) if fact.dchi_dtheta is not None else 0.0
     h = 1e-6 * max(1.0, abs(chi))
-    B0 = fact.B_of_chi(chi)
-    n = B0.shape[0]
-    Bp = fact.B_of_chi(chi + h)
-    Bm = fact.B_of_chi(chi - h)
+    B = np.array([fact.B_of_chi(chi), fact.B_of_chi(chi + h), fact.B_of_chi(chi - h)])
+    n = B.shape[1]
     out = np.empty(n)
     for lo, hi in fact.block_ranges(n):
-        frame = bi_eigendecompose(B0[lo:hi, lo:hi])
-        dF = (
-            bi_eigendecompose(Bp[lo:hi, lo:hi]).rights
-            - bi_eigendecompose(Bm[lo:hi, lo:hi]).rights
-        ) / (2.0 * h)
-        conn = np.einsum("ik,ik->k", frame.lefts.conj(), dF)
-        alpha = (frame.lambdas - 1j * conn * drift) * pace
+        lam, rights, lefts = eigenframes(B[:, lo:hi, lo:hi])
+        dF = (rights[1] - rights[2]) / (2.0 * h)
+        conn = np.einsum("ik,ik->k", lefts[0].conj(), dF)
+        alpha = (lam[0] - 1j * conn * drift) * pace
         out[lo:hi] = alpha.real
     return out
 

@@ -545,3 +545,119 @@ def free_two_level_propagators(omega, epsilon, ts):
                     rtol=1e-12, atol=1e-14)
     assert sol.success, sol.message
     return sol.y.T.reshape(-1, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# geometric phases: the scalar refinement loop and the per-point curvature
+# ---------------------------------------------------------------------------
+
+
+class RefineNotConverged(Exception):
+    """The scalar refinement loop ran out of doublings."""
+
+
+def scalar_refine(evaluate, n0, *, skip, tol=1e-8, max_doublings=6):
+    """One mode's doubling loop with observed-order (Aitken) extrapolation.
+
+    ``evaluate(n)`` returns one float or raises ``skip`` when n samples
+    are too coarse.  Returns as soon as the raw sequence goes flat or two
+    successive extrapolants agree; raises RefineNotConverged otherwise.
+    """
+    raws = []
+    prev_ext = None
+    n = int(n0)
+    for _ in range(max_doublings + 1):
+        try:
+            raws.append(evaluate(n))
+        except skip:
+            raws.append(None)
+        if len(raws) >= 2 and raws[-1] is not None and raws[-2] is not None:
+            d_new = raws[-1] - raws[-2]
+            if abs(d_new) <= 0.1 * tol:
+                return raws[-1]
+            if len(raws) >= 3 and raws[-3] is not None:
+                d_old = raws[-2] - raws[-3]
+                if abs(d_old) > 2.0 * abs(d_new):
+                    ext = raws[-1] + d_new * d_new / (d_old - d_new)
+                    if prev_ext is not None and abs(ext - prev_ext) <= tol:
+                        return ext
+                    prev_ext = ext
+        n *= 2
+    raise RefineNotConverged(f"not stable to {tol} after {max_doublings} doublings")
+
+
+def _plain_frame(B, gap_threshold=1e-8):
+    """Eigenvalues, rights and lefts of one matrix without gauge fixing.
+
+    Ordered by magnitude group, then descending real part, then
+    descending imaginary part; the lefts are the inverse's rows.
+    """
+    lam, rights = np.linalg.eig(np.asarray(B, dtype=complex))
+    order = np.lexsort((-lam.imag, -lam.real, np.round(np.abs(lam), 9)))
+    lam, rights = lam[order], rights[:, order]
+    if lam.size > 1:
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(lam.size, k=1)]
+        if gaps.min() < gap_threshold:
+            raise ArithmeticError(f"eigenvalue gap {gaps.min():.3e}")
+    return lam, rights, np.linalg.inv(rights).conj().T
+
+
+def plain_frame_curvature(family, chi, *, fd_step=1e-5, gap_threshold=1e-8):
+    """(m, 3) curvature rows of a generator family at one parameter point.
+
+    Row n is sum_{m != n} (G_n|dB|F_m) x (G_m|dB|F_n) / (lambda_m -
+    lambda_n)^2 over pairs whose coupling is not structurally zero.  The
+    frame is built point by point: per Kronecker factor and combined with
+    np.kron, or per closed block.  ``family`` needs ``matrix``,
+    ``n_params``, ``grad_B``, ``blocks`` and ``factors``.
+    """
+    chi = np.atleast_1d(np.asarray(chi, dtype=float))
+    if family.factors is not None:
+        lam, rights, lefts = _plain_frame(family.factors[0].matrix(chi[0]), gap_threshold)
+        for j, f in enumerate(family.factors[1:], start=1):
+            lam_j, rights_j, lefts_j = _plain_frame(f.matrix(chi[j]), gap_threshold)
+            lam = np.add.outer(lam, lam_j).ravel()
+            rights, lefts = np.kron(rights, rights_j), np.kron(lefts, lefts_j)
+    else:
+        B = family.matrix(chi)
+        m = B.shape[0]
+        lam = np.zeros(m, dtype=complex)
+        rights = np.zeros((m, m), dtype=complex)
+        lefts = np.zeros((m, m), dtype=complex)
+        for lo, hi in family.blocks or ((0, m),):
+            lam[lo:hi], rights[lo:hi, lo:hi], lefts[lo:hi, lo:hi] = _plain_frame(
+                B[lo:hi, lo:hi], gap_threshold
+            )
+    if family.grad_B is not None:
+        grads = family.grad_B(chi)
+    else:
+        grads = []
+        for a in range(family.n_params):
+            step = np.zeros_like(chi)
+            step[a] = fd_step
+            grads.append(
+                (family.matrix(chi + step) - family.matrix(chi - step)) / (2.0 * fd_step)
+            )
+    m = lam.size
+    A = np.zeros((3, m, m), dtype=complex)
+    for a, g in enumerate(grads):
+        A[a] = lefts.conj().T @ np.asarray(g) @ rights
+    gscale = max(np.max(np.abs(A)), 1.0)
+    lscale = max(np.max(np.abs(lam)), 1.0)
+    mags = np.max(np.abs(A), axis=0)
+    active = mags * mags.T > (1e-12 * gscale) ** 2
+    np.fill_diagonal(active, False)
+    gap = lam[None, :] - lam[:, None]
+    if np.any(active & (np.abs(gap) < gap_threshold * lscale)):
+        raise ArithmeticError(f"coupled near-degenerate modes at chi={chi}")
+    weight = np.zeros((m, m), dtype=complex)
+    weight[active] = 1.0 / gap[active] ** 2
+    At = A.transpose(0, 2, 1)
+    cross = np.array(
+        [
+            A[1] * At[2] - A[2] * At[1],
+            A[2] * At[0] - A[0] * At[2],
+            A[0] * At[1] - A[1] * At[0],
+        ]
+    )
+    return np.einsum("cnm,nm->nc", cross, weight)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liouvdyn import __version__, diagnostics
+from liouvdyn import __version__, diagnostics, geometric
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid
@@ -403,6 +403,78 @@ class TestGeoCommand:
         assert [row[0] for row in rows] == [0.0, 3.0]
         for row in rows:
             assert abs(row[1] - row[2]) < 1e-6
+
+    def test_points_sampled_once_per_level_and_form(self, tmp_path, monkeypatch):
+        # every mode comes from one refinement per form, so sampling the
+        # circuit does not scale with the number of modes written
+        calls = {}
+        points, refine = geometric.ParameterCircuit.points, geometric._refine
+
+        def counted_points(circuit, n=None):
+            calls["points"] += 1
+            return points(circuit, n)
+
+        def counted_refine(evaluate, n0):
+            calls["refines"] += 1
+
+            def level(n):
+                calls["levels"] += 1
+                return evaluate(n)
+
+            return refine(level, n0)
+
+        monkeypatch.setattr(geometric.ParameterCircuit, "points", counted_points)
+        monkeypatch.setattr(geometric, "_refine", counted_refine)
+        counts = []
+        for modes in ("all", [0]):
+            calls.update(points=0, refines=0, levels=0)
+            cfg = write_json(
+                tmp_path / "c.json",
+                {"experiment": "geo", "numerics": {"method": "both", "modes": modes}},
+            )
+            assert run_cli(["geo", "--config", cfg, "--out", tmp_path / "out"]) == 0
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["refines"] == 2
+        assert counts[0]["points"] == counts[0]["levels"]
+
+    def test_mode_subset_rows_match_all_modes_run(self, tmp_path):
+        lines = {}
+        for name, modes in (("all", "all"), ("subset", [0, 4])):
+            cfg = write_json(
+                tmp_path / f"{name}.json",
+                {"experiment": "geo", "numerics": {"method": "both", "modes": modes}},
+            )
+            assert run_cli(["geo", "--config", cfg, "--out", tmp_path / name]) == 0
+            lines[name] = (tmp_path / name / "geo.csv").read_text().splitlines()
+        assert len(lines["all"]) == 10
+        assert lines["subset"] == [lines["all"][0], lines["all"][1], lines["all"][5]]
+
+    def test_failed_form_flags_every_row(self, tmp_path):
+        # the loop crosses the oscillator's exceptional point mu = 2, where
+        # the line walk meets a defective generator; a one-parameter
+        # circuit spans no area, so the surface phases stay zero
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "experiment": "geo",
+                "model": {"kind": "ho"},
+                "protocol": {"waypoints": [[1.9], [2.1], [1.9]]},
+                "numerics": {"method": "both"},
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli(["geo", "--config", cfg, "--out", out]) == 4
+        header, rows = read_csv(out / "geo.csv")
+        assert header == ["mode", "phase_line", "phase_surface"]
+        assert [row[0] for row in rows] == list(range(6))
+        for row in rows:
+            assert math.isnan(row[1])
+            assert row[2] == 0.0
+        manifest = json.loads((out / "geo_manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert len(manifest["point_errors"]) == 6
+        assert all(e.startswith("NotDiagonalizable") for e in manifest["point_errors"])
 
     def test_mode_out_of_range_exits_two(self, tmp_path):
         cfg = write_json(

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liouvdyn.engine import (
     GeneratorFactorization,
@@ -17,6 +20,7 @@ from liouvdyn.errors import (
 from liouvdyn.geometric import (
     GeneratorFamily,
     ParameterCircuit,
+    _curvatures,
     _refine,
     accumulated_phase,
     geometric_phase_line,
@@ -70,6 +74,15 @@ def anchor_point(s):
 
 def anchor_circuit(samples=64):
     return ParameterCircuit(path=anchor_point, closed=True, samples=samples)
+
+
+def unstructured_nonlocal_family():
+    # the nine cross-correlator generator without its Kronecker structure
+    return GeneratorFamily(
+        B_of_chi=lambda chi: two_spin_generators(chi[0], chi[1])[1],
+        n_params=2,
+        grad_B=lambda chi: two_spin_generator_grads(chi[0], chi[1])[1],
+    )
 
 
 def unit_square_circuit():
@@ -192,6 +205,128 @@ class TestRefine:
 
         with pytest.raises(NotConverged):
             _refine(evaluate, 64)
+
+
+SEQUENCE_KINDS = ("flat", "second", "third", "fourth", "stall", "never")
+# level increments of the "stall" kind: contraction by 4, a pause at 1.5,
+# then by 4 again, so an extrapolant kept across the pause must be used
+STALL_STEPS = np.cumsum([0.0, 1.0, 1 / 4, 1 / 6, 1 / 24, 1 / 96, 1 / 384, 1 / 1536])
+
+
+def mode_sequence(kind, c, a):
+    """Estimates of one mode at n samples: flat, power-law or oscillating."""
+    if kind == "flat":
+        return lambda n: c
+    if kind == "stall":
+        scale = (3.0 + abs(a) / 25.0) * 1e-8
+        return lambda n: c + scale * STALL_STEPS[int(math.log2(n // 64))]
+    if kind == "never":
+        return lambda n: c + math.sin(float(n) + a)
+    order = {"second": 2, "third": 3, "fourth": 4}[kind]
+    return lambda n: c + a / n**order
+
+
+class TestVectorRefine:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(SEQUENCE_KINDS),
+                st.floats(-2.0, 2.0),
+                st.floats(-50.0, 50.0),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        st.sampled_from([0, 128, 256, 512]),
+    )
+    @example([("flat", 0.25, 0.0), ("second", 0.7, 3.0), ("fourth", -1.0, 40.0)], 0)
+    @example([("second", 0.7, 3.0), ("third", 0.1, -20.0)], 256)
+    @example([("flat", 0.25, 0.0), ("never", 0.0, 0.0)], 0)
+    @example([("stall", 0.3, 10.0), ("second", 0.7, 3.0)], 0)
+    def test_each_mode_matches_the_scalar_loop(self, modes, coarse):
+        # levels below ``coarse`` samples raise AmbiguousMatching for every
+        # mode at once, as a walk that cannot track its modes does
+        sequences = [mode_sequence(*m) for m in modes]
+
+        def estimate(seq, n):
+            if n < coarse:
+                raise AmbiguousMatching("coarse")
+            return seq(n)
+
+        expected = []
+        for seq in sequences:
+            try:
+                expected.append(
+                    oracles.scalar_refine(
+                        lambda n, seq=seq: estimate(seq, n), 64, skip=AmbiguousMatching
+                    )
+                )
+            except oracles.RefineNotConverged:
+                expected.append(None)
+
+        def evaluate(n):
+            return np.array([estimate(seq, n) for seq in sequences])
+
+        if None in expected:
+            with pytest.raises(NotConverged):
+                _refine(evaluate, 64)
+        else:
+            assert _refine(evaluate, 64).tolist() == expected
+
+
+CURVATURE_FAMILIES = {
+    "spin": spin_family,
+    "unstructured": unstructured_nonlocal_family,
+    "local": two_spin_local_family,
+    "nonlocal": two_spin_nonlocal_family,
+}
+
+
+def near_degenerate_family():
+    # modes 0 and 1 sit 5e-7 apart at |lambda| ~ 100: above the absolute
+    # frame gap, below the curvature's relative one, and coupled by dB
+    mix = np.zeros((3, 3), dtype=complex)
+    mix[0, 1] = mix[1, 0] = 1.0
+    base = np.diag([100.0, 100.0 + 5e-7, -50.0]).astype(complex)
+    return GeneratorFamily(
+        B_of_chi=lambda chi: base + chi[0] * mix,
+        n_params=1,
+        grad_B=lambda chi: (mix,),
+    )
+
+
+class TestStackedCurvature:
+    @pytest.mark.parametrize("name", CURVATURE_FAMILIES)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+    def test_matches_per_point_oracle(self, name, seed, count):
+        rng = np.random.default_rng(seed)
+        if name == "spin":
+            pts = rng.normal(size=(count, 3))
+            pts *= rng.uniform(0.5, 2.0, (count, 1)) / np.linalg.norm(pts, axis=1)[:, None]
+        else:
+            # interior of the unit square circuit
+            pts = rng.uniform(0.25, 0.35, size=(count, 2))
+        fam = CURVATURE_FAMILIES[name]()
+        got = _curvatures(fam, pts)
+        assert got.shape == (count, fam.matrix(pts[0]).shape[0], 3)
+        for row, chi in zip(got, pts):
+            assert np.max(np.abs(row - oracles.plain_frame_curvature(fam, chi))) < 1e-12
+
+    def test_one_bad_node_fails_the_stack(self):
+        with pytest.raises(DegenerateSpectrum):
+            # exact nine-dimensional collisions on the chi1 = chi2 line
+            _curvatures(unstructured_nonlocal_family(), np.array([[0.3, 0.32], [0.3, 0.3]]))
+        with pytest.raises(DegenerateSpectrum):
+            _curvatures(spin_family(), np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]))
+        with pytest.raises(DegenerateSpectrum, match="coupled"):
+            _curvatures(near_degenerate_family(), np.array([[0.0], [1e-9]]))
+
+    def test_rejects_more_than_three_parameters(self):
+        fam = GeneratorFamily(
+            B_of_chi=lambda chi: chi[0] * PAULI_X + chi[3] * PAULI_Z, n_params=4
+        )
+        with pytest.raises(UnsupportedDimension):
+            _curvatures(fam, np.array([[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.4]]))
 
 
 class TestSpinAnchor:
@@ -324,11 +459,7 @@ class TestModelCircuits:
         # so the line walk refuses; the surface form only ever samples
         # interior points off the collision set and must agree with the
         # factor-structured result
-        fam = GeneratorFamily(
-            B_of_chi=lambda chi: two_spin_generators(chi[0], chi[1])[1],
-            n_params=2,
-            grad_B=lambda chi: two_spin_generator_grads(chi[0], chi[1])[1],
-        )
+        fam = unstructured_nonlocal_family()
         circ = unit_square_circuit()
         with pytest.raises(DegenerateSpectrum):
             geometric_phase_line(fam, circ, 0)

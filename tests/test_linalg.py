@@ -129,7 +129,7 @@ class TestFailureModes:
 
 class TestContinuityTracking:
     def test_identity(self):
-        frame = bi_eigendecompose(tls(0.5), chi=0.5)
+        frame = bi_eigendecompose(tls(0.5))
         alignment = track_continuity(frame, frame)
         assert np.array_equal(alignment.permutation, [0, 1, 2])
         assert np.allclose(alignment.phases, 1.0)
@@ -148,8 +148,8 @@ class TestContinuityTracking:
         assert np.allclose(alignment.frame.lambdas, frame.lambdas)
 
     def test_small_parameter_step_keeps_order(self):
-        prev = bi_eigendecompose(ho_upper(0.5), chi=0.5)
-        nxt = bi_eigendecompose(ho_upper(0.51), chi=0.51)
+        prev = bi_eigendecompose(ho_upper(0.5))
+        nxt = bi_eigendecompose(ho_upper(0.51))
         alignment = track_continuity(prev, nxt)
         assert np.array_equal(alignment.permutation, [0, 1, 2])
 
@@ -177,11 +177,11 @@ class TestContinuityTracking:
 
     def test_eigenvalue_curves_continuous_along_sweep(self):
         chis = np.linspace(0.0, 1.9, 96)
-        frame = bi_eigendecompose(ho_upper(chis[0]), chi=chis[0])
+        frame = bi_eigendecompose(ho_upper(chis[0]))
         lams = [frame.lambdas]
         for chi in chis[1:]:
             frame = track_continuity(
-                frame, bi_eigendecompose(ho_upper(chi), chi=chi)
+                frame, bi_eigendecompose(ho_upper(chi))
             ).frame
             lams.append(frame.lambdas)
         lams = np.array(lams)
