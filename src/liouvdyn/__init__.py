@@ -16,6 +16,7 @@ from .diagnostics import (
     ho_inertial_parameter_closed,
     inertial_parameter,
     inertial_parameter_at,
+    inertial_parameters,
     log_time_grid,
     max_parameters_along,
     one_minus_fidelity,

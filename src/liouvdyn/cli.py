@@ -26,6 +26,7 @@ from .diagnostics import (
     fidelity_sweep,
     ho_inertial_parameter_closed,
     inertial_parameter_at,
+    inertial_parameters,
     log_time_grid,
 )
 from .errors import ConfigInvalid, LiouvdynError, SingularDenominator
@@ -124,16 +125,23 @@ def _run_diagnose(cfg: RunConfig):
     sources = {
         "t": "numpy.linspace over [0, protocol.t_f]",
         "mu": "diagnostics.adiabatic_parameter",
-        "upsilon": "diagnostics.inertial_parameter_at",
+        "upsilon": "diagnostics.inertial_parameters",
     }
     if is_ho:
         sources["upsilon_closed"] = "diagnostics.ho_inertial_parameter_closed"
+    try:
+        upsilon = inertial_parameters(fact, ts).tolist()
+    except (LiouvdynError, ValueError, ArithmeticError):
+        upsilon = None  # some sample fails: evaluate row by row to flag it
     rows, errors = [], []
-    for t in ts:
-        t = float(t)
+    for i, t in enumerate(ts.tolist()):
         error = None
         try:
-            row = [t, adiabatic_parameter(model, t), inertial_parameter_at(fact, t)]
+            row = [
+                t,
+                adiabatic_parameter(model, t),
+                inertial_parameter_at(fact, t) if upsilon is None else upsilon[i],
+            ]
             if is_ho:
                 try:
                     row.append(ho_inertial_parameter_closed(t, model.protocol))

@@ -39,6 +39,8 @@ from .models import (
 )
 
 _DEN_TOL = 1e-12
+# Most nodes inertial_parameters diagonalizes in one eigenframes call.
+_STACK_NODES = 1024
 
 
 def adiabatic_parameter(model, t: float) -> float:
@@ -110,13 +112,25 @@ def inertial_parameter(
     return float(_pair_sums(*(a[None] for a in stacks), occupied)[0])
 
 
-def _inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
-    """Drive-acceleration parameter at every time in `ts`, one stack per block.
+def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
+    """Drive-acceleration parameter at every time in `ts`.
 
-    Single-element blocks cannot mix and contribute nothing.
+    Each closed block is diagonalized as one stack per slice of at most
+    _STACK_NODES times, which bounds the frame memory however many times
+    are asked for.  Every guard acts node by node, so each entry equals
+    the one-point value ``inertial_parameter_at(fact, t)``.
     """
     if fact.grad_B is None or fact.dchi_dtheta is None:
         raise ValueError("factorization lacks grad_B or dchi_dtheta")
+    total = np.empty(len(ts))
+    for lo in range(0, len(ts), _STACK_NODES):
+        total[lo : lo + _STACK_NODES] = _block_sums(fact, ts[lo : lo + _STACK_NODES])
+    return total
+
+
+def _block_sums(fact: GeneratorFactorization, ts) -> np.ndarray:
+    """Block-summed drive-acceleration parameter at the times ts, one stack
+    per block.  Single-element blocks cannot mix and contribute nothing."""
     chis = [fact.chi_of_t(t) for t in ts]
     B = np.stack([np.asarray(fact.B_of_chi(chi)) for chi in chis])
     directional = np.stack(
@@ -137,10 +151,11 @@ def _inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
 def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:
     """Drive-acceleration parameter of a factorized generator at time t.
 
-    Diagonalizes every closed block at the instantaneous parameter value
-    and accumulates the block sums.
+    The one-point view of ``inertial_parameters``: diagonalizes every
+    closed block at the instantaneous parameter value and accumulates the
+    block sums.
     """
-    return float(_inertial_parameters(fact, [t])[0])
+    return float(inertial_parameters(fact, [t])[0])
 
 
 def ho_inertial_parameter_closed(t: float, protocol: HOProtocol) -> float:
@@ -330,7 +345,7 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
     ts = np.linspace(0.0, t_f, samples)
     mu_max = max(abs(adiabatic_parameter(model, t)) for t in ts)
     if not isinstance(model, HOModel):
-        return mu_max, float(_inertial_parameters(model.factorization(), ts).max())
+        return mu_max, float(inertial_parameters(model.factorization(), ts).max())
     ups = []
     for t in ts:
         try:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
+
+# scipy is imported inside the functions that call it: it is most of the
+# package's import time, and `geo` and `diagnose` runs never need it.
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged
 from .linalg import EigenFrame, bi_eigendecompose, eigenframes, transport
@@ -72,6 +73,8 @@ class GeneratorFactorization:
     def theta(self, t: float) -> float:
         if self.theta_of_t is not None:
             return self.theta_of_t(t)
+        import scipy.integrate
+
         value, _ = scipy.integrate.quad(
             self.omega_of_t, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200
         )
@@ -102,6 +105,8 @@ class InertialSolution:
 
 def inverse_scaled_time(protocol, theta: float) -> float:
     """The physical time at which the protocol reaches scaled time theta."""
+    import scipy.optimize
+
     if theta < 0.0:
         raise ValueError("scaled time runs forward from 0")
     if theta == 0.0:
@@ -156,6 +161,8 @@ def propagate_exact(
     Integrates the augmented system (v, t) over theta, which keeps the
     right-hand side well scaled even when Omega(t) grows steeply.
     """
+    import scipy.integrate
+
     if t < 0.0:
         raise ValueError("propagation runs forward from t = 0")
     if t >= fact.t_max:
@@ -229,6 +236,8 @@ def _inertial_passes(fact, v0, t: float):
     new midpoints and interleaves them with the previous frames, so no
     node is evaluated or diagonalized twice.
     """
+    import scipy.integrate
+
     n = v0.dim
     blocks = fact.block_ranges(n)
     ts = np.linspace(0.0, t, _N_START + 1)

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
+
+# scipy is imported inside the functions that call it: it is most of the
+# package's import time, and `geo` and `diagnose` runs never need it.
 
 from .engine import GeneratorFactorization, LiouvilleVector
 from .errors import DomainExceeded, UnphysicalState
@@ -331,6 +333,8 @@ class TLSProtocol:
             if self.chi0 == 0.0:
                 return self.Omega0 * t
             return (math.asin(self.z(t)) - math.asin(self.z0)) / self.chi0
+        import scipy.integrate
+
         value, _ = scipy.integrate.quad(
             self.Omega, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200
         )
@@ -376,6 +380,8 @@ def two_spin_alpha_protocol(t, chi, Omega, alpha0: float = 0.0) -> float:
     """
     if not callable(chi) and not callable(Omega):
         return alpha0 - chi * Omega * t
+    import scipy.integrate
+
     chi_f = chi if callable(chi) else (lambda _t: chi)
     om_f = Omega if callable(Omega) else (lambda _t: Omega)
     value, _ = scipy.integrate.quad(

@@ -17,7 +17,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+
+# scipy is imported inside the functions that call it: it is most of the
+# package's import time, and `geo` and `diagnose` runs never need it.
 
 from .errors import (
     DomainExceeded,
@@ -116,6 +118,8 @@ def decay_rate(bath: BathSpec, alpha: float) -> float:
 
 
 def _quad(f, a, b, epsabs, **kw):
+    import scipy.integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", scipy.integrate.IntegrationWarning)
         try:
@@ -303,6 +307,8 @@ def _check_state(rho: np.ndarray, t: float, label: str):
 
 
 def _secular_phase_check(spec: MasterEquationSpec, t_end: float):
+    import scipy.integrate
+
     alphas = spec.alpha_of_t(t_end)
     scale = max(np.max(np.abs(alphas)), 1.0)
     n = alphas.size
@@ -393,6 +399,8 @@ def mesolve(
     F_j^dagger F_j V)_kk, are integrated under the same tolerances in a
     solve of their own, so rho_D is bit for bit the run without the shift.
     """
+    import scipy.integrate
+
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     spec = build_master_equation(

@@ -2,10 +2,14 @@
 
 Everything in this module is derived from first principles (operator
 algebra, textbook closed forms) without importing the package under test,
-so agreement between the two is meaningful.
+so agreement between the two is meaningful.  The one exception is
+``per_row_diagnose``, which replays the ``diagnose`` row loop through the
+package's one-point functions so the stacked column can be held to it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -661,3 +665,47 @@ def plain_frame_curvature(family, chi, *, fd_step=1e-5, gap_threshold=1e-8):
         ]
     )
     return np.einsum("cnm,nm->nc", cross, weight)
+
+
+# ---------------------------------------------------------------------------
+# diagnose: the row-by-row evaluation of the validity columns
+# ---------------------------------------------------------------------------
+
+
+def per_row_diagnose(model, ts):
+    """(rows, errors) of a ``diagnose`` run evaluated one sample at a time.
+
+    Each row is (t, mu, upsilon) plus the closed-form upsilon for the
+    oscillator.  A sample whose mu or upsilon evaluation raises gets NaN
+    in every value column and the error text; a flagged closed-form
+    point gets NaN in that column alone.
+    """
+    from liouvdyn.diagnostics import (
+        adiabatic_parameter,
+        ho_inertial_parameter_closed,
+        inertial_parameter_at,
+    )
+    from liouvdyn.errors import LiouvdynError, SingularDenominator
+    from liouvdyn.models import HOModel
+
+    fact = model.factorization()
+    is_ho = isinstance(model, HOModel)
+    width = 4 if is_ho else 3
+    rows, errors = [], []
+    for t in ts:
+        t = float(t)
+        error = None
+        try:
+            row = [t, adiabatic_parameter(model, t), inertial_parameter_at(fact, t)]
+            if is_ho:
+                try:
+                    row.append(ho_inertial_parameter_closed(t, model.protocol))
+                except SingularDenominator as exc:
+                    row.append(math.nan)
+                    error = f"SingularDenominator: {exc}"
+        except (LiouvdynError, ValueError, ArithmeticError) as exc:
+            row = [t] + [math.nan] * (width - 1)
+            error = f"{type(exc).__name__}: {exc}"
+        rows.append(tuple(row))
+        errors.append(error)
+    return rows, errors

@@ -2,17 +2,22 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import per_row_diagnose
 
-from liouvdyn import __version__, diagnostics, geometric
+from liouvdyn import __version__, cli, diagnostics, geometric
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
-from liouvdyn.errors import ConfigInvalid
+from liouvdyn.errors import ConfigInvalid, LiouvdynError
 
 
 def run_cli(args):
@@ -678,6 +683,139 @@ class TestDiagnoseCommand:
         assert run_cli(["diagnose", "--config", cfg, "--out", out]) == 0
         header, _ = read_csv(out / "diagnose.csv")
         assert header == ["t", "mu", "upsilon"]
+
+
+def _count_stacks(monkeypatch):
+    """Record the node count of every eigenframes stack diagnostics builds."""
+    sizes = []
+    real = diagnostics.eigenframes
+
+    def counted(B, **kw):
+        sizes.append(len(B))
+        return real(B, **kw)
+
+    monkeypatch.setattr(diagnostics, "eigenframes", counted)
+    return sizes
+
+
+def _bits(rows):
+    # repr tells -0.0 from 0.0 and keeps every digit, so equal lists mean
+    # equal values with NaN in the same places
+    return [[repr(float(x)) for x in row] for row in rows]
+
+
+@st.composite
+def diagnose_ramps(draw):
+    """(kind, t_f, acceleration, samples) of a diagnose ramp from 20 to 10.
+
+    Half the oscillator draws put one sample on the exceptional point
+    |mu| = 2, where the generator is defective: mu(t) = -0.05 / t_f +
+    a (t - t_f / 2) on this ramp, solved for a at that sample.
+    """
+    kind = draw(st.sampled_from(["ho", "tls"]))
+    t_f = 10.0 ** draw(st.floats(-2.3, 0.6))
+    samples = draw(st.integers(3, 40))
+    if kind == "ho" and draw(st.booleans()):
+        k = draw(st.integers(0, samples - 1).filter(lambda k: 2 * k != samples - 1))
+        mu = draw(st.sampled_from([-2.0, 2.0]))
+        acceleration = (mu + 0.05 / t_f) / (t_f * k / (samples - 1) - 0.5 * t_f)
+    else:
+        acceleration = draw(st.floats(-300.0, 300.0))
+    return kind, t_f, acceleration, samples
+
+
+class TestDiagnoseStack:
+    """The upsilon column as one eigenframes stack per closed block."""
+
+    @staticmethod
+    def resolve(kind, protocol=None, numerics=None):
+        file_config = {"experiment": "diagnose", "model": {"kind": kind}}
+        if protocol:
+            file_config["protocol"] = protocol
+        if numerics:
+            file_config["numerics"] = numerics
+        return resolve_config("diagnose", file_config)
+
+    @pytest.mark.parametrize("kind, stacks", [("ho", 2), ("tls", 1)])
+    def test_default_run_diagonalizes_each_block_once(
+        self, tmp_path, monkeypatch, kind, stacks
+    ):
+        sizes = _count_stacks(monkeypatch)
+
+        def no_rows(fact, t):
+            raise AssertionError("per-row evaluation while the stack succeeded")
+
+        monkeypatch.setattr(cli, "inertial_parameter_at", no_rows)
+        assert run_cli(["diagnose", "--model", kind, "--out", tmp_path]) == 0
+        assert sizes == [129] * stacks
+
+    def test_stack_is_bounded_and_matches_rows(self, monkeypatch):
+        cfg = self.resolve("ho", numerics={"samples": 3000})
+        sizes = _count_stacks(monkeypatch)
+        _, rows, _, errors = cli._run_diagnose(cfg)
+        assert sizes and max(sizes) <= 1024
+        assert sum(sizes) == 2 * 3000
+        model = cli._ramp_model(cfg, cfg.protocol["t_f"])
+        expected, expected_errors = per_row_diagnose(model, np.linspace(0.0, 1.0, 3000))
+        assert _bits(rows) == _bits(expected)
+        assert errors == expected_errors
+
+    @pytest.mark.parametrize(
+        "protocol, defective",
+        [({"acceleration": -100.0, "t_f": 0.025}, 1), ({"acceleration": -200.0, "t_f": 0.04}, 2)],
+    )
+    def test_ramp_through_the_exceptional_point_keeps_row_flags(
+        self, tmp_path, protocol, defective
+    ):
+        # |mu| crosses 2: the stack raises, and the row loop flags the
+        # defective samples alone
+        path = write_json(tmp_path / "c.json", {"experiment": "diagnose", "protocol": protocol})
+        assert run_cli(["diagnose", "--config", path, "--out", tmp_path]) == 3
+        manifest = json.loads((tmp_path / "diagnose_manifest.json").read_text())
+        kinds = [(e or "").split(":")[0] for e in manifest["point_errors"]]
+        assert kinds.count("NotDiagonalizable") == defective
+        assert kinds.count("SingularDenominator") == 64
+
+    @settings(max_examples=60)
+    @given(diagnose_ramps())
+    @example(("ho", 0.025, -100.0, 129))
+    @example(("ho", 0.04, -200.0, 129))
+    def test_rows_match_the_per_row_route(self, ramp):
+        kind, t_f, acceleration, samples = ramp
+        cfg = self.resolve(
+            kind,
+            protocol={"t_f": t_f, "acceleration": acceleration},
+            numerics={"samples": samples},
+        )
+        try:
+            model = cli._ramp_model(cfg, t_f)
+        except (LiouvdynError, ValueError, ArithmeticError):
+            assume(False)  # the run fails as a whole before any row
+        _, rows, _, errors = cli._run_diagnose(cfg)
+        expected, expected_errors = per_row_diagnose(model, np.linspace(0.0, t_f, samples))
+        assert _bits(rows) == _bits(expected)
+        assert errors == expected_errors
+
+
+def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
+    # a fresh interpreter, so no earlier test has imported scipy already
+    script = (
+        "import sys\n"
+        "import liouvdyn.cli\n"
+        "for experiment in ('diagnose', 'geo'):\n"
+        "    assert liouvdyn.cli.main([experiment, '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestOpenCommand:
