@@ -72,14 +72,11 @@ from .models import (
     TwoQubitState,
     TwoSpinModel,
     ho_generator,
-    ho_generator_grad,
     initial_vector,
     reconstruct_state,
     tls_generator,
     tls_generator_embedded,
-    tls_generator_grad,
     two_spin_generators,
-    two_spin_generator_grads,
 )
 from .open_quantum import (
     BathSpec,

@@ -24,7 +24,6 @@ from .config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from .diagnostics import (
     adiabatic_parameter,
     fidelity_sweep,
-    ho_inertial_parameter_closed,
     inertial_parameter_at,
     inertial_parameters,
     log_time_grid,
@@ -119,15 +118,15 @@ def _run_single(cfg: RunConfig):
 def _run_diagnose(cfg: RunConfig):
     model = _ramp_model(cfg, cfg.protocol["t_f"])
     fact = model.factorization()
-    is_ho = isinstance(model, HOModel)
+    closed = model.protocol.inertial_parameter_closed
     ts = np.linspace(0.0, cfg.protocol["t_f"], cfg.numerics["samples"])
-    columns = ("t", "mu", "upsilon") + (("upsilon_closed",) if is_ho else ())
+    columns = ("t", "mu", "upsilon") + (("upsilon_closed",) if closed else ())
     sources = {
         "t": "numpy.linspace over [0, protocol.t_f]",
         "mu": "diagnostics.adiabatic_parameter",
         "upsilon": "diagnostics.inertial_parameters",
     }
-    if is_ho:
+    if closed:
         sources["upsilon_closed"] = "diagnostics.ho_inertial_parameter_closed"
     try:
         upsilon = inertial_parameters(fact, ts).tolist()
@@ -142,9 +141,9 @@ def _run_diagnose(cfg: RunConfig):
                 adiabatic_parameter(model, t),
                 inertial_parameter_at(fact, t) if upsilon is None else upsilon[i],
             ]
-            if is_ho:
+            if closed:
                 try:
-                    row.append(ho_inertial_parameter_closed(t, model.protocol))
+                    row.append(closed(t))
                 except SingularDenominator as exc:
                     row.append(math.nan)
                     error = f"SingularDenominator: {exc}"

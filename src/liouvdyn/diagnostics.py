@@ -31,14 +31,12 @@ from .linalg import DEGENERACY_GAP, EigenFrame, eigenframes
 from .models import (
     BlochState,
     GaussianState,
-    HOModel,
     HOProtocol,
     TwoQubitState,
     initial_vector,
     reconstruct_state,
 )
 
-_DEN_TOL = 1e-12
 # Most nodes inertial_parameters diagonalizes in one eigenframes call.
 _STACK_NODES = 1024
 
@@ -60,17 +58,12 @@ def adiabatic_parameter(model, t: float) -> float:
 def _directional_gradient(grad_B, dchi_dtheta) -> np.ndarray:
     """Contract a (possibly multi-parameter) generator gradient with the
     parameter velocity."""
-    if isinstance(grad_B, np.ndarray) and grad_B.ndim == 2:
-        grads = (grad_B,)
-    else:
-        grads = tuple(np.asarray(g) for g in grad_B)
+    grads = np.asarray(grad_B)
+    grads = grads[None] if grads.ndim == 2 else grads
     rates = np.atleast_1d(np.asarray(dchi_dtheta, dtype=float))
     if len(grads) != rates.size:
         raise ValueError("gradient count does not match parameter velocity size")
-    out = np.zeros(grads[0].shape, dtype=complex)
-    for g, r in zip(grads, rates):
-        out += r * g
-    return out
+    return np.tensordot(rates, grads, axes=1)
 
 
 def _pair_sums(lam, rights, lefts, directional, occupied=None) -> np.ndarray:
@@ -122,6 +115,7 @@ def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
     """
     if fact.grad_B is None or fact.dchi_dtheta is None:
         raise ValueError("factorization lacks grad_B or dchi_dtheta")
+    ts = np.asarray(ts, dtype=float)
     total = np.empty(len(ts))
     for lo in range(0, len(ts), _STACK_NODES):
         total[lo : lo + _STACK_NODES] = _block_sums(fact, ts[lo : lo + _STACK_NODES])
@@ -130,15 +124,11 @@ def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
 
 def _block_sums(fact: GeneratorFactorization, ts) -> np.ndarray:
     """Block-summed drive-acceleration parameter at the times ts, one stack
-    per block.  Single-element blocks cannot mix and contribute nothing."""
-    chis = [fact.chi_of_t(t) for t in ts]
-    B = np.stack([np.asarray(fact.B_of_chi(chi)) for chi in chis])
-    directional = np.stack(
-        [
-            _directional_gradient(fact.grad_B(chi), fact.dchi_dtheta(t))
-            for t, chi in zip(ts, chis)
-        ]
-    )
+    per block, for a one-parameter chi.  Single-element blocks cannot mix
+    and contribute nothing."""
+    chis = fact.chi_of_t(ts)
+    B = fact.B_of_chi(chis)
+    directional = fact.dchi_dtheta(ts)[:, None, None] * fact.grad_B(chis)
     total = np.zeros(len(ts))
     for lo, hi in fact.block_ranges(B.shape[1]):
         if hi - lo == 1:
@@ -159,40 +149,9 @@ def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:
 
 
 def ho_inertial_parameter_closed(t: float, protocol: HOProtocol) -> float:
-    """Closed-form oscillator drive-acceleration parameter.
-
-    Evaluates the frequency-profile expression
-        mu^2 (w''/w - 2 (w'/w)^2)
-        / [ (2 kappa)^2 ( (w''/w) log(w/w0) - (w'/w)^2 (2 log(w/w0) + 1) ) ]
-    with kappa = sqrt(4 - mu^2), returned as a magnitude.  Points where
-    the bracketed denominator vanishes (for example t -> 0 on a ramp
-    that starts from rest) are flagged instead of evaluated.
-    """
-    w0 = protocol.omega(0.0)
-    w = protocol.omega(t)
-    wd = protocol.omega_dot(t)
-    wdd = protocol.omega_ddot(t)
-    if wd == 0.0 and wdd == 0.0:
-        return 0.0
-    mu = wd / (w * w)
-    ksq = 4.0 - mu * mu
-    if ksq <= 0.0:
-        raise SingularDenominator(
-            "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined"
-        )
-    log_ratio = math.log(w / w0)
-    curv = wdd / w
-    rate_sq = (wd / w) ** 2
-    num = mu * mu * (curv - 2.0 * rate_sq)
-    bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
-    scale = abs(curv) * max(abs(log_ratio), 1.0) + rate_sq * (
-        2.0 * abs(log_ratio) + 1.0
-    )
-    if abs(bracket) <= _DEN_TOL * scale:
-        raise SingularDenominator(
-            f"denominator vanishes at t = {t:g}; point skipped"
-        )
-    return abs(num / (4.0 * ksq * bracket))
+    """Closed-form oscillator drive-acceleration parameter; see
+    ``HOProtocol.inertial_parameter_closed``."""
+    return protocol.inertial_parameter_closed(t)
 
 
 def _clip_rounding(x: float) -> float:
@@ -339,17 +298,18 @@ class SweepResult:
 def max_parameters_along(model, t_f: float, samples: int = 65):
     """Largest |mu| and largest Upsilon over an even time sample of the run.
 
-    The oscillator uses the closed-form Upsilon (skipping flagged
-    singular samples); the spin model uses the generic pairwise sum.
+    A protocol with a closed-form Upsilon (the oscillator's) uses it,
+    skipping flagged singular samples; otherwise the generic pairwise sum.
     """
     ts = np.linspace(0.0, t_f, samples)
-    mu_max = max(abs(adiabatic_parameter(model, t)) for t in ts)
-    if not isinstance(model, HOModel):
+    mu_max = float(np.abs(adiabatic_parameter(model, ts)).max())
+    closed = model.protocol.inertial_parameter_closed
+    if closed is None:
         return mu_max, float(inertial_parameters(model.factorization(), ts).max())
     ups = []
     for t in ts:
         try:
-            ups.append(ho_inertial_parameter_closed(t, model.protocol))
+            ups.append(closed(t))
         except SingularDenominator:
             continue
     return mu_max, (max(ups) if ups else math.nan)
@@ -375,10 +335,10 @@ def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
         ups_max,
         -math.log10(deficit) if deficit > 0.0 else math.inf,
     )
-    # the scores mean nothing outside the oscillator's diagonalizable domain
-    if isinstance(m, HOModel) and mu_max >= 2.0:
+    # the scores mean nothing outside the model's diagonalizable domain
+    if mu_max >= m.mu_limit:
         raise DomainExceeded(
-            f"max |mu| = {mu_max:.6g} reaches the exceptional point |mu| = 2"
+            f"max |mu| = {mu_max:.6g} reaches the exceptional point |mu| = {m.mu_limit:g}"
         )
     nan = [name for name, x in zip(SweepResult.COLUMNS[1:], row) if math.isnan(x)]
     if nan:

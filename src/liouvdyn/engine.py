@@ -50,6 +50,13 @@ class LiouvilleVector:
 class GeneratorFactorization:
     """Time-dependent generator split as Omega(t) * B(chi(t)).
 
+    ``omega_of_t``, ``chi_of_t``, ``B_of_chi``, ``grad_B`` and
+    ``dchi_dtheta`` are evaluated on a whole 1-D array of nodes at once, a
+    float being the one-node case: an array of times gives arrays of paces,
+    parameters and rates, an array of parameters gives the (N, n, n) stack
+    of generators, and ``grad_B`` gives dB/dchi per node or one matrix that
+    holds at every node.  ``theta_of_t`` takes a float.
+
     ``blocks`` lists index ranges on which B is block-diagonal for every
     chi; frame-based propagators decompose per block, which keeps repeated
     eigenvalues of unrelated blocks from being mistaken for degeneracies.
@@ -63,9 +70,6 @@ class GeneratorFactorization:
     dchi_dtheta: Callable[[float], float] | None = None
     blocks: tuple | None = None
     t_max: float = math.inf
-
-    def generator_at(self, t: float) -> np.ndarray:
-        return self.omega_of_t(t) * self.B_of_chi(self.chi_of_t(t))
 
     def block_ranges(self, dim: int) -> tuple:
         return self.blocks if self.blocks is not None else ((0, dim),)
@@ -220,11 +224,10 @@ def propagate_adiabatic(
 def _node_data(fact, ts, blocks):
     """Pace values and per-block eigenframe stacks at the nodes ts.
 
-    B(chi(t)) is evaluated once per node and sliced into its blocks.
+    B(chi(t)) is evaluated as one stack and sliced into its blocks.
     """
-    omegas = np.array([fact.omega_of_t(s) for s in ts])
-    B = np.array([fact.B_of_chi(fact.chi_of_t(s)) for s in ts])
-    return omegas, [eigenframes(B[:, lo:hi, lo:hi]) for lo, hi in blocks]
+    B = fact.B_of_chi(fact.chi_of_t(ts))
+    return fact.omega_of_t(ts), [eigenframes(B[:, lo:hi, lo:hi]) for lo, hi in blocks]
 
 
 def _inertial_passes(fact, v0, t: float):
@@ -292,7 +295,7 @@ def propagate_inertial(
     n = v0.dim
     if t == 0.0:
         blocks = fact.block_ranges(n)
-        _, frames = _node_data(fact, [0.0], blocks)
+        _, frames = _node_data(fact, np.zeros(1), blocks)
         c = np.empty(n, dtype=complex)
         out = np.empty(n, dtype=complex)
         for (lo, hi), (_, rights, lefts) in zip(blocks, frames):

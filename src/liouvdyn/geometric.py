@@ -28,12 +28,14 @@ from .errors import (
 from .linalg import DEGENERACY_GAP, eigenframes, transport
 from .models import (
     HO_BLOCKS,
+    HO_COUPLING,
     TLS_BLOCKS,
+    TLS_COUPLING,
+    TLS_EMBEDDED_COUPLING,
+    TWO_SPIN_LOCAL_COUPLING,
     ho_generator,
-    ho_generator_grad,
     tls_generator,
-    tls_generator_grad,
-    two_spin_generator_grads,
+    tls_generator_embedded,
     two_spin_generators,
 )
 
@@ -156,39 +158,34 @@ class GeneratorFamily:
         )
 
 
+def _affine_family(generator, coupling, blocks=None) -> GeneratorFamily:
+    """Family of a bundled generator of chi_1, ..., chi_d whose real
+    coupling (A0, A1, ..., Ad) makes the partials the constants 1j A_k."""
+    grads = tuple(1j * A for A in coupling[1:])
+    return GeneratorFamily(
+        B_of_chi=lambda chi: generator(*chi),
+        n_params=len(grads),
+        grad_B=lambda chi: grads,
+        blocks=blocks,
+    )
+
+
 def ho_family() -> GeneratorFamily:
     """One-parameter oscillator generator family."""
-    return GeneratorFamily(
-        B_of_chi=lambda chi: ho_generator(chi[0]),
-        n_params=1,
-        grad_B=lambda chi: (ho_generator_grad(chi[0]),),
-        blocks=HO_BLOCKS,
-    )
+    return _affine_family(ho_generator, HO_COUPLING, HO_BLOCKS)
 
 
 def tls_family() -> GeneratorFamily:
     """One-parameter two-level generator family (identity row embedded)."""
-
-    def grad(chi):
-        g = np.zeros((4, 4), dtype=complex)
-        g[:3, :3] = tls_generator_grad(chi[0])
-        return (g,)
-
-    def B(chi):
-        out = np.zeros((4, 4), dtype=complex)
-        out[:3, :3] = tls_generator(chi[0])
-        return out
-
-    return GeneratorFamily(B_of_chi=B, n_params=1, grad_B=grad, blocks=TLS_BLOCKS)
+    return _affine_family(tls_generator_embedded, TLS_EMBEDDED_COUPLING, TLS_BLOCKS)
 
 
 def two_spin_local_family() -> GeneratorFamily:
     """Two-parameter family of the stacked single-spin triples."""
-    return GeneratorFamily(
-        B_of_chi=lambda chi: two_spin_generators(chi[0], chi[1])[0],
-        n_params=2,
-        grad_B=lambda chi: two_spin_generator_grads(chi[0], chi[1])[0],
-        blocks=((0, 3), (3, 6)),
+    return _affine_family(
+        lambda chi1, chi2: two_spin_generators(chi1, chi2)[0],
+        TWO_SPIN_LOCAL_COUPLING,
+        ((0, 3), (3, 6)),
     )
 
 
@@ -199,11 +196,7 @@ def two_spin_nonlocal_family() -> GeneratorFamily:
     are factor products and remain well defined on the chi1 = chi2 line
     where eigenvalues of the sum cross accidentally.
     """
-    single = GeneratorFamily(
-        B_of_chi=lambda chi: tls_generator(chi[0]),
-        n_params=1,
-        grad_B=lambda chi: (tls_generator_grad(chi[0]),),
-    )
+    single = _affine_family(tls_generator, TLS_COUPLING)
     return GeneratorFamily.kronecker_sum((single, single))
 
 

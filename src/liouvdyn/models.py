@@ -19,7 +19,7 @@ import numpy as np
 # package's import time, and `geo` and `diagnose` runs never need it.
 
 from .engine import GeneratorFactorization, LiouvilleVector
-from .errors import DomainExceeded, UnphysicalState
+from .errors import DomainExceeded, SingularDenominator, UnphysicalState
 
 # basis block layout: (energy-like triple)(linear pair)(identity)
 HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
@@ -27,6 +27,7 @@ HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
 TLS_BLOCKS = ((0, 3), (3, 4))
 
 _DOUBLE_ROOT_REL = 1e-14
+_DEN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -34,105 +35,115 @@ _DOUBLE_ROOT_REL = 1e-14
 # ---------------------------------------------------------------------------
 
 
-def _ho_coupling(chi: float) -> np.ndarray:
-    A = np.zeros((6, 6))
-    A[0, 1] = -chi
-    A[1, 0] = -chi
-    A[1, 2] = 2.0
-    A[2, 1] = -2.0
-    A[3, 3] = 0.5 * chi
-    A[3, 4] = -1.0
-    A[4, 3] = 1.0
-    A[4, 4] = -0.5 * chi
-    return A
+def _coupling(n: int, constant: dict, rate: dict) -> tuple:
+    """Read-only real pair (A0, A1) from {(row, col): value} entries."""
+    pair = (np.zeros((n, n)), np.zeros((n, n)))
+    for A, entries in zip(pair, (constant, rate)):
+        for (i, j), value in entries.items():
+            A[i, j] = value
+        A.setflags(write=False)
+    return pair
 
 
-def ho_generator(chi: float) -> np.ndarray:
+# Every bundled generator is affine in its drive parameter, B(chi) =
+# 1j (A0 + chi A1) for the real coupling pair, so its gradient is 1j A1.
+HO_COUPLING = _coupling(
+    6,
+    {(1, 2): 2.0, (2, 1): -2.0, (3, 4): -1.0, (4, 3): 1.0},
+    {(0, 1): -1.0, (1, 0): -1.0, (3, 3): 0.5, (4, 4): -0.5},
+)
+_TLS_ENTRIES = ({(1, 2): -1.0, (2, 1): 1.0}, {(0, 1): -1.0, (1, 0): 1.0})
+TLS_COUPLING = _coupling(3, *_TLS_ENTRIES)
+# the spin triple with a zero identity row and column appended
+TLS_EMBEDDED_COUPLING = _coupling(4, *_TLS_ENTRIES)
+
+
+def _two_spin_couplings():
+    A0, A1 = TLS_COUPLING
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    local = (
+        np.block([[A0, zero], [zero, A0]]),
+        np.block([[A1, zero], [zero, zero]]),
+        np.block([[zero, zero], [zero, A1]]),
+    )
+    cross = (np.kron(A0, eye) + np.kron(eye, A0), np.kron(A1, eye), np.kron(eye, A1))
+    for A in local + cross:
+        A.setflags(write=False)
+    return local, cross
+
+
+# (A0, A1, A2) of the two-spin couplings A0 + chi1 A1 + chi2 A2
+TWO_SPIN_LOCAL_COUPLING, TWO_SPIN_CROSS_COUPLING = _two_spin_couplings()
+
+
+def _scale(chi):
+    """A float chi as a float; a 1-D array of chi shaped (N, 1, 1), so that
+    scaling an (n, n) matrix gives the (N, n, n) stack."""
+    # a Python float scales an array faster than np.float64 does
+    return float(chi) if isinstance(chi, float) else np.asarray(chi)[..., None, None]
+
+
+def _affine(coupling, chi) -> np.ndarray:
+    return 1j * (coupling[0] + _scale(chi) * coupling[1])
+
+
+def ho_generator(chi) -> np.ndarray:
     """6x6 oscillator generator over {H, L, C, K, J, identity}.
 
     Block-diagonal: a 3x3 energy-like block, a 2x2 block for the linear
     observables, and a zero row for the identity.  Real spectrum for
     |chi| < 2; the blocks collapse onto a non-diagonalizable point at
-    |chi| = 2.
+    |chi| = 2.  A 1-D array of chi gives the stack.
     """
-    return 1j * _ho_coupling(float(chi))
+    return _affine(HO_COUPLING, chi)
 
 
-def ho_generator_grad(chi: float) -> np.ndarray:
-    """d/dchi of ho_generator (constant in chi)."""
-    A = np.zeros((6, 6))
-    A[0, 1] = A[1, 0] = -1.0
-    A[3, 3] = 0.5
-    A[4, 4] = -0.5
-    return 1j * A
-
-
-def _tls_coupling(chi: float) -> np.ndarray:
-    return np.array(
-        [[0.0, -chi, 0.0], [chi, 0.0, -1.0], [0.0, 1.0, 0.0]]
-    )
-
-
-def tls_generator(chi: float) -> np.ndarray:
+def tls_generator(chi) -> np.ndarray:
     """3x3 two-level generator over the scaled {H, L, C} triple.
 
     i times a real antisymmetric-plus-rotation coupling; Hermitian, so the
-    spectrum {0, +/-sqrt(1+chi^2)} is real for every chi.
+    spectrum {0, +/-sqrt(1+chi^2)} is real for every chi.  A 1-D array of
+    chi gives the stack.
     """
-    return 1j * _tls_coupling(float(chi))
+    return _affine(TLS_COUPLING, chi)
 
 
-def tls_generator_grad(chi: float) -> np.ndarray:
-    A = np.zeros((3, 3))
-    A[0, 1] = -1.0
-    A[1, 0] = 1.0
-    return 1j * A
-
-
-def tls_generator_embedded(chi: float) -> np.ndarray:
+def tls_generator_embedded(chi) -> np.ndarray:
     """4x4 extension with a zero identity row/column appended."""
-    B = np.zeros((4, 4), dtype=complex)
-    B[:3, :3] = tls_generator(chi)
-    return B
+    return _affine(TLS_EMBEDDED_COUPLING, chi)
 
 
-def two_spin_generators(chi1: float, chi2: float):
+def two_spin_generators(chi1, chi2):
     """Generators for the local (6x6) and cross-correlator (9x9) vectors.
 
     The local vector stacks both single-spin triples, so its generator is
     block-diagonal.  The cross-correlator vector holds the nine products
     A_a(1) A_b(2) ordered with the first-spin index slow (entry 3a+b), and
     its generator is the Kronecker sum of the single-spin couplings: it
-    does not decompose into independent sub-blocks.
+    does not decompose into independent sub-blocks.  1-D arrays give stacks.
     """
-    A1 = _tls_coupling(float(chi1))
-    A2 = _tls_coupling(float(chi2))
-    B_local = np.zeros((6, 6), dtype=complex)
-    B_local[:3, :3] = 1j * A1
-    B_local[3:, 3:] = 1j * A2
-    eye = np.eye(3)
-    B_cross = 1j * (np.kron(A1, eye) + np.kron(eye, A2))
-    return B_local, B_cross
-
-
-def two_spin_generator_grads(chi1: float, chi2: float):
-    """Partials of (B_local, B_cross) with respect to (chi1, chi2)."""
-    dA = np.zeros((3, 3))
-    dA[0, 1] = -1.0
-    dA[1, 0] = 1.0
-    eye = np.eye(3)
-    dBl_d1 = np.zeros((6, 6), dtype=complex)
-    dBl_d1[:3, :3] = 1j * dA
-    dBl_d2 = np.zeros((6, 6), dtype=complex)
-    dBl_d2[3:, 3:] = 1j * dA
-    dBc_d1 = 1j * np.kron(dA, eye)
-    dBc_d2 = 1j * np.kron(eye, dA)
-    return (dBl_d1, dBl_d2), (dBc_d1, dBc_d2)
+    chi1, chi2 = _scale(chi1), _scale(chi2)
+    return tuple(
+        1j * (A0 + chi1 * A1 + chi2 * A2)
+        for A0, A1, A2 in (TWO_SPIN_LOCAL_COUPLING, TWO_SPIN_CROSS_COUPLING)
+    )
 
 
 # ---------------------------------------------------------------------------
 # protocols
 # ---------------------------------------------------------------------------
+
+
+def _require_inside(t, outside, t_max: float):
+    """Raise DomainExceeded at the first time in t that `outside` flags."""
+    if np.any(outside):
+        first = np.asarray(t)[outside][0]
+        raise DomainExceeded(f"t={first} is outside the protocol domain [0, {t_max})")
+
+
+def _sqrt(x):
+    # math.sqrt on the float path: np.sqrt costs more per scalar call
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,7 @@ class HOProtocol:
 
     Built so the rate parameter chi(t) = omega_dot / omega^2 is exactly
     chi0 + a t: chi0 is the initial rate, `a` its constant acceleration.
+    Every method but ``theta`` takes a float t or a 1-D array of times.
     """
 
     omega0: float
@@ -173,29 +185,66 @@ class HOProtocol:
         positive = [x for x in roots if x > 0.0]
         return positive[0] if positive else math.inf
 
-    def _require_valid(self, t: float):
-        if t >= self.t_max or self._q(t) <= 0.0:
-            raise DomainExceeded(
-                f"t={t} is outside the protocol domain [0, {self.t_max})"
-            )
+    def _require_valid(self, t):
+        """1/omega(t), once every time in t is checked to lie in the domain."""
+        q = self._q(t)
+        # a plain-float test first: the ODE right-hand side calls this per step
+        if not (isinstance(t, float) and t < self.t_max and q > 0.0):
+            _require_inside(t, (t >= self.t_max) | (q <= 0.0), self.t_max)
+        return q
 
-    def omega(self, t: float) -> float:
-        self._require_valid(t)
-        return 1.0 / self._q(t)
+    def omega(self, t):
+        return 1.0 / self._require_valid(t)
 
-    def mu(self, t: float) -> float:
+    def mu(self, t):
         """Rate parameter omega_dot/omega^2, linear by construction."""
         self._require_valid(t)
         return self.chi0 + self.a * t
 
-    def omega_dot(self, t: float) -> float:
+    def omega_dot(self, t):
         w = self.omega(t)
         return (self.chi0 + self.a * t) * w * w
 
-    def omega_ddot(self, t: float) -> float:
+    def omega_ddot(self, t):
         w = self.omega(t)
         mu = self.chi0 + self.a * t
         return self.a * w * w + 2.0 * mu * mu * w**3
+
+    def inertial_parameter_closed(self, t: float) -> float:
+        """Closed-form drive-acceleration parameter Upsilon at time t.
+
+        Evaluates the frequency-profile expression
+            mu^2 (w''/w - 2 (w'/w)^2)
+            / [ (2 kappa)^2 ( (w''/w) log(w/w0) - (w'/w)^2 (2 log(w/w0) + 1) ) ]
+        with kappa = sqrt(4 - mu^2), returned as a magnitude.  Points where
+        the bracketed denominator vanishes (for example t -> 0 on a ramp
+        that starts from rest) are flagged instead of evaluated.
+        """
+        w0 = self.omega(0.0)
+        w = self.omega(t)
+        wd = self.omega_dot(t)
+        wdd = self.omega_ddot(t)
+        if wd == 0.0 and wdd == 0.0:
+            return 0.0
+        mu = wd / (w * w)
+        ksq = 4.0 - mu * mu
+        if ksq <= 0.0:
+            raise SingularDenominator(
+                "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined"
+            )
+        log_ratio = math.log(w / w0)
+        curv = wdd / w
+        rate_sq = (wd / w) ** 2
+        num = mu * mu * (curv - 2.0 * rate_sq)
+        bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
+        scale = abs(curv) * max(abs(log_ratio), 1.0) + rate_sq * (
+            2.0 * abs(log_ratio) + 1.0
+        )
+        if abs(bracket) <= _DEN_TOL * scale:
+            raise SingularDenominator(
+                f"denominator vanishes at t = {t:g}; point skipped"
+            )
+        return abs(num / (4.0 * ksq * bracket))
 
     def theta(self, t: float) -> float:
         """Scaled time, the closed-form antiderivative of omega."""
@@ -258,12 +307,16 @@ class TLSProtocol:
 
     Parameterized through z(t) = omega/Omega, driven so that the rate
     parameter (omega_dot epsilon)/Omega^3 is exactly chi0 + abar t.
+    Every method but ``theta`` takes a float t or a 1-D array of times.
     """
 
     epsilon: float
     omega0: float
     chi0: float
     abar: float = 0.0
+
+    # no closed-form Upsilon: diagnostics use the generic pairwise sum
+    inertial_parameter_closed = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -279,7 +332,7 @@ class TLSProtocol:
     def z0(self) -> float:
         return self.omega0 / self.Omega0
 
-    def z(self, t: float) -> float:
+    def z(self, t):
         return self.z0 + self.epsilon * (self.chi0 * t + 0.5 * self.abar * t * t)
 
     @cached_property
@@ -302,27 +355,26 @@ class TLSProtocol:
         positive = [t for t in candidates if t > 0.0]
         return min(positive) if positive else math.inf
 
-    def _require_valid(self, t: float):
-        if t >= self.t_max or abs(self.z(t)) >= 1.0:
-            raise DomainExceeded(
-                f"t={t} is outside the protocol domain [0, {self.t_max})"
-            )
-
-    def Omega(self, t: float) -> float:
-        self._require_valid(t)
+    def _require_valid(self, t):
+        """z(t), once every time in t is checked to lie in the domain."""
         z = self.z(t)
-        return self.epsilon / math.sqrt(1.0 - z * z)
+        if not (isinstance(t, float) and t < self.t_max and abs(z) < 1.0):
+            _require_inside(t, (t >= self.t_max) | (abs(z) >= 1.0), self.t_max)
+        return z
 
-    def omega(self, t: float) -> float:
-        self._require_valid(t)
-        z = self.z(t)
-        return self.epsilon * z / math.sqrt(1.0 - z * z)
+    def Omega(self, t):
+        z = self._require_valid(t)
+        return self.epsilon / _sqrt(1.0 - z * z)
 
-    def mu(self, t: float) -> float:
+    def omega(self, t):
+        z = self._require_valid(t)
+        return self.epsilon * z / _sqrt(1.0 - z * z)
+
+    def mu(self, t):
         self._require_valid(t)
         return self.chi0 + self.abar * t
 
-    def omega_dot(self, t: float) -> float:
+    def omega_dot(self, t):
         return self.mu(t) * self.Omega(t) ** 3 / self.epsilon
 
     def theta(self, t: float) -> float:
@@ -491,6 +543,8 @@ class HOModel:
     mass: float = 1.0
     q0: float = 0.0
     p0: float = 0.0
+    # |mu| at which both generator blocks turn non-diagonalizable
+    mu_limit = 2.0
 
     @property
     def omega_start(self) -> float:
@@ -559,7 +613,7 @@ class HOModel:
             B_of_chi=ho_generator,
             chi_of_t=p.mu,
             theta_of_t=p.theta,
-            grad_B=ho_generator_grad,
+            grad_B=lambda chi: 1j * HO_COUPLING[1],
             dchi_dtheta=lambda t: p.a / p.omega(t),
             blocks=HO_BLOCKS,
             t_max=p.t_max,
@@ -577,6 +631,8 @@ class TLSModel:
 
     protocol: TLSProtocol
     initial_values: tuple = (4.0, 1.0, 1.0)
+    # the spin generator is Hermitian, so diagonalizable at every mu
+    mu_limit = math.inf
 
     @property
     def omega_start(self) -> float:
@@ -618,7 +674,7 @@ class TLSModel:
             B_of_chi=tls_generator_embedded,
             chi_of_t=p.mu,
             theta_of_t=p.theta,
-            grad_B=lambda chi: _embed_grad(tls_generator_grad(chi)),
+            grad_B=lambda chi: 1j * TLS_EMBEDDED_COUPLING[1],
             dchi_dtheta=lambda t: p.abar / p.Omega(t),
             blocks=TLS_BLOCKS,
             t_max=p.t_max,
@@ -640,12 +696,6 @@ class TLSModel:
             dtype=complex,
         )
         return LiouvilleVector(coeffs=coeffs, t=t, theta=p.theta(t))
-
-
-def _embed_grad(g3: np.ndarray) -> np.ndarray:
-    g = np.zeros((4, 4), dtype=complex)
-    g[:3, :3] = g3
-    return g
 
 
 def _single_spin_triple(Omega: float, alpha: float):
@@ -677,9 +727,6 @@ class TwoSpinModel:
     def alpha(self, t: float, spin: int) -> float:
         chi = (self.chi1, self.chi2)[spin]
         return two_spin_alpha_protocol(t, chi, self.Omega, self.alpha0[spin])
-
-    def generators(self):
-        return two_spin_generators(self.chi1, self.chi2)
 
     @property
     def local_rescaling_weights(self) -> np.ndarray:

@@ -189,7 +189,7 @@ def effective_frequencies(model, t: float) -> np.ndarray:
     pace = fact.omega_of_t(t)
     drift = fact.dchi_dtheta(t) if fact.dchi_dtheta is not None else 0.0
     h = 1e-6 * max(1.0, abs(chi))
-    B = np.array([fact.B_of_chi(chi), fact.B_of_chi(chi + h), fact.B_of_chi(chi - h)])
+    B = fact.B_of_chi(np.array([chi, chi + h, chi - h]))
     n = B.shape[1]
     out = np.empty(n)
     for lo, hi in fact.block_ranges(n):

@@ -1,10 +1,13 @@
 """Command-line interface: config resolution, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -203,6 +206,86 @@ class TestConfigFuzz:
         except ConfigInvalid:
             return
         assert isinstance(cfg, RunConfig)
+
+
+# finite numbers of both signs from 1e-300 to 1e300
+_EXTREMES = st.builds(
+    lambda s, m, e: s * m * 10.0**e,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(1.0, 9.99),
+    st.integers(-300, 299),
+)
+
+
+@st.composite
+def diagnose_configs(draw):
+    # a runnable ramp with up to two of its numbers swapped for extremes
+    kind = draw(st.sampled_from(("ho", "tls")))
+    protocol = {
+        "omega_start": draw(st.floats(5.0, 40.0)),
+        "omega_target": draw(st.floats(5.0, 40.0)),
+        "acceleration": draw(st.floats(-0.05, 0.05)),
+        "t_f": draw(st.floats(0.01, 5.0)),
+    }
+    if kind == "tls":
+        protocol["epsilon"] = draw(st.floats(0.5, 4.5))
+    for key in draw(st.lists(st.sampled_from(sorted(protocol)), max_size=2, unique=True)):
+        protocol[key] = draw(_EXTREMES | st.just(0.0))
+    numerics = {"samples": draw(st.integers(2, 257))}
+    return {"experiment": "diagnose", "model": {"kind": kind},
+            "protocol": protocol, "numerics": numerics}
+
+
+@st.composite
+def geo_configs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    width = 1 if kind in ("ho", "tls") else 2
+    # coordinates on both sides of |chi| = 2, where the oscillator's
+    # generator stops being diagonalizable
+    point = st.lists(st.floats(-2.5, 2.5), min_size=width, max_size=width)
+    protocol = {
+        "waypoints": draw(st.lists(point, min_size=2, max_size=4)),
+        "closed": draw(st.booleans()),
+        "samples": draw(st.none() | st.integers(4, 8)),
+    }
+    numerics = {"method": draw(st.sampled_from(("line", "surface", "both")))}
+    return {"experiment": "geo", "model": {"kind": kind},
+            "protocol": protocol, "numerics": numerics}
+
+
+class TestRunFuzz:
+    """Whole ``diagnose`` and ``geo`` runs on drawn file configs end with a
+    documented exit code, no traceback, and a manifest status that says
+    the same as the code."""
+
+    STATUS = {0: ("ok",), 3: ("partial",), 4: ("failed", None), 2: (None,)}
+
+    def run(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp) / "c.json", config)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli([config["experiment"], "--config", path, "--out", tmp])
+            manifest = Path(tmp) / f"{config['experiment']}_manifest.json"
+            status = json.loads(manifest.read_text())["status"] if manifest.exists() else None
+        assert code in self.STATUS, (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert status in self.STATUS[code], (code, status)
+
+    @settings(max_examples=60)
+    @given(diagnose_configs())
+    @example({"experiment": "diagnose", "model": {"kind": "ho"}, "protocol": {"t_f": 1e300}})
+    @example({"experiment": "diagnose", "model": {"kind": "tls"}, "protocol": {"t_f": 1e-300}})
+    def test_diagnose(self, config):
+        self.run(config)
+
+    @settings(max_examples=30)
+    @given(geo_configs())
+    @example({"experiment": "geo", "model": {"kind": "ho"},
+              "protocol": {"waypoints": [[1.5], [2.5], [1.9]]},
+              "numerics": {"method": "both"}})
+    def test_geo(self, config):
+        self.run(config)
 
 
 class TestConfigFileLoading:

@@ -32,10 +32,10 @@ from liouvdyn.geometric import (
     two_spin_nonlocal_family,
 )
 from liouvdyn.models import (
+    TWO_SPIN_CROSS_COUPLING,
     HOModel,
     HOProtocol,
     initial_vector,
-    two_spin_generator_grads,
     two_spin_generators,
 )
 
@@ -72,6 +72,11 @@ def anchor_point(s):
     )
 
 
+def anchor_points(ts):
+    """(N, 3) anchor-circle points at the times ts, each row anchor_point(t)."""
+    return np.array([anchor_point(t) for t in ts])
+
+
 def anchor_circuit(samples=64):
     return ParameterCircuit(path=anchor_point, closed=True, samples=samples)
 
@@ -81,7 +86,7 @@ def unstructured_nonlocal_family():
     return GeneratorFamily(
         B_of_chi=lambda chi: two_spin_generators(chi[0], chi[1])[1],
         n_params=2,
-        grad_B=lambda chi: two_spin_generator_grads(chi[0], chi[1])[1],
+        grad_B=lambda chi: tuple(1j * A for A in TWO_SPIN_CROSS_COUPLING[1:]),
     )
 
 
@@ -165,8 +170,8 @@ class TestGeneratorFamily:
     def test_kronecker_sum_gradients_match_direct(self):
         fam = two_spin_nonlocal_family()
         chi = np.array([0.31, 0.17])
-        direct = two_spin_generator_grads(chi[0], chi[1])[1]
-        for got, want in zip(fam.grad_B(chi), direct):
+        direct = [1j * A for A in TWO_SPIN_CROSS_COUPLING[1:]]
+        for got, want in zip(fam.grad_B(chi), direct, strict=True):
             assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -515,9 +520,9 @@ class TestAccumulatedPhase:
         # drive chi . sigma once around the anchor circle in unit time;
         # the engine's transport phases must land on the line-form values
         fact = GeneratorFactorization(
-            omega_of_t=lambda t: 1.0,
-            B_of_chi=lambda chi: chi[0] * PAULI_X + chi[1] * PAULI_Y + chi[2] * PAULI_Z,
-            chi_of_t=lambda t: anchor_point(t),
+            omega_of_t=np.ones_like,
+            B_of_chi=lambda chi: np.tensordot(chi, (PAULI_X, PAULI_Y, PAULI_Z), axes=1),
+            chi_of_t=anchor_points,
             theta_of_t=lambda t: t,
         )
         v0 = LiouvilleVector(coeffs=np.array([1.0, 0.5], dtype=complex), t=0.0, theta=0.0)

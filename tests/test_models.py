@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from liouvdyn.engine import LiouvilleVector, apply_identity_rescaling
@@ -538,3 +538,79 @@ class TestRescalingDeclarations:
         model = TwoSpinModel(Omega=20.0, chi1=0.1, chi2=0.2)
         assert np.all(model.local_rescaling_weights == 1.0)
         assert np.all(model.cross_rescaling_weights == 2.0)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# ramp accelerations; tiny nonzero ones are left out because the horizon
+# root loses its digits to cancellation there
+ACCELERATIONS = st.floats(-0.02, 0.02).filter(lambda a: a == 0.0 or abs(a) > 1e-6)
+
+
+@st.composite
+def protocol_and_grid(draw):
+    """A ramp protocol with a finite horizon and a time grid inside it."""
+    if draw(st.booleans()):
+        p = HOProtocol(
+            omega0=draw(st.floats(1.0, 50.0)),
+            chi0=draw(st.floats(0.01, 0.3)),
+            a=draw(ACCELERATIONS),
+        )
+    else:
+        p = TLSProtocol(
+            epsilon=draw(st.floats(1.0, 10.0)),
+            omega0=draw(st.floats(0.0, 20.0)),
+            chi0=draw(st.floats(-0.2, 0.2).filter(lambda c: abs(c) > 1e-3)),
+            abar=draw(ACCELERATIONS),
+        )
+    assume(math.isfinite(p.t_max))
+    fractions = draw(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=40))
+    return p, np.array(fractions) * p.t_max
+
+
+class TestArrayContract:
+    """Protocols and generators evaluated on arrays equal their float calls."""
+
+    METHODS = {
+        HOProtocol: ("omega", "mu", "omega_dot", "omega_ddot"),
+        TLSProtocol: ("z", "Omega", "omega", "mu", "omega_dot"),
+    }
+    # x**3 on an array may take numpy's vectorized pow, which can round an
+    # ulp away from the C library pow a float takes (AVX-512 builds do)
+    CUBED = {(HOProtocol, "omega_ddot"), (TLSProtocol, "omega_dot")}
+
+    @given(protocol_and_grid())
+    def test_protocol_arrays_equal_float_calls(self, case):
+        p, ts = case
+        for name in self.METHODS[type(p)]:
+            method = getattr(p, name)
+            stacked = method(ts)
+            per_node = np.array([method(t) for t in ts.tolist()])
+            assert stacked.shape == ts.shape
+            if (type(p), name) in self.CUBED:
+                eps = np.finfo(float).eps
+                assert np.allclose(stacked, per_node, rtol=4 * eps, atol=0.0), name
+            else:
+                assert _bits(stacked) == _bits(per_node), name
+
+    @given(protocol_and_grid(), st.floats(1.0, 10.0), st.integers(0, 40))
+    def test_any_node_outside_the_domain_raises(self, case, beyond, where):
+        p, ts = case
+        ts = np.insert(ts, min(where, ts.size), beyond * p.t_max)
+        for name in self.METHODS[type(p)]:
+            if name == "z":
+                continue  # z is the unguarded ramp itself
+            with pytest.raises(DomainExceeded):
+                getattr(p, name)(ts)
+
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30))
+    def test_generators_on_arrays_equal_float_stacks(self, chis):
+        arr = np.array(chis)
+        for generator in (ho_generator, tls_generator, tls_generator_embedded):
+            stack = np.stack([generator(c) for c in chis])
+            assert generator(arr).tobytes() == stack.tobytes()
+        pairs = [two_spin_generators(c, -0.5 * c) for c in chis]
+        for got, want in zip(two_spin_generators(arr, -0.5 * arr), zip(*pairs)):
+            assert got.tobytes() == np.stack(want).tobytes()
