@@ -203,7 +203,7 @@ def _run_geo(cfg: RunConfig):
         closed=cfg.protocol["closed"],
         samples=cfg.protocol["samples"],
     )
-    n_modes = family.matrix(circuit.path(0.0)).shape[0]
+    n_modes = len(family.coupling[0])
     modes = cfg.numerics["modes"]
     if modes == "all":
         modes = list(range(n_modes))

@@ -66,17 +66,22 @@ def _directional_gradient(grad_B, dchi_dtheta) -> np.ndarray:
     return np.tensordot(rates, grads, axes=1)
 
 
-def _pair_sums(lam, rights, lefts, directional, occupied=None) -> np.ndarray:
+def _pair_sums(lam, rights, lefts, directional, occupied=None, paired=None) -> np.ndarray:
     """Drive-acceleration parameter of every frame of an (N, m, m) stack.
 
     Sums |G_k^H D F_n| / |lambda_n - lambda_k|^2 over ordered pairs
     n != k, with k restricted to `occupied` when given, where D is the
-    node's directional gradient.
+    node's directional gradient.  The (m, m) mask `paired` keeps only
+    pairs of one closed block: a cross-block element is a structural zero
+    whose modes may share an eigenvalue, so it is no pair.
     """
     m = lam.shape[1]
     ks = np.arange(m) if occupied is None else np.asarray(occupied)
+    apart = ks[:, None] == np.arange(m)  # n == k is not a pair
+    if paired is not None:
+        apart |= ~paired[ks]
     gaps = np.abs(lam[:, None, :] - lam[:, ks, None])
-    gaps[:, ks[:, None] == np.arange(m)] = np.inf  # n == k is not a pair
+    gaps[:, apart] = np.inf
     scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
     close = gaps < DEGENERACY_GAP * scale[:, None, None]
     if close.any():
@@ -108,7 +113,7 @@ def inertial_parameter(
 def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
     """Drive-acceleration parameter at every time in `ts`.
 
-    Each closed block is diagonalized as one stack per slice of at most
+    The frames are one ``eigenframes`` stack per slice of at most
     _STACK_NODES times, which bounds the frame memory however many times
     are asked for.  Every guard acts node by node, so each entry equals
     the one-point value ``inertial_parameter_at(fact, t)``.
@@ -123,27 +128,24 @@ def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
 
 
 def _block_sums(fact: GeneratorFactorization, ts) -> np.ndarray:
-    """Block-summed drive-acceleration parameter at the times ts, one stack
-    per block, for a one-parameter chi.  Single-element blocks cannot mix
-    and contribute nothing."""
+    """Drive-acceleration parameter at the times ts from one frame stack,
+    for a one-parameter chi, with every pair inside one closed block."""
     chis = fact.chi_of_t(ts)
-    B = fact.B_of_chi(chis)
+    frames = eigenframes(fact.B_of_chi(chis), blocks=fact.blocks)
+    m = frames[0].shape[1]
+    paired = np.zeros((m, m), dtype=bool)
+    for lo, hi in fact.block_ranges(m):
+        paired[lo:hi, lo:hi] = True
     directional = fact.dchi_dtheta(ts)[:, None, None] * fact.grad_B(chis)
-    total = np.zeros(len(ts))
-    for lo, hi in fact.block_ranges(B.shape[1]):
-        if hi - lo == 1:
-            continue
-        lam, rights, lefts = eigenframes(B[:, lo:hi, lo:hi])
-        total += _pair_sums(lam, rights, lefts, directional[:, lo:hi, lo:hi])
-    return total
+    return _pair_sums(*frames, directional, paired=paired)
 
 
 def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:
     """Drive-acceleration parameter of a factorized generator at time t.
 
     The one-point view of ``inertial_parameters``: diagonalizes every
-    closed block at the instantaneous parameter value and accumulates the
-    block sums.
+    closed block at the instantaneous parameter value and sums over the
+    mode pairs of each block.
     """
     return float(inertial_parameters(fact, [t])[0])
 

@@ -21,7 +21,7 @@ import numpy as np
 # package's import time, and `geo` and `diagnose` runs never need it.
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged
-from .linalg import EigenFrame, bi_eigendecompose, eigenframes, transport
+from .linalg import EigenFrame, eigenframes, transport
 
 _PHASE_TOL = 1e-10
 _N_START = 64
@@ -57,9 +57,13 @@ class GeneratorFactorization:
     of generators, and ``grad_B`` gives dB/dchi per node or one matrix that
     holds at every node.  ``theta_of_t`` takes a float.
 
-    ``blocks`` lists index ranges on which B is block-diagonal for every
-    chi; frame-based propagators decompose per block, which keeps repeated
-    eigenvalues of unrelated blocks from being mistaken for degeneracies.
+    ``blocks`` lists the index ranges (lo, hi) of closed blocks on which B
+    is block-diagonal for every chi.  They are passed to
+    ``linalg.eigenframes``, which diagonalizes each block on its own and
+    returns block-diagonal frames at full dimension, so repeated
+    eigenvalues of unrelated blocks are not mistaken for degeneracies; the
+    Upsilon evaluator pairs modes only within a block.  ``block_ranges``
+    gives one block over the whole basis when none are declared.
     """
 
     omega_of_t: Callable[[float], float]
@@ -211,65 +215,48 @@ def propagate_adiabatic(
     its zero-parameter eigenvalue over the actual scaled time theta(t).
     """
     theta_f = fact.theta(t) if t != 0.0 else 0.0
-    n = v0.dim
-    B0 = fact.B_of_chi(fact.chi_zero())
-    out = np.empty(n, dtype=complex)
-    for lo, hi in fact.block_ranges(n):
-        frame = bi_eigendecompose(B0[lo:hi, lo:hi])
-        c = frame.lefts.conj().T @ v0.coeffs[lo:hi]
-        out[lo:hi] = frame.rights @ (c * np.exp(-1j * frame.lambdas * theta_f))
+    B0 = fact.B_of_chi(fact.chi_zero())[None]
+    lam, rights, lefts = eigenframes(B0, blocks=fact.blocks)
+    c = lefts[0].conj().T @ v0.coeffs
+    out = rights[0] @ (c * np.exp(-1j * lam[0] * theta_f))
     return LiouvilleVector(coeffs=out, t=t, theta=theta_f)
 
 
-def _node_data(fact, ts, blocks):
-    """Pace values and per-block eigenframe stacks at the nodes ts.
-
-    B(chi(t)) is evaluated as one stack and sliced into its blocks.
-    """
+def _node_data(fact, ts):
+    """Pace values and the eigenframe stacks of B(chi(t)) at the nodes ts."""
     B = fact.B_of_chi(fact.chi_of_t(ts))
-    return fact.omega_of_t(ts), [eigenframes(B[:, lo:hi, lo:hi]) for lo, hi in blocks]
+    return fact.omega_of_t(ts), eigenframes(B, blocks=fact.blocks)
 
 
 def _inertial_passes(fact, v0, t: float):
     """Fixed-grid sweeps at _N_START, 2 * _N_START, ... up to _N_MAX nodes.
 
     Each pass yields the expansion coefficients, the dynamical and
-    transport phase integrals, and the transported final right frame of
-    every block.  The grids are nested: a doubling diagonalizes only the
-    new midpoints and interleaves them with the previous frames, so no
-    node is evaluated or diagonalized twice.
+    transport phase integrals, and the transported final right frame.  The
+    grids are nested: a doubling diagonalizes only the new midpoints and
+    interleaves them with the previous frames, so no node is evaluated or
+    diagonalized twice.
     """
     import scipy.integrate
 
-    n = v0.dim
-    blocks = fact.block_ranges(n)
     ts = np.linspace(0.0, t, _N_START + 1)
-    omegas, frames = _node_data(fact, ts, blocks)
+    omegas, frames = _node_data(fact, ts)
     while True:
-        c = np.empty(n, dtype=complex)
-        dyn = np.empty(n, dtype=complex)
-        geo = np.empty(n, dtype=complex)
-        final_rights = []
-        for (lo, hi), (lam, rights, lefts) in zip(blocks, frames):
-            perms, logs = transport(rights, lefts)
-            c[lo:hi] = lefts[0].conj().T @ v0.coeffs[lo:hi]
-            lam_path = np.take_along_axis(lam, perms, axis=1)
-            dyn[lo:hi] = scipy.integrate.simpson(
-                lam_path * omegas[:, None], x=ts, axis=0
-            )
-            geo[lo:hi] = 1j * logs
-            final_rights.append(rights[-1][:, perms[-1]])
-        yield c, dyn, geo, final_rights
+        lam, rights, lefts = frames
+        perms, logs = transport(rights, lefts)
+        lam_path = np.take_along_axis(lam, perms, axis=1)
+        dyn = scipy.integrate.simpson(lam_path * omegas[:, None], x=ts, axis=0)
+        c = lefts[0].conj().T @ v0.coeffs
+        yield c, dyn, 1j * logs, rights[-1][:, perms[-1]]
         if 2 * (ts.size - 1) > _N_MAX:
             return
         mids = np.arange(1, ts.size)
         ts = np.linspace(0.0, t, 2 * ts.size - 1)
-        new_omegas, new_frames = _node_data(fact, ts[1::2], blocks)
+        new_omegas, new_frames = _node_data(fact, ts[1::2])
         omegas = np.insert(omegas, mids, new_omegas)
-        frames = [
-            tuple(np.insert(old, mids, new, axis=0) for old, new in zip(*pair))
-            for pair in zip(frames, new_frames)
-        ]
+        frames = tuple(
+            np.insert(old, mids, new, axis=0) for old, new in zip(frames, new_frames)
+        )
 
 
 def propagate_inertial(
@@ -294,18 +281,13 @@ def propagate_inertial(
         raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
     n = v0.dim
     if t == 0.0:
-        blocks = fact.block_ranges(n)
-        _, frames = _node_data(fact, np.zeros(1), blocks)
-        c = np.empty(n, dtype=complex)
-        out = np.empty(n, dtype=complex)
-        for (lo, hi), (_, rights, lefts) in zip(blocks, frames):
-            c[lo:hi] = lefts[0].conj().T @ v0.coeffs[lo:hi]
-            out[lo:hi] = rights[0] @ c[lo:hi]
+        _, (_, rights, lefts) = _node_data(fact, np.zeros(1))
+        c = lefts[0].conj().T @ v0.coeffs
         zeros = np.zeros(n, dtype=complex)
         sol = InertialSolution(
             c=c, dyn_phase=zeros, geo_phase=zeros, Lambda=zeros, t=0.0
         )
-        return LiouvilleVector(coeffs=out, t=0.0, theta=0.0), sol
+        return LiouvilleVector(coeffs=rights[0] @ c, t=0.0, theta=0.0), sol
 
     # The transport sum converges at first order in the step and the
     # eigenvalue integral at fourth; Richardson extrapolation of the
@@ -333,10 +315,7 @@ def propagate_inertial(
         )
 
     used_geo = geo if include_geo else np.zeros(n, dtype=complex)
-    out = np.empty(n, dtype=complex)
-    for (lo, hi), rights in zip(fact.block_ranges(n), final_rights):
-        mode_factor = c[lo:hi] * np.exp(-1j * dyn[lo:hi] + 1j * used_geo[lo:hi])
-        out[lo:hi] = rights @ mode_factor
+    out = final_rights @ (c * np.exp(-1j * dyn + 1j * used_geo))
     sol = InertialSolution(
         c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo, t=t
     )

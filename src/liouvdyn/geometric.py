@@ -33,14 +33,9 @@ from .models import (
     TLS_COUPLING,
     TLS_EMBEDDED_COUPLING,
     TWO_SPIN_LOCAL_COUPLING,
-    ho_generator,
-    tls_generator,
-    tls_generator_embedded,
-    two_spin_generators,
 )
 
 _REFINE_TOL = 1e-8
-_FD_STEP = 1e-5
 _MAX_DOUBLINGS = 6
 _ENDPOINT_TOL = 1e-12
 
@@ -107,86 +102,84 @@ class ParameterCircuit:
         return cls(path=path, closed=closed, samples=samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorFamily:
-    """Parameter-dependent generator chi -> B(chi) with optional structure.
+    """Affine generator family B(chi) = C0 + sum_k chi_k C_k with optional structure.
 
-    ``grad_B`` returns the tuple of partial-derivative matrices; when
-    absent, central differences with step 1e-5 are used.  ``blocks``
-    declares closed sub-blocks diagonalized independently.  ``factors``
-    declares a Kronecker-sum composition of one-parameter families, whose
-    product modes stay smooth even where sums of factor eigenvalues
-    collide accidentally.
+    ``coupling`` holds the constant matrices (C0, C1, ..., Cd): the family
+    has d parameters, and its partial derivatives are the constants C_k.
+    ``blocks`` declares closed sub-blocks diagonalized independently.
+    ``factors`` declares a Kronecker-sum composition of one-parameter
+    families, whose product modes stay smooth even where sums of factor
+    eigenvalues collide accidentally.
     """
 
-    B_of_chi: object
-    n_params: int
-    grad_B: object = None
+    coupling: tuple
     blocks: tuple = None
     factors: tuple = None
 
-    def matrix(self, chi) -> np.ndarray:
-        return np.asarray(self.B_of_chi(np.atleast_1d(np.asarray(chi, dtype=float))))
+    def __post_init__(self):
+        coupling = tuple(np.array(C, dtype=complex) for C in self.coupling)
+        for C in coupling:
+            if C.shape != (len(coupling[0]),) * 2:
+                raise ValueError("coupling matrices must share one square shape")
+            C.setflags(write=False)
+        object.__setattr__(self, "coupling", coupling)
+
+    @property
+    def n_params(self) -> int:
+        return len(self.coupling) - 1
+
+    def matrices(self, chis) -> np.ndarray:
+        """(N, m, m) stack of B at the (N, d) parameter points chis."""
+        B = self.coupling[0]
+        for chi, C in zip(np.asarray(chis, dtype=float).T, self.coupling[1:], strict=True):
+            B = B + chi[:, None, None] * C
+        return B
 
     @classmethod
     def kronecker_sum(cls, factors):
-        """Compose one-parameter families f_j into sum_j I x B_j(chi_j) x I."""
+        """Compose one-parameter families f_j into sum_j I x B_j(chi_j) x I.
+
+        Each factor's coupling is embedded into the full space once, here.
+        """
         factors = tuple(factors)
         if any(f.n_params != 1 for f in factors):
             raise ValueError("factors must be one-parameter families")
-        dims = [f.matrix(0.0).shape[0] for f in factors]
+        dims = [len(f.coupling[0]) for f in factors]
 
         def embed(mat, j):
             out = mat
             if j > 0:
-                out = np.kron(np.eye(int(np.prod(dims[:j]))), out)
+                out = np.kron(np.eye(math.prod(dims[:j])), out)
             if j < len(dims) - 1:
-                out = np.kron(out, np.eye(int(np.prod(dims[j + 1 :]))))
+                out = np.kron(out, np.eye(math.prod(dims[j + 1 :])))
             return out
 
-        def B(chi):
-            return sum(embed(f.matrix(chi[j]), j) for j, f in enumerate(factors))
-
-        def grad(chi):
-            return tuple(
-                embed(_grad_list(f, np.atleast_1d(chi[j]))[0], j)
-                for j, f in enumerate(factors)
-            )
-
-        return cls(
-            B_of_chi=B, n_params=len(factors), grad_B=grad, factors=factors
-        )
+        constant = sum(embed(f.coupling[0], j) for j, f in enumerate(factors))
+        rates = (embed(f.coupling[1], j) for j, f in enumerate(factors))
+        return cls(coupling=(constant, *rates), factors=factors)
 
 
-def _affine_family(generator, coupling, blocks=None) -> GeneratorFamily:
-    """Family of a bundled generator of chi_1, ..., chi_d whose real
-    coupling (A0, A1, ..., Ad) makes the partials the constants 1j A_k."""
-    grads = tuple(1j * A for A in coupling[1:])
-    return GeneratorFamily(
-        B_of_chi=lambda chi: generator(*chi),
-        n_params=len(grads),
-        grad_B=lambda chi: grads,
-        blocks=blocks,
-    )
+def _bundled(coupling, blocks=None) -> GeneratorFamily:
+    """Family of a bundled generator 1j (A0 + sum_k chi_k A_k) from its
+    real coupling."""
+    return GeneratorFamily(coupling=tuple(1j * A for A in coupling), blocks=blocks)
 
 
 def ho_family() -> GeneratorFamily:
     """One-parameter oscillator generator family."""
-    return _affine_family(ho_generator, HO_COUPLING, HO_BLOCKS)
+    return _bundled(HO_COUPLING, HO_BLOCKS)
 
 
 def tls_family() -> GeneratorFamily:
     """One-parameter two-level generator family (identity row embedded)."""
-    return _affine_family(tls_generator_embedded, TLS_EMBEDDED_COUPLING, TLS_BLOCKS)
+    return _bundled(TLS_EMBEDDED_COUPLING, TLS_BLOCKS)
 
 
 def two_spin_local_family() -> GeneratorFamily:
     """Two-parameter family of the stacked single-spin triples."""
-    return _affine_family(
-        lambda chi1, chi2: two_spin_generators(chi1, chi2)[0],
-        TWO_SPIN_LOCAL_COUPLING,
-        ((0, 3), (3, 6)),
-    )
+    return _bundled(TWO_SPIN_LOCAL_COUPLING, ((0, 3), (3, 6)))
 
 
 def two_spin_nonlocal_family() -> GeneratorFamily:
@@ -196,29 +189,13 @@ def two_spin_nonlocal_family() -> GeneratorFamily:
     are factor products and remain well defined on the chi1 = chi2 line
     where eigenvalues of the sum cross accidentally.
     """
-    single = _affine_family(tls_generator, TLS_COUPLING)
+    single = _bundled(TLS_COUPLING)
     return GeneratorFamily.kronecker_sum((single, single))
 
 
 # ---------------------------------------------------------------------------
 # frames and transport
 # ---------------------------------------------------------------------------
-
-
-def _grad_list(family: GeneratorFamily, chi: np.ndarray):
-    if family.grad_B is not None:
-        grads = family.grad_B(chi)
-        if isinstance(grads, np.ndarray) and grads.ndim == 2:
-            grads = (grads,)
-        return tuple(np.asarray(g) for g in grads)
-    out = []
-    for a in range(family.n_params):
-        step = np.zeros_like(chi)
-        step[a] = _FD_STEP
-        out.append(
-            (family.matrix(chi + step) - family.matrix(chi - step)) / (2.0 * _FD_STEP)
-        )
-    return tuple(out)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,31 +209,20 @@ def _frames(family: GeneratorFamily, chis: np.ndarray):
     """Full-dimension ``(lambdas, rights, lefts)`` stacks at the points chis.
 
     One ``eigenframes`` call per Kronecker factor, combined by a stacked
-    Kronecker product, or per closed block, assembled block-diagonally, so
+    Kronecker product, or one call over the declared closed blocks, so
     declared structure keeps modes apart where their eigenvalues collide
     accidentally.
     """
-    if family.factors is not None:
-        parts = [
-            eigenframes(np.array([f.matrix(x) for x in chis[:, j]]))
-            for j, f in enumerate(family.factors)
-        ]
-        lam, rights, lefts = parts[0]
-        for lam_j, rights_j, lefts_j in parts[1:]:
-            lam = (lam[:, :, None] + lam_j[:, None, :]).reshape(len(chis), -1)
-            rights = _kron(rights, rights_j)
-            lefts = _kron(lefts, lefts_j)
-        return lam, rights, lefts
-    mats = np.array([family.matrix(p) for p in chis])
-    if family.blocks is None:
-        return eigenframes(mats)
-    lam = np.zeros(mats.shape[:2], dtype=complex)
-    rights = np.zeros_like(mats, dtype=complex)
-    lefts = np.zeros_like(mats, dtype=complex)
-    for lo, hi in family.blocks:
-        lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = eigenframes(
-            mats[:, lo:hi, lo:hi]
-        )
+    if family.factors is None:
+        return eigenframes(family.matrices(chis), blocks=family.blocks)
+    parts = [
+        eigenframes(f.matrices(chis[:, j : j + 1])) for j, f in enumerate(family.factors)
+    ]
+    lam, rights, lefts = parts[0]
+    for lam_j, rights_j, lefts_j in parts[1:]:
+        lam = (lam[:, :, None] + lam_j[:, None, :]).reshape(len(chis), -1)
+        rights = _kron(rights, rights_j)
+        lefts = _kron(lefts, lefts_j)
     return lam, rights, lefts
 
 
@@ -278,10 +244,6 @@ def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.nda
             "is enclosed"
         )
     return logs
-
-
-def _mode_count(family: GeneratorFamily, circuit: ParameterCircuit) -> int:
-    return family.matrix(np.atleast_1d(circuit.path(0.0))).shape[0]
 
 
 def _refine(evaluate, n0: int) -> np.ndarray:
@@ -343,11 +305,10 @@ def _curvatures(family: GeneratorFamily, chis: np.ndarray) -> np.ndarray:
             "curvature cross product is defined for at most 3 parameters"
         )
     lam, rights, lefts = _frames(family, chis)
-    grads = np.array([_grad_list(family, chi) for chi in chis])
     N, m = lam.shape
     A = np.zeros((N, 3, m, m), dtype=complex)
     lefts_h = lefts.conj().transpose(0, 2, 1)
-    A[:, : grads.shape[1]] = lefts_h[:, None] @ grads @ rights[:, None]
+    A[:, : family.n_params] = lefts_h[:, None] @ np.array(family.coupling[1:]) @ rights[:, None]
     gscale = np.maximum(np.abs(A).max(axis=(1, 2, 3)), 1.0)
     lscale = np.maximum(np.abs(lam).max(axis=1), 1.0)
 
@@ -412,7 +373,7 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     if not circuit.closed:
         raise ValueError("a spanning surface needs a closed circuit")
     if circuit.dim == 1:
-        return np.zeros(_mode_count(family, circuit))
+        return np.zeros(len(family.coupling[0]))
 
     def evaluate(n):
         pts = circuit.points(n)
@@ -438,8 +399,8 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     return _refine(evaluate, circuit.samples)
 
 
-def _check_mode(family: GeneratorFamily, circuit: ParameterCircuit, k: int):
-    n_modes = _mode_count(family, circuit)
+def _check_mode(family: GeneratorFamily, k: int):
+    n_modes = len(family.coupling[0])
     if not 0 <= k < n_modes:
         raise ValueError(f"mode index {k} outside 0..{n_modes - 1}")
 
@@ -448,7 +409,7 @@ def geometric_phase_line(
     family: GeneratorFamily, circuit: ParameterCircuit, k: int
 ) -> float:
     """Transport phase of mode k; the one-mode view of ``line_phases``."""
-    _check_mode(family, circuit, k)
+    _check_mode(family, k)
     return float(line_phases(family, circuit)[k])
 
 
@@ -456,10 +417,13 @@ def liouville_curvature(family: GeneratorFamily, chi) -> np.ndarray:
     """Curvature vectors of every mode at one parameter point, padded to 3-D.
 
     Row n holds sum_{m != n} (G_n|dB|F_m) x (G_m|dB|F_n) / (lambda_m -
-    lambda_n)^2.  Pairs whose coupling numerator vanishes structurally
-    (different closed blocks, different Kronecker factors) are skipped, so
-    accidental eigenvalue collisions between uncoupled modes are benign;
-    a small gap between coupled modes raises DegenerateSpectrum.
+    lambda_n)^2, where dB = (C_1, ..., C_d) are the family's constant
+    partials.  Pairs whose coupling numerator vanishes, as it does
+    structurally between different closed blocks or different Kronecker
+    factors, are skipped, so accidental eigenvalue collisions between
+    uncoupled modes are benign; a small gap between coupled modes raises
+    DegenerateSpectrum.  The one-point view of the stacked evaluator
+    behind ``surface_phases``.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     return _curvatures(family, chi[None])[0]
@@ -469,7 +433,7 @@ def geometric_phase_surface(
     family: GeneratorFamily, circuit: ParameterCircuit, k: int
 ) -> float:
     """Curvature flux of mode k; the one-mode view of ``surface_phases``."""
-    _check_mode(family, circuit, k)
+    _check_mode(family, k)
     return float(surface_phases(family, circuit)[k])
 
 

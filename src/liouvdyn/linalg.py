@@ -87,7 +87,7 @@ def _first(bad: np.ndarray):
     return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
-def eigenframes(B, *, gap_threshold: float = DEGENERACY_GAP):
+def eigenframes(B, *, blocks=None, gap_threshold: float = DEGENERACY_GAP):
     """Gauge-fixed bi-orthonormal frames of an (N, m, m) stack of generators.
 
     Returns ``(lambdas, rights, lefts)`` stacks, each frame ordered by
@@ -98,12 +98,32 @@ def eigenframes(B, *, gap_threshold: float = DEGENERACY_GAP):
     falls below ``gap_threshold`` and NotDiagonalizable when a right/left
     pair is numerically orthogonal (defective generator) or the
     bi-orthonormality or residual bound fails, for the first failing node.
+
+    ``blocks`` lists index ranges (lo, hi) of closed blocks on which every
+    generator of the stack is block-diagonal.  Each block is diagonalized
+    on its own, with the guards above, and the frames are assembled
+    block-diagonally at full dimension, modes ordered block by block, so
+    equal eigenvalues of different blocks are no degeneracy.
     """
     B = np.asarray(B, dtype=complex)
     if B.ndim != 3 or B.shape[1] != B.shape[2]:
         raise ValueError(f"expected square matrices, got shape {B.shape[1:]}")
     if not np.all(np.isfinite(B)):
         raise ValueError("generator contains non-finite entries")
+    if blocks is None:
+        return _diagonalize(B, gap_threshold)
+    lam = np.zeros(B.shape[:2], dtype=complex)
+    rights = np.zeros_like(B)
+    lefts = np.zeros_like(B)
+    for lo, hi in blocks:
+        lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = _diagonalize(
+            B[:, lo:hi, lo:hi], gap_threshold
+        )
+    return lam, rights, lefts
+
+
+def _diagonalize(B: np.ndarray, gap_threshold: float):
+    """``eigenframes`` of one checked (N, m, m) stack without block structure."""
     m = B.shape[1]
     if m == 1:
         return B[:, 0, :].copy(), np.ones_like(B), np.ones_like(B)

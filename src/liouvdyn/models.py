@@ -26,7 +26,6 @@ HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
 # (energy-like triple)(identity)
 TLS_BLOCKS = ((0, 3), (3, 4))
 
-_DOUBLE_ROOT_REL = 1e-14
 _DEN_TOL = 1e-12
 
 
@@ -146,6 +145,22 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
+def _first_positive_root(A: float, B: float, C: float) -> float:
+    """Earliest positive real root of A x^2 + B x + C = 0 for nonzero C, or inf.
+
+    The roots are q/A and C/q with q = -(B + sign(B) sqrt(B^2 - 4AC))/2,
+    so none cancels when 4AC is small against B^2, and C/q is the root of
+    the linear equation when A is 0.  q vanishes only at B = 0 where 4AC
+    is 0 or underflows, with no root or roots beyond 1e150.
+    """
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return math.inf
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    roots = () if q == 0.0 else (C / q,) if A == 0.0 else (q / A, C / q)
+    return min((x for x in roots if x > 0.0), default=math.inf)
+
+
 @dataclass(frozen=True)
 class HOProtocol:
     """Frequency ramp omega(t) = omega0 / (1 - omega0 (chi0 t + a t^2/2)).
@@ -170,20 +185,7 @@ class HOProtocol:
     @cached_property
     def t_max(self) -> float:
         """Earliest positive time at which the frequency diverges."""
-        if self.a == 0.0:
-            if self.chi0 <= 0.0:
-                return math.inf
-            return 1.0 / (self.omega0 * self.chi0)
-        A = -0.5 * self.a
-        B = -self.chi0
-        C = 1.0 / self.omega0
-        disc = B * B - 4.0 * A * C
-        if disc < 0.0:
-            return math.inf
-        r = math.sqrt(disc)
-        roots = sorted(((-B - r) / (2 * A), (-B + r) / (2 * A)))
-        positive = [x for x in roots if x > 0.0]
-        return positive[0] if positive else math.inf
+        return _first_positive_root(-0.5 * self.a, -self.chi0, 1.0 / self.omega0)
 
     def _require_valid(self, t):
         """1/omega(t), once every time in t is checked to lie in the domain."""
@@ -247,34 +249,27 @@ class HOProtocol:
         return abs(num / (4.0 * ksq * bracket))
 
     def theta(self, t: float) -> float:
-        """Scaled time, the closed-form antiderivative of omega."""
+        """Scaled time, the closed-form antiderivative of omega.
+
+        With 1/omega = C + B t + A t^2, D = B^2 - 4AC, r = sqrt(|D|) and
+        s = 2C + B t, theta = (2/r) atanh(r t / s) for D >= 0 and
+        (2/r) atan2(r t, s) for D < 0.  Inside the domain s > 0 unless
+        D < 0; for s > 0 they are taken as (2t/s) atanh(w)/w and
+        (2t/s) atan(w)/w with w = r t / s, so no root is formed and neither
+        a small acceleration nor a small time cancels or underflows.
+        """
         self._require_valid(t)
-        if t == 0.0:
-            return 0.0
-        if self.a == 0.0:
-            if self.chi0 == 0.0:
-                return self.omega0 * t
-            return -math.log1p(-self.omega0 * self.chi0 * t) / self.chi0
-        A = -0.5 * self.a
-        B = -self.chi0
-        C = 1.0 / self.omega0
+        A, B, C = -0.5 * self.a, -self.chi0, 1.0 / self.omega0
         disc = B * B - 4.0 * A * C
-        scale = max(B * B, abs(4.0 * A * C))
-        if abs(disc) <= _DOUBLE_ROOT_REL * scale:
-            r0 = -B / (2.0 * A)
-            return -1.0 / (A * (t - r0)) - 1.0 / (A * r0)
-        if disc < 0.0:
-            R = math.sqrt(-disc)
-            return (2.0 / R) * (
-                math.atan((2.0 * A * t + B) / R) - math.atan(B / R)
-            )
-        r = math.sqrt(disc)
-        r1 = (-B - r) / (2.0 * A)
-        r2 = (-B + r) / (2.0 * A)
-        # A (r1 - r2) = -r
-        return (-1.0 / r) * (
-            math.log(abs((t - r1) / (t - r2))) - math.log(abs(r1 / r2))
-        )
+        r = math.sqrt(abs(disc))
+        s = 2.0 * C + B * t
+        if s <= 0.0:
+            if disc >= 0.0:  # t lies past the first root of 1/omega
+                raise DomainExceeded(f"t={t} is outside the protocol domain [0, {self.t_max})")
+            return 2.0 * math.atan2(r * t, s) / r
+        w = r * t / s
+        ratio = 1.0 if w == 0.0 else (math.atanh(w) if disc >= 0.0 else math.atan(w)) / w
+        return 2.0 * t / s * ratio
 
     @classmethod
     def solve_boundary(
@@ -338,22 +333,11 @@ class TLSProtocol:
     @cached_property
     def t_max(self) -> float:
         """Earliest positive time at which |z| reaches 1."""
-        candidates = []
-        for target in (1.0, -1.0):
-            # 0.5 abar t^2 + chi0 t + (z0 - target)/epsilon = 0
-            c0 = (self.z0 - target) / self.epsilon
-            if self.abar == 0.0:
-                if self.chi0 != 0.0:
-                    candidates.append(-c0 / self.chi0)
-                continue
-            disc = self.chi0**2 - 2.0 * self.abar * c0
-            if disc < 0.0:
-                continue
-            r = math.sqrt(disc)
-            candidates.append((-self.chi0 - r) / self.abar)
-            candidates.append((-self.chi0 + r) / self.abar)
-        positive = [t for t in candidates if t > 0.0]
-        return min(positive) if positive else math.inf
+        # 0.5 abar t^2 + chi0 t + (z0 - target)/epsilon = 0
+        return min(
+            _first_positive_root(0.5 * self.abar, self.chi0, (self.z0 - target) / self.epsilon)
+            for target in (1.0, -1.0)
+        )
 
     def _require_valid(self, t):
         """z(t), once every time in t is checked to lie in the domain."""

@@ -1,7 +1,7 @@
-"""Pytest path hook: makes the shared oracle helpers importable.
+"""Shared pytest setup: the hypothesis profile every property test runs under.
 
-Property tests run under a derandomized hypothesis profile, so every run
-draws the same examples in a bounded time and writes no example database.
+The profile is derandomized, so every run draws the same examples in a
+bounded time and writes no example database.
 """
 
 from hypothesis import settings

@@ -590,6 +590,30 @@ def scalar_refine(evaluate, n0, *, skip, tol=1e-8, max_doublings=6):
     raise RefineNotConverged(f"not stable to {tol} after {max_doublings} doublings")
 
 
+def ho_theta_mp(omega0, chi0, a, t, dps=40):
+    """Scaled time of the oscillator ramp, int_0^t ds / q(s) with q(s) =
+    1/omega0 - chi0 s - a s^2 / 2, by mpmath quadrature at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        omega0, chi0, a, t = (mpmath.mpf(x) for x in (omega0, chi0, a, t))
+        value = mpmath.quad(lambda s: 1 / (1 / omega0 - chi0 * s - a * s * s / 2), [0, t])
+    return float(value)
+
+
+def ho_horizon_mp(omega0, chi0, a):
+    """Earliest positive root of 1/omega0 - chi0 t - a t^2 / 2 (a != 0), from
+    the textbook quadratic formula at 400 digits, enough to resolve the
+    cancellation for any double |a|."""
+    import mpmath
+
+    with mpmath.workdps(400):
+        A, B, C = -mpmath.mpf(a) / 2, -mpmath.mpf(chi0), 1 / mpmath.mpf(omega0)
+        disc = B * B - 4 * A * C
+        roots = [(-B + sign * mpmath.sqrt(disc)) / (2 * A) for sign in (-1, 1)] if disc >= 0 else []
+        return float(min((x for x in roots if x > 0), default=mpmath.inf))
+
+
 def _plain_frame(B, gap_threshold=1e-8):
     """Eigenvalues, rights and lefts of one matrix without gauge fixing.
 
@@ -606,24 +630,33 @@ def _plain_frame(B, gap_threshold=1e-8):
     return lam, rights, np.linalg.inv(rights).conj().T
 
 
-def plain_frame_curvature(family, chi, *, fd_step=1e-5, gap_threshold=1e-8):
+def _affine_matrix(coupling, chi):
+    """C0 + sum_k chi_k C_k at one parameter point."""
+    return coupling[0] + sum(x * C for x, C in zip(chi, coupling[1:], strict=True))
+
+
+def plain_frame_curvature(family, chi, *, gap_threshold=1e-8):
     """(m, 3) curvature rows of a generator family at one parameter point.
 
     Row n is sum_{m != n} (G_n|dB|F_m) x (G_m|dB|F_n) / (lambda_m -
     lambda_n)^2 over pairs whose coupling is not structurally zero.  The
     frame is built point by point: per Kronecker factor and combined with
-    np.kron, or per closed block.  ``family`` needs ``matrix``,
-    ``n_params``, ``grad_B``, ``blocks`` and ``factors``.
+    np.kron, or per closed block.  ``family`` needs ``coupling`` (C0, C1,
+    ..., Cd), whose C_k are the partial derivatives, ``blocks`` and
+    ``factors``.
     """
     chi = np.atleast_1d(np.asarray(chi, dtype=float))
     if family.factors is not None:
-        lam, rights, lefts = _plain_frame(family.factors[0].matrix(chi[0]), gap_threshold)
-        for j, f in enumerate(family.factors[1:], start=1):
-            lam_j, rights_j, lefts_j = _plain_frame(f.matrix(chi[j]), gap_threshold)
+        frames = [
+            _plain_frame(_affine_matrix(f.coupling, [x]), gap_threshold)
+            for x, f in zip(chi, family.factors, strict=True)
+        ]
+        lam, rights, lefts = frames[0]
+        for lam_j, rights_j, lefts_j in frames[1:]:
             lam = np.add.outer(lam, lam_j).ravel()
             rights, lefts = np.kron(rights, rights_j), np.kron(lefts, lefts_j)
     else:
-        B = family.matrix(chi)
+        B = _affine_matrix(family.coupling, chi)
         m = B.shape[0]
         lam = np.zeros(m, dtype=complex)
         rights = np.zeros((m, m), dtype=complex)
@@ -632,19 +665,9 @@ def plain_frame_curvature(family, chi, *, fd_step=1e-5, gap_threshold=1e-8):
             lam[lo:hi], rights[lo:hi, lo:hi], lefts[lo:hi, lo:hi] = _plain_frame(
                 B[lo:hi, lo:hi], gap_threshold
             )
-    if family.grad_B is not None:
-        grads = family.grad_B(chi)
-    else:
-        grads = []
-        for a in range(family.n_params):
-            step = np.zeros_like(chi)
-            step[a] = fd_step
-            grads.append(
-                (family.matrix(chi + step) - family.matrix(chi - step)) / (2.0 * fd_step)
-            )
     m = lam.size
     A = np.zeros((3, m, m), dtype=complex)
-    for a, g in enumerate(grads):
+    for a, g in enumerate(family.coupling[1:]):
         A[a] = lefts.conj().T @ np.asarray(g) @ rights
     gscale = max(np.max(np.abs(A)), 1.0)
     lscale = max(np.max(np.abs(lam)), 1.0)

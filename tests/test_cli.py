@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import per_row_diagnose
 
-from liouvdyn import __version__, cli, diagnostics, geometric
+from liouvdyn import __version__, cli, diagnostics, geometric, linalg
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid, LiouvdynError
@@ -368,6 +368,27 @@ class TestExitCodes:
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "numerics.t_final" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_open_horizon_of_a_subnormal_acceleration_exits_two(self, tmp_path, capsys):
+        # z(t) = z0 - t/8 reaches -1 at t ~ 8.008 for any abar this small
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "experiment": "open",
+                "protocol": {"epsilon": 1.0, "omega0": 0.001, "chi0": -0.125, "abar": -2.2e-309},
+                "numerics": {"t_final": 9.0},
+            },
+        )
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "numerics.t_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("acceleration", [1e-12, 1e-300])
+    def test_single_with_a_tiny_acceleration_succeeds(self, tmp_path, acceleration):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"experiment": "single", "protocol": {"acceleration": acceleration}},
+        )
+        assert run_cli(["single", "--model", "ho", "--config", cfg, "--out", tmp_path]) == 0
 
     def test_unwritable_output_location_exits_four(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -808,7 +829,7 @@ def diagnose_ramps(draw):
 
 
 class TestDiagnoseStack:
-    """The upsilon column as one eigenframes stack per closed block."""
+    """The upsilon column as one eigenframes stack per slice of samples."""
 
     @staticmethod
     def resolve(kind, protocol=None, numerics=None):
@@ -819,25 +840,37 @@ class TestDiagnoseStack:
             file_config["numerics"] = numerics
         return resolve_config("diagnose", file_config)
 
-    @pytest.mark.parametrize("kind, stacks", [("ho", 2), ("tls", 1)])
+    @pytest.mark.parametrize("kind, mixing", [("ho", 2), ("tls", 1)])
     def test_default_run_diagonalizes_each_block_once(
-        self, tmp_path, monkeypatch, kind, stacks
+        self, tmp_path, monkeypatch, kind, mixing
     ):
+        # one eigenframes stack: it diagonalizes each closed block once,
+        # `mixing` of them with more than one mode
         sizes = _count_stacks(monkeypatch)
+        blocks = []
+        real = linalg._diagonalize
+
+        def recorded(B, gap_threshold):
+            blocks.append(B.shape)
+            return real(B, gap_threshold)
+
+        monkeypatch.setattr(linalg, "_diagonalize", recorded)
 
         def no_rows(fact, t):
             raise AssertionError("per-row evaluation while the stack succeeded")
 
         monkeypatch.setattr(cli, "inertial_parameter_at", no_rows)
         assert run_cli(["diagnose", "--model", kind, "--out", tmp_path]) == 0
-        assert sizes == [129] * stacks
+        assert sizes == [129]
+        assert all(n == 129 for n, _, _ in blocks)
+        assert sum(m > 1 for _, m, _ in blocks) == mixing
 
     def test_stack_is_bounded_and_matches_rows(self, monkeypatch):
         cfg = self.resolve("ho", numerics={"samples": 3000})
         sizes = _count_stacks(monkeypatch)
         _, rows, _, errors = cli._run_diagnose(cfg)
         assert sizes and max(sizes) <= 1024
-        assert sum(sizes) == 2 * 3000
+        assert sum(sizes) == 3000
         model = cli._ramp_model(cfg, cfg.protocol["t_f"])
         expected, expected_errors = per_row_diagnose(model, np.linspace(0.0, 1.0, 3000))
         assert _bits(rows) == _bits(expected)

@@ -35,7 +35,9 @@ from liouvdyn.models import (
     TWO_SPIN_CROSS_COUPLING,
     HOModel,
     HOProtocol,
+    ho_generator,
     initial_vector,
+    tls_generator_embedded,
     two_spin_generators,
 )
 
@@ -53,12 +55,11 @@ ANCHOR_RADIUS = 1.3
 ANCHOR_PHASE = -math.pi * (1.0 - math.cos(ANCHOR_THETA))
 
 
+ZERO = np.zeros((2, 2))
+
+
 def spin_family():
-    return GeneratorFamily(
-        B_of_chi=lambda chi: chi[0] * PAULI_X + chi[1] * PAULI_Y + chi[2] * PAULI_Z,
-        n_params=3,
-        grad_B=lambda chi: (PAULI_X, PAULI_Y, PAULI_Z),
-    )
+    return GeneratorFamily(coupling=(ZERO, PAULI_X, PAULI_Y, PAULI_Z))
 
 
 def anchor_point(s):
@@ -83,11 +84,7 @@ def anchor_circuit(samples=64):
 
 def unstructured_nonlocal_family():
     # the nine cross-correlator generator without its Kronecker structure
-    return GeneratorFamily(
-        B_of_chi=lambda chi: two_spin_generators(chi[0], chi[1])[1],
-        n_params=2,
-        grad_B=lambda chi: tuple(1j * A for A in TWO_SPIN_CROSS_COUPLING[1:]),
-    )
+    return GeneratorFamily(coupling=tuple(1j * A for A in TWO_SPIN_CROSS_COUPLING))
 
 
 def unit_square_circuit():
@@ -165,14 +162,42 @@ class TestGeneratorFamily:
         fam = two_spin_nonlocal_family()
         chi = np.array([0.31, 0.17])
         direct = two_spin_generators(chi[0], chi[1])[1]
-        assert np.max(np.abs(fam.matrix(chi) - direct)) < 1e-14
+        assert np.max(np.abs(fam.matrices(chi[None])[0] - direct)) < 1e-14
 
     def test_kronecker_sum_gradients_match_direct(self):
         fam = two_spin_nonlocal_family()
-        chi = np.array([0.31, 0.17])
         direct = [1j * A for A in TWO_SPIN_CROSS_COUPLING[1:]]
-        for got, want in zip(fam.grad_B(chi), direct, strict=True):
+        for got, want in zip(fam.coupling[1:], direct, strict=True):
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_kronecker_sum_coupling_is_the_cross_coupling(self):
+        coupling = two_spin_nonlocal_family().coupling
+        for got, want in zip(coupling, TWO_SPIN_CROSS_COUPLING, strict=True):
+            assert np.array_equal(got, 1j * want)
+
+    def test_derived_parameter_count(self):
+        assert spin_family().n_params == 3
+        assert two_spin_nonlocal_family().n_params == 2
+        assert ho_family().n_params == 1
+
+    def test_rejects_couplings_of_different_shapes(self):
+        with pytest.raises(ValueError):
+            GeneratorFamily(coupling=(ZERO, np.eye(3)))
+
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    def test_stack_equals_the_per_point_generators(self, points):
+        # exact equality of every entry: the bundled generators compute
+        # 1j (A0 + chi A1), the family 1j A0 + chi (1j A1), so only the
+        # signs of zero real parts may differ
+        chis = np.array(points)
+        expected = [
+            (ho_family(), [ho_generator(x) for x, _ in points]),
+            (tls_family(), [tls_generator_embedded(x) for x, _ in points]),
+            (two_spin_local_family(), [two_spin_generators(x, y)[0] for x, y in points]),
+            (two_spin_nonlocal_family(), [two_spin_generators(x, y)[1] for x, y in points]),
+        ]
+        for fam, mats in expected:
+            assert np.array_equal(fam.matrices(chis[:, : fam.n_params]), np.array(mats))
 
 
 class TestRefine:
@@ -293,11 +318,7 @@ def near_degenerate_family():
     mix = np.zeros((3, 3), dtype=complex)
     mix[0, 1] = mix[1, 0] = 1.0
     base = np.diag([100.0, 100.0 + 5e-7, -50.0]).astype(complex)
-    return GeneratorFamily(
-        B_of_chi=lambda chi: base + chi[0] * mix,
-        n_params=1,
-        grad_B=lambda chi: (mix,),
-    )
+    return GeneratorFamily(coupling=(base, mix))
 
 
 class TestStackedCurvature:
@@ -313,7 +334,7 @@ class TestStackedCurvature:
             pts = rng.uniform(0.25, 0.35, size=(count, 2))
         fam = CURVATURE_FAMILIES[name]()
         got = _curvatures(fam, pts)
-        assert got.shape == (count, fam.matrix(pts[0]).shape[0], 3)
+        assert got.shape == (count, len(fam.coupling[0]), 3)
         for row, chi in zip(got, pts):
             assert np.max(np.abs(row - oracles.plain_frame_curvature(fam, chi))) < 1e-12
 
@@ -327,9 +348,7 @@ class TestStackedCurvature:
             _curvatures(near_degenerate_family(), np.array([[0.0], [1e-9]]))
 
     def test_rejects_more_than_three_parameters(self):
-        fam = GeneratorFamily(
-            B_of_chi=lambda chi: chi[0] * PAULI_X + chi[3] * PAULI_Z, n_params=4
-        )
+        fam = GeneratorFamily(coupling=(ZERO, PAULI_X, ZERO, ZERO, PAULI_Z))
         with pytest.raises(UnsupportedDimension):
             _curvatures(fam, np.array([[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.4]]))
 
@@ -388,14 +407,6 @@ class TestCurvature:
         assert np.allclose(rows[0], [0.0, 0.0, expected], atol=1e-12)
         assert np.allclose(rows[1], [0.0, 0.0, -expected], atol=1e-12)
 
-    def test_finite_difference_gradients_agree(self):
-        point = [0.2, -0.4, 0.9]
-        analytic = liouville_curvature(spin_family(), point)
-        fd = liouville_curvature(
-            GeneratorFamily(B_of_chi=spin_family().B_of_chi, n_params=3), point
-        )
-        assert np.max(np.abs(analytic - fd)) < 1e-8
-
     def test_single_parameter_family_is_flat(self):
         rows = liouville_curvature(ho_family(), [0.3])
         assert np.max(np.abs(rows)) == 0.0
@@ -409,9 +420,7 @@ class TestCurvature:
         assert np.max(np.abs(rows)) == 0.0
 
     def test_rejects_more_than_three_parameters(self):
-        fam = GeneratorFamily(
-            B_of_chi=lambda chi: chi[0] * PAULI_X + chi[3] * PAULI_Z, n_params=4
-        )
+        fam = GeneratorFamily(coupling=(ZERO, PAULI_X, ZERO, ZERO, PAULI_Z))
         with pytest.raises(UnsupportedDimension):
             liouville_curvature(fam, [0.1, 0.2, 0.3, 0.4])
         circ = ParameterCircuit(
@@ -431,7 +440,7 @@ class TestModelCircuits:
             samples=64,
         )
         for fam in (ho_family(), tls_family()):
-            m = fam.matrix(np.array([0.3])).shape[0]
+            m = len(fam.coupling[0])
             for k in range(m):
                 assert abs(geometric_phase_line(fam, circ, k)) < 1e-10
                 assert geometric_phase_surface(fam, circ, k) == 0.0
@@ -471,10 +480,10 @@ class TestModelCircuits:
         assert abs(geometric_phase_surface(fam, circ, 0)) < 1e-10
 
     def test_monodromy_is_refused(self):
-        # branches +-sqrt(c) swap when the loop winds around c = 0
+        # branches +-sqrt(c) swap when the loop winds around c = 0, with
+        # c = chi1 + 1j chi2 entering through a complex coupling
         fam = GeneratorFamily(
-            B_of_chi=lambda c: np.array([[0.0, 1.0], [c[0] + 1.0j * c[1], 0.0]]),
-            n_params=2,
+            coupling=([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0j, 0.0]])
         )
         circ = ParameterCircuit(
             path=lambda s: 0.5 * np.array(

@@ -6,9 +6,11 @@ spectrum spaced far above the degeneracy gap.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from liouvdyn.errors import DegenerateSpectrum, NotDiagonalizable
 from liouvdyn.linalg import bi_eigendecompose, eigenframes, transport
 
 seeds = st.integers(0, 2**32 - 1)
@@ -95,3 +97,82 @@ def test_closed_loop_product_is_gauge_invariant(seed, m):
     phases[[0, -1]] = 1.0
     _, rephased = transport(rights * phases[:, None, :], lefts * phases[:, None, :])
     np.testing.assert_allclose(np.exp(rephased), np.exp(logs), rtol=0, atol=1e-12)
+
+
+def _assemble(frames, sizes):
+    """Per-block frame stacks placed block-diagonally at full dimension."""
+    n, m = len(frames[0][0]), sum(sizes)
+    lam = np.zeros((n, m), dtype=complex)
+    rights = np.zeros((n, m, m), dtype=complex)
+    lefts = np.zeros((n, m, m), dtype=complex)
+    lo = 0
+    for (l, r, g), size in zip(frames, sizes):
+        hi = lo + size
+        lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = l, r, g
+        lo = hi
+    return lam, rights, lefts
+
+
+@st.composite
+def block_stacks(draw):
+    """A block-diagonal (N, m, m) stack, its block ranges and its blocks.
+
+    Blocks of one to three modes; a repeated seed repeats a block, so
+    equal eigenvalues across blocks are common, and every 1x1 block is
+    zero, like the identity row of the model generators.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    seeds_ = draw(st.lists(st.integers(0, 3), min_size=len(sizes), max_size=len(sizes)))
+    n = draw(st.integers(1, 5))
+    s = np.linspace(0.0, 1.0, n)
+    blocks = [
+        np.zeros((n, 1, 1), dtype=complex) if size == 1 else path_stack(seed, size, s)
+        for size, seed in zip(sizes, seeds_)
+    ]
+    bounds = np.cumsum([0, *sizes])
+    ranges = tuple((int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    B = np.zeros((n, bounds[-1], bounds[-1]), dtype=complex)
+    for (lo, hi), block in zip(ranges, blocks):
+        B[:, lo:hi, lo:hi] = block
+    return B, ranges, blocks
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@given(block_stacks())
+def test_blocks_equal_the_per_block_calls_bit_for_bit(stack):
+    B, ranges, blocks = stack
+    want = _assemble([eigenframes(b) for b in blocks], [b.shape[1] for b in blocks])
+    assert _bits(eigenframes(B, blocks=ranges)) == _bits(want)
+
+
+# a node with a double eigenvalue, and one whose two leading modes sit
+# 2e-7 apart, above the gap threshold, with nearly parallel eigenvectors
+BAD_NODES = {
+    "degenerate": np.diag([1.0, 1.0, 4.0]).astype(complex),
+    "defective": np.array([[0.0, 100.0, 0.0], [1e-16, 0.0, 0.0], [0.0, 0.0, 4.0]], dtype=complex),
+}
+
+
+@given(block_stacks(), st.sampled_from(sorted(BAD_NODES)), st.data())
+def test_a_bad_node_in_one_block_raises_as_the_per_block_call(stack, kind, data):
+    B, ranges, blocks = stack
+    wide = [i for i, b in enumerate(blocks) if b.shape[1] > 1]
+    if not wide:
+        return
+    i = data.draw(st.sampled_from(wide))
+    node = data.draw(st.integers(0, len(B) - 1))
+    (lo, hi), size = ranges[i], blocks[i].shape[1]
+    B[node, lo:hi, lo:hi] = BAD_NODES[kind][:size, :size]
+    blocks[i] = B[:, lo:hi, lo:hi]
+    errors = []
+    for block in blocks:
+        try:
+            eigenframes(block)
+        except (DegenerateSpectrum, NotDiagonalizable) as exc:
+            errors.append(type(exc))
+    assert errors
+    with pytest.raises(errors[0]):
+        eigenframes(B, blocks=ranges)

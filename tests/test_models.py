@@ -544,9 +544,8 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-# ramp accelerations; tiny nonzero ones are left out because the horizon
-# root loses its digits to cancellation there
-ACCELERATIONS = st.floats(-0.02, 0.02).filter(lambda a: a == 0.0 or abs(a) > 1e-6)
+# ramp accelerations, tiny and subnormal ones included
+ACCELERATIONS = st.floats(-0.02, 0.02)
 
 
 @st.composite
@@ -614,3 +613,39 @@ class TestArrayContract:
         pairs = [two_spin_generators(c, -0.5 * c) for c in chis]
         for got, want in zip(two_spin_generators(arr, -0.5 * arr), zip(*pairs)):
             assert got.tobytes() == np.stack(want).tobytes()
+
+
+def _tiny_or_ramp(draw):
+    """An acceleration of either sign with |a| from 1e-300 to 0.02, or 0."""
+    if draw(st.booleans()):
+        return 0.0
+    return draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-300.0, math.log10(0.02)))
+
+
+class TestQuadraticHorizons:
+    """Horizons and scaled time of ramps with small nonzero accelerations."""
+
+    @given(
+        st.floats(0.5, 50.0),
+        st.floats(-0.3, 0.3),
+        st.data(),
+        st.floats(0.0, 0.99),
+    )
+    def test_ho_theta_matches_mpmath(self, omega0, chi0, data, fraction):
+        p = HOProtocol(omega0, chi0, _tiny_or_ramp(data.draw))
+        t = fraction * min(p.t_max, 50.0 / omega0)
+        want = oracles.ho_theta_mp(omega0, chi0, p.a, t)
+        assert abs(p.theta(t) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-300, -1e-12, -1e-300, 5e-324])
+    def test_ho_horizon_keeps_its_digits(self, a):
+        # q(t) = 1 - t/8 - a t^2/2 vanishes near t = 8
+        p = HOProtocol(1.0, 0.125, a)
+        assert p.t_max == pytest.approx(oracles.ho_horizon_mp(1.0, 0.125, a), rel=1e-15)
+        want = oracles.ho_theta_mp(1.0, 0.125, a, 4.0)
+        assert p.theta(4.0) == pytest.approx(want, rel=1e-15)
+
+    def test_tls_horizon_with_subnormal_acceleration(self):
+        # z(t) = z0 - t/8 reaches -1 near t = 8 (1 + z0)
+        p = TLSProtocol(epsilon=1.0, omega0=0.001, chi0=-0.125, abar=-2.2e-309)
+        assert p.t_max == pytest.approx(8.0 * (1.0 + p.z0), rel=1e-15)
