@@ -49,10 +49,11 @@ _SWEEP_COLUMNS = (
     "mu_max",
     "upsilon_max",
 )
+_EXACT_ROUTE = "model.exact_vector: closed form for ho, engine.propagate_exact for tls"
 _SWEEP_SOURCES = {
     "t_f": "diagnostics.log_time_grid",
-    "F_inertial": "diagnostics.fidelity_sweep (engine.propagate_inertial vs propagate_exact)",
-    "F_adiabatic": "diagnostics.fidelity_sweep (engine.propagate_adiabatic vs propagate_exact)",
+    "F_inertial": f"diagnostics.fidelity_sweep (engine.propagate_inertial vs {_EXACT_ROUTE})",
+    "F_adiabatic": f"diagnostics.fidelity_sweep (engine.propagate_adiabatic vs {_EXACT_ROUTE})",
     "neglog1mF_inertial": "diagnostics.fidelity_sweep",
     "mu_max": "diagnostics.max_parameters_along (adiabatic_parameter)",
     "upsilon_max": "diagnostics.max_parameters_along (inertial parameter)",

@@ -17,7 +17,6 @@ from .engine import (
     GeneratorFactorization,
     apply_identity_rescaling,
     propagate_adiabatic,
-    propagate_exact,
     propagate_inertial,
 )
 from .errors import (
@@ -321,7 +320,7 @@ def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
     m = model.for_duration(t_f, omega_target)
     fact = m.factorization()
     v0 = initial_vector(m)
-    v_exact = propagate_exact(fact, v0, t_f, rtol=tols[0], atol=tols[1])
+    v_exact = m.exact_vector(t_f, rtol=tols[0], atol=tols[1])
     v_inertial, _ = propagate_inertial(fact, v0, t_f, phase_tol=tols[2])
     v_adiabatic = propagate_adiabatic(fact, v0, t_f)
     exact, inertial, adiabatic = (
@@ -362,12 +361,13 @@ def fidelity_sweep(
 
     Each grid point re-drives the model (``model.for_duration``) to reach
     `omega_target` (default: half its starting frequency) in t_f,
-    propagates the exact, inertial-frame and frozen-frame solutions,
-    and scores the approximations against the exact state.  A failed
-    point is recorded and the sweep continues.
+    propagates the exact (``model.exact_vector``), inertial-frame and
+    frozen-frame solutions, and scores the approximations against the
+    exact state.  A failed point is recorded and the sweep continues.
 
-    `rtol`/`atol` control the exact reference integration and
-    `phase_tol` the inertial phase refinement; tighten them when the
+    `rtol`/`atol` control the ODE reference integration, which only the
+    two-level model runs (the oscillator's exact state is closed form),
+    and `phase_tol` the inertial phase refinement; tighten them when the
     infidelity floor being measured approaches the defaults.
     """
     grid = np.asarray(t_f_grid, dtype=float)

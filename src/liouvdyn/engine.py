@@ -184,8 +184,11 @@ def propagate_exact(
     def rhs(_theta, y):
         tt = y[n].real
         B = fact.B_of_chi(fact.chi_of_t(tt))
-        dv = -1j * (B @ y[:n])
-        return np.append(dv, 1.0 / fact.omega_of_t(tt))
+        # a fresh array per call: solve_ivp keeps the last one it returned
+        dy = np.empty(n + 1, dtype=complex)
+        np.multiply(-1j, B @ y[:n], out=dy[:n])
+        dy[n] = 1.0 / fact.omega_of_t(tt)
+        return dy
 
     y0 = np.append(v0.coeffs.astype(complex), 0.0 + 0.0j)
     sol = scipy.integrate.solve_ivp(

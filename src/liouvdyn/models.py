@@ -2,8 +2,9 @@
 
 Each model supplies a finite operator basis over which the Heisenberg
 dynamics closes, the factorized generator acting on that basis, driving
-protocols with closed-form scaled time where available, and the inversion
-from basis expectation values back to physical states.
+protocols with closed-form scaled time where available, the inversion
+from basis expectation values back to physical states, and its exact
+propagation (``exact_vector``: closed form for the oscillator).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 # scipy is imported inside the functions that call it: it is most of the
 # package's import time, and `geo` and `diagnose` runs never need it.
 
-from .engine import GeneratorFactorization, LiouvilleVector
+from .engine import GeneratorFactorization, LiouvilleVector, propagate_exact
 from .errors import DomainExceeded, SingularDenominator, UnphysicalState
 
 # basis block layout: (energy-like triple)(linear pair)(identity)
@@ -368,13 +369,33 @@ class TLSProtocol:
         if self.abar == 0.0:
             if self.chi0 == 0.0:
                 return self.Omega0 * t
-            return (math.asin(self.z(t)) - math.asin(self.z0)) / self.chi0
+            return self._constant_rate_theta(t)
         import scipy.integrate
 
         value, _ = scipy.integrate.quad(
             self.Omega, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200
         )
         return value
+
+    def _constant_rate_theta(self, t: float) -> float:
+        """theta = (asin(z1) - asin(z0)) / chi0 for abar = 0, z1 = z(t).
+
+        The difference cancels when chi0 is small.  While z0 and z1 lie on
+        one side of 0 it equals asin(w) with w = (z1^2 - z0^2) / (z1 c0 +
+        z0 c1), c = sqrt(1 - z^2), so w = chi0 t g with g = epsilon (z0 +
+        z1) / (z1 c0 + z0 c1), and theta = t g asin(w)/w, in which nothing
+        cancels.  On opposite sides the difference adds two magnitudes.
+        """
+        z0, z1 = self.z0, self.z(t)
+        if (z0 < 0.0) != (z1 < 0.0):
+            return (math.asin(z1) - math.asin(z0)) / self.chi0
+        c0, c1 = self.epsilon / self.Omega0, math.sqrt((1.0 - z1) * (1.0 + z1))
+        den = z1 * c0 + z0 * c1
+        # den is 0 only where z0 = z1 = 0, and there Omega = epsilon = Omega0
+        g = self.epsilon * ((z0 + z1) / den) if den else self.Omega0
+        # rounding can carry |w| past 1 within an ulp of the domain edge
+        w = max(-1.0, min(1.0, self.chi0 * t * g))
+        return t * g * (math.asin(w) / w if w else 1.0)
 
     @classmethod
     def solve_boundary(
@@ -513,6 +534,71 @@ class TwoQubitState:
 # ---------------------------------------------------------------------------
 
 
+def _ho_coefficients(state: GaussianState, w: float, w0: float, m: float) -> np.ndarray:
+    """Oscillator basis vector {H, L, C, K, J, 1} of a Gaussian state in a
+    trap of frequency w, with the quadratic block scaled by w0/w; the
+    inverse of ``_ho_state``."""
+    pp = state.sigma_pp + state.p * state.p
+    qq = state.sigma_qq + state.q * state.q
+    qp = state.sigma_qp + state.q * state.p  # symmetrized <qp + pq>/2
+    kinetic, potential = pp / m, m * w * w * qq
+    scale, root = w0 / w, math.sqrt(w)
+    return np.array(
+        [
+            0.5 * scale * (kinetic + potential),
+            0.5 * scale * (kinetic - potential),
+            -w0 * qp,
+            root * state.q,
+            -state.p / (m * root),
+            1.0,
+        ],
+        dtype=complex,
+    )
+
+
+def _ho_state(c: np.ndarray, w: float, w0: float, m: float) -> GaussianState:
+    """Moments of the real oscillator basis vector c at frequency w,
+    unvalidated; the inverse of ``_ho_coefficients``."""
+    # undo the frequency scaling of the quadratic block
+    H, L, C = (w / w0) * c[:3]
+    K, J = c[3], c[4]
+    pp = m * (H + L)
+    qq = (H - L) / (m * w * w)
+    qp_sym = -2.0 * C / w
+    q = K / math.sqrt(w)
+    p = -m * math.sqrt(w) * J
+    return GaussianState(
+        q=q,
+        p=p,
+        sigma_qq=qq - q * q,
+        sigma_pp=pp - p * p,
+        sigma_qp=0.5 * qp_sym - q * p,
+    )
+
+
+def _ermakov_frame(q: float, dq: float, m: float) -> np.ndarray:
+    """Phase-space map (u, du/dtheta) -> (x, p) of x = sqrt(q) u, where
+    q = 1/omega, dq = dq/dt and p = m dx/dt."""
+    r = math.sqrt(q)
+    return np.array([[r, 0.0], [0.5 * m * dq / r, m / r]])
+
+
+def _harmonic_flow(k2: float, theta: float) -> np.ndarray:
+    """Flow of u'' = -k2 u over theta acting on (u, du/dtheta).
+
+    Rotation for k2 > 0, boost (cosh, sinh) for k2 < 0 and a shear at
+    k2 = 0; sin(k theta)/k is taken as theta sin(x)/x with x = k theta, so
+    a small |k2| loses no digits.
+    """
+    x = math.sqrt(abs(k2)) * theta
+    if k2 >= 0.0:
+        c, ratio = math.cos(x), (math.sin(x) / x if x else 1.0)
+    else:
+        c, ratio = math.cosh(x), (math.sinh(x) / x if x else 1.0)
+    s = theta * ratio
+    return np.array([[c, s], [-k2 * s, c]])
+
+
 @dataclass(frozen=True)
 class HOModel:
     """Particle in a harmonic trap with time-dependent frequency.
@@ -548,47 +634,57 @@ class HOModel:
         proto = HOProtocol.solve_boundary(p.omega0, omega_target, t_f, p.a)
         return dataclasses.replace(self, protocol=proto)
 
-    def initial_vector(self) -> LiouvilleVector:
-        """Moments of the (optionally displaced) ground state of the
-        initial trap."""
+    def initial_state(self) -> GaussianState:
+        """The (optionally displaced) ground state of the initial trap."""
         w0, m = self.protocol.omega0, self.mass
-        q0, p0 = self.q0, self.p0
-        kinetic = p0 * p0 / (2.0 * m)
-        potential = 0.5 * m * w0 * w0 * q0 * q0
-        coeffs = np.array(
-            [
-                0.5 * w0 + kinetic + potential,
-                kinetic - potential,
-                -w0 * q0 * p0,
-                math.sqrt(w0) * q0,
-                -p0 / (m * math.sqrt(w0)),
-                1.0,
-            ],
-            dtype=complex,
+        return GaussianState(
+            q=self.q0, p=self.p0, sigma_qq=0.5 / (m * w0), sigma_pp=0.5 * m * w0, sigma_qp=0.0
         )
+
+    def initial_vector(self) -> LiouvilleVector:
+        """Moments of ``initial_state`` over the basis."""
+        w0 = self.protocol.omega0
+        coeffs = _ho_coefficients(self.initial_state(), w0, w0, self.mass)
         return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
 
     def reconstruct_state(self, coeffs: np.ndarray, t: float) -> GaussianState:
         c = _real_coeffs(coeffs, 6)
         w = self.protocol.omega(t)
-        w0 = self.protocol.omega0
-        m = self.mass
-        # undo the frequency scaling of the quadratic block
-        H, L, C = (w / w0) * c[:3]
-        K, J = c[3], c[4]
-        pp = m * (H + L)
-        qq = (H - L) / (m * w * w)
-        qp_sym = -2.0 * C / w
-        q = K / math.sqrt(w)
-        p = -m * math.sqrt(w) * J
-        state = GaussianState(
-            q=q,
-            p=p,
-            sigma_qq=qq - q * q,
-            sigma_pp=pp - p * p,
-            sigma_qp=0.5 * qp_sym - q * p,
-        )
-        return state.validate()
+        return _ho_state(c, w, self.protocol.omega0, self.mass).validate()
+
+    def exact_vector(
+        self, t: float, *, rtol: float = 1e-10, atol: float = 1e-12
+    ) -> LiouvilleVector:
+        """The initial vector propagated exactly to time t, in closed form.
+
+        q = 1/omega is quadratic in t, so C = mu^2 + 2a/omega is constant
+        along the ramp, and x = sqrt(q) u(theta) turns x'' + omega^2 x = 0
+        into u'' + (1 - C/4) u = 0 in the scaled time theta (the Ermakov /
+        Lewis-Riesenfeld reduction).  The phase-space propagator built from
+        its solution moves the means and the covariance of the initial
+        state.  Guards and result as ``engine.propagate_exact``; the
+        tolerances are accepted for that signature and ignored.
+        """
+        p, m = self.protocol, self.mass
+        if t < 0.0:
+            raise ValueError("propagation runs forward from t = 0")
+        if t >= p.t_max:
+            raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+        theta = p.theta(t)
+        if theta == 0.0:
+            return dataclasses.replace(self.initial_vector(), t=t)
+        # (u, du/dtheta) -> (x, p) at time t, and its inverse at t = 0
+        q = p._q(t)
+        to_lab = _ermakov_frame(q, -p.mu(t), m)
+        from_lab = np.linalg.inv(_ermakov_frame(1.0 / p.omega0, -p.chi0, m))
+        C = p.chi0 * p.chi0 + 2.0 * p.a / p.omega0
+        M = to_lab @ _harmonic_flow(1.0 - 0.25 * C, theta) @ from_lab
+        s = self.initial_state()
+        mean = M @ np.array([s.q, s.p])
+        cov = M @ s.covariance() @ M.T
+        moved = GaussianState(mean[0], mean[1], cov[0, 0], cov[1, 1], cov[0, 1])
+        coeffs = _ho_coefficients(moved, 1.0 / q, p.omega0, m)
+        return LiouvilleVector(coeffs=coeffs, t=t, theta=theta)
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
@@ -640,6 +736,14 @@ class TLSModel:
         """The configured triple plus the identity."""
         coeffs = np.array([*self.initial_values, 1.0], dtype=complex)
         return LiouvilleVector(coeffs=coeffs, t=0.0, theta=0.0)
+
+    def exact_vector(
+        self, t: float, *, rtol: float = 1e-10, atol: float = 1e-12
+    ) -> LiouvilleVector:
+        """The initial vector propagated to time t by ``engine.propagate_exact``."""
+        return propagate_exact(
+            self.factorization(), self.initial_vector(), t, rtol=rtol, atol=atol
+        )
 
     def reconstruct_state(self, coeffs: np.ndarray, t: float) -> BlochState:
         c = _real_coeffs(coeffs, 4)

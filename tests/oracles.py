@@ -614,6 +614,43 @@ def ho_horizon_mp(omega0, chi0, a):
         return float(min((x for x in roots if x > 0), default=mpmath.inf))
 
 
+def ho_ramp_closed_form(omega0, chi0, a, t, mass=1.0):
+    """Phase-space propagator M with (q, p)(t) = M (q, p)(0) on the ramp
+    1/omega(s) = 1/omega0 - chi0 s - a s^2 / 2.
+
+    Integrates q' = p / m, p' = -m omega^2 q in lab time from the two unit
+    initial conditions with DOP853 at rtol 1e-13: the independent reference
+    for the oscillator's closed-form exact route.
+    """
+    import scipy.integrate
+
+    def rhs(s, y):
+        w = 1.0 / (1.0 / omega0 - chi0 * s - 0.5 * a * s * s)
+        q, p = y.reshape(2, 2)
+        return np.concatenate([p / mass, -mass * w * w * q])
+
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, t), np.eye(2).ravel(), method="DOP853", rtol=1e-13, atol=1e-15
+    )
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(2, 2)
+
+
+def tls_theta_mp(epsilon, omega0, chi0, t, dps=50):
+    """Scaled time of the constant-rate two-level ramp, the integral of
+    Omega(s) = epsilon / sqrt(1 - z(s)^2) with z(s) = z0 + epsilon chi0 s,
+    by mpmath quadrature at ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        epsilon, omega0, chi0, t = (mpmath.mpf(x) for x in (epsilon, omega0, chi0, t))
+        z0 = omega0 / mpmath.sqrt(omega0 * omega0 + epsilon * epsilon)
+        value = mpmath.quad(
+            lambda s: epsilon / mpmath.sqrt(1 - (z0 + epsilon * chi0 * s) ** 2), [0, t]
+        )
+    return float(value)
+
+
 def _plain_frame(B, gap_threshold=1e-8):
     """Eigenvalues, rights and lefts of one matrix without gauge fixing.
 

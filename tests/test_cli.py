@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import per_row_diagnose
 
-from liouvdyn import __version__, cli, diagnostics, geometric, linalg
+from liouvdyn import __version__, cli, diagnostics, engine, geometric, linalg, models
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid, LiouvdynError
@@ -753,6 +753,28 @@ class TestSingleCommand:
         assert header[0] == "t_f"
         assert len(rows) == 1
         assert rows[0][0] == 0.5
+
+
+class TestExactRoute:
+    """The exact reference each model's default sweep and single use."""
+
+    @pytest.mark.parametrize("experiment", ["sweep", "single"])
+    @pytest.mark.parametrize("kind, per_point", [("ho", 0), ("tls", 1)])
+    def test_ode_calls_per_point(self, tmp_path, monkeypatch, experiment, kind, per_point):
+        # ho takes its closed form; tls integrates once per point
+        calls = []
+        real = engine.propagate_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        for module in (engine, models):
+            monkeypatch.setattr(module, "propagate_exact", counted)
+        cfg = write_json(tmp_path / "c.json", {"experiment": experiment, "model": {"kind": kind}})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path]) == 0
+        _, rows = read_csv(tmp_path / f"{experiment}.csv")
+        assert calls == [row[0] for row in rows] * per_point
 
 
 class TestDiagnoseCommand:

@@ -4,13 +4,19 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from liouvdyn.engine import LiouvilleVector, apply_identity_rescaling
+from liouvdyn.engine import (
+    LiouvilleVector,
+    apply_identity_rescaling,
+    propagate_exact,
+    propagate_inertial,
+)
 from liouvdyn.errors import DomainExceeded, UnphysicalState
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
+    HO_BLOCKS,
     BlochState,
     GaussianState,
     HOModel,
@@ -649,3 +655,146 @@ class TestQuadraticHorizons:
         # z(t) = z0 - t/8 reaches -1 near t = 8 (1 + z0)
         p = TLSProtocol(epsilon=1.0, omega0=0.001, chi0=-0.125, abar=-2.2e-309)
         assert p.t_max == pytest.approx(8.0 * (1.0 + p.z0), rel=1e-15)
+
+
+class TestTLSConstantRateTheta:
+    """theta = (asin z(t) - asin z0) / chi0 of an unaccelerated spin ramp."""
+
+    @given(
+        st.floats(1.0, 10.0),
+        st.floats(0.0, 20.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-300.0, 1.0),
+        st.floats(0.0, 0.99),
+    )
+    @example(8.0, 15.0, 1.0, -300.0, 0.5)
+    @example(8.0, 0.0, 1.0, -300.0, 0.5)  # z0 = 0
+    @example(8.0, 1.0, -1.0, 0.0, 0.9)  # z(t) crosses 0: opposite-sign branch
+    @example(8.0, 8.0, -1.0, 0.0, 0.95)  # asin z(t) - asin z0 < -pi/2
+    @example(  # subnormal z0 and t
+        5.802619566044384, 2.2250738585e-313, 1.0, -62.73946478896147, 2.2250738585e-313
+    )
+    def test_matches_mpmath(self, epsilon, omega0, sign, log_chi, fraction):
+        p = TLSProtocol(epsilon, omega0, sign * 10.0**log_chi)
+        t = fraction * min(p.t_max, 50.0 / p.Omega0)
+        want = oracles.tls_theta_mp(epsilon, omega0, p.chi0, t)
+        assert abs(p.theta(t) - want) <= 1e-12 * abs(want)
+
+    def test_tiny_rate_keeps_every_digit(self):
+        # Omega0 = hypot(15, 8) = 17; the cancelling difference read 0.0
+        assert TLSProtocol(8.0, 15.0, 1e-300).theta(1.0) == pytest.approx(17.0, rel=1e-15)
+
+
+def _ho_moments_to_vector(mean, cov, w, w0, m):
+    """{H, L, C, K, J, 1} from the first and second moments at frequency w,
+    the quadratic block scaled by w0/w."""
+    q, p = mean
+    qq, pp, qp = cov[0, 0] + q * q, cov[1, 1] + p * p, cov[0, 1] + q * p
+    energy = pp / (2 * m) + m * w * w * qq / 2
+    asymmetry = pp / (2 * m) - m * w * w * qq / 2
+    return np.array(
+        [
+            w0 / w * energy,
+            w0 / w * asymmetry,
+            -w0 * qp,
+            math.sqrt(w) * q,
+            -p / (m * math.sqrt(w)),
+            1.0,
+        ]
+    )
+
+
+@st.composite
+def ho_ramps(draw):
+    """A displaced oscillator and a time inside its domain, on a ramp whose
+    constant C = chi0^2 + 2a/omega0 is drawn from one of [-3, 0], [0, 4]
+    and [4, 8]: oscillating (C < 4), critical and growing (C > 4)."""
+    omega0 = draw(st.floats(0.5, 20.0))
+    chi0 = draw(st.floats(-1.0, 1.0))
+    C = draw(st.floats(*draw(st.sampled_from([(-3.0, 0.0), (0.0, 4.0), (4.0, 8.0)]))))
+    protocol = HOProtocol(omega0, chi0, 0.5 * omega0 * (C - chi0 * chi0))
+    t_f = draw(st.floats(0.01, 1.0)) * min(0.99 * protocol.t_max, 30.0 / omega0)
+    # a near-double root of 1/omega packs many periods into a short time,
+    # which the lab-time oracle resolves only step by step
+    assume(protocol.theta(t_f) < 60.0)
+    model = HOModel(
+        protocol,
+        mass=draw(st.floats(0.5, 2.0)),
+        q0=draw(st.floats(-2.0, 2.0)),
+        p0=draw(st.floats(-2.0, 2.0)),
+    )
+    return model, t_f
+
+
+class TestHOExactVector:
+    """The oscillator's closed-form exact route against a lab-time solve."""
+
+    @given(ho_ramps())
+    def test_matches_lab_time_propagator(self, ramp):
+        model, t_f = ramp
+        p, m = model.protocol, model.mass
+        w0 = p.omega0
+        M = oracles.ho_ramp_closed_form(w0, p.chi0, p.a, t_f, mass=m)
+        cov0 = np.diag([0.5 / (m * w0), 0.5 * m * w0])
+        want = _ho_moments_to_vector(
+            M @ [model.q0, model.p0], M @ cov0 @ M.T, p.omega(t_f), w0, m
+        )
+        v = model.exact_vector(t_f)
+        assert v.t == t_f and v.theta == p.theta(t_f)
+        got = v.coeffs
+        assert np.all(got.imag == 0.0)
+        for lo, hi in HO_BLOCKS:
+            err = np.max(np.abs(got[lo:hi].real - want[lo:hi]))
+            assert err <= 1e-10 * np.max(np.abs(want[lo:hi]))
+
+    @pytest.mark.parametrize("C", [-2.0, 0.0, 4.0, 6.0])
+    def test_each_regime_matches_lab_time_propagator(self, C):
+        # C = 4 is the shear between the rotation and boost branches
+        p = HOProtocol(2.0, 0.5, 0.5 * 2.0 * (C - 0.25))
+        model = HOModel(p, q0=0.4, p0=-0.3)
+        t_f = 0.8 * min(p.t_max, 5.0)
+        M = oracles.ho_ramp_closed_form(2.0, 0.5, p.a, t_f)
+        cov0 = np.diag([0.25, 1.0])
+        want = _ho_moments_to_vector(M @ [0.4, -0.3], M @ cov0 @ M.T, p.omega(t_f), 2.0, 1.0)
+        got = model.exact_vector(t_f).coeffs.real
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_criterion_six_errors_hold_against_the_closed_form(self):
+        # the ODE reference of acceptance criterion 6 agrees with the closed
+        # form far below the inertial terminal errors, which stay first order
+        mags = (5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+        errs = []
+        for mag in mags:
+            model = HOModel(HOProtocol.solve_boundary(20.0, 10.0, 1.0, -mag))
+            fact, v0 = model.factorization(), model.initial_vector()
+            closed = model.exact_vector(1.0)
+            ode = propagate_exact(fact, v0, 1.0, rtol=1e-12, atol=1e-14)
+            assert closed.theta == ode.theta
+            assert np.max(np.abs(closed.coeffs - ode.coeffs)) < 1e-10 * np.max(np.abs(ode.coeffs))
+            inertial, _ = propagate_inertial(fact, v0, 1.0)
+            errs.append(np.max(np.abs(closed.coeffs - inertial.coeffs)))
+        assert 0.8 <= np.polyfit(np.log(mags), np.log(errs), 1)[0] <= 1.2
+
+    def test_state_stays_pure(self):
+        model = HOModel(HOProtocol.solve_boundary(20.0, 10.0, 0.3, -5e-3), q0=0.3, p0=-0.2)
+        state = reconstruct_state(model, model.exact_vector(0.3), 0.3)
+        assert state.uncertainty_product() == pytest.approx(0.25, rel=1e-12)
+
+    def test_guards_of_the_ode_route(self):
+        model = HOModel(HOProtocol(20.0, 0.05), q0=0.3)  # diverges at t = 1
+        v0 = model.initial_vector()
+        at_zero = model.exact_vector(0.0)
+        assert at_zero.coeffs.tobytes() == v0.coeffs.tobytes()
+        assert at_zero.t == 0.0 and at_zero.theta == 0.0
+        with pytest.raises(DomainExceeded):
+            model.exact_vector(1.0)
+        with pytest.raises(DomainExceeded):
+            model.exact_vector(2.0)
+        with pytest.raises(ValueError):
+            model.exact_vector(-0.1)
+
+    def test_tls_route_is_the_ode_route(self):
+        model = TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.03, 2e-3))
+        want = propagate_exact(model.factorization(), model.initial_vector(), 0.7, rtol=1e-9)
+        got = model.exact_vector(0.7, rtol=1e-9, atol=1e-12)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
