@@ -39,7 +39,7 @@ from .geometric import (
     two_spin_nonlocal_family,
 )
 from .models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol
-from .open_quantum import BathSpec, mesolve, trajectory_rows
+from .open_quantum import MAX_STATIC_PHASE, BathSpec, mesolve, trajectory_rows
 
 _SWEEP_COLUMNS = (
     "t_f",
@@ -164,6 +164,13 @@ def _run_open(cfg: RunConfig):
         raise ConfigInvalid(
             f"numerics.t_final: must be below the protocol's horizon "
             f"t_max = {model.protocol.t_max:.6g}, where |omega/Omega| reaches 1"
+        )
+    # a static H has norm Omega0 / 2
+    phase = num["t_final"] * model.protocol.Omega0 / 2.0
+    if model.protocol.static and phase > MAX_STATIC_PHASE:
+        raise ConfigInvalid(
+            f"numerics.t_final: a static drive accumulates t_final * ||H|| = "
+            f"{phase:.3g} rad, beyond the {MAX_STATIC_PHASE:.0e} rad a double resolves"
         )
     bath = BathSpec(**cfg.model["bath"])
     ts = np.linspace(0.0, num["t_final"], num["points"])

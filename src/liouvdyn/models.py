@@ -331,6 +331,11 @@ class TLSProtocol:
     def z(self, t):
         return self.z0 + self.epsilon * (self.chi0 * t + 0.5 * self.abar * t * t)
 
+    @property
+    def static(self) -> bool:
+        """True for chi0 = abar = 0, where z, omega and Omega keep their t = 0 values."""
+        return self.chi0 == 0.0 and self.abar == 0.0
+
     @cached_property
     def t_max(self) -> float:
         """Earliest positive time at which |z| reaches 1."""

@@ -45,6 +45,13 @@ _QUAD_KW = dict(epsrel=1e-11, limit=400)
 # own (the thermal principal value near |alpha| = 31.63 at the default
 # bath) is not held to an absolute accuracy the sum cannot resolve
 _SHIFT_EPSABS = 1e-11
+# nested Chebyshev levels of the cumulative phase quadrature: n = 8, 16,
+# ... intervals (9, 17, ... points), at most _CHEB_MAX_N
+_CHEB_N0 = 8
+_CHEB_MAX_N = 4096
+# largest free-evolution phase t_final * ||H|| (rad) of a static run: a
+# double resolves such a phase to about 1e-4 rad
+MAX_STATIC_PHASE = 1e12
 
 
 @dataclass(frozen=True)
@@ -204,13 +211,14 @@ def effective_frequency(model, t: float, mode: int) -> float:
     return float(alphas[mode])
 
 
-def _tls_alpha_closed(protocol, t: float) -> np.ndarray:
+def _tls_alpha_closed(protocol, t) -> np.ndarray:
     # the two-level transport correction vanishes identically in the
     # fixed gauge (unit-norm frames of a Hermitian generator), leaving
-    # alpha = lambda * pace; cross-checked against effective_frequencies
-    mu = protocol.mu(t)
-    gap = math.hypot(1.0, mu) * protocol.Omega(t)
-    return np.array([0.0, gap, -gap, 0.0])
+    # alpha = lambda * pace; cross-checked against effective_frequencies.
+    # A float t gives the 4 channels, an array of times a (times, 4) stack.
+    gap = np.hypot(1.0, protocol.mu(t)) * protocol.Omega(t)
+    zero = np.zeros_like(gap)
+    return np.stack([zero, gap, -gap, zero], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,41 +293,96 @@ def _as_density_matrix(state) -> np.ndarray:
     return rho
 
 
-def _check_state(rho: np.ndarray, t: float, label: str):
-    tol = 1e-9 * (1.0 + abs(t))
-    herm = np.max(np.abs(rho - rho.conj().T))
-    trace_dev = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if herm > tol or trace_dev > tol:
+def _check_states(rhos: np.ndarray, ts, label: str):
+    """Hermiticity, trace and positivity of each state of an (n, 2, 2) stack.
+
+    The first state that fails names the error: drift of its Hermiticity
+    or trace raises IntegratorFailure, a negative eigenvalue
+    PositivityViolation.
+    """
+    ts = np.asarray(ts, dtype=float)
+    tol = 1e-9 * (1.0 + np.abs(ts))
+    herm = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)), axis=(1, 2))
+    trace = np.trace(rhos, axis1=1, axis2=2)
+    trace_dev = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+    low = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().transpose(0, 2, 1))).min(axis=1)
+    drifted = (herm > tol) | (trace_dev > tol)
+    bad = drifted | (low < -1e-7)
+    if not np.any(bad):
+        return
+    i = int(np.argmax(bad))
+    t = float(ts[i])
+    if drifted[i]:
         raise IntegratorFailure(
-            f"{label} state at t={t} drifted: hermiticity {herm:.3e}, "
-            f"trace {trace_dev:.3e}"
+            f"{label} state at t={t} drifted: hermiticity {herm[i]:.3e}, "
+            f"trace {trace_dev[i]:.3e}"
         )
-    low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    if low < -1e-7:
-        raise PositivityViolation(
-            f"{label} state at t={t} has eigenvalue {low:.3e}"
-        )
+    raise PositivityViolation(f"{label} state at t={t} has eigenvalue {low[i]:.3e}")
 
 
-def _secular_phase_check(spec: MasterEquationSpec, t_end: float):
-    import scipy.integrate
+def _check_state(rho: np.ndarray, t: float, label: str):
+    """One-matrix view of _check_states."""
+    _check_states(np.asarray(rho)[None], [t], label)
 
-    alphas = spec.alpha_of_t(t_end)
+
+def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np.ndarray:
+    """Integrals int_0^t f(s) ds at every t of ``ts``, one per column of f.
+
+    ``f`` maps a 1-D array of m times in [0, t_end] to an (m, k) array.
+    It is sampled on nested Chebyshev extreme points of [0, t_end],
+    doubling the n intervals from _CHEB_N0 and reusing every earlier
+    sample; the interpolant is integrated term by term (Clenshaw-Curtis,
+    Trefethen, SIAM Review 50, 2008) and summed at ``ts``.  Stops when
+    the integrals of two successive levels agree within atol + rtol |I|
+    on the finer level's points, so the samples do not depend on ``ts``,
+    and raises NotConverged once n would pass _CHEB_MAX_N.
+    """
+    from numpy.fft import rfft
+    from numpy.polynomial import chebyshev
+
+    def at(k, n):
+        return f(0.5 * t_end * (1.0 + np.cos(np.pi * k / n)))
+
+    n = _CHEB_N0
+    values = at(np.arange(n + 1), n)
+    previous = None
+    while True:
+        # Chebyshev coefficients of the interpolant: a DCT-I of the
+        # samples, as the FFT of their even extension
+        c = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
+        c[0] /= 2.0
+        c[n] /= 2.0
+        anti = chebyshev.chebint(c, lbnd=-1.0, scl=0.5 * t_end)
+        if previous is not None:
+            # the two levels' integrals compared on this level's points,
+            # so the stopping point does not depend on ts either
+            nodes = np.cos(np.pi * np.arange(n + 1) / n)
+            new = chebyshev.chebval(nodes, anti)
+            if np.all(np.abs(new - chebyshev.chebval(nodes, previous))
+                      <= atol + rtol * np.abs(new)):
+                x = 2.0 * np.asarray(ts, dtype=float) / t_end - 1.0
+                return chebyshev.chebval(x, anti).T
+        if 2 * n > _CHEB_MAX_N:
+            raise NotConverged(
+                f"cumulative phase quadrature did not settle within {n + 1} "
+                "Chebyshev points"
+            )
+        previous = anti
+        n *= 2
+        merged = np.empty((n + 1,) + values.shape[1:])
+        merged[0::2] = values
+        merged[1::2] = at(np.arange(1, n, 2), n)
+        values = merged
+
+
+def _secular_phase_check(alphas: np.ndarray, Lam: np.ndarray):
+    """Warn when non-conjugate channels accumulate too little phase.
+
+    ``alphas`` are the channel frequencies at the end of the run and
+    ``Lam`` their accumulated phases Lambda_j there.
+    """
     scale = max(np.max(np.abs(alphas)), 1.0)
     n = alphas.size
-    Lam = np.array(
-        [
-            scipy.integrate.quad(
-                lambda s, jj=j: spec.alpha_of_t(s)[jj],
-                0.0,
-                t_end,
-                epsabs=1e-10,
-                epsrel=1e-9,
-                limit=200,
-            )[0]
-            for j in range(n)
-        ]
-    )
     worst = math.inf
     for i in range(n):
         for j in range(i, n):
@@ -366,6 +429,49 @@ def _level_shift_frame(F, weights):
     return V, levels
 
 
+def _static_propagators(omega: float, epsilon: float, ts) -> np.ndarray:
+    """exp(-i H t) for H = omega S_z + epsilon S_x, as an (n, 2, 2) stack.
+
+    H = |h| (h/|h|) . sigma with |h| = hypot(omega, epsilon) / 2, so
+    U(t) = cos(|h| t) I - i sin(|h| t) H / |h|.
+    """
+    H = omega * _SZ + epsilon * _SX
+    h = math.hypot(omega, epsilon) / 2.0
+    phase = h * np.asarray(ts, dtype=float)[:, None, None]
+    return np.cos(phase) * np.eye(2) - 1j * np.sin(phase) * (H / h)
+
+
+def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol, atol):
+    """Accumulated channel phases Lambda_j and level phases theta_k on ``ts``.
+
+    Both are cumulative integrals from 0 over one Chebyshev node set:
+    Lambda_j' = alpha_j(t), and, when ``levels`` (per-channel diagonals
+    of F_j^dagger F_j in the zero-mode basis) are given, theta_k' =
+    sum_j weights[j] lamb_shift(bath, alpha_j(t)) levels[j, k], with
+    weights[j] = |a_j|^2.  Returns (Lambda, theta), theta None without
+    levels.
+    """
+    shifts = {}  # lamb_shift by alpha; a static drive repeats one per channel
+
+    def rates(t):
+        alphas = spec.alpha_of_t(t)
+        if levels is None:
+            return alphas
+        if bath.cutoff <= np.max(np.abs(alphas)):
+            raise ValueError("bath cutoff must exceed every effective frequency")
+        shift = np.zeros_like(alphas)
+        for j in np.flatnonzero(weights):
+            for i, a in enumerate(alphas[:, j].tolist()):
+                if a not in shifts:
+                    shifts[a] = lamb_shift(bath, a)
+                shift[i, j] = shifts[a]
+        return np.hstack([alphas, (shift * weights) @ levels])
+
+    integrals = _cumulative_integral(rates, ts[-1], ts, rtol=rtol, atol=atol)
+    n = len(spec.jump_ops)
+    return integrals[:, :n], (integrals[:, n:] if levels is not None else None)
+
+
 def mesolve(
     model,
     bath: BathSpec,
@@ -382,8 +488,9 @@ def mesolve(
 
     Integrates the interaction-picture GKLS equation with channel rates
     gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) and, on request, maps
-    back to the lab frame with the exact free propagator.  Returns the
-    stack of density matrices on ``t_grid`` (which must start at 0).
+    back to the lab frame with the exact free propagator: closed form
+    for a static drive, a DOP853 solve otherwise.  Returns the stack of
+    density matrices on ``t_grid`` (which must start at 0).
 
     The level shift H_LS(t) = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t))
     F_j^dagger F_j is diagonal in the eigenbasis V of the zero mode and
@@ -391,8 +498,11 @@ def mesolve(
     rho = U rho_D U^dagger, with rho_D the solution without H_LS and
     U = V diag(e^(-i theta)) V^dagger.  The two level phases theta, with
     theta_k' = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t)) (V^dagger
-    F_j^dagger F_j V)_kk, are integrated under the same tolerances in a
-    solve of their own, so rho_D is bit for bit the run without the shift.
+    F_j^dagger F_j V)_kk, are cumulative integrals by Clenshaw-Curtis
+    quadrature on nested Chebyshev points of [0, t_grid[-1]], refined
+    until two levels agree within ``rtol``/``atol``; the points do not
+    depend on the output grid, and rho_D is bit for bit the run without
+    the shift.
     """
     import scipy.integrate
 
@@ -419,19 +529,15 @@ def mesolve(
     if ts[-1] == 0.0:
         return rho_init[None, :, :].copy()
 
-    if lamb_shift_enabled and bath.cutoff <= np.max(
-        [np.max(np.abs(spec.alpha_of_t(t))) for t in (0.0, ts[-1] / 2.0, ts[-1])]
-    ):
-        raise ValueError("bath cutoff must exceed every effective frequency")
-
-    _secular_phase_check(spec, ts[-1])
-
     F = [np.asarray(op) for op in spec.jump_ops]
     Fd = [op.conj().T for op in F]
     FdF = [d @ op for d, op in zip(Fd, F)]
     weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
+    levels = None
     if lamb_shift_enabled:
         V, levels = _level_shift_frame(F, weights)
+    Lam, theta = _phases(spec, bath, ts, weights, levels, rtol, atol)
+    _secular_phase_check(spec.alpha_of_t(ts[-1]), Lam[-1])
 
     def rhs(t, y):
         rho = y.reshape(2, 2)
@@ -457,69 +563,44 @@ def mesolve(
         raise IntegratorFailure(f"master-equation integration failed: {sol.message}")
     states = sol.y.T.reshape(-1, 2, 2)
     if lamb_shift_enabled:
-        shifts = {}  # lamb_shift by alpha; a static drive repeats one per channel
-
-        def level_phase_rates(t, theta):
-            alphas = spec.alpha_of_t(t)
-            out = np.zeros(2)
-            for j in range(len(F)):
-                if weights[j] == 0.0:
-                    continue
-                a = float(alphas[j])
-                if a not in shifts:
-                    shifts[a] = lamb_shift(bath, a)
-                out += weights[j] * shifts[a] * levels[j]
-            return out
-
-        phases = scipy.integrate.solve_ivp(
-            level_phase_rates,
-            (0.0, ts[-1]),
-            np.zeros(2),
-            method="DOP853",
-            t_eval=ts,
-            rtol=rtol,
-            atol=atol,
-        )
-        if not phases.success:
-            raise IntegratorFailure(
-                f"level-shift phase integration failed: {phases.message}"
-            )
         # rho = U rho_D U^dagger with U = V diag(e^(-i theta)) V^dagger
-        U = (V * np.exp(-1j * phases.y.T)[:, None, :]) @ V.conj().T
+        U = (V * np.exp(-1j * theta)[:, None, :]) @ V.conj().T
         states = U @ states @ U.conj().transpose(0, 2, 1)
-    for t, rho in zip(ts, states):
-        _check_state(rho, t, "interaction-picture")
+    _check_states(states, ts, "interaction-picture")
     if picture == "interaction":
         return states
 
-    eps = p.epsilon
+    if p.static:
+        U = _static_propagators(p.omega(0.0), p.epsilon, ts)
+    else:
+        eps = p.epsilon
 
-    def schrodinger_rhs(t, y):
-        U = y.reshape(2, 2)
-        H = p.omega(t) * _SZ + eps * _SX
-        return (-1j * H @ U).ravel()
+        def schrodinger_rhs(t, y):
+            U = y.reshape(2, 2)
+            H = p.omega(t) * _SZ + eps * _SX
+            return (-1j * H @ U).ravel()
 
-    usol = scipy.integrate.solve_ivp(
-        schrodinger_rhs,
-        (0.0, ts[-1]),
-        np.eye(2, dtype=complex).ravel(),
-        method="DOP853",
-        t_eval=ts,
-        rtol=min(rtol, 1e-10),
-        atol=min(atol, 1e-12),
-    )
-    if not usol.success:
-        raise IntegratorFailure(f"free-propagator integration failed: {usol.message}")
-    out = np.empty_like(states)
-    for i, (t, rho) in enumerate(zip(ts, states)):
-        U = usol.y[:, i].reshape(2, 2)
-        drift = np.max(np.abs(U.conj().T @ U - np.eye(2)))
-        if drift > 1e-9 * (1.0 + abs(t)):
-            raise IntegratorFailure(
-                f"free propagator lost unitarity at t={t}: {drift:.3e}"
-            )
-        out[i] = U @ rho @ U.conj().T
-    return out
+        usol = scipy.integrate.solve_ivp(
+            schrodinger_rhs,
+            (0.0, ts[-1]),
+            np.eye(2, dtype=complex).ravel(),
+            method="DOP853",
+            t_eval=ts,
+            rtol=min(rtol, 1e-10),
+            atol=min(atol, 1e-12),
+        )
+        if not usol.success:
+            raise IntegratorFailure(f"free-propagator integration failed: {usol.message}")
+        U = usol.y.T.reshape(-1, 2, 2)
+    Ud = U.conj().transpose(0, 2, 1)
+    drift = np.max(np.abs(Ud @ U - np.eye(2)), axis=(1, 2))
+    lost = drift > 1e-9 * (1.0 + np.abs(ts))
+    if np.any(lost):
+        i = int(np.argmax(lost))
+        raise IntegratorFailure(
+            f"free propagator lost unitarity at t={float(ts[i])}: {drift[i]:.3e}"
+        )
+    return U @ states @ Ud
 
 
 def trajectory_rows(model, t_grid, states) -> list:
@@ -529,13 +610,14 @@ def trajectory_rows(model, t_grid, states) -> list:
     instantaneous Hamiltonian, trace deviation, minimum eigenvalue.
     """
     p = model.protocol
-    rows = []
-    for t, rho in zip(np.asarray(t_grid, dtype=float), states):
-        r = [float(np.trace(rho @ (2.0 * s)).real) for s in (_SX, _SY, _SZ)]
-        H = p.omega(t) * _SZ + p.epsilon * _SX
-        _, vecs = np.linalg.eigh(H)
-        pops = [float((vecs[:, k].conj() @ rho @ vecs[:, k]).real) for k in (0, 1)]
-        trace_dev = float(abs(np.trace(rho) - 1.0))
-        low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-        rows.append((float(t), r[0], r[1], r[2], pops[0], pops[1], trace_dev, low))
-    return rows
+    ts = np.asarray(t_grid, dtype=float)
+    rho = np.asarray(states)
+    # tr(rho (2 S)) for S = S_x, S_y, S_z
+    bloch = 2.0 * np.einsum("nij,kji->nk", rho, np.stack([_SX, _SY, _SZ])).real
+    H = p.omega(ts)[:, None, None] * _SZ + p.epsilon * _SX
+    _, vecs = np.linalg.eigh(H)
+    pops = np.einsum("nik,nij,njk->nk", vecs.conj(), rho, vecs).real
+    trace_dev = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().transpose(0, 2, 1))).min(axis=1)
+    table = np.column_stack([ts, bloch, pops, trace_dev, low])
+    return [tuple(row) for row in table.tolist()]

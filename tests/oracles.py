@@ -537,6 +537,47 @@ def shifted_master_equation(jump_ops, weights, alpha_of_t, rate, shift, rho0, ts
     return sol.y.T.reshape(-1, 2, 2)
 
 
+def level_phases_reference(jump_ops, weights, alpha_of_t, shift, ts):
+    """Level phases theta_k(t) of the level shift, by adaptive quadrature.
+
+    theta_k' = sum_j w_j shift(alpha_j(t)) (V^+ F_j^+ F_j V)_kk, with V the
+    eigenbasis of the Hermitian part of F_0, integrated over each interval
+    of ``ts`` at epsrel 1e-14 and summed from 0.
+    """
+    from scipy.integrate import quad_vec
+
+    F = [np.asarray(op, dtype=complex) for op in jump_ops]
+    _, V = np.linalg.eigh(0.5 * (F[0] + F[0].conj().T))
+    levels = [np.diag(V.conj().T @ op.conj().T @ op @ V).real for op in F]
+
+    def rate(t):
+        alphas = alpha_of_t(t)
+        return sum(w * shift(float(alphas[j])) * levels[j]
+                   for j, w in enumerate(weights) if w != 0.0)
+
+    ts = np.asarray(ts, dtype=float)
+    steps = [quad_vec(rate, a, b, epsabs=1e-15, epsrel=1e-14)[0]
+             for a, b in zip(ts[:-1], ts[1:])]
+    return np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
+
+
+def per_row_trajectory(omega, epsilon, ts, states):
+    """Trajectory summary rows, one state at a time.
+
+    t, Bloch x/y/z, ground and excited populations of H(t) = omega(t) S_z
+    + epsilon S_x, |tr rho - 1|, and the least eigenvalue of the
+    Hermitian part.
+    """
+    rows = []
+    for t, rho in zip(np.asarray(ts, dtype=float), states):
+        r = [np.trace(rho @ (2.0 * s)).real for s in (SX, SY, SZ)]
+        _, vecs = np.linalg.eigh(omega(t) * SZ + epsilon * SX)
+        pops = [(vecs[:, k].conj() @ rho @ vecs[:, k]).real for k in (0, 1)]
+        low = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+        rows.append((t, *r, *pops, abs(np.trace(rho) - 1.0), low))
+    return np.array(rows)
+
+
 def free_two_level_propagators(omega, epsilon, ts):
     """Propagators U(t) of H(t) = omega(t) S_z + epsilon S_x on a time grid."""
     from scipy.integrate import solve_ivp

@@ -253,10 +253,38 @@ def geo_configs(draw):
             "protocol": protocol, "numerics": numerics}
 
 
+@st.composite
+def open_configs(draw):
+    # static and driven ramps over the ranges the bath and horizon are
+    # used at; a horizon past t_max exits 2
+    drive = st.just(0.0) | st.floats(-0.05, 0.05)
+    protocol = {
+        "epsilon": draw(st.floats(0.5, 16.0)),
+        "omega0": draw(st.floats(0.0, 40.0)),
+        "chi0": draw(drive),
+        "abar": draw(st.just(0.0) | st.floats(-0.01, 0.01)),
+    }
+    model = {
+        "initial_bloch": draw(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)),
+        "bath": {
+            "temperature": draw(st.floats(0.0, 30.0)),
+            "coupling": draw(st.floats(0.0, 5e-3)),
+            "cutoff": draw(st.floats(1.0, 300.0)),
+        },
+    }
+    numerics = {
+        "t_final": draw(st.floats(1e-3, 5.0)),
+        "points": draw(st.integers(2, 201)),
+        "lamb_shift": draw(st.booleans()),
+        "picture": draw(st.sampled_from(("schrodinger", "interaction"))),
+    }
+    return {"experiment": "open", "model": model, "protocol": protocol, "numerics": numerics}
+
+
 class TestRunFuzz:
-    """Whole ``diagnose`` and ``geo`` runs on drawn file configs end with a
-    documented exit code, no traceback, and a manifest status that says
-    the same as the code."""
+    """Whole ``diagnose``, ``geo`` and ``open`` runs on drawn file configs
+    end with a documented exit code, no traceback, and a manifest status
+    that says the same as the code."""
 
     STATUS = {0: ("ok",), 3: ("partial",), 4: ("failed", None), 2: (None,)}
 
@@ -285,6 +313,13 @@ class TestRunFuzz:
               "protocol": {"waypoints": [[1.5], [2.5], [1.9]]},
               "numerics": {"method": "both"}})
     def test_geo(self, config):
+        self.run(config)
+
+    @settings(max_examples=40)
+    @given(open_configs())
+    @example({"experiment": "open", "numerics": {"t_final": 1e4, "lamb_shift": True}})
+    @example({"experiment": "open", "numerics": {"t_final": 1e300, "lamb_shift": True}})
+    def test_open(self, config):
         self.run(config)
 
 
@@ -381,6 +416,15 @@ class TestExitCodes:
         )
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "numerics.t_final" in capsys.readouterr().err
+
+    def test_open_static_phase_beyond_double_precision_exits_two(self, tmp_path, capsys):
+        # ||H|| = 8.5 at the default static drive: 1.2e11 * 8.5 > 1e12 rad
+        cfg = write_json(
+            tmp_path / "c.json", {"experiment": "open", "numerics": {"t_final": 1.2e11}}
+        )
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "numerics.t_final" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("acceleration", [1e-12, 1e-300])
     def test_single_with_a_tiny_acceleration_succeeds(self, tmp_path, acceleration):
@@ -947,6 +991,25 @@ def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_leaves_fft_and_polynomial_unloaded():
+    # numpy loads both lazily; only the level-phase quadrature needs them
+    script = (
+        "import sys\n"
+        "import liouvdyn\n"
+        "print(sorted(m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     free_two_level_propagators,
     gibbs_two_level,
     lamb_shift_zero_temperature,
+    level_phases_reference,
     mp_lamb_shift,
+    per_row_trajectory,
     optical_bloch_trajectory,
     pv_lamb_shift,
     qubit_density,
@@ -44,6 +46,10 @@ from liouvdyn.open_quantum import (
     mesolve,
     trajectory_rows,
     _check_state,
+    _check_states,
+    _cumulative_integral,
+    _level_shift_frame,
+    _phases,
 )
 
 # gap-20 static point used throughout: epsilon = 8, omega = sqrt(400 - 64)
@@ -535,7 +541,56 @@ class TestStateChecks:
             _check_state(rho, 0.0, "test")
 
 
+    def test_stack_reports_the_first_failing_state(self):
+        good = np.diag([0.6, 0.4]).astype(complex)
+        negative = np.diag([1.05, -0.05]).astype(complex)
+        drifted = np.diag([0.6, 0.5]).astype(complex)
+        _check_states(np.stack([good, good]), [0.0, 1.0], "test")
+        with pytest.raises(PositivityViolation, match="at t=1.0 has eigenvalue"):
+            _check_states(np.stack([good, negative, drifted]), [0.0, 1.0, 2.0], "test")
+        with pytest.raises(IntegratorFailure, match="at t=1.0 drifted"):
+            _check_states(np.stack([good, drifted, negative]), [0.0, 1.0, 2.0], "test")
+
+
+class TestCumulativeIntegral:
+    TOLS = dict(rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("degree", range(open_quantum._CHEB_N0 + 1))
+    def test_exact_on_polynomials_below_the_node_count(self, degree):
+        coeffs = np.random.default_rng(degree).normal(size=(degree + 1, 2))
+        ts = np.linspace(0.0, 1.7, 23)
+        got = _cumulative_integral(
+            lambda t: np.polynomial.polynomial.polyval(t, coeffs).T, 1.7, ts, **self.TOLS
+        )
+        anti = np.polynomial.polynomial.polyint(coeffs)
+        want = np.polynomial.polynomial.polyval(ts, anti).T
+        assert np.max(np.abs(got - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize(
+        "f, F, t_end",
+        [
+            (lambda t: np.cos(3.0 * t), lambda t: np.sin(3.0 * t) / 3.0, 2.0),
+            (lambda t: np.exp(-t), lambda t: 1.0 - np.exp(-t), 4.0),
+            (lambda t: 1.0 / (1.0 + t * t), np.arctan, 3.0),
+            (lambda t: 20.0 / np.sqrt(1.0 - (0.9 * t / 1.1) ** 2),
+             lambda t: 20.0 * 1.1 / 0.9 * np.arcsin(0.9 * t / 1.1), 1.0),
+        ],
+        ids=["cos", "exp", "lorentzian", "horizon"],
+    )
+    def test_smooth_integrals(self, f, F, t_end):
+        ts = np.linspace(0.0, t_end, 101)
+        got = _cumulative_integral(lambda t: f(t)[:, None], t_end, ts, **self.TOLS)[:, 0]
+        assert np.max(np.abs(got - F(ts))) <= 1e-13 * max(1.0, np.max(np.abs(F(ts))))
+
+
 class TestTrajectoryRows:
+    def test_matches_the_per_row_summary(self):
+        m = open_default_model(0.008, 0.002)
+        ts = np.linspace(0.0, 0.5, 7)
+        states = quiet_evolve(m, DEFAULT_BATH, DEFAULT_RHO0, ts, lamb_shift_enabled=True)
+        want = per_row_trajectory(m.protocol.omega, m.protocol.epsilon, ts, states)
+        assert np.max(np.abs(np.array(trajectory_rows(m, ts, states)) - want)) < 1e-14
+
     def test_columns_are_consistent(self):
         bath = BathSpec(temperature=1.2, coupling=5e-4, cutoff=100.0)
         m = static_model()
@@ -677,14 +732,14 @@ class TestLevelShiftRotation:
         "solve, message",
         [
             ("rhs", "master-equation integration failed"),
-            ("level_phase_rates", "level-shift phase integration failed"),
             ("schrodinger_rhs", "lost unitarity"),
         ],
-        ids=["master-equation", "level-phases", "free-propagator"],
+        ids=["master-equation", "free-propagator"],
     )
     def test_integrator_guards_fire(self, monkeypatch, solve, message):
         # spoil one solve_ivp result, picked by its right-hand side: a
-        # failed solve, or a free propagator that is no longer unitary
+        # failed solve, or a free propagator that is no longer unitary.
+        # The drive is not static, so the free propagator is a solve.
         real = scipy.integrate.solve_ivp
 
         def spoiled(fun, *args, **kwargs):
@@ -699,6 +754,64 @@ class TestLevelShiftRotation:
         monkeypatch.setattr(scipy.integrate, "solve_ivp", spoiled)
         with pytest.raises(IntegratorFailure, match=message):
             mesolve(
+                open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
+                np.linspace(0.0, 0.5, 5), lamb_shift_enabled=True,
+            )
+
+    def test_static_propagator_guard_fires(self, monkeypatch):
+        real = open_quantum._static_propagators
+        monkeypatch.setattr(
+            open_quantum, "_static_propagators", lambda *args: 1.01 * real(*args)
+        )
+        with pytest.raises(IntegratorFailure, match="lost unitarity"):
+            mesolve(
                 open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
                 lamb_shift_enabled=True,
             )
+
+    def test_node_cap_raises_not_converged(self, monkeypatch):
+        # the cap stops the level phases before two node levels can agree
+        monkeypatch.setattr(open_quantum, "_CHEB_MAX_N", open_quantum._CHEB_N0)
+        with pytest.raises(NotConverged, match="Chebyshev points"):
+            mesolve(
+                open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
+                np.linspace(0.0, 0.5, 5), lamb_shift_enabled=True,
+            )
+
+    @settings(max_examples=15)
+    @given(
+        chi0=st.floats(-0.01, 0.01),
+        abar=st.floats(-3e-3, 3e-3),
+        temperature=st.floats(0.0, 20.0),
+        t_final=st.floats(0.05, 0.8),
+    )
+    def test_level_phases_match_quadrature_of_the_rate(self, chi0, abar, temperature, t_final):
+        m = open_default_model(chi0, abar)
+        bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
+        spec = build_master_equation(m, lamb_shift_enabled=True)
+        weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
+        _, levels = _level_shift_frame(list(spec.jump_ops), weights)
+        ts = np.linspace(0.0, t_final, 5)
+        _, theta = _phases(spec, bath, ts, weights, levels, 1e-10, 1e-12)
+        want = level_phases_reference(
+            spec.jump_ops, weights, spec.alpha_of_t, lambda a: lamb_shift(bath, a), ts
+        )
+        assert np.max(np.abs(theta - want)) < 1e-11
+
+    def test_driven_shift_calls_do_not_depend_on_points(self, monkeypatch):
+        calls = []
+
+        def counted(bath, alpha):
+            calls.append(alpha)
+            return lamb_shift(bath, alpha)
+
+        monkeypatch.setattr(open_quantum, "lamb_shift", counted)
+        counts = []
+        for points in (11, 1001):
+            calls.clear()
+            quiet_evolve(
+                open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
+                np.linspace(0.0, 0.5, points), lamb_shift_enabled=True,
+            )
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
