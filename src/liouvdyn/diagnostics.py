@@ -71,8 +71,9 @@ def _pair_sums(lam, rights, lefts, directional, occupied=None, paired=None) -> n
     Sums |G_k^H D F_n| / |lambda_n - lambda_k|^2 over ordered pairs
     n != k, with k restricted to `occupied` when given, where D is the
     node's directional gradient.  The (m, m) mask `paired` keeps only
-    pairs of one closed block: a cross-block element is a structural zero
-    whose modes may share an eigenvalue, so it is no pair.
+    pairs of one closed block (``GeneratorFactorization.mode_pairs``): a
+    cross-block element is a structural zero whose modes may share an
+    eigenvalue, so it is no pair.
     """
     m = lam.shape[1]
     ks = np.arange(m) if occupied is None else np.asarray(occupied)
@@ -131,12 +132,8 @@ def _block_sums(fact: GeneratorFactorization, ts) -> np.ndarray:
     for a one-parameter chi, with every pair inside one closed block."""
     chis = fact.chi_of_t(ts)
     frames = eigenframes(fact.B_of_chi(chis), blocks=fact.blocks)
-    m = frames[0].shape[1]
-    paired = np.zeros((m, m), dtype=bool)
-    for lo, hi in fact.block_ranges(m):
-        paired[lo:hi, lo:hi] = True
     directional = fact.dchi_dtheta(ts)[:, None, None] * fact.grad_B(chis)
-    return _pair_sums(*frames, directional, paired=paired)
+    return _pair_sums(*frames, directional, paired=fact.mode_pairs(frames[0].shape[1]))
 
 
 def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:

@@ -6,7 +6,9 @@ at the instantaneous pace Omega(t) and B depends on time only through the
 dimensionless parameter chi.  Four propagators are provided: exact ODE
 integration, the analytic constant-chi solution, an adiabatic baseline
 frozen at chi = 0, and the slow-parameter-drift (inertial) approximation
-that follows the instantaneous eigenframe.
+that follows the instantaneous eigenframe.  Its phases are Clenshaw-Curtis
+integrals on nested Chebyshev levels of [0, t], the transport connection
+taken from first-order perturbation theory in a reference gauge.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import numpy as np
 # scipy is imported inside the functions that call it: it is most of the
 # package's import time, and `geo` and `diagnose` runs never need it.
 
-from .errors import DomainExceeded, IntegratorFailure, NotConverged
-from .linalg import EigenFrame, eigenframes, transport
+from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
+from .linalg import EigenFrame, chebyshev_coefficients, chebyshev_levels, eigenframes, transport
 
 _PHASE_TOL = 1e-10
-_N_START = 64
-_N_MAX = 16384
+# Chebyshev levels of the inertial phases: 16, 32, ... up to 1024 intervals
+_CHEB_N0, _CHEB_MAX_N = 16, 1024
+# smallest |F_k(0)^H F_k(t)| the reference gauge accepts
+_REFERENCE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,13 @@ class GeneratorFactorization:
     def block_ranges(self, dim: int) -> tuple:
         return self.blocks if self.blocks is not None else ((0, dim),)
 
+    def mode_pairs(self, dim: int) -> np.ndarray:
+        """(dim, dim) mask of the pairs of distinct modes of one closed block."""
+        mask = np.zeros((dim, dim), dtype=bool)
+        for lo, hi in self.block_ranges(dim):
+            mask[lo:hi, lo:hi] = True
+        return mask & ~np.eye(dim, dtype=bool)
+
     def theta(self, t: float) -> float:
         if self.theta_of_t is not None:
             return self.theta_of_t(t)
@@ -101,7 +112,9 @@ class InertialSolution:
     """Per-mode bookkeeping of an eigenframe-following propagation.
 
     ``Lambda`` is the total accumulated phase per mode, the dynamical
-    integral minus the transport (geometric) part.
+    integral minus the transport (geometric) part.  ``nodes`` counts the
+    Chebyshev points of the final level and ``delta`` is the largest
+    phase change between the last two levels.
     """
 
     c: np.ndarray
@@ -109,6 +122,8 @@ class InertialSolution:
     geo_phase: np.ndarray
     Lambda: np.ndarray
     t: float = None
+    nodes: int = 1
+    delta: float = 0.0
 
 
 def inverse_scaled_time(protocol, theta: float) -> float:
@@ -225,41 +240,50 @@ def propagate_adiabatic(
     return LiouvilleVector(coeffs=out, t=t, theta=theta_f)
 
 
-def _node_data(fact, ts):
-    """Pace values and the eigenframe stacks of B(chi(t)) at the nodes ts."""
-    B = fact.B_of_chi(fact.chi_of_t(ts))
-    return fact.omega_of_t(ts), eigenframes(B, blocks=fact.blocks)
+def _level_phases(fact, paces, B, frames):
+    """Dynamical and transport phases from one Chebyshev level of [0, t].
 
-
-def _inertial_passes(fact, v0, t: float):
-    """Fixed-grid sweeps at _N_START, 2 * _N_START, ... up to _N_MAX nodes.
-
-    Each pass yields the expansion coefficients, the dynamical and
-    transport phase integrals, and the transported final right frame.  The
-    grids are nested: a doubling diagonalizes only the new midpoints and
-    interleaves them with the previous frames, so no node is evaluated or
-    diagonalized twice.
+    The stacks run over x_j = cos(pi j / n), x_0 = 1 at the end time, and
+    ``paces`` holds Omega dt/dx.  ``transport`` orders the modes along the
+    path, and one unit factor on F_k and G_k makes F_k(0)^H F_k(t) real and
+    positive (SingularDenominator where it vanishes).  In that reference
+    gauge dF_k/dx = P_k + a_k F_k, with the first-order pair sum P_k =
+    sum_j F_j (G_j^H dB F_k) / (lambda_k - lambda_j) over the other modes of
+    k's block: unit norm fixes Re a_k = -Re(F_k^H P_k) and the real overlap
+    Im a_k = -Im(F_k(0)^H P_k) / |F_k(0)^H F_k|.  Returns the final frame in
+    its pivot gauge and mode order, int lambda_k Omega dt, and geo_k =
+    i int a_k dx moved to that pivot gauge.
     """
-    import scipy.integrate
+    from numpy.polynomial import chebyshev
 
-    ts = np.linspace(0.0, t, _N_START + 1)
-    omegas, frames = _node_data(fact, ts)
-    while True:
-        lam, rights, lefts = frames
-        perms, logs = transport(rights, lefts)
-        lam_path = np.take_along_axis(lam, perms, axis=1)
-        dyn = scipy.integrate.simpson(lam_path * omegas[:, None], x=ts, axis=0)
-        c = lefts[0].conj().T @ v0.coeffs
-        yield c, dyn, 1j * logs, rights[-1][:, perms[-1]]
-        if 2 * (ts.size - 1) > _N_MAX:
-            return
-        mids = np.arange(1, ts.size)
-        ts = np.linspace(0.0, t, 2 * ts.size - 1)
-        new_omegas, new_frames = _node_data(fact, ts[1::2])
-        omegas = np.insert(omegas, mids, new_omegas)
-        frames = tuple(
-            np.insert(old, mids, new, axis=0) for old, new in zip(frames, new_frames)
+    lam, rights, lefts = (a[::-1] for a in frames)  # time order from here
+    perms, _ = transport(rights, lefts)
+    lam = np.take_along_axis(lam, perms, axis=1)
+    rights, lefts = (np.take_along_axis(a, perms[:, None, :], axis=2) for a in (rights, lefts))
+    overlap = np.einsum("ak,nak->nk", rights[0].conj(), rights)
+    size = np.abs(overlap)
+    if (bad := np.argwhere(~(size >= _REFERENCE_FLOOR))).size:
+        raise SingularDenominator(
+            f"mode {bad[0, 1]} turned orthogonal to its t = 0 frame "
+            f"(|F_k(0)^H F_k(t)| = {size[tuple(bad[0])]:.3e})"
         )
+    gauge = (overlap.conj() / size)[:, None, :]
+    F, G = rights * gauge, lefts * gauge
+
+    x = np.cos(np.pi * np.arange(len(B)) / (len(B) - 1))
+    dB = chebyshev.chebval(x, chebyshev.chebder(chebyshev_coefficients(B))).transpose(2, 0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = G.conj().transpose(0, 2, 1) @ dB[::-1] @ F / (lam[:, None, :] - lam[:, :, None])
+    P = F @ np.where(fact.mode_pairs(lam.shape[1]), pairs, 0.0)
+    a = (-np.einsum("nak,nak->nk", F.conj(), P).real
+         - 1j * np.einsum("ak,nak->nk", F[0].conj(), P).imag / size)
+    # Clenshaw-Curtis: int_{-1}^{1} T_k dx = 2 / (1 - k^2) for even k, 0 for odd k
+    integrands = np.hstack([lam * paces[::-1, None], a])[::-1]
+    even = np.arange(0, len(B), 2)
+    sums = 2.0 / (1.0 - even**2) @ chebyshev_coefficients(integrands)[even]
+    # the pivot gauge's phase against F_k(0), unwrapped along the path
+    winding = np.unwrap(np.angle(overlap), axis=0)[-1]
+    return rights[-1], sums[: lam.shape[1]], 1j * sums[lam.shape[1] :] - winding
 
 
 def propagate_inertial(
@@ -273,10 +297,12 @@ def propagate_inertial(
     """Eigenframe-following propagation for slowly drifting chi.
 
     Each mode keeps its t = 0 expansion coefficient and accumulates the
-    dynamical integral of its eigenvalue plus a discrete parallel-transport
-    (geometric) phase.  The time grid is doubled until both phase families
-    are stable to phase_tol; the transport product telescopes, so the result
-    is independent of the per-node gauge choices.
+    dynamical integral of its eigenvalue plus a transport (geometric)
+    phase.  The Chebyshev levels double until both phase families change
+    by less than phase_tol, with NotConverged past _CHEB_MAX_N intervals.
+    Each level keeps the ``eigenframes`` and ``transport`` guards, and a
+    frame that turns orthogonal to its t = 0 frame raises
+    SingularDenominator.
     """
     if t < 0.0:
         raise ValueError("propagation runs forward from t = 0")
@@ -284,7 +310,8 @@ def propagate_inertial(
         raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
     n = v0.dim
     if t == 0.0:
-        _, (_, rights, lefts) = _node_data(fact, np.zeros(1))
+        B0 = fact.B_of_chi(fact.chi_of_t(np.zeros(1)))
+        _, rights, lefts = eigenframes(B0, blocks=fact.blocks)
         c = lefts[0].conj().T @ v0.coeffs
         zeros = np.zeros(n, dtype=complex)
         sol = InertialSolution(
@@ -292,38 +319,28 @@ def propagate_inertial(
         )
         return LiouvilleVector(coeffs=rights[0] @ c, t=0.0, theta=0.0), sol
 
-    # The transport sum converges at first order in the step and the
-    # eigenvalue integral at fourth; Richardson extrapolation of the
-    # doubling sequence removes the leading error terms of each, and the
-    # loop exits once successive extrapolants agree.
-    history = []
-    prev_est = None
-    for c, dyn, geo, final_rights in _inertial_passes(fact, v0, t):
-        history.append((dyn, geo))
-        if len(history) >= 3:
-            g0, g1, g2 = (h[1] for h in history[-3:])
-            geo_est = (4.0 * (2.0 * g2 - g1) - (2.0 * g1 - g0)) / 3.0
-            d1, d2 = history[-2][0], history[-1][0]
-            dyn_est = (16.0 * d2 - d1) / 15.0
-            if prev_est is not None:
-                dyn_err = np.max(np.abs(dyn_est - prev_est[0]))
-                geo_err = np.max(np.abs(geo_est - prev_est[1]))
-                if dyn_err < phase_tol and geo_err < phase_tol:
-                    dyn, geo = dyn_est, geo_est
-                    break
-            prev_est = (dyn_est, geo_est)
-    else:
-        raise NotConverged(
-            f"phase integrals not stable to {phase_tol} at {_N_MAX} nodes"
-        )
+    def sample(x):
+        ts = 0.5 * t * (1.0 + x)
+        B = fact.B_of_chi(fact.chi_of_t(ts))
+        return (0.5 * t * fact.omega_of_t(ts), B, *eigenframes(B, blocks=fact.blocks))
 
+    previous = None
+    for level, (paces, B, *frames) in chebyshev_levels(sample, _CHEB_N0, _CHEB_MAX_N):
+        final, dyn, geo = _level_phases(fact, paces, B, frames)
+        if previous is not None:
+            delta = max(np.abs(dyn - previous[0]).max(), np.abs(geo - previous[1]).max())
+            if delta < phase_tol:
+                break
+        previous = dyn, geo
+    else:
+        raise NotConverged(f"phase integrals not stable to {phase_tol} at {level + 1} points")
+
+    c = frames[2][-1].conj().T @ v0.coeffs
     used_geo = geo if include_geo else np.zeros(n, dtype=complex)
-    out = final_rights @ (c * np.exp(-1j * dyn + 1j * used_geo))
-    sol = InertialSolution(
-        c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo, t=t
-    )
-    theta_f = fact.theta(t)
-    return LiouvilleVector(coeffs=out, t=t, theta=theta_f), sol
+    out = final @ (c * np.exp(-1j * dyn + 1j * used_geo))
+    sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo,
+                           t=t, nodes=level + 1, delta=float(delta))
+    return LiouvilleVector(coeffs=out, t=t, theta=fact.theta(t)), sol
 
 
 def apply_identity_rescaling(model, v: LiouvilleVector, t: float) -> LiouvilleVector:

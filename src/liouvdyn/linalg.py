@@ -4,6 +4,7 @@ The propagators in this package diagonalize non-Hermitian generators whose
 right and left eigenvectors differ.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
+``chebyshev_levels`` holds the nested node set of the spectral quadratures.
 """
 
 from dataclasses import dataclass
@@ -258,3 +259,39 @@ def track_continuity(
         lefts=nxt.lefts[:, permutation] * phases,
     )
     return Alignment(frame=frame, permutation=permutation, phases=phases)
+
+
+def chebyshev_levels(f, n0: int, n_max: int):
+    """Samples of f on nested Chebyshev extreme points of [-1, 1].
+
+    Yields ``(n, values)`` for n = n0, 2 n0, ... intervals up to n_max,
+    the nodes being x_j = cos(pi j / n), so x_0 = 1.  ``f`` maps a 1-D
+    array of nodes to a tuple of arrays over them.  A doubling evaluates f
+    only at the new odd nodes and interleaves them with the earlier
+    samples, so no node is evaluated twice.
+    """
+    n = n0
+    values = f(np.cos(np.pi * np.arange(n + 1) / n))
+    while True:
+        yield n, values
+        if 2 * n > n_max:
+            return
+        n *= 2
+        new = f(np.cos(np.pi * np.arange(1, n, 2) / n))
+        values = tuple(np.insert(old, np.arange(1, len(old)), odd, axis=0)
+                       for old, odd in zip(values, new))
+
+
+def chebyshev_coefficients(values) -> np.ndarray:
+    """Coefficients of T_0 ... T_n (axis 0) of the interpolant through the
+    samples of one ``chebyshev_levels`` level: a DCT-I, as the FFT of their
+    even extension (Trefethen, SIAM Review 50, 2008), one per complex part."""
+    from numpy.fft import rfft
+
+    if np.iscomplexobj(values):
+        return chebyshev_coefficients(values.real) + 1j * chebyshev_coefficients(values.imag)
+    n = len(values) - 1
+    c = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
+    c[0] /= 2.0
+    c[n] /= 2.0
+    return c

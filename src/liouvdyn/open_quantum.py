@@ -30,7 +30,7 @@ from .errors import (
     UnphysicalState,
     UnsupportedDimension,
 )
-from .linalg import bi_eigendecompose, eigenframes
+from .linalg import bi_eigendecompose, chebyshev_coefficients, chebyshev_levels, eigenframes
 from .models import BlochState, TLSModel, tls_generator
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
@@ -329,30 +329,19 @@ def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np
     """Integrals int_0^t f(s) ds at every t of ``ts``, one per column of f.
 
     ``f`` maps a 1-D array of m times in [0, t_end] to an (m, k) array.
-    It is sampled on nested Chebyshev extreme points of [0, t_end],
-    doubling the n intervals from _CHEB_N0 and reusing every earlier
-    sample; the interpolant is integrated term by term (Clenshaw-Curtis,
-    Trefethen, SIAM Review 50, 2008) and summed at ``ts``.  Stops when
-    the integrals of two successive levels agree within atol + rtol |I|
-    on the finer level's points, so the samples do not depend on ``ts``,
+    It is sampled on ``linalg.chebyshev_levels`` of [0, t_end], doubling
+    the n intervals from _CHEB_N0; the interpolant is integrated term by
+    term (Clenshaw-Curtis) and summed at ``ts``.  Stops when the
+    integrals of two successive levels agree within atol + rtol |I| on
+    the finer level's points, so the samples do not depend on ``ts``,
     and raises NotConverged once n would pass _CHEB_MAX_N.
     """
-    from numpy.fft import rfft
     from numpy.polynomial import chebyshev
 
-    def at(k, n):
-        return f(0.5 * t_end * (1.0 + np.cos(np.pi * k / n)))
-
-    n = _CHEB_N0
-    values = at(np.arange(n + 1), n)
+    levels = chebyshev_levels(lambda x: (f(0.5 * t_end * (1.0 + x)),), _CHEB_N0, _CHEB_MAX_N)
     previous = None
-    while True:
-        # Chebyshev coefficients of the interpolant: a DCT-I of the
-        # samples, as the FFT of their even extension
-        c = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
-        c[0] /= 2.0
-        c[n] /= 2.0
-        anti = chebyshev.chebint(c, lbnd=-1.0, scl=0.5 * t_end)
+    for n, (values,) in levels:
+        anti = chebyshev.chebint(chebyshev_coefficients(values), lbnd=-1.0, scl=0.5 * t_end)
         if previous is not None:
             # the two levels' integrals compared on this level's points,
             # so the stopping point does not depend on ts either
@@ -362,17 +351,11 @@ def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np
                       <= atol + rtol * np.abs(new)):
                 x = 2.0 * np.asarray(ts, dtype=float) / t_end - 1.0
                 return chebyshev.chebval(x, anti).T
-        if 2 * n > _CHEB_MAX_N:
-            raise NotConverged(
-                f"cumulative phase quadrature did not settle within {n + 1} "
-                "Chebyshev points"
-            )
         previous = anti
-        n *= 2
-        merged = np.empty((n + 1,) + values.shape[1:])
-        merged[0::2] = values
-        merged[1::2] = at(np.arange(1, n, 2), n)
-        values = merged
+    raise NotConverged(
+        f"cumulative phase quadrature did not settle within {n + 1} "
+        "Chebyshev points"
+    )
 
 
 def _secular_phase_check(alphas: np.ndarray, Lam: np.ndarray):

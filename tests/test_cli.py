@@ -1000,6 +1000,27 @@ def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_ho_sweep_leaves_scipy_unimported(tmp_path):
+    # the oscillator's exact state is closed form and its inertial phases
+    # are Clenshaw-Curtis sums, so a default ho sweep needs no scipy solver
+    script = (
+        "import sys\n"
+        "import liouvdyn.cli\n"
+        "assert liouvdyn.cli.main(['sweep', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_import_leaves_fft_and_polynomial_unloaded():
     # numpy loads both lazily; only the level-phase quadrature needs them
     script = (

@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import grid_inertial
 
+from liouvdyn.diagnostics import fidelity_sweep
 from liouvdyn.engine import (
     GeneratorFactorization,
     LiouvilleVector,
@@ -15,7 +19,13 @@ from liouvdyn.engine import (
     propagate_exact,
     propagate_inertial,
 )
-from liouvdyn.errors import DomainExceeded
+from liouvdyn.errors import (
+    AmbiguousMatching,
+    DomainExceeded,
+    LiouvdynError,
+    NotConverged,
+    SingularDenominator,
+)
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
     HOModel,
@@ -261,9 +271,8 @@ class TestInertialPropagation:
         assert err_i < err_a
 
     def test_refinement_evaluates_each_node_once(self):
-        # the default ramp leaves after passes at 64, 128, 256 and 512
-        # nodes; nested grids share every node, so B is built at 512 + 1
-        # nodes over all its stacked calls
+        # nested Chebyshev levels share every node, so B is built once per
+        # point of the final level over all its stacked calls
         model = HOModel(protocol=HOProtocol.solve_boundary(20.0, 10.0, 1.0, -5e-3))
         fact = model.factorization()
         chis = []
@@ -273,9 +282,10 @@ class TestInertialPropagation:
             return fact.B_of_chi(chi)
 
         counting = dataclasses.replace(fact, B_of_chi=counted)
-        propagate_inertial(counting, initial_vector(model), 1.0)
-        assert len(chis) == 513
-        assert len(set(chis)) == 513
+        _, sol = propagate_inertial(counting, initial_vector(model), 1.0)
+        assert sol.nodes == 33  # levels of 16 and 32 intervals
+        assert len(chis) == sol.nodes
+        assert len(set(chis)) == sol.nodes
 
     def test_dynamic_phase_against_quadrature(self):
         import scipy.integrate
@@ -292,6 +302,135 @@ class TestInertialPropagation:
         assert abs(sol.dyn_phase[0]) < 1e-9
         assert abs(sol.dyn_phase[1] - ref) < 1e-7
         assert abs(sol.dyn_phase[2] + ref) < 1e-7
+
+
+def sweep_ramp(kind, t_f, omega_start=20.0, omega_target=10.0, a=-5e-3, epsilon=8.0):
+    """The ``sweep`` experiment's ramp model for one duration."""
+    if kind == "ho":
+        seed = HOModel(protocol=HOProtocol(omega_start, 0.0, a))
+    else:
+        omega0 = math.sqrt(omega_start**2 - epsilon**2)
+        seed = TLSModel(protocol=TLSProtocol(epsilon, omega0, 0.0, a))
+    return seed.for_duration(t_f, omega_target)
+
+
+def spin_factorization(chi_of_t):
+    """Two-level generator cos(chi) sigma_z + sin(chi) sigma_x at unit pace;
+    its eigenvectors turn by chi / 2."""
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return GeneratorFactorization(
+        omega_of_t=np.ones_like,
+        B_of_chi=lambda chi: np.multiply.outer(np.cos(chi), sz) + np.multiply.outer(np.sin(chi), sx),
+        chi_of_t=chi_of_t,
+        theta_of_t=lambda t: t,
+    )
+
+
+class TestSpectralRoute:
+    V0 = LiouvilleVector(coeffs=np.array([1.0, 0.5], dtype=complex), t=0.0, theta=0.0)
+
+    @given(
+        st.sampled_from(["ho", "tls"]),
+        st.floats(19.0, 21.0),
+        st.floats(9.5, 10.5),
+        st.floats(-5.5e-3, -4.5e-3),
+        st.floats(7.5, 8.5),
+        st.floats(0.05, 5.0),
+    )
+    def test_matches_the_grid_route(self, kind, start, target, a, epsilon, t_f):
+        model = sweep_ramp(kind, t_f, start, target, a, epsilon)
+        fact, v0 = model.factorization(), initial_vector(model)
+        v, sol = propagate_inertial(fact, v0, t_f)
+        want, dyn, geo = grid_inertial(fact, v0, t_f)
+        assert np.max(np.abs(v.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(sol.dyn_phase - dyn)) <= 1e-9
+        assert np.max(np.abs(sol.geo_phase - geo)) <= 1e-9
+
+    def test_curved_spin_circle_picks_up_half_the_solid_angle(self):
+        # chi . sigma once around the cone of polar angle 0.6 in unit time:
+        # the upper mode's transport phase is -pi (1 - cos 0.6), which the
+        # grid route reaches only to about 3e-10
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        polar = 0.6
+
+        def cone(ts):
+            turn = 2.0 * math.pi * np.asarray(ts)
+            return np.stack(
+                [math.sin(polar) * np.cos(turn), math.sin(polar) * np.sin(turn),
+                 np.full_like(turn, math.cos(polar))], axis=-1
+            )
+
+        fact = GeneratorFactorization(
+            omega_of_t=np.ones_like,
+            B_of_chi=lambda chi: np.tensordot(chi, paulis, axes=1),
+            chi_of_t=cone,
+            theta_of_t=lambda t: t,
+        )
+        v, sol = propagate_inertial(fact, self.V0, 1.0)
+        want = math.pi * (1.0 - math.cos(polar))
+        assert np.max(np.abs(sol.geo_phase - [-want, want])) < 1e-12
+        assert np.max(np.abs(sol.dyn_phase - [1.0, -1.0])) < 1e-12
+        grid, _, _ = grid_inertial(fact, self.V0, 1.0, phase_tol=1e-8)
+        assert np.max(np.abs(v.coeffs - grid)) < 1e-8
+
+    def test_modes_are_followed_past_the_exceptional_point(self):
+        # mu_max is 2.5 at t_f = 0.02: transport reorders the modes and the
+        # route applies that order, so the sweep row reads DomainExceeded
+        model = sweep_ramp("ho", 0.02)
+        fact, v0 = model.factorization(), initial_vector(model)
+        v, _ = propagate_inertial(fact, v0, 0.02)
+        want, _, _ = grid_inertial(fact, v0, 0.02)
+        assert np.max(np.abs(v.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        seed = HOModel(protocol=HOProtocol(20.0, 0.0, -5e-3))
+        result = fidelity_sweep(seed, [0.02], omega_target=10.0)
+        assert result.errors[0].startswith("DomainExceeded")
+
+    def test_ambiguous_match_on_the_node_stack(self):
+        # the frames turn by exactly pi / 4 between two nodes, so both
+        # columns overlap the next frame equally
+        fact = spin_factorization(lambda ts: np.where(ts > 0.5, 0.5 * math.pi, 0.0))
+        with pytest.raises(AmbiguousMatching):
+            propagate_inertial(fact, self.V0, 1.0)
+
+    def test_vanishing_reference_overlap(self):
+        # the frames turn by pi / 2 at t = 1, orthogonal to their start
+        fact = spin_factorization(lambda ts: math.pi * ts)
+        with pytest.raises(SingularDenominator):
+            propagate_inertial(fact, self.V0, 1.0)
+        v, _ = propagate_inertial(fact, self.V0, 0.5)
+        assert np.all(np.isfinite(v.coeffs))
+
+    def test_node_cap_raises_not_converged(self):
+        model = sweep_ramp("ho", 1.0)
+        with pytest.raises(NotConverged):
+            propagate_inertial(model.factorization(), initial_vector(model), 1.0, phase_tol=0.0)
+
+    @pytest.mark.parametrize("kind", ["ho", "tls"])
+    @pytest.mark.parametrize("t", [1e-300, 1e-12])
+    def test_tiny_durations(self, kind, t):
+        # at 1e-12 the state has moved by about Omega t |v0|, 1e-11, so the
+        # exact vector is the reference; at 1e-300 it is v0 itself
+        model = sweep_ramp(kind, 1.0)
+        fact, v0 = model.factorization(), initial_vector(model)
+        try:
+            v, _ = propagate_inertial(fact, v0, t)
+        except LiouvdynError:
+            return
+        assert np.all(np.isfinite(v.coeffs))
+        scale = np.max(np.abs(v0.coeffs))
+        assert np.max(np.abs(v.coeffs - model.exact_vector(t).coeffs)) <= 1e-12 * scale
+        if t < 1e-100:
+            assert np.max(np.abs(v.coeffs - v0.coeffs)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["ho", "tls"])
+    def test_counts_are_deterministic(self, kind):
+        model = sweep_ramp(kind, 5.0)
+        fact, v0 = model.factorization(), initial_vector(model)
+        _, first = propagate_inertial(fact, v0, 5.0)
+        _, second = propagate_inertial(fact, v0, 5.0)
+        assert (first.nodes, first.delta) == (second.nodes, second.delta)
+        assert first.nodes >= 33 and 0.0 <= first.delta < 1e-10
 
 
 class TestPurityPreservation:
