@@ -28,7 +28,7 @@ from .linalg import EigenFrame, chebyshev_coefficients, chebyshev_levels, eigenf
 _PHASE_TOL = 1e-10
 # Chebyshev levels of the inertial phases: 16, 32, ... up to 1024 intervals
 _CHEB_N0, _CHEB_MAX_N = 16, 1024
-# smallest |F_k(0)^H F_k(t)| the reference gauge accepts
+# smallest node-to-node overlap product the reference gauge accepts
 _REFERENCE_FLOOR = 1e-8
 
 
@@ -240,19 +240,22 @@ def propagate_adiabatic(
     return LiouvilleVector(coeffs=out, t=t, theta=theta_f)
 
 
-def _level_phases(fact, paces, B, frames):
+def _level_phases(fact, x, paces, B, frames):
     """Dynamical and transport phases from one Chebyshev level of [0, t].
 
-    The stacks run over x_j = cos(pi j / n), x_0 = 1 at the end time, and
+    The stacks run over the nodes ``x``, x_0 = 1 at the end time, and
     ``paces`` holds Omega dt/dx.  ``transport`` orders the modes along the
-    path, and one unit factor on F_k and G_k makes F_k(0)^H F_k(t) real and
-    positive (SingularDenominator where it vanishes).  In that reference
+    path.  Each mode k is referred to its frame r_k at one node of the
+    first level: once a unit factor on F_k and G_k makes r_k^H F_k(t) real
+    and positive, that node gives the largest smallest overlap of
+    neighbouring nodes' frames (SingularDenominator when every choice
+    turns the frame by pi / 2 or more in one step).  In that reference
     gauge dF_k/dx = P_k + a_k F_k, with the first-order pair sum P_k =
-    sum_j F_j (G_j^H dB F_k) / (lambda_k - lambda_j) over the other modes of
-    k's block: unit norm fixes Re a_k = -Re(F_k^H P_k) and the real overlap
-    Im a_k = -Im(F_k(0)^H P_k) / |F_k(0)^H F_k|.  Returns the final frame in
-    its pivot gauge and mode order, int lambda_k Omega dt, and geo_k =
-    i int a_k dx moved to that pivot gauge.
+    sum_j F_j (G_j^H dB F_k) / (lambda_k - lambda_j) over the other modes
+    of k's block: unit norm fixes Re a_k = -Re(F_k^H P_k) and the real
+    overlap Im a_k = -Im(r_k^H P_k) / |r_k^H F_k|.  Returns the final
+    frame in its pivot gauge and mode order, int lambda_k Omega dt, and
+    geo_k = i int a_k dx moved to the pivot gauges at both ends.
     """
     from numpy.polynomial import chebyshev
 
@@ -260,30 +263,36 @@ def _level_phases(fact, paces, B, frames):
     perms, _ = transport(rights, lefts)
     lam = np.take_along_axis(lam, perms, axis=1)
     rights, lefts = (np.take_along_axis(a, perms[:, None, :], axis=2) for a in (rights, lefts))
-    overlap = np.einsum("ak,nak->nk", rights[0].conj(), rights)
+    m, modes = lam.shape[1], np.arange(lam.shape[1])
+    # candidate references: the first level's nodes, present at every level.
+    # o[k, j, i] = F_k(t_j)^H F_k(t_i): referred to candidate j, the frame's
+    # step from node i to i + 1 overlaps as o[k, j, i] s[k, i] conj(o[k, j, i + 1])
+    stride = (len(x) - 1) // _CHEB_N0
+    per_mode = rights.transpose(2, 0, 1)
+    o = per_mode[:, ::stride].conj() @ per_mode.transpose(0, 2, 1)
+    steps = (per_mode[:, :-1].conj() * per_mode[:, 1:]).sum(axis=2)
+    turns = o[:, :, :-1] * steps[:, None, :] * o[:, :, 1:].conj()
+    ref = turns.real.min(axis=2).argmax(axis=1)
+    turns, overlap = turns[modes, ref], o[modes, ref].T
+    if (bad := np.flatnonzero(~(turns.real.min(axis=1) >= _REFERENCE_FLOOR))).size:
+        raise SingularDenominator(f"mode {bad[0]} turns by pi / 2 or more between two nodes "
+                                  "against each of its candidate reference frames")
     size = np.abs(overlap)
-    if (bad := np.argwhere(~(size >= _REFERENCE_FLOOR))).size:
-        raise SingularDenominator(
-            f"mode {bad[0, 1]} turned orthogonal to its t = 0 frame "
-            f"(|F_k(0)^H F_k(t)| = {size[tuple(bad[0])]:.3e})"
-        )
-    gauge = (overlap.conj() / size)[:, None, :]
-    F, G = rights * gauge, lefts * gauge
+    F, G = (a * (overlap.conj() / size)[:, None, :] for a in (rights, lefts))
 
-    x = np.cos(np.pi * np.arange(len(B)) / (len(B) - 1))
     dB = chebyshev.chebval(x, chebyshev.chebder(chebyshev_coefficients(B))).transpose(2, 0, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         pairs = G.conj().transpose(0, 2, 1) @ dB[::-1] @ F / (lam[:, None, :] - lam[:, :, None])
-    P = F @ np.where(fact.mode_pairs(lam.shape[1]), pairs, 0.0)
+    P = F @ np.where(fact.mode_pairs(m), pairs, 0.0)
     a = (-np.einsum("nak,nak->nk", F.conj(), P).real
-         - 1j * np.einsum("ak,nak->nk", F[0].conj(), P).imag / size)
+         - 1j * np.einsum("ka,nak->nk", F[ref * stride, :, modes].conj(), P).imag / size)
     # Clenshaw-Curtis: int_{-1}^{1} T_k dx = 2 / (1 - k^2) for even k, 0 for odd k
     integrands = np.hstack([lam * paces[::-1, None], a])[::-1]
-    even = np.arange(0, len(B), 2)
+    even = np.arange(0, len(x), 2)
     sums = 2.0 / (1.0 - even**2) @ chebyshev_coefficients(integrands)[even]
-    # the pivot gauge's phase against F_k(0), unwrapped along the path
-    winding = np.unwrap(np.angle(overlap), axis=0)[-1]
-    return rights[-1], sums[: lam.shape[1]], 1j * sums[lam.shape[1] :] - winding
+    # the pivot gauges' phase steps less the reference gauge's, each within pi / 2
+    winding = np.angle(steps).sum(axis=1) - np.angle(turns).sum(axis=1)
+    return rights[-1], sums[:m], 1j * sums[m:] - winding
 
 
 def propagate_inertial(
@@ -301,8 +310,8 @@ def propagate_inertial(
     phase.  The Chebyshev levels double until both phase families change
     by less than phase_tol, with NotConverged past _CHEB_MAX_N intervals.
     Each level keeps the ``eigenframes`` and ``transport`` guards, and a
-    frame that turns orthogonal to its t = 0 frame raises
-    SingularDenominator.
+    mode that turns orthogonal to each of its node frames along the path
+    raises SingularDenominator.
     """
     if t < 0.0:
         raise ValueError("propagation runs forward from t = 0")
@@ -325,8 +334,8 @@ def propagate_inertial(
         return (0.5 * t * fact.omega_of_t(ts), B, *eigenframes(B, blocks=fact.blocks))
 
     previous = None
-    for level, (paces, B, *frames) in chebyshev_levels(sample, _CHEB_N0, _CHEB_MAX_N):
-        final, dyn, geo = _level_phases(fact, paces, B, frames)
+    for level, x, (paces, B, *frames) in chebyshev_levels(sample, _CHEB_N0, _CHEB_MAX_N):
+        final, dyn, geo = _level_phases(fact, x, paces, B, frames)
         if previous is not None:
             delta = max(np.abs(dyn - previous[0]).max(), np.abs(geo - previous[1]).max())
             if delta < phase_tol:

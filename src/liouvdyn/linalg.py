@@ -264,22 +264,22 @@ def track_continuity(
 def chebyshev_levels(f, n0: int, n_max: int):
     """Samples of f on nested Chebyshev extreme points of [-1, 1].
 
-    Yields ``(n, values)`` for n = n0, 2 n0, ... intervals up to n_max,
+    Yields ``(n, x, values)`` for n = n0, 2 n0, ... intervals up to n_max,
     the nodes being x_j = cos(pi j / n), so x_0 = 1.  ``f`` maps a 1-D
     array of nodes to a tuple of arrays over them.  A doubling evaluates f
     only at the new odd nodes and interleaves them with the earlier
     samples, so no node is evaluated twice.
     """
-    n = n0
-    values = f(np.cos(np.pi * np.arange(n + 1) / n))
-    while True:
-        yield n, values
-        if 2 * n > n_max:
-            return
+    n, values = n0, None
+    while n <= n_max:
+        x = np.cos(np.pi * np.arange(n + 1) / n)
+        if values is None:
+            values = f(x)
+        else:
+            values = tuple(np.insert(old, np.arange(1, len(old)), odd, axis=0)
+                           for old, odd in zip(values, f(x[1::2])))
+        yield n, x, values
         n *= 2
-        new = f(np.cos(np.pi * np.arange(1, n, 2) / n))
-        values = tuple(np.insert(old, np.arange(1, len(old)), odd, axis=0)
-                       for old, odd in zip(values, new))
 
 
 def chebyshev_coefficients(values) -> np.ndarray:
@@ -292,6 +292,5 @@ def chebyshev_coefficients(values) -> np.ndarray:
         return chebyshev_coefficients(values.real) + 1j * chebyshev_coefficients(values.imag)
     n = len(values) - 1
     c = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
-    c[0] /= 2.0
-    c[n] /= 2.0
+    c[[0, n]] /= 2.0
     return c

@@ -340,12 +340,11 @@ def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np
 
     levels = chebyshev_levels(lambda x: (f(0.5 * t_end * (1.0 + x)),), _CHEB_N0, _CHEB_MAX_N)
     previous = None
-    for n, (values,) in levels:
+    for n, nodes, (values,) in levels:
         anti = chebyshev.chebint(chebyshev_coefficients(values), lbnd=-1.0, scl=0.5 * t_end)
         if previous is not None:
             # the two levels' integrals compared on this level's points,
             # so the stopping point does not depend on ts either
-            nodes = np.cos(np.pi * np.arange(n + 1) / n)
             new = chebyshev.chebval(nodes, anti)
             if np.all(np.abs(new - chebyshev.chebval(nodes, previous))
                       <= atol + rtol * np.abs(new)):

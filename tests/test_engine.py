@@ -22,7 +22,6 @@ from liouvdyn.engine import (
 from liouvdyn.errors import (
     AmbiguousMatching,
     DomainExceeded,
-    LiouvdynError,
     NotConverged,
     SingularDenominator,
 )
@@ -393,13 +392,37 @@ class TestSpectralRoute:
         with pytest.raises(AmbiguousMatching):
             propagate_inertial(fact, self.V0, 1.0)
 
-    def test_vanishing_reference_overlap(self):
-        # the frames turn by pi / 2 at t = 1, orthogonal to their start
+    @pytest.mark.parametrize("t", [1.0, 1.4, 1.8])
+    def test_frames_turning_past_a_right_angle(self, t):
+        # the frames turn by pi t / 2: past t = 1 they are orthogonal to
+        # their start somewhere, and a real mode's overlap with it changes
+        # sign between two nodes; the reference moves to a node frame that
+        # no frame of the path is orthogonal to
+        fact = spin_factorization(lambda ts: math.pi * ts)
+        v, sol = propagate_inertial(fact, self.V0, t)
+        want, dyn, geo = grid_inertial(fact, self.V0, t)
+        assert np.max(np.abs(v.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(sol.dyn_phase - dyn)) <= 1e-9
+        assert np.max(np.abs(sol.geo_phase - geo)) <= 1e-9
+
+    def test_tls_axis_turning_past_a_right_angle(self):
+        # chi runs from -1.25 to 1.25, so the zero mode's axis (1, 0, chi)
+        # turns by 103 degrees over the ramp
+        seed = TLSModel(protocol=TLSProtocol(8.0, math.sqrt(20.0**2 - 8.0**2), 0.0, 5.0))
+        model = seed.for_duration(0.5, 19.9)
+        fact, v0 = model.factorization(), initial_vector(model)
+        v, _ = propagate_inertial(fact, v0, 0.5)
+        want, _, _ = grid_inertial(fact, v0, 0.5)
+        assert np.max(np.abs(v.coeffs - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [2.0, 2.4])
+    def test_vanishing_reference_overlap(self, t):
+        # turning by pi / 2 or more against every node frame raises
+        # SingularDenominator: from t = 2 the frames turn by pi or more,
+        # so each node frame is orthogonal to the path somewhere
         fact = spin_factorization(lambda ts: math.pi * ts)
         with pytest.raises(SingularDenominator):
-            propagate_inertial(fact, self.V0, 1.0)
-        v, _ = propagate_inertial(fact, self.V0, 0.5)
-        assert np.all(np.isfinite(v.coeffs))
+            propagate_inertial(fact, self.V0, t)
 
     def test_node_cap_raises_not_converged(self):
         model = sweep_ramp("ho", 1.0)
@@ -413,10 +436,7 @@ class TestSpectralRoute:
         # exact vector is the reference; at 1e-300 it is v0 itself
         model = sweep_ramp(kind, 1.0)
         fact, v0 = model.factorization(), initial_vector(model)
-        try:
-            v, _ = propagate_inertial(fact, v0, t)
-        except LiouvdynError:
-            return
+        v, _ = propagate_inertial(fact, v0, t)
         assert np.all(np.isfinite(v.coeffs))
         scale = np.max(np.abs(v0.coeffs))
         assert np.max(np.abs(v.coeffs - model.exact_vector(t).coeffs)) <= 1e-12 * scale
