@@ -49,7 +49,7 @@ _SWEEP_COLUMNS = (
     "mu_max",
     "upsilon_max",
 )
-_EXACT_ROUTE = "model.exact_vector: closed form for ho, engine.propagate_exact for tls"
+_EXACT_ROUTE = "model.exact_vector: closed form for ho, Magnus rotation product for tls"
 _SWEEP_SOURCES = {
     "t_f": "diagnostics.log_time_grid",
     "F_inertial": f"diagnostics.fidelity_sweep (engine.propagate_inertial vs {_EXACT_ROUTE})",

@@ -362,10 +362,11 @@ def fidelity_sweep(
     frozen-frame solutions, and scores the approximations against the
     exact state.  A failed point is recorded and the sweep continues.
 
-    `rtol`/`atol` control the ODE reference integration, which only the
-    two-level model runs (the oscillator's exact state is closed form),
-    and `phase_tol` the inertial phase refinement; tighten them when the
-    infidelity floor being measured approaches the defaults.
+    `rtol`/`atol` control the two-level exact reference, whose Magnus
+    steps double until two levels agree within atol + rtol |v| (the
+    oscillator's exact state is closed form), and `phase_tol` the
+    inertial phase refinement; tighten them when the infidelity floor
+    being measured approaches the defaults.
     """
     grid = np.asarray(t_f_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

@@ -23,7 +23,14 @@ import numpy as np
 # package's import time, and `geo` and `diagnose` runs never need it.
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
-from .linalg import EigenFrame, chebyshev_coefficients, chebyshev_levels, eigenframes, transport
+from .linalg import (
+    EigenFrame,
+    chebyshev_coefficients,
+    chebyshev_derivative,
+    chebyshev_levels,
+    eigenframes,
+    transport,
+)
 
 _PHASE_TOL = 1e-10
 # Chebyshev levels of the inertial phases: 16, 32, ... up to 1024 intervals
@@ -257,8 +264,6 @@ def _level_phases(fact, x, paces, B, frames):
     frame in its pivot gauge and mode order, int lambda_k Omega dt, and
     geo_k = i int a_k dx moved to the pivot gauges at both ends.
     """
-    from numpy.polynomial import chebyshev
-
     lam, rights, lefts = (a[::-1] for a in frames)  # time order from here
     perms, _ = transport(rights, lefts)
     lam = np.take_along_axis(lam, perms, axis=1)
@@ -280,7 +285,7 @@ def _level_phases(fact, x, paces, B, frames):
     size = np.abs(overlap)
     F, G = (a * (overlap.conj() / size)[:, None, :] for a in (rights, lefts))
 
-    dB = chebyshev.chebval(x, chebyshev.chebder(chebyshev_coefficients(B))).transpose(2, 0, 1)
+    dB = (chebyshev_derivative(len(x) - 1) @ B.reshape(len(x), -1)).reshape(B.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         pairs = G.conj().transpose(0, 2, 1) @ dB[::-1] @ F / (lam[:, None, :] - lam[:, :, None])
     P = F @ np.where(fact.mode_pairs(m), pairs, 0.0)

@@ -4,9 +4,11 @@ The propagators in this package diagonalize non-Hermitian generators whose
 right and left eigenvectors differ.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
-``chebyshev_levels`` holds the nested node set of the spectral quadratures.
+``chebyshev_levels`` holds the nested node set of the spectral quadratures,
+and ``magnus_axes`` the stacked Magnus steps of the two-level exact flows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,3 +296,69 @@ def chebyshev_coefficients(values) -> np.ndarray:
     c = rfft(np.concatenate([values, values[-2:0:-1]]), axis=0).real / n
     c[[0, n]] /= 2.0
     return c
+
+
+def chebyshev_derivative(n: int) -> np.ndarray:
+    """(n + 1, n + 1) matrix taking samples on the Chebyshev extreme points
+    x_j = cos(pi j / n) of [-1, 1] to the derivative of their interpolant
+    there (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6).  The node
+    differences come from a product of sines, which loses no digits near
+    x = +-1, and each diagonal entry is minus its row's other entries, so
+    the matrix differentiates constants to exactly zero."""
+    j = np.arange(n + 1)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    # x_i - x_j = 2 sin(pi (i + j) / 2n) sin(pi (j - i) / 2n)
+    half = np.pi / (2 * n)
+    diff = 2.0 * np.sin(half * (j[:, None] + j)) * np.sin(half * (j - j[:, None]))
+    np.fill_diagonal(diff, 1.0)
+    D = np.outer(c, 1.0 / c) / diff
+    np.fill_diagonal(D, 0.0)
+    D[j, j] = -D.sum(axis=1)
+    return D
+
+
+# Gauss-Legendre points of one Magnus step, as fractions of its length
+_GAUSS_3 = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+# steps of one Magnus level beyond which its users raise NotConverged
+MAGNUS_MAX_STEPS = 2**16
+# steps per radian of rotation at which the users' first Magnus level
+# starts: about where two levels agree to 1e-10 on the two-level drives
+MAGNUS_STEPS_PER_RAD = 6.0
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
+def magnus_axes(field, edges) -> np.ndarray:
+    """Sixth-order Magnus axis vector of every step of a rotation field.
+
+    ``edges`` are the N + 1 ends of N steps and ``field`` maps a 1-D array
+    of times to the (len, 3) field k there, sampled at the three
+    Gauss-Legendre points of each step.  k generates v' = k x v in so(3)
+    and U' = -i (k . sigma / 2) U in su(2); both brackets are the cross
+    product, so the sixth-order method of Blanes, Casas, Oteo & Ros
+    (Phys. Rep. 470, 2009) with three commutators takes three cross
+    products per step.  Returns the (N, 3) axes w: step n moves v by the
+    rotation exp(w_n x) and U by exp(-i w_n . sigma / 2), up to O(h^7).
+    """
+    edges = np.asarray(edges, dtype=float)
+    h = np.diff(edges)[:, None]
+    k = field((edges[:-1, None] + h * _GAUSS_3).ravel()).reshape(len(h), 3, 3)
+    a1 = h * k[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * h * (k[:, 2] - k[:, 0])
+    a3 = (10.0 / 3.0) * h * (k[:, 2] - 2.0 * k[:, 1] + k[:, 0])
+    c1 = _cross(a1, a2)
+    c2 = _cross(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _cross(c1 - 20.0 * a1 - a3, a2 + c2) / 240.0
+
+
+def _cross(a, b):
+    # row-wise a x b of two (N, 3) stacks, without np.cross's axis handling
+    return a[:, _NEXT] * b[:, _LAST] - a[:, _LAST] * b[:, _NEXT]
+
+
+def ordered_product(mats) -> np.ndarray:
+    """M_{N-1} ... M_1 M_0 of a stack running over axis -3, N a power of two,
+    later factors on the left, by pairwise reduction: log2 N batched
+    products, no loop over N."""
+    while mats.shape[-3] > 1:
+        mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+    return mats[..., 0, :, :]

@@ -30,7 +30,16 @@ from .errors import (
     UnphysicalState,
     UnsupportedDimension,
 )
-from .linalg import bi_eigendecompose, chebyshev_coefficients, chebyshev_levels, eigenframes
+from .linalg import (
+    MAGNUS_MAX_STEPS,
+    MAGNUS_STEPS_PER_RAD,
+    bi_eigendecompose,
+    chebyshev_coefficients,
+    chebyshev_levels,
+    eigenframes,
+    magnus_axes,
+    ordered_product,
+)
 from .models import BlochState, TLSModel, tls_generator
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
@@ -423,6 +432,51 @@ def _static_propagators(omega: float, epsilon: float, ts) -> np.ndarray:
     return np.cos(phase) * np.eye(2) - 1j * np.sin(phase) * (H / h)
 
 
+def _su2(w: np.ndarray) -> np.ndarray:
+    """exp(-i w . sigma / 2) = cos(|w|/2) I - i sin(|w|/2)/|w| w . sigma for
+    an (N, 3) stack of axis vectors."""
+    angle = np.linalg.norm(w, axis=1)
+    ratio = np.where(angle > 0.0, np.sin(0.5 * angle) / np.where(angle > 0.0, angle, 1.0), 0.5)
+    x, y, z = (ratio * w[:, i] for i in range(3))
+    c = np.cos(0.5 * angle)
+    return np.stack([c - 1j * z, -1j * x - y, -1j * x + y, c + 1j * z], axis=1).reshape(-1, 2, 2)
+
+
+def _driven_propagators(protocol, ts, *, rtol: float, atol: float) -> np.ndarray:
+    """Time-ordered U(t) of H(t) = omega(t) S_z + epsilon S_x at every t of ``ts``.
+
+    H = (epsilon, 0, omega(t)) . sigma / 2, so each grid interval takes s
+    sixth-order Magnus steps (``linalg.magnus_axes``), exponentiated in
+    SU(2) and multiplied by pairwise reduction; prefix products over the
+    intervals give U on the grid.  s starts near where that converges for
+    the largest rotation angle of an interval and doubles until two levels
+    agree within atol + rtol |U| in every entry; NotConverged once a level
+    would pass ``linalg.MAGNUS_MAX_STEPS`` steps (or two steps per interval).
+    """
+    eps, dt = protocol.epsilon, np.diff(ts)
+
+    def field(t):
+        omega = protocol.omega(t)
+        return np.stack([np.full_like(omega, eps), np.zeros_like(omega), omega], axis=1)
+
+    Om = protocol.Omega(ts)
+    angle = float(np.max(dt * np.maximum(Om[1:], Om[:-1])))
+    s = 2 ** max(0, round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
+    previous = None
+    while s * len(dt) <= max(MAGNUS_MAX_STEPS, 2 * len(dt)):
+        edges = np.append((ts[:-1, None] + dt[:, None] * (np.arange(s) / s)).ravel(), ts[-1])
+        U = ordered_product(_su2(magnus_axes(field, edges)).reshape(len(dt), s, 2, 2))
+        offset = 1
+        while offset < len(U):  # prefix products, later intervals on the left
+            U[offset:] = U[offset:] @ U[:-offset]
+            offset *= 2
+        if previous is not None and np.all(np.abs(U - previous) <= atol + rtol * np.abs(U)):
+            return np.concatenate([np.eye(2)[None], U])
+        previous, s = U, 2 * s
+    raise NotConverged(f"free propagator: Magnus levels did not agree within {s // 2} "
+                       "steps per grid interval")
+
+
 def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol, atol):
     """Accumulated channel phases Lambda_j and level phases theta_k on ``ts``.
 
@@ -471,7 +525,8 @@ def mesolve(
     Integrates the interaction-picture GKLS equation with channel rates
     gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) and, on request, maps
     back to the lab frame with the exact free propagator: closed form
-    for a static drive, a DOP853 solve otherwise.  Returns the stack of
+    for a static drive, stacked sixth-order Magnus steps aligned to
+    ``t_grid`` otherwise (``_driven_propagators``).  Returns the stack of
     density matrices on ``t_grid`` (which must start at 0).
 
     The level shift H_LS(t) = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t))
@@ -555,25 +610,7 @@ def mesolve(
     if p.static:
         U = _static_propagators(p.omega(0.0), p.epsilon, ts)
     else:
-        eps = p.epsilon
-
-        def schrodinger_rhs(t, y):
-            U = y.reshape(2, 2)
-            H = p.omega(t) * _SZ + eps * _SX
-            return (-1j * H @ U).ravel()
-
-        usol = scipy.integrate.solve_ivp(
-            schrodinger_rhs,
-            (0.0, ts[-1]),
-            np.eye(2, dtype=complex).ravel(),
-            method="DOP853",
-            t_eval=ts,
-            rtol=min(rtol, 1e-10),
-            atol=min(atol, 1e-12),
-        )
-        if not usol.success:
-            raise IntegratorFailure(f"free-propagator integration failed: {usol.message}")
-        U = usol.y.T.reshape(-1, 2, 2)
+        U = _driven_propagators(p, ts, rtol=min(rtol, 1e-10), atol=min(atol, 1e-12))
     Ud = U.conj().transpose(0, 2, 1)
     drift = np.max(np.abs(Ud @ U - np.eye(2)), axis=(1, 2))
     lost = drift > 1e-9 * (1.0 + np.abs(ts))

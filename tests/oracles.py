@@ -580,7 +580,7 @@ def per_row_trajectory(omega, epsilon, ts, states):
     return np.array(rows)
 
 
-def free_two_level_propagators(omega, epsilon, ts):
+def free_two_level_propagators(omega, epsilon, ts, *, rtol=1e-12, atol=1e-14):
     """Propagators U(t) of H(t) = omega(t) S_z + epsilon S_x on a time grid."""
     from scipy.integrate import solve_ivp
 
@@ -589,7 +589,7 @@ def free_two_level_propagators(omega, epsilon, ts):
 
     ts = np.asarray(ts, dtype=float)
     sol = solve_ivp(rhs, (0.0, ts[-1]), ID2.ravel(), method="DOP853", t_eval=ts,
-                    rtol=1e-12, atol=1e-14)
+                    rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y.T.reshape(-1, 2, 2)
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liouvdyn.engine import (
@@ -13,7 +14,8 @@ from liouvdyn.engine import (
     propagate_exact,
     propagate_inertial,
 )
-from liouvdyn.errors import DomainExceeded, UnphysicalState
+from liouvdyn import models
+from liouvdyn.errors import DomainExceeded, IntegratorFailure, NotConverged, UnphysicalState
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
     HO_BLOCKS,
@@ -793,8 +795,72 @@ class TestHOExactVector:
         with pytest.raises(ValueError):
             model.exact_vector(-0.1)
 
-    def test_tls_route_is_the_ode_route(self):
+
+
+@st.composite
+def tls_sweep_ramps(draw):
+    """TLS ramps from the duration sweeps' ranges, at a drawn duration."""
+    eps = draw(st.floats(7.5, 8.5))
+    omega_start = draw(st.floats(19.0, 21.0))
+    seed = TLSModel(TLSProtocol(eps, math.sqrt(omega_start**2 - eps**2), 0.0,
+                                draw(st.floats(-5.5e-3, -4.5e-3))))
+    t_f = draw(st.floats(0.05, 5.0))
+    return seed.for_duration(t_f, draw(st.floats(9.5, 10.5))), t_f
+
+
+def tight_ode_vector(model, t):
+    return propagate_exact(model.factorization(), model.initial_vector(), t,
+                           rtol=1e-13, atol=1e-15)
+
+
+class TestTLSExactVector:
+    """The two-level Magnus product against tight DOP853 solves, and its guards."""
+
+    def test_matches_a_tight_ode_solve(self):
         model = TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.03, 2e-3))
-        want = propagate_exact(model.factorization(), model.initial_vector(), 0.7, rtol=1e-9)
-        got = model.exact_vector(0.7, rtol=1e-9, atol=1e-12)
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        want = tight_ode_vector(model, 0.7)
+        got = model.exact_vector(0.7)
+        assert got.t == 0.7 and got.theta == want.theta
+        assert got.coeffs[3] == 1.0
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-11 * np.max(np.abs(want.coeffs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(tls_sweep_ramps())
+    def test_sweep_ramps_match_a_tight_ode_solve(self, ramp):
+        model, t_f = ramp
+        want = tight_ode_vector(model, t_f)
+        got = model.exact_vector(t_f)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-11 * np.max(np.abs(want.coeffs))
+
+    def test_guards_of_the_ode_route(self):
+        model = TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.0375))
+        v0 = model.initial_vector()
+        at_zero = model.exact_vector(0.0)
+        assert at_zero.coeffs.tobytes() == v0.coeffs.tobytes()
+        assert at_zero.t == 0.0 and at_zero.theta == 0.0
+        with pytest.raises(DomainExceeded):
+            model.exact_vector(model.protocol.t_max)
+        with pytest.raises(DomainExceeded):
+            model.exact_vector(2.0 * model.protocol.t_max)
+        with pytest.raises(ValueError):
+            model.exact_vector(-0.1)
+
+    def test_unreachable_tolerance_raises_not_converged(self):
+        # DOP853 stopped here with IntegratorFailure ("Required step size ...")
+        model = TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.03, 2e-3))
+        start = time.perf_counter()
+        with pytest.raises(NotConverged):
+            model.exact_vector(0.7, rtol=1e-300, atol=1e-300)
+        assert time.perf_counter() - start < 1.0
+
+    def test_corrupted_step_trips_the_orthogonality_guard(self, monkeypatch):
+        real = models._rotations
+
+        def spoiled(w):
+            R = real(w)
+            R[0] *= 1.01
+            return R
+
+        monkeypatch.setattr(models, "_rotations", spoiled)
+        with pytest.raises(IntegratorFailure, match="orthogonality"):
+            TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.03, 2e-3)).exact_vector(0.7)

@@ -1,12 +1,13 @@
 """Thermal-bath master equation: rates, level shift, and trajectories."""
 
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     free_two_level_propagators,
@@ -732,26 +733,33 @@ class TestLevelShiftRotation:
         "solve, message",
         [
             ("rhs", "master-equation integration failed"),
-            ("schrodinger_rhs", "lost unitarity"),
+            ("magnus", "lost unitarity"),
         ],
         ids=["master-equation", "free-propagator"],
     )
     def test_integrator_guards_fire(self, monkeypatch, solve, message):
-        # spoil one solve_ivp result, picked by its right-hand side: a
-        # failed solve, or a free propagator that is no longer unitary.
-        # The drive is not static, so the free propagator is a solve.
-        real = scipy.integrate.solve_ivp
+        # spoil one step of the run: the master-equation solve fails, or one
+        # Magnus step of the free propagator is no longer unitary (both
+        # levels carry the same spoiled first step, so they still agree).
+        # The drive is not static, so the free propagator is a Magnus product.
+        if solve == "rhs":
+            real = scipy.integrate.solve_ivp
 
-        def spoiled(fun, *args, **kwargs):
-            sol = real(fun, *args, **kwargs)
-            if fun.__name__ == solve:
-                if solve == "schrodinger_rhs":
-                    sol.y = 1.01 * sol.y
-                else:
-                    sol.success, sol.message = False, "spoiled"
-            return sol
+            def spoiled(fun, *args, **kwargs):
+                sol = real(fun, *args, **kwargs)
+                sol.success, sol.message = False, "spoiled"
+                return sol
 
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", spoiled)
+            monkeypatch.setattr(scipy.integrate, "solve_ivp", spoiled)
+        else:
+            real = open_quantum._su2
+
+            def spoiled(w):
+                U = real(w)
+                U[0] *= 1.01
+                return U
+
+            monkeypatch.setattr(open_quantum, "_su2", spoiled)
         with pytest.raises(IntegratorFailure, match=message):
             mesolve(
                 open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
@@ -815,3 +823,33 @@ class TestLevelShiftRotation:
             )
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestDrivenFreePropagator:
+    """The driven free propagator's Magnus product against tight DOP853 solves."""
+
+    @settings(max_examples=25)
+    @given(
+        chi0=st.floats(-0.01, 0.01),
+        abar=st.floats(-3e-3, 3e-3),
+        t_final=st.floats(0.05, 2.0),
+        points=st.sampled_from([2, 11, 101]),
+    )
+    def test_matches_a_tight_ode_solve(self, chi0, abar, t_final, points):
+        p = open_default_model(chi0, abar).protocol
+        assume(p.t_max > t_final and not p.static)
+        ts = np.linspace(0.0, t_final, points)
+        want = free_two_level_propagators(p.omega, p.epsilon, ts, rtol=1e-13, atol=1e-15)
+        got = open_quantum._driven_propagators(p, ts, rtol=1e-10, atol=1e-12)
+        assert got.shape == (points, 2, 2)
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_unreachable_tolerance_raises_not_converged(self):
+        # no level can meet the tolerance, so the doubling stops at the step cap
+        p = open_default_model(0.008, 0.002).protocol
+        start = time.perf_counter()
+        with pytest.raises(NotConverged):
+            open_quantum._driven_propagators(p, np.linspace(0.0, 0.5, 101), rtol=1e-300,
+                                             atol=1e-300)
+        assert time.perf_counter() - start < 1.0
