@@ -50,7 +50,6 @@ from .errors import (
 from .geometric import (
     GeneratorFamily,
     ParameterCircuit,
-    accumulated_phase,
     geometric_phase_line,
     geometric_phase_surface,
     ho_family,

@@ -14,6 +14,7 @@ order it actually observes, and stops once successive extrapolants
 agree.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ from .models import (
 _REFINE_TOL = 1e-8
 _MAX_DOUBLINGS = 6
 _ENDPOINT_TOL = 1e-12
+# Most spoke nodes surface_phases evaluates in one curvature stack.
+_STACK_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nkl->nikjl", a, b).reshape(n, i * k, j * l)
 
 
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Kronecker sum from matching (N, i) and (N, k) stacks."""
+    return (a[:, :, None] + b[:, None, :]).reshape(len(a), -1)
+
+
 def _frames(family: GeneratorFamily, chis: np.ndarray):
     """Full-dimension ``(lambdas, rights, lefts)`` stacks at the points chis.
 
@@ -220,7 +228,7 @@ def _frames(family: GeneratorFamily, chis: np.ndarray):
     ]
     lam, rights, lefts = parts[0]
     for lam_j, rights_j, lefts_j in parts[1:]:
-        lam = (lam[:, :, None] + lam_j[:, None, :]).reshape(len(chis), -1)
+        lam = _kron_sum(lam, lam_j)
         rights = _kron(rights, rights_j)
         lefts = _kron(lefts, lefts_j)
     return lam, rights, lefts
@@ -292,50 +300,84 @@ def _refine(evaluate, n0: int) -> np.ndarray:
     )
 
 
-def _pad(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(3)
-    out[: v.size] = v
-    return out
+def _parts(family: GeneratorFamily, chis: np.ndarray):
+    """Structural parts of the family at the points chis (N, d).
+
+    Yields ``(lam, A, params, modes)`` per Kronecker factor, per closed
+    block, or once for a family without structure, each from one
+    ``eigenframes`` call on the part alone.  ``lam`` (N, m) and the pair
+    matrices A = G^H dB F (N, p, m, m) are the part's own, A over the p
+    parameters ``params`` the part depends on; ``modes`` is the slice of
+    full-dimension modes the part's curvature fills, None for a factor.
+    """
+
+    def pairs(rights, lefts, rates):
+        rates = np.reshape(rates, (-1,) + rights.shape[1:])
+        return lefts.conj().transpose(0, 2, 1)[:, None] @ rates @ rights[:, None]
+
+    if family.factors is not None:
+        for j, f in enumerate(family.factors):
+            lam, rights, lefts = eigenframes(f.matrices(chis[:, j : j + 1]))
+            yield lam, pairs(rights, lefts, f.coupling[1:]), (j,), None
+        return
+    for lo, hi in family.blocks or ((0, len(family.coupling[0])),):
+        coupling = [C[lo:hi, lo:hi] for C in family.coupling]
+        params = tuple(k for k, C in enumerate(coupling[1:]) if C.any())
+        lam, rights, lefts = eigenframes(GeneratorFamily(coupling).matrices(chis))
+        rates = [coupling[1 + k] for k in params]
+        yield lam, pairs(rights, lefts, rates), params, slice(lo, hi)
 
 
 def _curvatures(family: GeneratorFamily, chis: np.ndarray) -> np.ndarray:
-    """(N, m, 3) stack of ``liouville_curvature`` at the points chis (N, d)."""
+    """(N, m, 3) stack of ``liouville_curvature`` at the points chis (N, d).
+
+    Built part by part (``_parts``): pairs of modes in different parts
+    never couple, and a part with fewer than two parameters, such as a
+    Kronecker factor, or without a coupled pair contributes exact zeros.
+    """
     if family.n_params > 3:
         raise UnsupportedDimension(
             "curvature cross product is defined for at most 3 parameters"
         )
-    lam, rights, lefts = _frames(family, chis)
-    N, m = lam.shape
-    A = np.zeros((N, 3, m, m), dtype=complex)
-    lefts_h = lefts.conj().transpose(0, 2, 1)
-    A[:, : family.n_params] = lefts_h[:, None] @ np.array(family.coupling[1:]) @ rights[:, None]
-    gscale = np.maximum(np.abs(A).max(axis=(1, 2, 3)), 1.0)
-    lscale = np.maximum(np.abs(lam).max(axis=1), 1.0)
+    parts = list(_parts(family, chis))
+    lams = [lam for lam, _, _, _ in parts]
+    if family.factors is None:
+        spectrum = np.concatenate(lams, axis=1)
+    else:
+        spectrum = functools.reduce(_kron_sum, lams)
+    gmax = [np.abs(A).max(axis=(1, 2, 3), initial=0.0) for _, A, _, _ in parts]
+    gscale = np.maximum(np.max(gmax, axis=0), 1.0)
+    lscale = np.maximum(np.abs(spectrum).max(axis=1), 1.0)
 
     # pair (n, mm) couples through v1[a] = A[a, n, mm], v2[a] = A[a, mm, n]
-    mags = np.abs(A).max(axis=1)
-    active = mags * mags.transpose(0, 2, 1) > ((1e-12 * gscale) ** 2)[:, None, None]
-    active &= ~np.eye(m, dtype=bool)
-    gap = lam[:, None, :] - lam[:, :, None]
-    close = np.abs(gap) < DEGENERACY_GAP * lscale[:, None, None]
-    near = (active & close).any(axis=(1, 2))
+    coupled, near = [], np.zeros(len(chis), dtype=bool)
+    for lam, A, _, _ in parts:
+        mags = np.abs(A).max(axis=1, initial=0.0)
+        active = mags * mags.transpose(0, 2, 1) > ((1e-12 * gscale) ** 2)[:, None, None]
+        active &= ~np.eye(lam.shape[1], dtype=bool)
+        gap = lam[:, None, :] - lam[:, :, None]
+        close = np.abs(gap) < DEGENERACY_GAP * lscale[:, None, None]
+        near |= (active & close).any(axis=(1, 2))
+        coupled.append((active, gap))
     if near.any():
         raise DegenerateSpectrum(
             f"coupled near-degenerate modes at chi={chis[np.argmax(near)]}"
         )
-    weight = np.zeros((N, m, m), dtype=complex)
-    weight[active] = 1.0 / gap[active] ** 2
 
-    At = A.transpose(0, 1, 3, 2)
-    cross = np.stack(
-        [
-            A[:, 1] * At[:, 2] - A[:, 2] * At[:, 1],
-            A[:, 2] * At[:, 0] - A[:, 0] * At[:, 2],
-            A[:, 0] * At[:, 1] - A[:, 1] * At[:, 0],
-        ],
-        axis=1,
-    )
-    return np.einsum("ncij,nij->nic", cross, weight)
+    out = np.zeros(spectrum.shape + (3,), dtype=complex)
+    for (_, A, params, modes), (active, gap) in zip(parts, coupled):
+        if len(params) < 2 or not active.any():
+            continue
+        weight = np.zeros(active.shape, dtype=complex)
+        weight[active] = 1.0 / gap[active] ** 2
+        At = A.transpose(0, 1, 3, 2)
+        cross = np.zeros((len(chis), 3) + active.shape[1:], dtype=complex)
+        for c, a, b in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if a in params and b in params:
+                i, k = params.index(a), params.index(b)
+                cross[:, c] = A[:, i] * At[:, k] - A[:, k] * At[:, i]
+        out[:, modes] = np.einsum("ncij,nij->nic", cross, weight)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +404,10 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
 
     The surface is a cone swept from the boundary centroid, integrated
     with Gauss-Legendre nodes along each spoke and a midpoint rule along
-    the boundary, refined like the line form.  The curvature is evaluated
-    as one stack per boundary segment.  One parameter dimension has no
-    enclosed area, so every phase is zero.
+    the boundary, refined like the line form.  Each refinement level
+    evaluates the curvature on every segment's spoke nodes at once, one
+    stack per slice of whole segments of at most _STACK_NODES nodes.  One
+    parameter dimension has no enclosed area, so every phase is zero.
     """
     if family.n_params > 3:
         raise UnsupportedDimension(
@@ -375,6 +418,9 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     if circuit.dim == 1:
         return np.zeros(len(family.coupling[0]))
 
+    def padded(v):
+        return np.pad(v, ((0, 0), (0, 3 - v.shape[1])))
+
     def evaluate(n):
         pts = circuit.points(n)
         center = pts[:-1].mean(axis=0)
@@ -384,16 +430,25 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
             max(8, round(2.0 * math.log2(n)))
         )
         r, w = (nodes + 1.0) / 2.0, weights / 2.0
+        mids = np.array(
+            [np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float)) for i in range(n)]
+        )
+        spokes = mids - center
+        patches = np.cross(padded(spokes), padded(np.diff(pts, axis=0)))
+        # per spoke node, segment-major
+        chis = (center + r[:, None] * spokes[:, None, :]).reshape(-1, circuit.dim)
+        node_patches = np.repeat(patches, r.size, axis=0)[:, :, None]
+        node_weights = np.tile(w * r, n)[:, None]
+        step = r.size * max(1, _STACK_NODES // r.size)
         flux = 0.0
-        for i in range(n):
-            mid = np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float))
-            spoke = mid - center
-            patch = np.cross(_pad(spoke), _pad(pts[i + 1] - pts[i]))
-            curv = _curvatures(family, center + r[:, None] * spoke)
-            # node by node: a dot product rounds differently, and the
-            # extrapolation amplifies that to ~5e-14
-            for term in (w * r)[:, None] * (curv @ patch):
-                flux = flux + term
+        for lo in range(0, len(chis), step):
+            nodes = slice(lo, lo + step)
+            curv = _curvatures(family, chis[nodes])
+            terms = node_weights[nodes] * (curv @ node_patches[nodes])[..., 0]
+            # node by node from 0.0: a dot product rounds differently, and
+            # the extrapolation amplifies that to ~5e-14
+            terms[0] = flux + terms[0]
+            flux = np.add.accumulate(terms, axis=0)[-1]
         return -flux.imag
 
     return _refine(evaluate, circuit.samples)
@@ -418,10 +473,11 @@ def liouville_curvature(family: GeneratorFamily, chi) -> np.ndarray:
 
     Row n holds sum_{m != n} (G_n|dB|F_m) x (G_m|dB|F_n) / (lambda_m -
     lambda_n)^2, where dB = (C_1, ..., C_d) are the family's constant
-    partials.  Pairs whose coupling numerator vanishes, as it does
-    structurally between different closed blocks or different Kronecker
-    factors, are skipped, so accidental eigenvalue collisions between
-    uncoupled modes are benign; a small gap between coupled modes raises
+    partials.  Pairs in different closed blocks or different Kronecker
+    factors are skipped by structure, without being formed, and inside
+    one block pairs whose coupling numerator vanishes to rounding are
+    skipped too, so accidental eigenvalue collisions between uncoupled
+    modes are benign; a small gap between coupled modes raises
     DegenerateSpectrum.  The one-point view of the stacked evaluator
     behind ``surface_phases``.
     """
@@ -435,19 +491,3 @@ def geometric_phase_surface(
     """Curvature flux of mode k; the one-mode view of ``surface_phases``."""
     _check_mode(family, k)
     return float(surface_phases(family, circuit)[k])
-
-
-def accumulated_phase(solution, t: float = None) -> np.ndarray:
-    """Total per-mode phases Lambda_k = dyn_k - geo_k of an inertial run.
-
-    The parts stay available on the solution itself; the real part of its
-    geo entries matches geometric_phase_line when the parameter path is a
-    closed circuit.  Passing t asserts the solution was propagated to that
-    time.
-    """
-    if t is not None and solution.t is not None:
-        if abs(solution.t - t) > 1e-12 * max(1.0, abs(t)):
-            raise ValueError(
-                f"solution was propagated to t={solution.t}, not t={t}"
-            )
-    return solution.Lambda

@@ -2,11 +2,13 @@
 
 Everything in this module is derived from first principles (operator
 algebra, textbook closed forms) without importing the package under test,
-so agreement between the two is meaningful.  Two exceptions replay an
+so agreement between the two is meaningful.  Three exceptions replay an
 older route through the package's own frame layer: ``per_row_diagnose``
 runs the ``diagnose`` row loop through the one-point functions, so the
-stacked column can be held to it, and ``grid_inertial`` runs the uniform
-grid inertial propagation, so the spectral route can be held to it.
+stacked column can be held to it, ``grid_inertial`` runs the uniform
+grid inertial propagation, so the spectral route can be held to it, and
+``segment_surface_phases`` runs the surface form one curvature stack per
+boundary segment, so the stacked levels can be held to it.
 """
 
 from __future__ import annotations
@@ -768,6 +770,40 @@ def plain_frame_curvature(family, chi, *, gap_threshold=1e-8):
         ]
     )
     return np.einsum("cnm,nm->nc", cross, weight)
+
+
+def segment_surface_phases(family, circuit):
+    """Curvature flux of every mode, one curvature stack per boundary segment.
+
+    The cone surface of ``geometric.surface_phases`` evaluated segment by
+    segment: each segment's spoke nodes make one ``_curvatures`` stack,
+    and the flux is summed node by node from 0.0, under the package's
+    doubling loop.  ``circuit`` is a closed ParameterCircuit of two or
+    three parameters.
+    """
+    from liouvdyn.geometric import _curvatures, _refine
+
+    def pad(v):
+        out = np.zeros(3)
+        out[: v.size] = v
+        return out
+
+    def evaluate(n):
+        pts = circuit.points(n)
+        center = pts[:-1].mean(axis=0)
+        nodes, weights = np.polynomial.legendre.leggauss(max(8, round(2.0 * math.log2(n))))
+        r, w = (nodes + 1.0) / 2.0, weights / 2.0
+        flux = 0.0
+        for i in range(n):
+            mid = np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float))
+            spoke = mid - center
+            patch = np.cross(pad(spoke), pad(pts[i + 1] - pts[i]))
+            curv = _curvatures(family, center + r[:, None] * spoke)
+            for term in (w * r)[:, None] * (curv @ patch):
+                flux = flux + term
+        return -flux.imag
+
+    return _refine(evaluate, circuit.samples)
 
 
 # ---------------------------------------------------------------------------

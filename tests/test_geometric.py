@@ -3,7 +3,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liouvdyn.engine import (
@@ -17,20 +17,22 @@ from liouvdyn.errors import (
     NotConverged,
     UnsupportedDimension,
 )
+from liouvdyn import geometric
 from liouvdyn.geometric import (
     GeneratorFamily,
     ParameterCircuit,
     _curvatures,
     _refine,
-    accumulated_phase,
     geometric_phase_line,
     geometric_phase_surface,
     ho_family,
     liouville_curvature,
+    surface_phases,
     tls_family,
     two_spin_local_family,
     two_spin_nonlocal_family,
 )
+from liouvdyn.linalg import eigenframes
 from liouvdyn.models import (
     TWO_SPIN_CROSS_COUPLING,
     HOModel,
@@ -321,6 +323,59 @@ def near_degenerate_family():
     return GeneratorFamily(coupling=(base, mix))
 
 
+# modes 0 and 1 of this one-parameter coupling sit 5e-7 apart at chi = 0
+# and about 1 apart at chi = 1, coupled by the rate at every chi
+GAPPED_BASE = np.diag([100.0, 100.0 + 5e-7, -50.0])
+GAPPED_RATE = np.array([[0.0, 1e-3, 0.0], [1e-3, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def gapped_block_family():
+    # one gapped block per parameter
+    zero = np.zeros((3, 3))
+    return GeneratorFamily(
+        coupling=(
+            np.block([[GAPPED_BASE, zero], [zero, GAPPED_BASE]]),
+            np.block([[GAPPED_RATE, zero], [zero, zero]]),
+            np.block([[zero, zero], [zero, GAPPED_RATE]]),
+        ),
+        blocks=((0, 3), (3, 6)),
+    )
+
+
+def gapped_kronecker_family():
+    single = GeneratorFamily(coupling=(GAPPED_BASE, GAPPED_RATE))
+    return GeneratorFamily.kronecker_sum((single, single))
+
+
+def rectangle(rng):
+    # axis-aligned rectangle inside [0.19, 0.41]^2, where every part of
+    # both two-spin families keeps its modes well separated
+    cx, cy = rng.uniform(0.25, 0.35, 2)
+    hx, hy = rng.uniform(0.04, 0.06, 2)
+    return ParameterCircuit.from_waypoints(
+        [[cx - hx, cy - hy], [cx + hx, cy - hy], [cx + hx, cy + hy], [cx - hx, cy + hy]],
+        closed=True,
+    )
+
+
+def tilted_circle(rng):
+    # circle of radius at most 0.5 about a center 1 to 2 from the origin,
+    # so the cone spanning it keeps the spin family's gap above 1
+    center = rng.normal(size=3)
+    center *= rng.uniform(1.0, 2.0) / np.linalg.norm(center)
+    normal = rng.normal(size=3)
+    u = np.cross(normal, rng.normal(size=3))
+    u /= np.linalg.norm(u)
+    v = np.cross(normal, u) / np.linalg.norm(normal)
+    radius = rng.uniform(0.1, 0.5)
+
+    def path(s):
+        a = 2.0 * math.pi * s
+        return center + radius * (math.cos(a) * u + math.sin(a) * v)
+
+    return ParameterCircuit(path=path, closed=True, samples=32)
+
+
 class TestStackedCurvature:
     @pytest.mark.parametrize("name", CURVATURE_FAMILIES)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
@@ -351,6 +406,58 @@ class TestStackedCurvature:
         fam = GeneratorFamily(coupling=(ZERO, PAULI_X, ZERO, ZERO, PAULI_Z))
         with pytest.raises(UnsupportedDimension):
             _curvatures(fam, np.array([[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.4]]))
+
+    @pytest.mark.parametrize("family", [gapped_block_family, gapped_kronecker_family])
+    def test_coupled_pair_inside_one_part_is_refused(self, family):
+        # node 0 is clear, node 1 fails in the second part and node 2 in
+        # the first: the message names node 1, the first across all parts
+        chis = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateSpectrum, match="coupled") as info:
+            _curvatures(family(), chis)
+        assert str(info.value).endswith(f"chi={chis[1]}")
+        # at node 0 the two parts share their spectra: modes of different
+        # parts collide exactly, uncoupled, and every part is flat
+        assert np.max(np.abs(_curvatures(family(), chis[:1]))) == 0.0
+
+
+class TestStackedSurface:
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1))
+    def test_tilted_circles_match_the_per_segment_oracle(self, seed):
+        # a circuit whose refinement does not settle must fail on both routes
+        fam, circ = spin_family(), tilted_circle(np.random.default_rng(seed))
+        try:
+            want = oracles.segment_surface_phases(fam, circ)
+        except NotConverged:
+            with pytest.raises(NotConverged):
+                surface_phases(fam, circ)
+            return
+        assert surface_phases(fam, circ).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", [two_spin_local_family, two_spin_nonlocal_family])
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rectangles_match_the_per_segment_oracle(self, family, seed):
+        # bitwise, so the flat phases keep their sign of zero too
+        circ = rectangle(np.random.default_rng(seed))
+        got = surface_phases(family(), circ)
+        assert got.tobytes() == oracles.segment_surface_phases(family(), circ).tobytes()
+
+    @pytest.mark.parametrize("family", [two_spin_local_family, two_spin_nonlocal_family])
+    def test_each_level_is_one_stack_per_part(self, family, monkeypatch):
+        # the flat square stops after 64 and 128 segments of 12 and 14
+        # spoke nodes; the second level's 1,792 nodes split into slices of
+        # whole segments, 73 (1,022 nodes) and 55; each slice makes one
+        # eigenframes call per part, two parts in either family
+        sizes = []
+
+        def counted(B, **kwargs):
+            sizes.append(len(B))
+            return eigenframes(B, **kwargs)
+
+        monkeypatch.setattr(geometric, "eigenframes", counted)
+        surface_phases(family(), unit_square_circuit())
+        assert sizes == [768, 768, 1022, 1022, 770, 770]
 
 
 class TestSpinAnchor:
@@ -413,7 +520,7 @@ class TestCurvature:
 
     def test_kronecker_sum_family_is_flat(self):
         rows = liouville_curvature(two_spin_nonlocal_family(), [0.3, 0.45])
-        assert np.max(np.abs(rows)) < 1e-12
+        assert np.max(np.abs(rows)) == 0.0
 
     def test_block_family_is_flat(self):
         rows = liouville_curvature(two_spin_local_family(), [0.3, 0.45])
@@ -515,15 +622,7 @@ class TestAccumulatedPhase:
         assert abs(fact.theta_of_t(t_f) - theta) < 1e-12 * theta
         kappa = math.sqrt(4.0 - 0.05**2)
         expected = np.array([0.0, kappa, -kappa, kappa / 2.0, -kappa / 2.0, 0.0])
-        lam = accumulated_phase(sol, t=t_f)
-        assert np.max(np.abs(lam - expected * theta)) < 1e-9
-
-    def test_time_mismatch_is_rejected(self):
-        model = HOModel(protocol=HOProtocol(20.0, 0.05, 0.0))
-        _, sol = propagate_inertial(model.factorization(), initial_vector(model), 0.7)
-        with pytest.raises(ValueError):
-            accumulated_phase(sol, t=0.8)
-        assert accumulated_phase(sol) is sol.Lambda
+        assert np.max(np.abs(sol.Lambda - expected * theta)) < 1e-9
 
     def test_transport_part_matches_line_form_on_closed_circuit(self):
         # drive chi . sigma once around the anchor circle in unit time;
