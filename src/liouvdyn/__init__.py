@@ -14,7 +14,6 @@ from .diagnostics import (
     fidelity,
     fidelity_sweep,
     ho_inertial_parameter_closed,
-    inertial_parameter,
     inertial_parameter_at,
     inertial_parameters,
     log_time_grid,
@@ -68,8 +67,6 @@ from .models import (
     HOProtocol,
     TLSModel,
     TLSProtocol,
-    TwoQubitState,
-    TwoSpinModel,
     ho_generator,
     initial_vector,
     reconstruct_state,
@@ -83,8 +80,6 @@ from .open_quantum import (
     bose_occupation,
     build_master_equation,
     decay_rate,
-    effective_frequencies,
-    effective_frequency,
     lamb_shift,
     mesolve,
     trajectory_rows,

@@ -26,18 +26,14 @@ from .errors import (
     SingularDenominator,
     UnphysicalState,
 )
-from .linalg import DEGENERACY_GAP, EigenFrame, eigenframes
+from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes
 from .models import (
     BlochState,
     GaussianState,
     HOProtocol,
-    TwoQubitState,
     initial_vector,
     reconstruct_state,
 )
-
-# Most nodes inertial_parameters diagonalizes in one eigenframes call.
-_STACK_NODES = 1024
 
 
 def adiabatic_parameter(model, t: float) -> float:
@@ -54,76 +50,46 @@ def adiabatic_parameter(model, t: float) -> float:
     return mu(t)
 
 
-def _directional_gradient(grad_B, dchi_dtheta) -> np.ndarray:
-    """Contract a (possibly multi-parameter) generator gradient with the
-    parameter velocity."""
-    grads = np.asarray(grad_B)
-    grads = grads[None] if grads.ndim == 2 else grads
-    rates = np.atleast_1d(np.asarray(dchi_dtheta, dtype=float))
-    if len(grads) != rates.size:
-        raise ValueError("gradient count does not match parameter velocity size")
-    return np.tensordot(rates, grads, axes=1)
-
-
-def _pair_sums(lam, rights, lefts, directional, occupied=None, paired=None) -> np.ndarray:
+def _pair_sums(lam, rights, lefts, directional, paired) -> np.ndarray:
     """Drive-acceleration parameter of every frame of an (N, m, m) stack.
 
-    Sums |G_k^H D F_n| / |lambda_n - lambda_k|^2 over ordered pairs
-    n != k, with k restricted to `occupied` when given, where D is the
-    node's directional gradient.  The (m, m) mask `paired` keeps only
-    pairs of one closed block (``GeneratorFactorization.mode_pairs``): a
-    cross-block element is a structural zero whose modes may share an
-    eigenvalue, so it is no pair.
+    Sums |G_k^H D F_n| / |lambda_n - lambda_k|^2 over the ordered pairs
+    n != k of the (m, m) mask `paired`, where D is the node's directional
+    gradient.  The mask keeps only pairs of one closed block
+    (``GeneratorFactorization.mode_pairs``): a cross-block element is a
+    structural zero whose modes may share an eigenvalue, so it is no pair.
     """
-    m = lam.shape[1]
-    ks = np.arange(m) if occupied is None else np.asarray(occupied)
-    apart = ks[:, None] == np.arange(m)  # n == k is not a pair
-    if paired is not None:
-        apart |= ~paired[ks]
-    gaps = np.abs(lam[:, None, :] - lam[:, ks, None])
-    gaps[:, apart] = np.inf
+    gaps = np.abs(lam[:, None, :] - lam[:, :, None])
+    gaps[:, ~paired] = np.inf
     scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
     close = gaps < DEGENERACY_GAP * scale[:, None, None]
     if close.any():
         _, k, n = np.argwhere(close)[0]
         raise DegenerateSpectrum(
-            f"modes {ks[k]} and {n} are too close to evaluate the "
+            f"modes {k} and {n} are too close to evaluate the "
             "drive-acceleration parameter"
         )
-    elements = lefts.conj().transpose(0, 2, 1)[:, ks] @ directional @ rights
-    return (np.abs(elements) / gaps**2).sum(axis=(1, 2))
-
-
-def inertial_parameter(
-    frame: EigenFrame, grad_B, dchi_dtheta, *, occupied=None
-) -> float:
-    """Drive-acceleration parameter of one closed block.
-
-    Sums |<G_k| dB/dchi |F_n> / (lambda_n - lambda_k)^2 * dchi/dtheta|
-    over all ordered mode pairs n != k.  `occupied` restricts the k sum
-    to the listed mode indices; the default keeps every mode.
-    """
-    directional = _directional_gradient(grad_B, dchi_dtheta)
-    if directional.shape != (frame.dim, frame.dim):
-        raise ValueError("gradient shape does not match the frame dimension")
-    stacks = (frame.lambdas, frame.rights, frame.lefts, directional)
-    return float(_pair_sums(*(a[None] for a in stacks), occupied)[0])
+    elements = np.abs(lefts.conj().transpose(0, 2, 1) @ directional @ rights)
+    # elements and gaps scaled by powers of two near the largest |lambda|:
+    # exact, so no value changes, but no squared gap overflows past 1e154
+    e = np.frexp(scale)[1][:, None, None]
+    return (np.ldexp(elements, -2 * e) / np.ldexp(gaps, -e) ** 2).sum(axis=(1, 2))
 
 
 def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
     """Drive-acceleration parameter at every time in `ts`.
 
     The frames are one ``eigenframes`` stack per slice of at most
-    _STACK_NODES times, which bounds the frame memory however many times
-    are asked for.  Every guard acts node by node, so each entry equals
-    the one-point value ``inertial_parameter_at(fact, t)``.
+    ``linalg.STACK_NODES`` times, which bounds the frame memory however
+    many times are asked for.  Every guard acts node by node, so each
+    entry equals the one-point value ``inertial_parameter_at(fact, t)``.
     """
     if fact.grad_B is None or fact.dchi_dtheta is None:
         raise ValueError("factorization lacks grad_B or dchi_dtheta")
     ts = np.asarray(ts, dtype=float)
     total = np.empty(len(ts))
-    for lo in range(0, len(ts), _STACK_NODES):
-        total[lo : lo + _STACK_NODES] = _block_sums(fact, ts[lo : lo + _STACK_NODES])
+    for lo in range(0, len(ts), STACK_NODES):
+        total[lo : lo + STACK_NODES] = _block_sums(fact, ts[lo : lo + STACK_NODES])
     return total
 
 
@@ -192,18 +158,6 @@ def _bloch_one_minus(s1: BlochState, s2: BlochState) -> float:
     )
 
 
-def _psd_sqrt(M: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(M)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _two_qubit_fidelity(s1: TwoQubitState, s2: TwoQubitState) -> float:
-    root = _psd_sqrt(np.asarray(s1.rho))
-    sv = np.linalg.svd(root @ _psd_sqrt(np.asarray(s2.rho)), compute_uv=False)
-    return float(np.sum(sv)) ** 2
-
-
 def one_minus_fidelity(s1, s2) -> float:
     """Fidelity deficit 1 - F, kept accurate as F -> 1.
 
@@ -219,19 +173,14 @@ def one_minus_fidelity(s1, s2) -> float:
         s1.validate()
         s2.validate()
         return _bloch_one_minus(s1, s2)
-    if isinstance(s1, TwoQubitState) and isinstance(s2, TwoQubitState):
-        s1.validate()
-        s2.validate()
-        return 1.0 - _two_qubit_fidelity(s1, s2)
     raise ValueError("state variants do not match or are unsupported")
 
 
 def fidelity(s1, s2) -> float:
     """Squared Bures overlap of two states of the same variant.
 
-    Gaussian pairs use the closed single-mode covariance form; qubit
-    pairs use the closed Bloch form; two-qubit pairs take the nuclear
-    norm of the product of the density-matrix square roots.
+    Gaussian pairs use the closed single-mode covariance form, qubit
+    pairs the closed Bloch form.
     """
     return 1.0 - one_minus_fidelity(s1, s2)
 

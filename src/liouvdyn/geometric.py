@@ -26,7 +26,7 @@ from .errors import (
     NotConverged,
     UnsupportedDimension,
 )
-from .linalg import DEGENERACY_GAP, eigenframes, transport
+from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes, transport
 from .models import (
     HO_BLOCKS,
     HO_COUPLING,
@@ -39,8 +39,6 @@ from .models import (
 _REFINE_TOL = 1e-8
 _MAX_DOUBLINGS = 6
 _ENDPOINT_TOL = 1e-12
-# Most spoke nodes surface_phases evaluates in one curvature stack.
-_STACK_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -406,8 +404,9 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     with Gauss-Legendre nodes along each spoke and a midpoint rule along
     the boundary, refined like the line form.  Each refinement level
     evaluates the curvature on every segment's spoke nodes at once, one
-    stack per slice of whole segments of at most _STACK_NODES nodes.  One
-    parameter dimension has no enclosed area, so every phase is zero.
+    stack per slice of whole segments of at most ``linalg.STACK_NODES``
+    nodes.  One parameter dimension has no enclosed area, so every phase
+    is zero.
     """
     if family.n_params > 3:
         raise UnsupportedDimension(
@@ -439,7 +438,7 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
         chis = (center + r[:, None] * spokes[:, None, :]).reshape(-1, circuit.dim)
         node_patches = np.repeat(patches, r.size, axis=0)[:, :, None]
         node_weights = np.tile(w * r, n)[:, None]
-        step = r.size * max(1, _STACK_NODES // r.size)
+        step = r.size * max(1, STACK_NODES // r.size)
         flux = 0.0
         for lo in range(0, len(chis), step):
             nodes = slice(lo, lo + step)

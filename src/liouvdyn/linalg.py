@@ -26,6 +26,10 @@ _RESIDUAL_TOL = 1e-10
 _QUALITY_FLOOR = 1e-8
 # Relative window treating near-equal component magnitudes as a gauge tie.
 _GAUGE_TIE = 1e-9
+# Most nodes a caller that slices a long node set (diagnostics.
+# inertial_parameters, geometric.surface_phases) puts in one eigenframes
+# stack: it bounds the frame memory however many nodes are asked for.
+STACK_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -172,10 +176,23 @@ def _diagonalize(B: np.ndarray, gap_threshold: float):
             "too close to defective"
         )
     residual = np.abs(B @ rights - rights * lam[:, None, :]).max(axis=(1, 2))
-    bound = _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(B, axis=(1, 2)))
+    bound = _RESIDUAL_TOL * np.maximum(1.0, _frobenius(B))
     if bad := _first(residual > bound):
         raise NotDiagonalizable(f"eigenpair residual {residual[bad]:.3e} too large")
     return lam, rights, lefts
+
+
+def _frobenius(B: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix of an (N, m, m) stack.  A matrix whose
+    squares overflow (entries past 1e154) is scaled by the power of two of
+    its largest entry first, so its norm stays finite."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(B, axis=(1, 2))
+    big = np.isinf(norm)
+    if big.any():
+        unit = np.ldexp(1.0, np.frexp(np.abs(B[big]).max(axis=(1, 2)))[1])
+        norm[big] = unit * np.linalg.norm(B[big] / unit[:, None, None], axis=(1, 2))
+    return norm
 
 
 def bi_eigendecompose(

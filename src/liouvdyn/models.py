@@ -1,11 +1,12 @@
-"""Concrete driven models: parametric oscillator, two-level system, spin pair.
+"""Concrete driven models: parametric oscillator and two-level system.
 
 Each model supplies a finite operator basis over which the Heisenberg
 dynamics closes, the factorized generator acting on that basis, driving
 protocols with closed-form scaled time where available, the inversion
 from basis expectation values back to physical states, and its exact
 propagation (``exact_vector``: closed form for the oscillator, a product
-of sixth-order Magnus rotations for the two-level system).
+of sixth-order Magnus rotations for the two-level system).  The
+two-spin couplings serve the geometric phases alone.
 """
 
 from __future__ import annotations
@@ -302,7 +303,8 @@ class HOProtocol:
                 "protocol diverges before reaching the requested endpoint"
             )
         residual = abs(protocol.omega(t_f) - omega_target)
-        if residual > 1e-12 * omega_target:
+        # not <=: a ramp past the float range gives chi0 = inf and a NaN residual
+        if not residual <= 1e-12 * omega_target:
             raise ArithmeticError(
                 f"boundary solve residual {residual:.3e} too large"
             )
@@ -438,30 +440,12 @@ class TLSProtocol:
                 "protocol leaves its domain before the requested endpoint"
             )
         residual = abs(protocol.Omega(t_f) - Omega_target)
-        if residual > 1e-12 * Omega_target:
+        # not <=: a ramp past the float range gives chi0 = inf and a NaN residual
+        if not residual <= 1e-12 * Omega_target:
             raise ArithmeticError(
                 f"boundary solve residual {residual:.3e} too large"
             )
         return protocol
-
-
-def two_spin_alpha_protocol(t, chi, Omega, alpha0: float = 0.0) -> float:
-    """Mixing angle alpha(t) = alpha0 - integral of chi * Omega.
-
-    With omega = Omega cos(alpha) and coupling Omega sin(alpha), this choice
-    makes the spin's rate parameter equal chi(t) identically.  Scalars or
-    callables are accepted for chi and Omega.
-    """
-    if not callable(chi) and not callable(Omega):
-        return alpha0 - chi * Omega * t
-    import scipy.integrate
-
-    chi_f = chi if callable(chi) else (lambda _t: chi)
-    om_f = Omega if callable(Omega) else (lambda _t: Omega)
-    value, _ = scipy.integrate.quad(
-        lambda s: chi_f(s) * om_f(s), 0.0, t, epsabs=1e-13, epsrel=1e-12
-    )
-    return alpha0 - value
 
 
 # ---------------------------------------------------------------------------
@@ -517,32 +501,6 @@ class BlochState:
     def validate(self, tol: float = 1e-6) -> "BlochState":
         if self.norm() > 1.0 + tol:
             raise UnphysicalState(f"Bloch vector norm {self.norm():.6f} > 1")
-        return self
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """Two-spin state as an explicit 4x4 density matrix."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError("expected a 4x4 density matrix")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-
-    def validate(self, tol: float = 1e-6) -> "TwoQubitState":
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > tol:
-            raise UnphysicalState("density matrix is not Hermitian")
-        if abs(np.trace(self.rho).real - 1.0) > tol:
-            raise UnphysicalState("density matrix trace differs from 1")
-        eigs = np.linalg.eigvalsh(self.rho)
-        if eigs.min() < -tol:
-            raise UnphysicalState(
-                f"density matrix has negative eigenvalue {eigs.min():.3e}"
-            )
         return self
 
 
@@ -854,82 +812,6 @@ class TLSModel:
             dtype=complex,
         )
         return LiouvilleVector(coeffs=coeffs, t=t, theta=p.theta(t))
-
-
-def _single_spin_triple(Omega: float, alpha: float):
-    sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
-    sy = np.array([[0, -1j], [1j, 0]]) / 2
-    sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
-    c, s = math.cos(alpha), math.sin(alpha)
-    return (
-        Omega * (c * sz + s * sx),
-        Omega * (c * sx - s * sz),
-        Omega * sy,
-    )
-
-
-@dataclass(frozen=True)
-class TwoSpinModel:
-    """Pair of non-interacting spins sharing one Rabi frequency.
-
-    Each spin is driven through its mixing angle alpha_i at its own rate
-    chi_i.  Local observables live on a 6-vector (two stacked triples);
-    cross-correlators on a 9-vector with first-spin index slow.
-    """
-
-    Omega: float
-    chi1: float
-    chi2: float
-    alpha0: tuple = (0.0, 0.0)
-
-    def alpha(self, t: float, spin: int) -> float:
-        chi = (self.chi1, self.chi2)[spin]
-        return two_spin_alpha_protocol(t, chi, self.Omega, self.alpha0[spin])
-
-    @property
-    def local_rescaling_weights(self) -> np.ndarray:
-        return np.ones(6)
-
-    @property
-    def cross_rescaling_weights(self) -> np.ndarray:
-        return 2.0 * np.ones(9)
-
-    def reconstruct_state(self, coeffs: np.ndarray, t: float) -> TwoQubitState:
-        if coeffs.shape != (15,):
-            raise ValueError(
-                "two-spin reconstruction expects local(6) + cross(9) stacked"
-            )
-        return self.reconstruct_two_qubit(coeffs[:6], coeffs[6:], t)
-
-    def reconstruct_two_qubit(
-        self, v_local, v_cross, t: float
-    ) -> TwoQubitState:
-        """Density matrix from local and cross-correlator expectations.
-
-        Expansion over the mutually orthogonal product basis built from
-        each spin's instantaneous operator triple.
-        """
-        v_local = _real_coeffs(np.asarray(v_local), 6)
-        v_cross = _real_coeffs(np.asarray(v_cross), 9)
-        Om = self.Omega
-        triples = [
-            _single_spin_triple(Om, self.alpha(t, 0)),
-            _single_spin_triple(Om, self.alpha(t, 1)),
-        ]
-        eye = np.eye(2, dtype=complex)
-        rho = np.eye(4, dtype=complex) / 4.0
-        nsq = Om * Om / 2.0  # Hilbert-Schmidt norm^2 of each triple member
-        for a in range(3):
-            rho += v_local[a] * np.kron(triples[0][a], eye) / (2.0 * nsq)
-            rho += v_local[3 + a] * np.kron(eye, triples[1][a]) / (2.0 * nsq)
-        for a in range(3):
-            for b in range(3):
-                rho += (
-                    v_cross[3 * a + b]
-                    * np.kron(triples[0][a], triples[1][b])
-                    / (nsq * nsq)
-                )
-        return TwoQubitState(rho=rho).validate()
 
 
 # ---------------------------------------------------------------------------

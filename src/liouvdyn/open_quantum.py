@@ -36,7 +36,6 @@ from .linalg import (
     bi_eigendecompose,
     chebyshev_coefficients,
     chebyshev_levels,
-    eigenframes,
     magnus_axes,
     ordered_product,
 )
@@ -186,44 +185,11 @@ def lamb_shift(bath: BathSpec, alpha: float) -> float:
     return 2.0 * bath.coupling * (principal + regular)
 
 
-# ---------------------------------------------------------------------------
-# effective frequencies
-# ---------------------------------------------------------------------------
-
-
-def effective_frequencies(model, t: float) -> np.ndarray:
-    """Per-mode phase velocities dLambda_j/dt of the inertial bookkeeping.
-
-    Assembled from the instantaneous eigenvalues plus the gauge-fixed
-    frame-transport correction, mode by mode, each mode taken in its
-    closed block of the generator.
-    """
-    fact = model.factorization()
-    if t >= fact.t_max:
-        raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
-    chi = fact.chi_of_t(t)
-    pace = fact.omega_of_t(t)
-    drift = fact.dchi_dtheta(t) if fact.dchi_dtheta is not None else 0.0
-    h = 1e-6 * max(1.0, abs(chi))
-    B = fact.B_of_chi(np.array([chi, chi + h, chi - h]))
-    lam, rights, lefts = eigenframes(B, blocks=fact.blocks)
-    dF = (rights[1] - rights[2]) / (2.0 * h)
-    conn = np.einsum("ik,ik->k", lefts[0].conj(), dF)
-    return ((lam[0] - 1j * conn * drift) * pace).real
-
-
-def effective_frequency(model, t: float, mode: int) -> float:
-    """Effective frequency alpha_mode(t) of one generator mode."""
-    alphas = effective_frequencies(model, t)
-    if not 0 <= mode < alphas.size:
-        raise ValueError(f"mode index {mode} outside 0..{alphas.size - 1}")
-    return float(alphas[mode])
-
-
 def _tls_alpha_closed(protocol, t) -> np.ndarray:
     # the two-level transport correction vanishes identically in the
     # fixed gauge (unit-norm frames of a Hermitian generator), leaving
-    # alpha = lambda * pace; cross-checked against effective_frequencies.
+    # alpha = lambda * pace; the tests cross-check it against a finite
+    # difference of the frames (oracles.effective_frequencies).
     # A float t gives the 4 channels, an array of times a (times, 4) stack.
     gap = np.hypot(1.0, protocol.mu(t)) * protocol.Omega(t)
     zero = np.zeros_like(gap)

@@ -2,13 +2,16 @@
 
 Everything in this module is derived from first principles (operator
 algebra, textbook closed forms) without importing the package under test,
-so agreement between the two is meaningful.  Three exceptions replay an
+so agreement between the two is meaningful.  Four exceptions replay an
 older route through the package's own frame layer: ``per_row_diagnose``
 runs the ``diagnose`` row loop through the one-point functions, so the
 stacked column can be held to it, ``grid_inertial`` runs the uniform
-grid inertial propagation, so the spectral route can be held to it, and
+grid inertial propagation, so the spectral route can be held to it,
 ``segment_surface_phases`` runs the surface form one curvature stack per
-boundary segment, so the stacked levels can be held to it.
+boundary segment, so the stacked levels can be held to it, and
+``effective_frequencies`` takes the frame connection by a finite
+difference of the package's frames, so the closed-form two-level
+channel frequencies can be held to it.
 """
 
 from __future__ import annotations
@@ -594,6 +597,29 @@ def free_two_level_propagators(omega, epsilon, ts, *, rtol=1e-12, atol=1e-14):
                     rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y.T.reshape(-1, 2, 2)
+
+
+def effective_frequencies(model, t: float) -> np.ndarray:
+    """Per-mode phase velocities alpha_j = dLambda_j/dt of the inertial
+    bookkeeping at time t.
+
+    The instantaneous eigenvalues plus the gauge-fixed frame-transport
+    correction, times the pace.  The connection G_k^H dF_k/dchi is a
+    central difference of ``linalg.eigenframes`` frames at chi +- h, each
+    mode taken in its closed block of the generator.
+    """
+    from liouvdyn.linalg import eigenframes
+
+    fact = model.factorization()
+    chi = fact.chi_of_t(t)
+    pace = fact.omega_of_t(t)
+    drift = fact.dchi_dtheta(t) if fact.dchi_dtheta is not None else 0.0
+    h = 1e-6 * max(1.0, abs(chi))
+    B = fact.B_of_chi(np.array([chi, chi + h, chi - h]))
+    lam, rights, lefts = eigenframes(B, blocks=fact.blocks)
+    dF = (rights[1] - rights[2]) / (2.0 * h)
+    conn = np.einsum("ik,ik->k", lefts[0].conj(), dF)
+    return ((lam[0] - 1j * conn * drift) * pace).real
 
 
 # ---------------------------------------------------------------------------

@@ -281,10 +281,12 @@ def open_configs(draw):
     return {"experiment": "open", "model": model, "protocol": protocol, "numerics": numerics}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRunFuzz:
     """Whole ``diagnose``, ``geo`` and ``open`` runs on drawn file configs
-    end with a documented exit code, no traceback, and a manifest status
-    that says the same as the code."""
+    end with a documented exit code, no traceback, no RuntimeWarning (an
+    overflow or an invalid operation), and a manifest status that says the
+    same as the code."""
 
     STATUS = {0: ("ok",), 3: ("partial",), 4: ("failed", None), 2: (None,)}
 

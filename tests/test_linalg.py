@@ -117,6 +117,23 @@ class TestFailureModes:
         with pytest.raises(NotDiagonalizable):
             bi_eigendecompose(B)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_guard_holds_past_the_squared_float_range(self, monkeypatch):
+        # entries of 1e160 square past 1e308, yet the residual bound stays
+        # finite: exact frames pass, and eigenvectors each mixed with 1e-6
+        # of their neighbour fail
+        B = 1e160 * tls(0.3)
+        bi_eigendecompose(B)
+        eig = np.linalg.eig
+
+        def mixed(M):
+            lam, vr = eig(M)
+            return lam, vr + 1e-6 * np.roll(vr, 1, axis=-1)
+
+        monkeypatch.setattr(np.linalg, "eig", mixed)
+        with pytest.raises(NotDiagonalizable, match="residual"):
+            bi_eigendecompose(B)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             bi_eigendecompose(np.zeros((2, 3)))

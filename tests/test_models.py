@@ -25,14 +25,11 @@ from liouvdyn.models import (
     HOProtocol,
     TLSModel,
     TLSProtocol,
-    TwoQubitState,
-    TwoSpinModel,
     ho_generator,
     initial_vector,
     reconstruct_state,
     tls_generator,
     tls_generator_embedded,
-    two_spin_alpha_protocol,
     two_spin_generators,
 )
 
@@ -219,6 +216,11 @@ class TestHOProtocol:
         with pytest.raises(ArithmeticError):
             HOProtocol.solve_boundary(20.0, 1e9, t_f=1.0, a=0.0)
 
+    def test_boundary_solve_rejects_a_ramp_past_the_float_range(self):
+        # a t_f^2 overflows, so chi0 = inf and omega(t_f) is NaN
+        with pytest.raises(ArithmeticError):
+            HOProtocol.solve_boundary(20.0, 10.0, t_f=1e300, a=-5e-3)
+
 
 class TestTLSProtocol:
     def test_figure_setup_initial_splitting(self):
@@ -271,39 +273,10 @@ class TestTLSProtocol:
         with pytest.raises(ValueError):
             TLSProtocol.solve_boundary(20.0, 10.0, epsilon=12.0, t_f=1.0)
 
-
-class TestAlphaProtocol:
-    def test_static(self):
-        assert two_spin_alpha_protocol(2.0, 0.0, 20.0, alpha0=0.3) == 0.3
-
-    def test_linear(self):
-        assert abs(
-            two_spin_alpha_protocol(0.7, 0.25, 20.0, alpha0=0.1)
-            - (0.1 - 0.25 * 20.0 * 0.7)
-        ) < 1e-12
-
-    def test_callable_inputs_match_constants(self):
-        direct = two_spin_alpha_protocol(0.8, 0.25, 20.0, alpha0=0.1)
-        quad = two_spin_alpha_protocol(
-            0.8, lambda t: 0.25, lambda t: 20.0, alpha0=0.1
-        )
-        assert abs(direct - quad) < 1e-10
-
-    def test_rate_parameter_equals_chi(self):
-        # with omega = Om cos(alpha), coupling Om sin(alpha) and constant Om,
-        # the rate parameter (omega_dot*eps - omega*eps_dot)/Om^3 must be chi
-        Om, chi, a0 = 20.0, 0.17, 0.35
-        model = TwoSpinModel(Omega=Om, chi1=chi, chi2=0.0, alpha0=(a0, 0.0))
-
-        def omega(t):
-            return Om * math.cos(model.alpha(t, 0))
-
-        def eps(t):
-            return Om * math.sin(model.alpha(t, 0))
-
-        for t in (0.1, 0.4, 0.9):
-            num = deriv4(omega, t, 1e-5) * eps(t) - omega(t) * deriv4(eps, t, 1e-5)
-            assert abs(num / Om**3 - chi) < 1e-10
+    def test_boundary_solve_rejects_a_ramp_past_the_float_range(self):
+        # abar t_f^2 overflows, so chi0 = inf and Omega(t_f) is NaN
+        with pytest.raises(ArithmeticError):
+            TLSProtocol.solve_boundary(20.0, 10.0, epsilon=8.0, t_f=1e300, abar=-5e-3)
 
 
 class TestInitialVectors:
@@ -328,9 +301,8 @@ class TestInitialVectors:
 
 
     def test_other_objects_have_no_initial_vector(self):
-        for other in (object(), TwoSpinModel(Omega=20.0, chi1=0.1, chi2=0.2)):
-            with pytest.raises(TypeError):
-                initial_vector(other)
+        with pytest.raises(TypeError):
+            initial_vector(object())
 
 
 class TestForDuration:
@@ -461,44 +433,6 @@ class TestReconstruction:
             reconstruct_state(object(), np.zeros(4), 0.0)
 
 
-class TestTwoQubitReconstruction:
-    def _bloch_vector_coeffs(self, Om, alpha, r):
-        # expectations of the spin's operator triple in state r
-        w, eps = Om * math.cos(alpha), Om * math.sin(alpha)
-        sx, sy, sz = np.asarray(r) / 2.0
-        return np.array([w * sz + eps * sx, w * sx - eps * sz, Om * sy])
-
-    def test_product_state_round_trip(self):
-        Om = 20.0
-        model = TwoSpinModel(Omega=Om, chi1=0.2, chi2=-0.1, alpha0=(0.3, 1.1))
-        r1 = np.array([0.3, -0.2, 0.8])
-        r2 = np.array([-0.5, 0.1, 0.4])
-        t = 0.25
-        a1, a2 = model.alpha(t, 0), model.alpha(t, 1)
-        v1 = self._bloch_vector_coeffs(Om, a1, r1)
-        v2 = self._bloch_vector_coeffs(Om, a2, r2)
-        v_local = np.concatenate([v1, v2])
-        v_cross = np.outer(v1, v2).reshape(-1)
-        state = model.reconstruct_two_qubit(v_local, v_cross, t)
-        rho1 = 0.5 * (np.eye(2) + r1[0] * 2 * oracles.SX + r1[1] * 2 * oracles.SY + r1[2] * 2 * oracles.SZ)
-        rho2 = 0.5 * (np.eye(2) + r2[0] * 2 * oracles.SX + r2[1] * 2 * oracles.SY + r2[2] * 2 * oracles.SZ)
-        assert np.max(np.abs(state.rho - np.kron(rho1, rho2))) < 1e-12
-
-    def test_unphysical_raises(self):
-        model = TwoSpinModel(Omega=20.0, chi1=0.0, chi2=0.0)
-        v_local = np.array([30.0, 0, 0, 30.0, 0, 0])
-        v_cross = np.zeros(9)
-        with pytest.raises(UnphysicalState):
-            model.reconstruct_two_qubit(v_local, v_cross, 0.0)
-
-    def test_stacked_dispatch(self):
-        model = TwoSpinModel(Omega=20.0, chi1=0.0, chi2=0.0)
-        v = np.zeros(15)
-        state = reconstruct_state(model, v, 0.0)
-        assert isinstance(state, TwoQubitState)
-        assert np.max(np.abs(state.rho - np.eye(4) / 4.0)) < 1e-15
-
-
 class TestStates:
     def test_gaussian_validate(self):
         GaussianState(0, 0, 0.5, 0.5, 0.0).validate()
@@ -511,11 +445,6 @@ class TestStates:
         BlochState(r=np.array([0.6, 0.0, 0.8])).validate()
         with pytest.raises(UnphysicalState):
             BlochState(r=np.array([1.2, 0.0, 0.0])).validate()
-
-    def test_two_qubit_validate(self):
-        TwoQubitState(rho=np.eye(4) / 4.0).validate()
-        with pytest.raises(UnphysicalState):
-            TwoQubitState(rho=np.diag([1.5, -0.5, 0.0, 0.0])).validate()
 
 
 class TestRescalingDeclarations:
@@ -541,11 +470,6 @@ class TestRescalingDeclarations:
         v = LiouvilleVector(coeffs=np.ones(9, dtype=complex), t=0.0, theta=0.0)
         out = apply_identity_rescaling(Halved(), v, 0.0)
         assert np.allclose(out.coeffs, 0.25)
-
-    def test_two_spin_weight_vectors(self):
-        model = TwoSpinModel(Omega=20.0, chi1=0.1, chi2=0.2)
-        assert np.all(model.local_rescaling_weights == 1.0)
-        assert np.all(model.cross_rescaling_weights == 2.0)
 
 
 def _bits(x) -> bytes:

@@ -10,6 +10,7 @@ import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    effective_frequencies,
     free_two_level_propagators,
     gibbs_two_level,
     lamb_shift_zero_temperature,
@@ -41,8 +42,6 @@ from liouvdyn.open_quantum import (
     bose_occupation,
     build_master_equation,
     decay_rate,
-    effective_frequencies,
-    effective_frequency,
     lamb_shift,
     mesolve,
     trajectory_rows,
@@ -217,6 +216,9 @@ class TestLambShift:
 
 
 class TestEffectiveFrequency:
+    """The finite-difference oracle against the closed forms it must meet,
+    before ``TestBuildMasterEquation`` holds the channel frequencies to it."""
+
     def test_static_frequencies_are_the_gap(self):
         got = effective_frequencies(static_model(), 0.0)
         assert got == pytest.approx([0.0, GAP, -GAP, 0.0], abs=1e-9)
@@ -276,12 +278,6 @@ class TestEffectiveFrequency:
         )
         got = effective_frequencies(m, t)
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
-
-    def test_single_mode_accessor_and_bounds(self):
-        m = static_model()
-        assert effective_frequency(m, 0.0, 1) == pytest.approx(GAP, rel=1e-12)
-        with pytest.raises(ValueError):
-            effective_frequency(m, 0.0, 4)
 
     def test_domain_guard(self):
         m = TLSModel(protocol=TLSProtocol(epsilon=8.0, omega0=W0, chi0=0.5, abar=0.0))
