@@ -11,6 +11,7 @@ fixed config yields byte-identical files on every run.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,7 +40,7 @@ from .geometric import (
     two_spin_nonlocal_family,
 )
 from .models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol
-from .open_quantum import MAX_STATIC_PHASE, BathSpec, mesolve, trajectory_rows
+from .open_quantum import MAX_STATIC_PHASE, BathSpec, magnus_levels, mesolve, trajectory_rows
 
 _SWEEP_COLUMNS = (
     "t_f",
@@ -174,6 +175,13 @@ def _run_open(cfg: RunConfig):
         )
     bath = BathSpec(**cfg.model["bath"])
     ts = np.linspace(0.0, num["t_final"], num["points"])
+    # the lab frame of a driven run needs two Magnus levels to compare
+    cap, levels = magnus_levels(model.protocol, ts)
+    if num["picture"] == "schrodinger" and not model.protocol.static and len(levels) < 2:
+        raise ConfigInvalid(
+            f"numerics.t_final: the driven free propagator cannot compare two "
+            f"Magnus levels within {cap} steps on this horizon"
+        )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         states = mesolve(
@@ -296,6 +304,7 @@ def write_outputs(cfg: RunConfig, columns, rows, sources, errors, notes=()):
     return data_path, manifest_path, status
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liouvdyn",

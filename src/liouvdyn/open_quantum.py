@@ -57,6 +57,8 @@ _SHIFT_EPSABS = 1e-11
 # ... intervals (9, 17, ... points), at most _CHEB_MAX_N
 _CHEB_N0 = 8
 _CHEB_MAX_N = 4096
+# panels of one level beyond which _dissipator raises NotConverged
+_MAX_PANELS = 2**16
 # largest free-evolution phase t_final * ||H|| (rad) of a static run: a
 # double resolves such a phase to about 1e-4 rad
 MAX_STATIC_PHASE = 1e12
@@ -102,34 +104,37 @@ class MasterEquationSpec:
     lamb_shift_enabled: bool = False
 
 
-def bose_occupation(alpha: float, temperature: float) -> float:
-    """Bose-Einstein occupation at a positive frequency."""
-    if alpha <= 0.0:
+def bose_occupation(alpha, temperature: float):
+    """Bose-Einstein occupation at a positive frequency, or at each of an
+    array of them."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha <= 0.0):
         raise ValueError("occupation is defined for positive frequencies")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    if temperature == 0.0:
-        return 0.0
-    x = alpha / temperature
-    if x > _MAX_EXPONENT:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    with np.errstate(divide="ignore", over="ignore"):  # x = inf gives N = 0
+        x = alpha / temperature
+    return np.where(x > _MAX_EXPONENT, 0.0, 1.0 / np.expm1(np.minimum(x, _MAX_EXPONENT)))[()]
 
 
-def decay_rate(bath: BathSpec, alpha: float) -> float:
+def _occupation(x: float) -> float:
+    """bose_occupation at x = alpha / T > 0 for lamb_shift's scalar quadrature
+    integrands: 1 / (e^x - 1), and 0 past the overflow guard."""
+    return 0.0 if x > _MAX_EXPONENT else 1.0 / math.expm1(x)
+
+
+def decay_rate(bath: BathSpec, alpha):
     """Golden-rule rate gamma(alpha) >= 0 per unit squared dipole weight.
 
     Positive frequencies emit at coupling * alpha^3 * (1 + N(alpha));
     negative frequencies absorb at coupling * |alpha|^3 * N(|alpha|), the
     detailed-balance completion gamma(-alpha) = e^(-alpha/T) gamma(alpha).
+    An array of frequencies gives the array of rates.
     """
-    if alpha == 0.0:
-        return 0.0
-    mag = abs(alpha)
-    n = bose_occupation(mag, bath.temperature)
-    if alpha > 0.0:
-        return bath.coupling * mag**3 * (1.0 + n)
-    return bath.coupling * mag**3 * n
+    alpha = np.asarray(alpha, dtype=float)
+    mag, n = np.abs(alpha), np.zeros(alpha.shape)
+    n[mag > 0.0] = bose_occupation(mag[mag > 0.0], bath.temperature)
+    return (bath.coupling * mag**3 * np.where(alpha > 0.0, 1.0 + n, n))[()]
 
 
 def _quad(f, a, b, epsabs, **kw):
@@ -164,12 +169,12 @@ def lamb_shift(bath: BathSpec, alpha: float) -> float:
     def emission(w):
         if w <= 0.0:
             return 0.0
-        return w**3 * (1.0 + (bose_occupation(w, T) if T > 0.0 else 0.0))
+        return w**3 * (1.0 + (_occupation(w / T) if T > 0.0 else 0.0))
 
     def absorption(w):
         if w <= 0.0 or T == 0.0:
             return 0.0
-        return w**3 * bose_occupation(w, T)
+        return w**3 * _occupation(w / T)
 
     if alpha > 0.0:
         # (1+N)/(alpha-w) carries the pole; N/(alpha+w) is regular
@@ -295,11 +300,6 @@ def _check_states(rhos: np.ndarray, ts, label: str):
     raise PositivityViolation(f"{label} state at t={t} has eigenvalue {low[i]:.3e}")
 
 
-def _check_state(rho: np.ndarray, t: float, label: str):
-    """One-matrix view of _check_states."""
-    _check_states(np.asarray(rho)[None], [t], label)
-
-
 def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np.ndarray:
     """Integrals int_0^t f(s) ds at every t of ``ts``, one per column of f.
 
@@ -356,34 +356,35 @@ def _secular_phase_check(alphas: np.ndarray, Lam: np.ndarray):
         )
 
 
-def _level_shift_frame(F, weights):
-    """Eigenbasis V of the zero mode F_0 and the diagonal of F_j^dagger F_j in it.
+def _zero_mode_frame(F, weights):
+    """Eigenbasis V of the zero mode F_0 and each channel's weights in it.
 
-    The level-shift Hamiltonian sum_j w_j S(alpha_j) F_j^dagger F_j then
-    acts as a phase on each basis vector, and it commutes with the
-    dissipator when every weighted F_j is, in V, either diagonal or a
-    single transition |a><b|: conjugating by any V-diagonal unitary only
-    multiplies such an F_j by a phase.  That also makes each F_j^dagger
-    F_j diagonal in V.  A matrix with one entry per row is not enough
-    (sigma_x' picks up opposite phases on its two entries), so any other
-    shape raises LiouvdynError.
+    Every weighted F_j must be, in V, diagonal or a single transition;
+    any other shape (sigma_x, say) raises LiouvdynError.  Then, per unit
+    rate of channel j, rho_00' = k_in rho_11 - k_out rho_00 with k_in =
+    |F_01|^2, k_out = |F_10|^2, and rho_01' = -Gamma_c rho_01 with Gamma_c =
+    tr(F^dagger F) / 2 - F_00 F_11*.  F_j^dagger F_j is diagonal too, and a
+    V-diagonal unitary only multiplies F_j by a phase, so the level shift
+    sum_j |a_j|^2 lamb_shift F_j^dagger F_j commutes with the dissipator
+    and rotates the coherence alone.  Returns V, the (channels, 2)
+    diagonals of F_j^dagger F_j, and the (channels, 4) weights of k_in,
+    k_in + k_out, Re Gamma_c and Im Gamma_c.
     """
     # mode 0 is the Hermitian zero mode, sigma_z of the t = 0 eigenoperator frame
     _, V = np.linalg.eigh(0.5 * (F[0] + F[0].conj().T))
-    levels = np.zeros((len(F), 2))
-    for j, op in enumerate(F):
-        if weights[j] == 0.0:
-            continue
-        Fv = V.conj().T @ op @ V
-        support = np.abs(Fv) > 1e-10 * np.max(np.abs(Fv))
+    Fv = V.conj().T @ np.asarray(F) @ V
+    for j in np.flatnonzero(weights):
+        support = np.abs(Fv[j]) > 1e-10 * np.max(np.abs(Fv[j]))
         if np.any(support & ~np.eye(2, dtype=bool)) and np.count_nonzero(support) > 1:
             raise LiouvdynError(
                 f"jump operator {j} is neither diagonal nor a single transition "
-                "in the zero-mode basis, so the level shift does not commute "
-                "with the dissipator"
+                "in the zero-mode basis, so the dissipator does not split into "
+                "a population and a coherence"
             )
-        levels[j] = np.sum(np.abs(Fv) ** 2, axis=0)
-    return V, levels
+    levels = np.sum(np.abs(Fv) ** 2, axis=1)
+    up, down = np.abs(Fv[:, 0, 1]) ** 2, np.abs(Fv[:, 1, 0]) ** 2
+    coherence = 0.5 * levels.sum(axis=1) - Fv[:, 0, 0] * Fv[:, 1, 1].conj()
+    return V, levels, np.stack([up, up + down, coherence.real, coherence.imag], axis=1)
 
 
 def _static_propagators(omega: float, epsilon: float, ts) -> np.ndarray:
@@ -408,16 +409,28 @@ def _su2(w: np.ndarray) -> np.ndarray:
     return np.stack([c - 1j * z, -1j * x - y, -1j * x + y, c + 1j * z], axis=1).reshape(-1, 2, 2)
 
 
+def magnus_levels(protocol, ts):
+    """The step cap and the Magnus steps per grid interval of each level
+    the driven free propagator may take on ``ts``: from about
+    MAGNUS_STEPS_PER_RAD per radian of the widest interval's rotation,
+    doubling while a level stays within the cap of MAGNUS_MAX_STEPS steps
+    (or two steps per interval)."""
+    n, Om = len(ts) - 1, protocol.Omega(ts)
+    angle = float(np.max(np.diff(ts) * np.maximum(Om[1:], Om[:-1])))
+    s = 2 ** max(0, round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
+    cap = max(MAGNUS_MAX_STEPS, 2 * n)
+    return cap, [s << i for i in range(cap.bit_length()) if (s << i) * n <= cap]
+
+
 def _driven_propagators(protocol, ts, *, rtol: float, atol: float) -> np.ndarray:
     """Time-ordered U(t) of H(t) = omega(t) S_z + epsilon S_x at every t of ``ts``.
 
     H = (epsilon, 0, omega(t)) . sigma / 2, so each grid interval takes s
     sixth-order Magnus steps (``linalg.magnus_axes``), exponentiated in
     SU(2) and multiplied by pairwise reduction; prefix products over the
-    intervals give U on the grid.  s starts near where that converges for
-    the largest rotation angle of an interval and doubles until two levels
-    agree within atol + rtol |U| in every entry; NotConverged once a level
-    would pass ``linalg.MAGNUS_MAX_STEPS`` steps (or two steps per interval).
+    intervals give U on the grid.  s runs over ``magnus_levels`` until two
+    levels agree within atol + rtol |U| in every entry, and NotConverged
+    is raised when none do.
     """
     eps, dt = protocol.epsilon, np.diff(ts)
 
@@ -425,11 +438,9 @@ def _driven_propagators(protocol, ts, *, rtol: float, atol: float) -> np.ndarray
         omega = protocol.omega(t)
         return np.stack([np.full_like(omega, eps), np.zeros_like(omega), omega], axis=1)
 
-    Om = protocol.Omega(ts)
-    angle = float(np.max(dt * np.maximum(Om[1:], Om[:-1])))
-    s = 2 ** max(0, round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
+    cap, levels = magnus_levels(protocol, ts)
     previous = None
-    while s * len(dt) <= max(MAGNUS_MAX_STEPS, 2 * len(dt)):
+    for s in levels:
         edges = np.append((ts[:-1, None] + dt[:, None] * (np.arange(s) / s)).ravel(), ts[-1])
         U = ordered_product(_su2(magnus_axes(field, edges)).reshape(len(dt), s, 2, 2))
         offset = 1
@@ -438,9 +449,8 @@ def _driven_propagators(protocol, ts, *, rtol: float, atol: float) -> np.ndarray
             offset *= 2
         if previous is not None and np.all(np.abs(U - previous) <= atol + rtol * np.abs(U)):
             return np.concatenate([np.eye(2)[None], U])
-        previous, s = U, 2 * s
-    raise NotConverged(f"free propagator: Magnus levels did not agree within {s // 2} "
-                       "steps per grid interval")
+        previous = U
+    raise NotConverged(f"free propagator: no two Magnus levels agreed within {cap} steps")
 
 
 def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol, atol):
@@ -474,6 +484,48 @@ def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol,
     return integrals[:, :n], (integrals[:, n:] if levels is not None else None)
 
 
+def _dissipator(rho_v: np.ndarray, ts, rates, *, rtol: float, atol: float):
+    """Population p = rho_00 and coherence c = rho_01 on ``ts`` from ``rho_v``.
+
+    p' = k_in - k p and c' = -Gamma_c c, ``rates`` mapping times to the
+    columns k_in, k, Re Gamma_c, Im Gamma_c.  Over each of m panels of a
+    grid interval u = int k rises by du and int Gamma_c by dg (trapezoid
+    rule): c = c_0 e^(-sum dg), and with q = k_in / k linear in u, p_1 =
+    e^-du p_0 + (1 - e^-du) q_1 - ((1 - e^-du) / du - e^-du) (q_1 - q_0).
+    Only decaying exponentials are formed, so constant rates are exact at
+    any horizon.  m doubles, each level Richardson-corrected with the one
+    before, until two corrected levels agree within atol + rtol |.|.
+    Rates that are not finite raise IntegratorFailure; NotConverged once a
+    level would pass _MAX_PANELS panels (or four per interval).
+    """
+    n, m, coarse, previous = len(ts) - 1, 1, None, None
+    while m * n <= max(_MAX_PANELS, 4 * n):
+        s = ts[:-1, None] + np.diff(ts)[:, None] * (np.arange(m + 1) / m)
+        r = rates(s.ravel())
+        if not np.all(np.isfinite(r)):
+            raise IntegratorFailure("master-equation rates are not finite")
+        k_in, k, g_re, g_im = np.moveaxis(r.reshape(n, m + 1, 4), -1, 0)
+        du, dg = (0.5 * np.diff(s, axis=1) * (v[:, 1:] + v[:, :-1]) for v in (k, g_re + 1j * g_im))
+        q = np.divide(k_in, k, out=np.zeros_like(k), where=k > 0.0)
+        decay, gain = np.exp(-du), -np.expm1(-du)
+        lag = np.divide(gain, du, out=np.ones_like(du), where=du > 0.0) - decay
+        inflow = gain * q[:, 1:] - lag * np.diff(q, axis=1)
+        # a panel's inflow decays over the later panels of its interval
+        later = np.cumsum(du[:, ::-1], axis=1)[:, ::-1] - du
+        steps = zip(np.exp(-du.sum(axis=1)).tolist(),
+                    (inflow * np.exp(-later)).sum(axis=1).tolist())
+        p = [rho_v[0, 0].real]
+        for a, b in steps:
+            p.append(a * p[-1] + b)
+        y = np.append(p, rho_v[0, 1] * np.exp(-np.cumsum(np.append(0.0, dg.sum(axis=1)))))
+        fine = y + (y - coarse) / 3.0 if m > 1 else None
+        if m > 2 and np.all(np.abs(fine - previous) <= atol + rtol * np.abs(fine)):
+            return fine[: n + 1].real, fine[n + 1:]
+        coarse, previous, m = y, fine, 2 * m
+    raise NotConverged(f"master equation: panel levels did not agree within {m // 2} "
+                       "panels per grid interval")
+
+
 def mesolve(
     model,
     bath: BathSpec,
@@ -488,27 +540,18 @@ def mesolve(
 ) -> np.ndarray:
     """Evolve a two-level state under the driven-system master equation.
 
-    Integrates the interaction-picture GKLS equation with channel rates
-    gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) and, on request, maps
-    back to the lab frame with the exact free propagator: closed form
-    for a static drive, stacked sixth-order Magnus steps aligned to
-    ``t_grid`` otherwise (``_driven_propagators``).  Returns the stack of
-    density matrices on ``t_grid`` (which must start at 0).
+    Solves the interaction-picture GKLS equation with channel rates
+    gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) without an ODE and, on
+    request, maps back to the lab frame with the exact free propagator:
+    closed form for a static drive, stacked sixth-order Magnus steps
+    aligned to ``t_grid`` otherwise (``_driven_propagators``).  Returns the
+    stack of density matrices on ``t_grid`` (which must start at 0).
 
-    The level shift H_LS(t) = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t))
-    F_j^dagger F_j is diagonal in the eigenbasis V of the zero mode and
-    commutes with the dissipator, so it only rotates the state:
-    rho = U rho_D U^dagger, with rho_D the solution without H_LS and
-    U = V diag(e^(-i theta)) V^dagger.  The two level phases theta, with
-    theta_k' = sum_j |a_j|^2 lamb_shift(bath, alpha_j(t)) (V^dagger
-    F_j^dagger F_j V)_kk, are cumulative integrals by Clenshaw-Curtis
-    quadrature on nested Chebyshev points of [0, t_grid[-1]], refined
-    until two levels agree within ``rtol``/``atol``; the points do not
-    depend on the output grid, and rho_D is bit for bit the run without
-    the shift.
+    In the zero-mode basis V the equation splits into a population p and
+    a coherence c (``_zero_mode_frame``, ``_dissipator``), so rho_D =
+    V [[p, c], [c*, 1 - p]] V^dagger.  The level shift only turns c, by
+    the level phases theta of ``_phases``.
     """
-    import scipy.integrate
-
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
     spec = build_master_equation(
@@ -528,47 +571,24 @@ def mesolve(
         )
 
     rho_init = _as_density_matrix(rho0)
-    _check_state(rho_init, 0.0, "initial")
+    _check_states(rho_init[None], [0.0], "initial")
     if ts[-1] == 0.0:
         return rho_init[None, :, :].copy()
 
-    F = [np.asarray(op) for op in spec.jump_ops]
-    Fd = [op.conj().T for op in F]
-    FdF = [d @ op for d, op in zip(Fd, F)]
     weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
-    levels = None
-    if lamb_shift_enabled:
-        V, levels = _level_shift_frame(F, weights)
-    Lam, theta = _phases(spec, bath, ts, weights, levels, rtol, atol)
+    V, levels, rate_weights = _zero_mode_frame(spec.jump_ops, weights)
+    Lam, theta = _phases(spec, bath, ts, weights, levels if lamb_shift_enabled else None,
+                         rtol, atol)
     _secular_phase_check(spec.alpha_of_t(ts[-1]), Lam[-1])
 
-    def rhs(t, y):
-        rho = y.reshape(2, 2)
-        alphas = spec.alpha_of_t(t)
-        out = np.zeros((2, 2), dtype=complex)
-        for j in range(len(F)):
-            g = weights[j] * decay_rate(bath, float(alphas[j]))
-            if g == 0.0:
-                continue
-            out += g * (F[j] @ rho @ Fd[j] - 0.5 * (FdF[j] @ rho + rho @ FdF[j]))
-        return out.ravel()
+    def rates(t):  # k_in, k_in + k_out, Re and Im Gamma_c; inf or nan past the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (weights * decay_rate(bath, spec.alpha_of_t(t))) @ rate_weights
 
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, ts[-1]),
-        rho_init.ravel(),
-        method="DOP853",
-        t_eval=ts,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise IntegratorFailure(f"master-equation integration failed: {sol.message}")
-    states = sol.y.T.reshape(-1, 2, 2)
-    if lamb_shift_enabled:
-        # rho = U rho_D U^dagger with U = V diag(e^(-i theta)) V^dagger
-        U = (V * np.exp(-1j * theta)[:, None, :]) @ V.conj().T
-        states = U @ states @ U.conj().transpose(0, 2, 1)
+    pop, coh = _dissipator(V.conj().T @ rho_init @ V, ts, rates, rtol=rtol, atol=atol)
+    if lamb_shift_enabled:  # U rho_D U^dagger turns the coherence in V
+        coh = coh * np.exp(-1j * (theta[:, 0] - theta[:, 1]))
+    states = V @ np.stack([pop, coh, coh.conj(), 1.0 - pop], axis=1).reshape(-1, 2, 2) @ V.conj().T
     _check_states(states, ts, "interaction-picture")
     if picture == "interaction":
         return states

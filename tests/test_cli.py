@@ -321,6 +321,7 @@ class TestRunFuzz:
     @given(open_configs())
     @example({"experiment": "open", "numerics": {"t_final": 1e4, "lamb_shift": True}})
     @example({"experiment": "open", "numerics": {"t_final": 1e300, "lamb_shift": True}})
+    @example({"experiment": "open", "protocol": {"chi0": 1e-10}, "numerics": {"t_final": 1e4}})
     def test_open(self, config):
         self.run(config)
 
@@ -427,6 +428,38 @@ class TestExitCodes:
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "numerics.t_final" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_open_driven_free_phase_beyond_the_magnus_cap_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Omega ~ 17 for 1e4 time units is ~1.7e5 rad of free rotation: no
+        # two Magnus levels of the lab-frame propagator fit in
+        # MAGNUS_MAX_STEPS steps, so the run stops before any integration.
+        # The interaction picture needs no free propagator and runs.
+        solves = []
+        real = cli.mesolve
+        monkeypatch.setattr(cli, "mesolve", lambda *a, **k: solves.append(a) or real(*a, **k))
+        config = {"experiment": "open", "protocol": {"chi0": 1e-10},
+                  "numerics": {"t_final": 1e4}}
+        cfg = write_json(tmp_path / "c.json", config)
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "numerics.t_final" in err and f"within {linalg.MAGNUS_MAX_STEPS} steps" in err
+        assert not (tmp_path / "out").exists() and solves == []
+        config["numerics"]["picture"] = "interaction"
+        cfg = write_json(tmp_path / "c.json", config)
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert len(solves) == 1
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli._parser() is cli._parser()
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["--help"])
+            assert exit_info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith("usage: liouvdyn")
 
     @pytest.mark.parametrize("acceleration", [1e-12, 1e-300])
     def test_single_with_a_tiny_acceleration_succeeds(self, tmp_path, acceleration):
@@ -828,6 +861,27 @@ class TestExactRoute:
         assert run_cli([experiment, "--config", cfg, "--out", tmp_path]) == 0
         _, rows = read_csv(tmp_path / f"{experiment}.csv")
         assert calls == [row[0] for row in rows] * per_point
+
+    @pytest.mark.parametrize("lamb_shift", [False, True])
+    def test_open_solves_no_ode(self, tmp_path, monkeypatch, lamb_shift):
+        # the dissipator is solved in closed form, the free propagator by
+        # its closed form or a Magnus product
+        import scipy.integrate
+
+        calls = []
+        real_solve = scipy.integrate.solve_ivp
+
+        def counted_solve(*args, **kwargs):
+            calls.append(args[1][1])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counted_solve)
+        driven = {"protocol": {"chi0": 0.008, "abar": 0.002}, "numerics": {"t_final": 0.5}}
+        for config in ({"numerics": {}}, driven):  # the static default, and a driven run
+            config["numerics"]["lamb_shift"] = lamb_shift
+            cfg = write_json(tmp_path / "c.json", {"experiment": "open", **config})
+            assert run_cli(["open", "--config", cfg, "--out", tmp_path]) == 0
+        assert calls == []
 
 
 class TestDiagnoseCommand:

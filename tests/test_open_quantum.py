@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -35,6 +34,7 @@ from liouvdyn.errors import (
     UnphysicalState,
     UnsupportedDimension,
 )
+from liouvdyn.linalg import MAGNUS_MAX_STEPS
 from liouvdyn.models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol, initial_vector
 from liouvdyn.open_quantum import (
     BathSpec,
@@ -45,11 +45,11 @@ from liouvdyn.open_quantum import (
     lamb_shift,
     mesolve,
     trajectory_rows,
-    _check_state,
     _check_states,
     _cumulative_integral,
-    _level_shift_frame,
+    _dissipator,
     _phases,
+    _zero_mode_frame,
 )
 
 # gap-20 static point used throughout: epsilon = 8, omega = sqrt(400 - 64)
@@ -137,6 +137,48 @@ class TestDecayRate:
     def test_zero_coupling(self):
         bath = BathSpec(temperature=2.0, coupling=0.0, cutoff=50.0)
         assert decay_rate(bath, 3.0) == 0.0
+
+
+class TestArrayRates:
+    """An array of frequencies gives each element's value."""
+
+    # 40 / 0.05 = 800 passes the overflow guard _MAX_EXPONENT = 700
+    ALPHAS = np.array([-40.0, -7.5, -1e-3, 0.0, 1e-3, 2.0, 7.5, 40.0])
+
+    @staticmethod
+    def reference_rate(temperature, a):
+        # the golden-rule rate written out with math's expm1
+        n = 0.0 if a == 0.0 or temperature == 0.0 or abs(a) / temperature > 700.0 \
+            else 1.0 / math.expm1(abs(a) / temperature)
+        return 3e-3 * abs(a) ** 3 * (1.0 + n if a > 0.0 else n)
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.05, 2.0, 30.0])
+    def test_array_equals_the_per_element_values(self, temperature):
+        # numpy's vectorized pow and expm1 may round the last bit
+        # differently from math's, so equal to within 4 ulp; the zeros
+        # (alpha = 0, absorption at T = 0, past the guard) are exact
+        tol = dict(rtol=4 * np.finfo(float).eps, atol=0.0)
+        bath = BathSpec(temperature=temperature, coupling=3e-3, cutoff=50.0)
+        want = np.array([self.reference_rate(temperature, a) for a in self.ALPHAS.tolist()])
+        got = decay_rate(bath, self.ALPHAS)
+        np.testing.assert_allclose(got, want, **tol)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.array_equal(got, [decay_rate(bath, a) for a in self.ALPHAS.tolist()])
+        assert np.array_equal(decay_rate(bath, self.ALPHAS.reshape(2, 4)), got.reshape(2, 4))
+        positive = np.abs(self.ALPHAS[self.ALPHAS != 0.0])
+        want = np.array([bose_occupation(a, temperature) for a in positive.tolist()])
+        assert np.array_equal(bose_occupation(positive, temperature), want)
+
+    def test_a_float_gives_a_float(self):
+        bath = BathSpec(temperature=2.0, coupling=3e-3, cutoff=50.0)
+        assert isinstance(decay_rate(bath, -1.5), float)
+        assert isinstance(bose_occupation(1.5, 2.0), float)
+
+    def test_array_rejects_what_a_float_rejects(self):
+        with pytest.raises(ValueError):
+            bose_occupation(np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError):
+            bose_occupation(np.array([1.0, 2.0]), -1.0)
 
 
 class TestLambShift:
@@ -523,19 +565,79 @@ class TestMesolve:
             quiet_evolve(m, bath, qubit_density([0.0, 0.0, 0.5]), [0.0, 0.1])
 
 
+class TestRateEquations:
+    """The population and coherence equations against the GKLS equation."""
+
+    @settings(max_examples=25)
+    @given(
+        chi0=st.just(0.0) | st.floats(-0.01, 0.01),
+        abar=st.just(0.0) | st.floats(-3e-3, 3e-3),
+        temperature=st.floats(0.0, 20.0),
+        r=st.tuples(*[st.floats(-0.55, 0.55)] * 3),
+        t_final=st.floats(0.05, 2.0),
+        points=st.sampled_from([2, 11, 101]),
+    )
+    def test_matches_a_tight_solve_of_the_master_equation(
+        self, chi0, abar, temperature, r, t_final, points
+    ):
+        m = open_default_model(chi0, abar)
+        assume(m.protocol.t_max > t_final)
+        bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
+        spec = build_master_equation(m)
+        ts = np.linspace(0.0, t_final, points)
+        want = shifted_master_equation(
+            spec.jump_ops, [abs(a) ** 2 for a in spec.dipole_coeffs], spec.alpha_of_t,
+            lambda a: decay_rate(bath, a), lambda a: 0.0, qubit_density(r), ts,
+            rtol=1e-13, atol=1e-15,
+        )
+        got = quiet_evolve(m, bath, qubit_density(r), ts, picture="interaction")
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    @pytest.mark.parametrize("t_final", [1e4, 1e8])
+    def test_static_long_horizon_is_the_closed_form(self, t_final):
+        # at 1e8 the decay factor of every late grid interval underflows;
+        # the excited population still follows p_eq + (p_0 - p_eq)
+        # e^(-Gamma t), from the first relaxation times to the thermal state
+        g, T = 2e-3, 10.0
+        bath = BathSpec(temperature=T, coupling=g, cutoff=100.0)
+        total = g * GAP**3 * (1.0 + 2.0 * bose_occupation(GAP, T)) * W0**2 / (4.0 * GAP**2)
+        excited = energy_frame()[:, 1]
+        gibbs = gibbs_two_level(W0, EPS, T)
+        rho0 = qubit_density([0.3, -0.2, 0.5])
+        p_eq, p0 = ((excited.conj() @ rho @ excited).real for rho in (gibbs, rho0))
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, t_final, 60)])
+        start = time.perf_counter()
+        states = mesolve(static_model(), bath, rho0, ts)
+        assert time.perf_counter() - start < 1.0
+        got = np.einsum("i,nij,j->n", excited.conj(), states, excited).real
+        assert np.max(np.abs(got - (p_eq + (p0 - p_eq) * np.exp(-total * ts)))) < 1e-13
+        assert trace_distance(states[-1], gibbs) < 1e-13
+        assert np.linalg.eigvalsh(states[-1]).min() > 0.1  # mixed, not pure
+
+    def test_panel_cap_raises_not_converged(self):
+        # a rate that switches a thousand times cannot converge at 1e-10
+        def rates(t):
+            ones = np.ones_like(t)
+            return np.column_stack([(np.sin(1e3 * t) > 0.0) * ones, 2.0 * ones, ones, 0.0 * t])
+
+        with pytest.raises(NotConverged, match="panel levels"):
+            _dissipator(qubit_density([0.3, -0.2, 0.5]), np.array([0.0, 1.0]), rates,
+                        rtol=1e-10, atol=1e-12)
+
+
 class TestStateChecks:
     def test_flags_negative_eigenvalue(self):
         with pytest.raises(PositivityViolation):
-            _check_state(np.diag([1.05, -0.05]).astype(complex), 0.0, "test")
+            _check_states(np.diag([1.05, -0.05])[None] + 0j, [0.0], "test")
 
     def test_flags_trace_drift(self):
         with pytest.raises(IntegratorFailure):
-            _check_state(np.diag([0.6, 0.5]).astype(complex), 0.0, "test")
+            _check_states(np.diag([0.6, 0.5])[None] + 0j, [0.0], "test")
 
     def test_flags_hermiticity_drift(self):
         rho = np.array([[0.5, 0.1], [0.2, 0.5]], dtype=complex)
         with pytest.raises(IntegratorFailure):
-            _check_state(rho, 0.0, "test")
+            _check_states(rho[None], [0.0], "test")
 
 
     def test_stack_reports_the_first_failing_state(self):
@@ -695,10 +797,11 @@ class TestLevelShiftRotation:
 
         monkeypatch.setattr(open_quantum, "build_master_equation", crafted_spec)
         bath = BathSpec(temperature=2.0, coupling=1e-4, cutoff=100.0)
-        ts = [0.0, 0.1]
-        quiet_evolve(m, bath, DEFAULT_RHO0, ts)  # without the shift nothing is checked
-        with pytest.raises(LiouvdynError, match="jump operator 1"):
-            quiet_evolve(m, bath, DEFAULT_RHO0, ts, lamb_shift_enabled=True)
+        # the split into a population and a coherence needs the same
+        # structure, so the run fails with and without the shift
+        for enabled in (False, True):
+            with pytest.raises(LiouvdynError, match="jump operator 1"):
+                quiet_evolve(m, bath, DEFAULT_RHO0, [0.0, 0.1], lamb_shift_enabled=enabled)
 
     def test_default_static_run_counts_level_shifts(self, monkeypatch):
         # with the shift inside the generator this run made 27,267
@@ -728,25 +831,26 @@ class TestLevelShiftRotation:
     @pytest.mark.parametrize(
         "solve, message",
         [
-            ("rhs", "master-equation integration failed"),
+            ("rates", "master-equation rates are not finite"),
             ("magnus", "lost unitarity"),
         ],
         ids=["master-equation", "free-propagator"],
     )
     def test_integrator_guards_fire(self, monkeypatch, solve, message):
-        # spoil one step of the run: the master-equation solve fails, or one
-        # Magnus step of the free propagator is no longer unitary (both
-        # levels carry the same spoiled first step, so they still agree).
-        # The drive is not static, so the free propagator is a Magnus product.
-        if solve == "rhs":
-            real = scipy.integrate.solve_ivp
+        # spoil one step of the run: one dissipative rate of the master
+        # equation is NaN, or one Magnus step of the free propagator is no
+        # longer unitary (both levels carry the same spoiled first step, so
+        # they still agree).  The drive is not static, so the free
+        # propagator is a Magnus product.
+        if solve == "rates":
+            real = open_quantum.decay_rate
 
-            def spoiled(fun, *args, **kwargs):
-                sol = real(fun, *args, **kwargs)
-                sol.success, sol.message = False, "spoiled"
-                return sol
+            def spoiled(bath, alpha):
+                rates = real(bath, alpha)
+                rates[-1] = np.nan
+                return rates
 
-            monkeypatch.setattr(scipy.integrate, "solve_ivp", spoiled)
+            monkeypatch.setattr(open_quantum, "decay_rate", spoiled)
         else:
             real = open_quantum._su2
 
@@ -794,7 +898,7 @@ class TestLevelShiftRotation:
         bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
         spec = build_master_equation(m, lamb_shift_enabled=True)
         weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
-        _, levels = _level_shift_frame(list(spec.jump_ops), weights)
+        _, levels, _ = _zero_mode_frame(spec.jump_ops, weights)
         ts = np.linspace(0.0, t_final, 5)
         _, theta = _phases(spec, bath, ts, weights, levels, 1e-10, 1e-12)
         want = level_phases_reference(
@@ -845,7 +949,13 @@ class TestDrivenFreePropagator:
         # no level can meet the tolerance, so the doubling stops at the step cap
         p = open_default_model(0.008, 0.002).protocol
         start = time.perf_counter()
-        with pytest.raises(NotConverged):
+        with pytest.raises(NotConverged, match=f"within {MAGNUS_MAX_STEPS} steps"):
             open_quantum._driven_propagators(p, np.linspace(0.0, 0.5, 101), rtol=1e-300,
                                              atol=1e-300)
         assert time.perf_counter() - start < 1.0
+
+    def test_step_cap_keeps_two_steps_per_interval(self):
+        # past MAGNUS_MAX_STEPS / 2 intervals the cap is two steps per interval
+        p = open_default_model(0.008, 0.002).protocol
+        n = MAGNUS_MAX_STEPS
+        assert open_quantum.magnus_levels(p, np.linspace(0.0, 0.5, n + 1)) == (2 * n, [1, 2])
