@@ -199,57 +199,65 @@ def two_spin_nonlocal_family() -> GeneratorFamily:
 # ---------------------------------------------------------------------------
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of matching (N, i, j) and (N, k, l) stacks."""
-    n, i, j = a.shape
-    _, k, l = b.shape
-    return np.einsum("nij,nkl->nikjl", a, b).reshape(n, i * k, j * l)
+def _parts(family: GeneratorFamily, chis: np.ndarray):
+    """Structural parts of the family at the points chis (N, d).
 
-
-def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Kronecker sum from matching (N, i) and (N, k) stacks."""
-    return (a[:, :, None] + b[:, None, :]).reshape(len(a), -1)
-
-
-def _frames(family: GeneratorFamily, chis: np.ndarray):
-    """Full-dimension ``(lambdas, rights, lefts)`` stacks at the points chis.
-
-    One ``eigenframes`` call per Kronecker factor, combined by a stacked
-    Kronecker product, or one call over the declared closed blocks, so
-    declared structure keeps modes apart where their eigenvalues collide
-    accidentally.
+    Yields ``(lam, rights, lefts, rates, params, modes)`` per Kronecker
+    factor, per closed block, or once for a family without structure,
+    each from one ``eigenframes`` call on the part alone, so declared
+    structure keeps modes apart where their eigenvalues collide
+    accidentally.  ``lam`` (N, m), ``rights`` and ``lefts`` (N, m, m) are
+    the part's own; ``rates`` are its constant partials over the
+    parameters ``params`` it depends on; ``modes`` is the slice of
+    full-dimension modes the part fills, None for a factor.  ``_combine``
+    joins per-part mode values into the family's.
     """
+    if family.factors is not None:
+        for j, f in enumerate(family.factors):
+            lam, rights, lefts = eigenframes(f.matrices(chis[:, j : j + 1]))
+            yield lam, rights, lefts, f.coupling[1:], (j,), None
+        return
+    for lo, hi in family.blocks or ((0, len(family.coupling[0])),):
+        coupling = [C[lo:hi, lo:hi] for C in family.coupling]
+        params = tuple(k for k, C in enumerate(coupling[1:]) if C.any())
+        lam, rights, lefts = eigenframes(GeneratorFamily(coupling).matrices(chis))
+        yield lam, rights, lefts, [coupling[1 + k] for k in params], params, slice(lo, hi)
+
+
+def _combine(family: GeneratorFamily, values) -> np.ndarray:
+    """Full-dimension mode values from per-part ones (..., m_j), in
+    ``_parts`` order: a product mode of a Kronecker sum adds its factors'
+    values, and block modes follow block by block."""
     if family.factors is None:
-        return eigenframes(family.matrices(chis), blocks=family.blocks)
-    parts = [
-        eigenframes(f.matrices(chis[:, j : j + 1])) for j, f in enumerate(family.factors)
-    ]
-    lam, rights, lefts = parts[0]
-    for lam_j, rights_j, lefts_j in parts[1:]:
-        lam = _kron_sum(lam, lam_j)
-        rights = _kron(rights, rights_j)
-        lefts = _kron(lefts, lefts_j)
-    return lam, rights, lefts
+        return np.concatenate(values, axis=-1)
+    return functools.reduce(
+        lambda a, b: (a[..., :, None] + b[..., None, :]).reshape(*a.shape[:-1], -1), values
+    )
 
 
 def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.ndarray:
     """Per-mode transport log sums along a path of sampled parameter points.
 
-    For closed paths the return to the start reuses the starting frame, so
-    per-node gauge choices cancel exactly; a non-identity closing
-    permutation means the circuit encloses a branch point.
+    Each part (``_parts``) is walked on its own frames: the log of a
+    Kronecker product mode is the sum of its factors' logs, and modes of
+    different blocks never overlap.  For closed paths the return to the
+    start reuses the part's starting frame, so per-node gauge choices
+    cancel exactly; a non-identity closing permutation means the circuit
+    encloses a branch point.
     """
-    _, rights, lefts = _frames(family, pts[:-1] if closed else pts)
-    if closed:
-        rights = np.concatenate([rights, rights[:1]])
-        lefts = np.concatenate([lefts, lefts[:1]])
-    perms, logs = transport(rights, lefts)
-    if closed and np.any(perms[-1] != np.arange(perms.shape[1])):
-        raise DegenerateSpectrum(
-            "circuit monodromy permutes modes; a spectral degeneracy "
-            "is enclosed"
-        )
-    return logs
+    logs = []
+    for _, rights, lefts, _, _, _ in _parts(family, pts[:-1] if closed else pts):
+        if closed:
+            rights = np.concatenate([rights, rights[:1]])
+            lefts = np.concatenate([lefts, lefts[:1]])
+        perms, part_logs = transport(rights, lefts)
+        if closed and np.any(perms[-1] != np.arange(perms.shape[1])):
+            raise DegenerateSpectrum(
+                "circuit monodromy permutes modes; a spectral degeneracy "
+                "is enclosed"
+            )
+        logs.append(part_logs)
+    return _combine(family, logs)
 
 
 def _refine(evaluate, n0: int) -> np.ndarray:
@@ -298,34 +306,6 @@ def _refine(evaluate, n0: int) -> np.ndarray:
     )
 
 
-def _parts(family: GeneratorFamily, chis: np.ndarray):
-    """Structural parts of the family at the points chis (N, d).
-
-    Yields ``(lam, A, params, modes)`` per Kronecker factor, per closed
-    block, or once for a family without structure, each from one
-    ``eigenframes`` call on the part alone.  ``lam`` (N, m) and the pair
-    matrices A = G^H dB F (N, p, m, m) are the part's own, A over the p
-    parameters ``params`` the part depends on; ``modes`` is the slice of
-    full-dimension modes the part's curvature fills, None for a factor.
-    """
-
-    def pairs(rights, lefts, rates):
-        rates = np.reshape(rates, (-1,) + rights.shape[1:])
-        return lefts.conj().transpose(0, 2, 1)[:, None] @ rates @ rights[:, None]
-
-    if family.factors is not None:
-        for j, f in enumerate(family.factors):
-            lam, rights, lefts = eigenframes(f.matrices(chis[:, j : j + 1]))
-            yield lam, pairs(rights, lefts, f.coupling[1:]), (j,), None
-        return
-    for lo, hi in family.blocks or ((0, len(family.coupling[0])),):
-        coupling = [C[lo:hi, lo:hi] for C in family.coupling]
-        params = tuple(k for k, C in enumerate(coupling[1:]) if C.any())
-        lam, rights, lefts = eigenframes(GeneratorFamily(coupling).matrices(chis))
-        rates = [coupling[1 + k] for k in params]
-        yield lam, pairs(rights, lefts, rates), params, slice(lo, hi)
-
-
 def _curvatures(family: GeneratorFamily, chis: np.ndarray) -> np.ndarray:
     """(N, m, 3) stack of ``liouville_curvature`` at the points chis (N, d).
 
@@ -337,12 +317,12 @@ def _curvatures(family: GeneratorFamily, chis: np.ndarray) -> np.ndarray:
         raise UnsupportedDimension(
             "curvature cross product is defined for at most 3 parameters"
         )
-    parts = list(_parts(family, chis))
-    lams = [lam for lam, _, _, _ in parts]
-    if family.factors is None:
-        spectrum = np.concatenate(lams, axis=1)
-    else:
-        spectrum = functools.reduce(_kron_sum, lams)
+    parts = []  # (lam, A, params, modes), A = G^H dB F (N, p, m, m) over params
+    for lam, rights, lefts, rates, params, modes in _parts(family, chis):
+        rates = np.reshape(rates, (-1,) + rights.shape[1:])
+        A = lefts.conj().transpose(0, 2, 1)[:, None] @ rates @ rights[:, None]
+        parts.append((lam, A, params, modes))
+    spectrum = _combine(family, [lam for lam, _, _, _ in parts])
     gmax = [np.abs(A).max(axis=(1, 2, 3), initial=0.0) for _, A, _, _ in parts]
     gscale = np.maximum(np.max(gmax, axis=0), 1.0)
     lscale = np.maximum(np.abs(spectrum).max(axis=1), 1.0)

@@ -58,14 +58,6 @@ class EigenFrame:
     def left(self, k: int) -> np.ndarray:
         return self.lefts[:, k]
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum_k lambda_k F_k G_k^dagger, which must reproduce the input."""
-        return (self.rights * self.lambdas) @ self.lefts.conj().T
-
-    def identity_resolution(self) -> np.ndarray:
-        """Sum_k F_k G_k^dagger, the completeness check."""
-        return self.rights @ self.lefts.conj().T
-
 
 @dataclass(frozen=True)
 class Alignment:
@@ -210,7 +202,7 @@ def bi_eigendecompose(
     return EigenFrame(lambdas=lam[0], rights=rights[0], lefts=lefts[0])
 
 
-def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
+def transport(rights, lefts):
     """Follow every mode along a path of frames, given as (N+1, m, m) stacks.
 
     Mode k continues into the column of the next frame with the largest
@@ -218,7 +210,7 @@ def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
     ``perms[i, k]`` is the column of frame i continuing column k of frame
     0, and ``logs[k]`` sums ln(G_k . F_k) over the steps of mode k.
     Raises AmbiguousMatching when the two best overlaps of any column are
-    within ``ambiguity_threshold``, or two columns claim one successor.
+    within ``MATCH_AMBIGUITY``, or two columns claim one successor.
     """
     rights = np.asarray(rights)
     lefts = np.asarray(lefts)
@@ -234,7 +226,7 @@ def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
     succ = np.argmax(overlaps, axis=2)
     if m > 1:
         top = np.partition(overlaps, -2, axis=2)
-        if bad := _first(top[:, :, -1] - top[:, :, -2] < ambiguity_threshold):
+        if bad := _first(top[:, :, -1] - top[:, :, -2] < MATCH_AMBIGUITY):
             raise AmbiguousMatching(
                 f"mode {bad[1]} at step {bad[0] + 1}: top overlaps "
                 f"{top[bad][-1]:.6f} and {top[bad][-2]:.6f} are too close "
@@ -251,12 +243,7 @@ def transport(rights, lefts, *, ambiguity_threshold: float = MATCH_AMBIGUITY):
     return perms, np.log(chosen).sum(axis=0)
 
 
-def track_continuity(
-    prev: EigenFrame,
-    nxt: EigenFrame,
-    *,
-    ambiguity_threshold: float = MATCH_AMBIGUITY,
-) -> Alignment:
+def track_continuity(prev: EigenFrame, nxt: EigenFrame) -> Alignment:
     """Reorder and re-gauge ``nxt`` so each mode continues ``prev``.
 
     The one-step view of ``transport``: mode k of the result is the column
@@ -267,7 +254,6 @@ def track_continuity(
     perms, logs = transport(
         np.stack([prev.rights, nxt.rights]),
         np.stack([prev.lefts, nxt.lefts]),
-        ambiguity_threshold=ambiguity_threshold,
     )
     permutation = perms[1]
     # same factor on F and G keeps G^H F = 1

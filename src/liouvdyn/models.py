@@ -796,23 +796,6 @@ class TLSModel:
             t_max=p.t_max,
         )
 
-    def vector_from_bloch(self, r, t: float = 0.0) -> LiouvilleVector:
-        """Physical basis vector realizing the Bloch vector r at time t."""
-        r = np.asarray(r, dtype=float)
-        p = self.protocol
-        w, Om, eps = p.omega(t), p.Omega(t), p.epsilon
-        sx, sy, sz = r / 2.0
-        coeffs = np.array(
-            [
-                w * sz + eps * sx,
-                w * sx - eps * sz,
-                Om * sy,
-                1.0,
-            ],
-            dtype=complex,
-        )
-        return LiouvilleVector(coeffs=coeffs, t=t, theta=p.theta(t))
-
 
 # ---------------------------------------------------------------------------
 # initial vectors and state reconstruction

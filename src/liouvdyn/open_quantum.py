@@ -101,7 +101,6 @@ class MasterEquationSpec:
     jump_ops: tuple
     dipole_coeffs: tuple
     alpha_of_t: object
-    lamb_shift_enabled: bool = False
 
 
 def bose_occupation(alpha, temperature: float):
@@ -218,9 +217,7 @@ def _tls_basis_matrices(protocol):
     )
 
 
-def build_master_equation(
-    model, dipole=None, *, lamb_shift_enabled: bool = False
-) -> MasterEquationSpec:
+def build_master_equation(model, dipole=None) -> MasterEquationSpec:
     """Jump operators, dipole weights, and frequency map for a two-level model.
 
     The jump operator of mode k uses the conjugated eigenvector
@@ -259,7 +256,6 @@ def build_master_equation(
         jump_ops=tuple(ops),
         dipole_coeffs=tuple(coeffs),
         alpha_of_t=lambda t: _tls_alpha_closed(p, t),
-        lamb_shift_enabled=lamb_shift_enabled,
     )
 
 
@@ -385,18 +381,6 @@ def _zero_mode_frame(F, weights):
     up, down = np.abs(Fv[:, 0, 1]) ** 2, np.abs(Fv[:, 1, 0]) ** 2
     coherence = 0.5 * levels.sum(axis=1) - Fv[:, 0, 0] * Fv[:, 1, 1].conj()
     return V, levels, np.stack([up, up + down, coherence.real, coherence.imag], axis=1)
-
-
-def _static_propagators(omega: float, epsilon: float, ts) -> np.ndarray:
-    """exp(-i H t) for H = omega S_z + epsilon S_x, as an (n, 2, 2) stack.
-
-    H = |h| (h/|h|) . sigma with |h| = hypot(omega, epsilon) / 2, so
-    U(t) = cos(|h| t) I - i sin(|h| t) H / |h|.
-    """
-    H = omega * _SZ + epsilon * _SX
-    h = math.hypot(omega, epsilon) / 2.0
-    phase = h * np.asarray(ts, dtype=float)[:, None, None]
-    return np.cos(phase) * np.eye(2) - 1j * np.sin(phase) * (H / h)
 
 
 def _su2(w: np.ndarray) -> np.ndarray:
@@ -543,8 +527,9 @@ def mesolve(
     Solves the interaction-picture GKLS equation with channel rates
     gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) without an ODE and, on
     request, maps back to the lab frame with the exact free propagator:
-    closed form for a static drive, stacked sixth-order Magnus steps
-    aligned to ``t_grid`` otherwise (``_driven_propagators``).  Returns the
+    one SU(2) exponential (``_su2``) of t (epsilon, 0, omega) for a static
+    drive, of each of the stacked sixth-order Magnus steps aligned to
+    ``t_grid`` otherwise (``_driven_propagators``).  Returns the
     stack of density matrices on ``t_grid`` (which must start at 0).
 
     In the zero-mode basis V the equation splits into a population p and
@@ -554,9 +539,7 @@ def mesolve(
     """
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
-    spec = build_master_equation(
-        model, dipole, lamb_shift_enabled=lamb_shift_enabled
-    )
+    spec = build_master_equation(model, dipole)
     p = model.protocol
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
@@ -594,7 +577,7 @@ def mesolve(
         return states
 
     if p.static:
-        U = _static_propagators(p.omega(0.0), p.epsilon, ts)
+        U = _su2(np.outer(ts, (p.epsilon, 0.0, p.omega(0.0))))
     else:
         U = _driven_propagators(p, ts, rtol=min(rtol, 1e-10), atol=min(atol, 1e-12))
     Ud = U.conj().transpose(0, 2, 1)

@@ -456,7 +456,13 @@ class TestSpectralRoute:
 class TestPurityPreservation:
     def test_pure_bloch_state_stays_pure(self):
         model, fact, _ = tls_setup(chi0=-0.03, abar=2e-3)
-        v0 = model.vector_from_bloch(np.array([0.0, 0.0, 1.0]), 0.0)
+        p = model.protocol
+        # Bloch vector (0, 0, 1) at t = 0 in the physical basis (H, L, C, I)
+        v0 = LiouvilleVector(
+            coeffs=np.array([p.omega(0.0) / 2, -p.epsilon / 2, 0.0, 1.0], dtype=complex),
+            t=0.0,
+            theta=p.theta(0.0),
+        )
         for t in (0.3, 0.8, 1.2):
             v = propagate_exact(fact, v0, t)
             state = reconstruct_state(

@@ -34,6 +34,7 @@ from liouvdyn.geometric import (
 )
 from liouvdyn.linalg import eigenframes
 from liouvdyn.models import (
+    TLS_COUPLING,
     TWO_SPIN_CROSS_COUPLING,
     HOModel,
     HOProtocol,
@@ -62,6 +63,26 @@ ZERO = np.zeros((2, 2))
 
 def spin_family():
     return GeneratorFamily(coupling=(ZERO, PAULI_X, PAULI_Y, PAULI_Z))
+
+
+def curved_block_family():
+    # chi . sigma on parameters 0-2 beside the flat three-level block of
+    # the spin triple on parameter 0
+    A0, A1 = TLS_COUPLING
+    zero = np.zeros((3, 3))
+
+    def stacked(spin, triple):
+        return np.block([[spin, np.zeros((2, 3))], [np.zeros((3, 2)), triple]])
+
+    return GeneratorFamily(
+        coupling=(
+            stacked(ZERO, 1j * A0),
+            stacked(PAULI_X, 1j * A1),
+            stacked(PAULI_Y, zero),
+            stacked(PAULI_Z, zero),
+        ),
+        blocks=((0, 2), (2, 5)),
+    )
 
 
 def anchor_point(s):
@@ -497,6 +518,17 @@ class TestSpinAnchor:
 
         circ = ParameterCircuit(path=lobe, closed=True, samples=64)
         assert abs(geometric_phase_line(spin_family(), circ, 1)) < 1e-10
+
+    def test_curved_block_beside_a_flat_block(self):
+        # each block is walked on its own frames: the spin block keeps its
+        # solid-angle phases, and the three-level block, which only
+        # retraces parameter 0, carries none
+        fam, circ = curved_block_family(), anchor_circuit()
+        line = geometric.line_phases(fam, circ)
+        assert abs(line[0] - ANCHOR_PHASE) < 1e-8
+        assert abs(line[1] + ANCHOR_PHASE) < 1e-8
+        assert np.max(np.abs(line[2:])) < 1e-10
+        assert np.max(np.abs(line - surface_phases(fam, circ))) < 1e-7
 
     def test_mode_index_validated(self):
         with pytest.raises(ValueError):

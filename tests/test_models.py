@@ -401,17 +401,6 @@ class TestReconstruction:
         assert isinstance(state, BlochState)
         assert abs(state.norm() - 0.4242640687119285) < 1e-12
 
-    def test_bloch_round_trip(self):
-        model = self._tls_model()
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            r = rng.normal(size=3)
-            r = r / np.linalg.norm(r) * rng.uniform(0.0, 1.0)
-            for t in (0.0, 0.6):
-                v = model.vector_from_bloch(r, t)
-                back = reconstruct_state(model, v, t)
-                assert np.max(np.abs(back.r - r)) < 1e-12
-
     def test_tls_unphysical_raises(self):
         model = self._tls_model()
         bad = LiouvilleVector(

@@ -392,7 +392,7 @@ class TestBuildMasterEquation:
         spec = build_master_equation(static_model())
         assert isinstance(spec, MasterEquationSpec)
         with pytest.raises(AttributeError):
-            spec.lamb_shift_enabled = True
+            spec.dipole_coeffs = ()
 
 
 class TestMesolve:
@@ -790,10 +790,8 @@ class TestLevelShiftRotation:
         ops = list(spec.jump_ops)
         ops[1] = V @ crafted @ V.conj().T
 
-        def crafted_spec(model, dipole=None, *, lamb_shift_enabled=False):
-            return MasterEquationSpec(
-                tuple(ops), spec.dipole_coeffs, spec.alpha_of_t, lamb_shift_enabled
-            )
+        def crafted_spec(model, dipole=None):
+            return MasterEquationSpec(tuple(ops), spec.dipole_coeffs, spec.alpha_of_t)
 
         monkeypatch.setattr(open_quantum, "build_master_equation", crafted_spec)
         bath = BathSpec(temperature=2.0, coupling=1e-4, cutoff=100.0)
@@ -860,17 +858,20 @@ class TestLevelShiftRotation:
                 return U
 
             monkeypatch.setattr(open_quantum, "_su2", spoiled)
-        with pytest.raises(IntegratorFailure, match=message):
+        # the short horizon also draws the secular-truncation warning
+        with (
+            pytest.warns(UserWarning, match="secular truncation"),
+            pytest.raises(IntegratorFailure, match=message),
+        ):
             mesolve(
                 open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
                 np.linspace(0.0, 0.5, 5), lamb_shift_enabled=True,
             )
 
     def test_static_propagator_guard_fires(self, monkeypatch):
-        real = open_quantum._static_propagators
-        monkeypatch.setattr(
-            open_quantum, "_static_propagators", lambda *args: 1.01 * real(*args)
-        )
+        # a static drive takes its free propagator from one _su2 call
+        real = open_quantum._su2
+        monkeypatch.setattr(open_quantum, "_su2", lambda w: 1.01 * real(w))
         with pytest.raises(IntegratorFailure, match="lost unitarity"):
             mesolve(
                 open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
@@ -896,7 +897,7 @@ class TestLevelShiftRotation:
     def test_level_phases_match_quadrature_of_the_rate(self, chi0, abar, temperature, t_final):
         m = open_default_model(chi0, abar)
         bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
-        spec = build_master_equation(m, lamb_shift_enabled=True)
+        spec = build_master_equation(m)
         weights = np.array([abs(a) ** 2 for a in spec.dipole_coeffs])
         _, levels, _ = _zero_mode_frame(spec.jump_ops, weights)
         ts = np.linspace(0.0, t_final, 5)
