@@ -322,6 +322,8 @@ class TestRunFuzz:
     @example({"experiment": "open", "numerics": {"t_final": 1e4, "lamb_shift": True}})
     @example({"experiment": "open", "numerics": {"t_final": 1e300, "lamb_shift": True}})
     @example({"experiment": "open", "protocol": {"chi0": 1e-10}, "numerics": {"t_final": 1e4}})
+    @example({"experiment": "open", "model": {"bath": {"temperature": 0.0625}},
+              "numerics": {"lamb_shift": True}})
     def test_open(self, config):
         self.run(config)
 
@@ -1043,17 +1045,24 @@ class TestDiagnoseStack:
 
 
 def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
-    # a fresh interpreter, so no earlier test has imported scipy already
+    # a fresh interpreter, so no earlier test has imported scipy already;
+    # a driven open run with the level shift needs no scipy routine either
+    cfg = write_json(tmp_path / "open.json", {
+        "experiment": "open",
+        "protocol": {"chi0": 0.008, "abar": 0.002},
+        "numerics": {"t_final": 0.5, "lamb_shift": True},
+    })
     script = (
         "import sys\n"
         "import liouvdyn.cli\n"
         "for experiment in ('diagnose', 'geo'):\n"
         "    assert liouvdyn.cli.main([experiment, '--out', sys.argv[1]]) == 0\n"
+        "assert liouvdyn.cli.main(['open', '--config', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
     )
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path), str(cfg)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -1135,3 +1144,19 @@ class TestOpenCommand:
         assert run_cli(["open", "--config", cfg, "--out", out]) == 0
         manifest = json.loads((out / "open_manifest.json").read_text())
         assert any("secular" in w for w in manifest["warnings"])
+
+    def test_level_shift_runs_at_low_temperature(self, tmp_path):
+        # at T = 0.0625 adaptive Cauchy-weight quadrature of the shift gave
+        # up near alpha = +-17 and the run exited 4
+        cfg = write_json(
+            tmp_path / "c.json",
+            {
+                "experiment": "open",
+                "model": {"bath": {"temperature": 0.0625}},
+                "numerics": {"lamb_shift": True},
+            },
+        )
+        out = tmp_path / "out"
+        assert run_cli(["open", "--config", cfg, "--out", out]) == 0
+        manifest = json.loads((out / "open_manifest.json").read_text())
+        assert manifest["status"] == "ok"

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     effective_frequencies,
@@ -48,6 +48,7 @@ from liouvdyn.open_quantum import (
     _check_states,
     _cumulative_integral,
     _dissipator,
+    _level_shifts,
     _phases,
     _zero_mode_frame,
 )
@@ -243,11 +244,26 @@ class TestLambShift:
             want = mp_lamb_shift(2e-3, temperature, 100.0, float(a))
             assert lamb_shift(bath, float(a)) == pytest.approx(want, rel=1e-10)
 
-    def test_quadrature_failure_is_not_converged(self, monkeypatch):
-        monkeypatch.setattr(open_quantum, "_QUAD_KW", dict(epsrel=1e-11, limit=1))
-        bath = BathSpec(temperature=10.0, coupling=2e-3, cutoff=100.0)
-        with pytest.raises(NotConverged):
-            lamb_shift(bath, 20.0)
+    @settings(max_examples=30)
+    @given(
+        temperature=st.floats(0.0, 100.0),
+        alphas=st.lists(st.floats(-100.0, 100.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=4),
+    )
+    # the band where adaptive Cauchy-weight quadrature gave up, alpha at the
+    # thermal cut 60 T, a frequency next to the pole at 0, and no bath
+    @example(temperature=0.0625, alphas=[17.0, -17.0])
+    @example(temperature=1.5, alphas=[90.0, -90.0, 3.0])
+    @example(temperature=10.0, alphas=[1e-9, -1e-9])
+    @example(temperature=0.0, alphas=[-99.0, 0.5, 42.0])
+    def test_array_evaluation_against_high_precision(self, temperature, alphas):
+        # one array call over every frequency, each held to the 30-digit
+        # pole subtraction
+        assume(0.0 not in alphas)
+        bath = BathSpec(temperature=temperature, coupling=2e-3, cutoff=100.0)
+        got = _level_shifts(bath, np.array(alphas))
+        want = [mp_lamb_shift(2e-3, temperature, 100.0, a) for a in alphas]
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_frequency_beyond_cutoff_rejected(self):
         bath = BathSpec(temperature=0.0, coupling=1e-3, cutoff=10.0)
@@ -255,6 +271,9 @@ class TestLambShift:
             lamb_shift(bath, 10.0)
         with pytest.raises(ValueError):
             lamb_shift(bath, -11.0)
+        for a in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                lamb_shift(bath, a)
 
 
 class TestEffectiveFrequency:
@@ -639,6 +658,9 @@ class TestStateChecks:
         with pytest.raises(IntegratorFailure):
             _check_states(rho[None], [0.0], "test")
 
+    def test_flags_nan_state(self):
+        with pytest.raises(IntegratorFailure):
+            _check_states(np.full((2, 2, 2), np.nan, dtype=complex), [0.0, 1.0], "test")
 
     def test_stack_reports_the_first_failing_state(self):
         good = np.diag([0.6, 0.4]).astype(complex)
@@ -802,29 +824,23 @@ class TestLevelShiftRotation:
                 quiet_evolve(m, bath, DEFAULT_RHO0, [0.0, 0.1], lamb_shift_enabled=enabled)
 
     def test_default_static_run_counts_level_shifts(self, monkeypatch):
-        # with the shift inside the generator this run made 27,267
-        # quadratures; memoized by alpha, a static drive needs one per
-        # channel frequency: 0 and +-gap
-        calls = []
+        # one array evaluation per Chebyshev level, over its new nodes and
+        # every channel; the scalar view lamb_shift is not on the path
+        shapes = []
+        real = open_quantum._level_shifts
 
-        def counted(bath, alpha):
-            calls.append(alpha)
-            return lamb_shift(bath, alpha)
+        def counted(bath, alphas):
+            shapes.append(np.shape(alphas))
+            return real(bath, alphas)
 
-        monkeypatch.setattr(open_quantum, "lamb_shift", counted)
+        monkeypatch.setattr(open_quantum, "_level_shifts", counted)
+        monkeypatch.setattr(open_quantum, "lamb_shift", None)
         mesolve(
             open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 101),
             lamb_shift_enabled=True,
         )
-        assert len(calls) == len(set(calls)) == 3
-
-    def test_quadrature_failure_stops_the_run(self, monkeypatch):
-        monkeypatch.setattr(open_quantum, "_QUAD_KW", dict(epsrel=1e-11, limit=1))
-        with pytest.raises(NotConverged):
-            mesolve(
-                open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
-                lamb_shift_enabled=True,
-            )
+        n0 = open_quantum._CHEB_N0
+        assert shapes == [(n0 + 1, 4), (n0, 4)]
 
     @pytest.mark.parametrize(
         "solve, message",
@@ -878,6 +894,14 @@ class TestLevelShiftRotation:
                 lamb_shift_enabled=True,
             )
 
+    def test_static_propagator_guard_sees_nan(self, monkeypatch):
+        real = open_quantum._su2
+        monkeypatch.setattr(open_quantum, "_su2", lambda w: np.nan * real(w))
+        with pytest.raises(IntegratorFailure, match="lost unitarity"):
+            mesolve(
+                open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
+            )
+
     def test_node_cap_raises_not_converged(self, monkeypatch):
         # the cap stops the level phases before two node levels can agree
         monkeypatch.setattr(open_quantum, "_CHEB_MAX_N", open_quantum._CHEB_N0)
@@ -908,21 +932,23 @@ class TestLevelShiftRotation:
         assert np.max(np.abs(theta - want)) < 1e-11
 
     def test_driven_shift_calls_do_not_depend_on_points(self, monkeypatch):
-        calls = []
+        # the frequencies evaluated are the Chebyshev nodes' alone
+        sizes = []
+        real = open_quantum._level_shifts
 
-        def counted(bath, alpha):
-            calls.append(alpha)
-            return lamb_shift(bath, alpha)
+        def counted(bath, alphas):
+            sizes.append(np.size(alphas))
+            return real(bath, alphas)
 
-        monkeypatch.setattr(open_quantum, "lamb_shift", counted)
+        monkeypatch.setattr(open_quantum, "_level_shifts", counted)
         counts = []
         for points in (11, 1001):
-            calls.clear()
+            sizes.clear()
             quiet_evolve(
                 open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
                 np.linspace(0.0, 0.5, points), lamb_shift_enabled=True,
             )
-            counts.append(len(calls))
+            counts.append(sum(sizes))
         assert counts[0] == counts[1] > 0
 
 
