@@ -256,12 +256,6 @@ _RUNNERS = {
 }
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return "%.17g" % float(x)
-
-
 def _json_cell(x):
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
@@ -277,8 +271,10 @@ def write_outputs(cfg: RunConfig, columns, rows, sources, errors, notes=()):
     fmt = cfg.output["format"]
     data_path = out_dir / f"{stem}.{fmt}"
     if fmt == "csv":
+        # %.17g round-trips every double and prints ints and bools as digits
+        row_format = ",".join(["%.17g"] * len(columns))
         lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(x) for x in row) for row in rows)
+        lines.extend(row_format % tuple(row) for row in rows)
         data_path.write_text("\n".join(lines) + "\n")
     else:
         payload = {

@@ -237,6 +237,13 @@ def _validate(cfg: dict) -> RunConfig:
             _check_positive(cfg, "numerics", "rtol", "atol", "phase_tol")
     elif experiment == "open":
         _check_positive(cfg, "protocol", "epsilon", "omega0")
+        # the dipole weights |a_j|^2 grow as 1 / gap^2 and overflow near gap 1e-154
+        _require(
+            math.hypot(cfg["protocol"]["epsilon"], cfg["protocol"]["omega0"]) >= 1e-150,
+            "protocol.epsilon/protocol.omega0",
+            "the gap hypot(epsilon, omega0) must be at least 1e-150, or the dipole "
+            "weights, which grow as 1 / gap^2, leave the double range",
+        )
         _check_number(cfg, "protocol", "chi0", "abar")
         bath = cfg["model"]["bath"]
         for key in ("temperature", "coupling", "cutoff"):

@@ -311,9 +311,10 @@ def fidelity_sweep(
     frozen-frame solutions, and scores the approximations against the
     exact state.  A failed point is recorded and the sweep continues.
 
-    `rtol`/`atol` control the two-level exact reference, whose Magnus
-    steps double until two levels agree within atol + rtol |v| (the
-    oscillator's exact state is closed form), and `phase_tol` the
+    `rtol`/`atol` control the two-level exact reference, whose SU(2)
+    Magnus flow (``linalg.su2_flow``) doubles its steps until two levels
+    agree within atol + rtol |U| (the oscillator's exact state is closed
+    form), and `phase_tol` the
     inertial phase refinement; tighten them when the infidelity floor
     being measured approaches the defaults.
     """

@@ -66,7 +66,8 @@ class GeneratorFactorization:
     float being the one-node case: an array of times gives arrays of paces,
     parameters and rates, an array of parameters gives the (N, n, n) stack
     of generators, and ``grad_B`` gives dB/dchi per node or one matrix that
-    holds at every node.  ``theta_of_t`` takes a float.
+    holds at every node.  ``theta_of_t`` maps a float t to the scaled time
+    theta(t), the integral of omega_of_t over [0, t].
 
     ``blocks`` lists the index ranges (lo, hi) of closed blocks on which B
     is block-diagonal for every chi.  They are passed to
@@ -80,7 +81,7 @@ class GeneratorFactorization:
     omega_of_t: Callable[[float], float]
     B_of_chi: Callable
     chi_of_t: Callable[[float], float]
-    theta_of_t: Callable[[float], float] | None = None
+    theta_of_t: Callable[[float], float]
     grad_B: Callable | None = None
     dchi_dtheta: Callable[[float], float] | None = None
     blocks: tuple | None = None
@@ -95,16 +96,6 @@ class GeneratorFactorization:
         for lo, hi in self.block_ranges(dim):
             mask[lo:hi, lo:hi] = True
         return mask & ~np.eye(dim, dtype=bool)
-
-    def theta(self, t: float) -> float:
-        if self.theta_of_t is not None:
-            return self.theta_of_t(t)
-        import scipy.integrate
-
-        value, _ = scipy.integrate.quad(
-            self.omega_of_t, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200
-        )
-        return value
 
     def chi_zero(self):
         """A zero parameter of the same shape chi_of_t produces."""
@@ -197,7 +188,7 @@ def propagate_exact(
         raise ValueError("propagation runs forward from t = 0")
     if t >= fact.t_max:
         raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
-    theta_f = fact.theta(t)
+    theta_f = fact.theta_of_t(t)
     if theta_f == 0.0:
         return LiouvilleVector(coeffs=v0.coeffs.copy(), t=t, theta=0.0)
 
@@ -239,7 +230,7 @@ def propagate_adiabatic(
     Expands v0 in the eigenframe of B at chi = 0 and advances each mode by
     its zero-parameter eigenvalue over the actual scaled time theta(t).
     """
-    theta_f = fact.theta(t) if t != 0.0 else 0.0
+    theta_f = fact.theta_of_t(t) if t != 0.0 else 0.0
     B0 = fact.B_of_chi(fact.chi_zero())[None]
     lam, rights, lefts = eigenframes(B0, blocks=fact.blocks)
     c = lefts[0].conj().T @ v0.coeffs
@@ -354,7 +345,7 @@ def propagate_inertial(
     out = final @ (c * np.exp(-1j * dyn + 1j * used_geo))
     sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo,
                            t=t, nodes=level + 1, delta=float(delta))
-    return LiouvilleVector(coeffs=out, t=t, theta=fact.theta(t)), sol
+    return LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
 
 
 def apply_identity_rescaling(model, v: LiouvilleVector, t: float) -> LiouvilleVector:

@@ -4,8 +4,12 @@ The propagators in this package diagonalize non-Hermitian generators whose
 right and left eigenvectors differ.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
-``chebyshev_levels`` holds the nested node set of the spectral quadratures,
-and ``magnus_axes`` the stacked Magnus steps of the two-level exact flows.
+``chebyshev_levels`` holds the nested node set of the spectral quadratures.
+``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
+stacked sixth-order Magnus steps (``magnus_axes``), exponentiated by ``su2``
+and multiplied by ``ordered_product``.  The two-level exact reference
+(``models.TLSModel.exact_vector``) and the driven free propagator of
+``open_quantum.mesolve`` both run it.
 """
 
 import math
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousMatching, DegenerateSpectrum, NotDiagonalizable
+from .errors import AmbiguousMatching, DegenerateSpectrum, NotConverged, NotDiagonalizable
 
 DEGENERACY_GAP = 1e-8
 MATCH_AMBIGUITY = 1e-6
@@ -86,7 +90,7 @@ def _first(bad: np.ndarray):
     return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
-def eigenframes(B, *, blocks=None, gap_threshold: float = DEGENERACY_GAP):
+def eigenframes(B, *, blocks=None):
     """Gauge-fixed bi-orthonormal frames of an (N, m, m) stack of generators.
 
     Returns ``(lambdas, rights, lefts)`` stacks, each frame ordered by
@@ -94,7 +98,7 @@ def eigenframes(B, *, blocks=None, gap_threshold: float = DEGENERACY_GAP):
     each right eigenvector real and positive with unit 2-norm; the lefts
     come from the inverse right-eigenvector matrix, so G_k^H F_n =
     delta_kn.  Raises DegenerateSpectrum when a minimal eigenvalue gap
-    falls below ``gap_threshold`` and NotDiagonalizable when a right/left
+    falls below ``DEGENERACY_GAP`` and NotDiagonalizable when a right/left
     pair is numerically orthogonal (defective generator) or the
     bi-orthonormality or residual bound fails, for the first failing node.
 
@@ -110,18 +114,18 @@ def eigenframes(B, *, blocks=None, gap_threshold: float = DEGENERACY_GAP):
     if not np.all(np.isfinite(B)):
         raise ValueError("generator contains non-finite entries")
     if blocks is None:
-        return _diagonalize(B, gap_threshold)
+        return _diagonalize(B)
     lam = np.zeros(B.shape[:2], dtype=complex)
     rights = np.zeros_like(B)
     lefts = np.zeros_like(B)
     for lo, hi in blocks:
         lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = _diagonalize(
-            B[:, lo:hi, lo:hi], gap_threshold
+            B[:, lo:hi, lo:hi]
         )
     return lam, rights, lefts
 
 
-def _diagonalize(B: np.ndarray, gap_threshold: float):
+def _diagonalize(B: np.ndarray):
     """``eigenframes`` of one checked (N, m, m) stack without block structure."""
     m = B.shape[1]
     if m == 1:
@@ -134,10 +138,10 @@ def _diagonalize(B: np.ndarray, gap_threshold: float):
 
     upper = np.triu_indices(m, k=1)
     gap = np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
-    if bad := _first(gap < gap_threshold):
+    if bad := _first(gap < DEGENERACY_GAP):
         raise DegenerateSpectrum(
             f"minimal eigenvalue gap {gap[bad]:.3e} below threshold "
-            f"{gap_threshold:.1e}"
+            f"{DEGENERACY_GAP:.1e}"
         )
 
     # smallest index whose magnitude ties the maximum, so exact ties
@@ -187,18 +191,16 @@ def _frobenius(B: np.ndarray) -> np.ndarray:
     return norm
 
 
-def bi_eigendecompose(
-    B: np.ndarray, *, gap_threshold: float = DEGENERACY_GAP
-) -> EigenFrame:
+def bi_eigendecompose(B: np.ndarray) -> EigenFrame:
     """Diagonalize B with bi-orthonormal right/left eigenvector pairs.
 
     The single-matrix view of ``eigenframes``, with the same gauge and
     guards: DegenerateSpectrum when the minimal eigenvalue gap falls below
-    ``gap_threshold`` and NotDiagonalizable when a right/left pair is
+    ``DEGENERACY_GAP`` and NotDiagonalizable when a right/left pair is
     numerically orthogonal (defective generator).
     """
     B = np.asarray(B, dtype=complex)[None]
-    lam, rights, lefts = eigenframes(B, gap_threshold=gap_threshold)
+    lam, rights, lefts = eigenframes(B)
     return EigenFrame(lambdas=lam[0], rights=rights[0], lefts=lefts[0])
 
 
@@ -365,3 +367,43 @@ def ordered_product(mats) -> np.ndarray:
     while mats.shape[-3] > 1:
         mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
     return mats[..., 0, :, :]
+
+
+def su2(w: np.ndarray) -> np.ndarray:
+    """exp(-i w . sigma / 2) = cos(|w|/2) I - i sin(|w|/2)/|w| w . sigma for
+    an (N, 3) stack of axis vectors."""
+    angle = np.linalg.norm(w, axis=1)
+    ratio = np.where(angle > 0.0, np.sin(0.5 * angle) / np.where(angle > 0.0, angle, 1.0), 0.5)
+    x, y, z = (ratio * w[:, i] for i in range(3))
+    c = np.cos(0.5 * angle)
+    return np.stack([c - 1j * z, -1j * x - y, -1j * x + y, c + 1j * z], axis=1).reshape(-1, 2, 2)
+
+
+def su2_flow(field, ts, steps, *, rtol: float, atol: float) -> np.ndarray:
+    """Time-ordered U(t) of U' = -i (k(t) . sigma / 2) U, U(ts[0]) = I, at
+    every time of the grid ``ts``.
+
+    ``field`` is a ``magnus_axes`` field.  Each of the N grid intervals
+    takes s sixth-order Magnus steps, exponentiated by ``su2`` and
+    multiplied by ``ordered_product``; prefix products over the intervals
+    give U on the grid.  s runs over ``steps`` (powers of two, each level's
+    steps per interval) until two levels agree within atol + rtol |U| in
+    every entry.  Raises NotConverged when none do; the callers' levels
+    stop at max(MAGNUS_MAX_STEPS, 2 N) steps, which the message names.
+    """
+    ts = np.asarray(ts, dtype=float)
+    dt = np.diff(ts)
+    previous = None
+    for s in steps:
+        edges = np.append((ts[:-1, None] + dt[:, None] * (np.arange(s) / s)).ravel(), ts[-1])
+        U = ordered_product(su2(magnus_axes(field, edges)).reshape(len(dt), s, 2, 2))
+        offset = 1
+        while offset < len(U):  # prefix products, later intervals on the left
+            U[offset:] = U[offset:] @ U[:-offset]
+            offset *= 2
+        if previous is not None and np.all(np.abs(U - previous) <= atol + rtol * np.abs(U)):
+            return np.concatenate([np.eye(2)[None], U])
+        previous = U
+    raise NotConverged(
+        f"no two Magnus levels agreed within {max(MAGNUS_MAX_STEPS, 2 * len(dt))} steps"
+    )

@@ -4,9 +4,9 @@ Each model supplies a finite operator basis over which the Heisenberg
 dynamics closes, the factorized generator acting on that basis, driving
 protocols with closed-form scaled time where available, the inversion
 from basis expectation values back to physical states, and its exact
-propagation (``exact_vector``: closed form for the oscillator, a product
-of sixth-order Magnus rotations for the two-level system).  The
-two-spin couplings serve the geometric phases alone.
+propagation (``exact_vector``: closed form for the oscillator, the
+adjoint of the SU(2) Magnus flow ``linalg.su2_flow`` for the two-level
+system).  The two-spin couplings serve the geometric phases alone.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from .engine import GeneratorFactorization, LiouvilleVector
 from .errors import (
     DomainExceeded,
     IntegratorFailure,
-    NotConverged,
     SingularDenominator,
     UnphysicalState,
 )
-from .linalg import MAGNUS_MAX_STEPS, MAGNUS_STEPS_PER_RAD, magnus_axes, ordered_product
+from .linalg import MAGNUS_MAX_STEPS, MAGNUS_STEPS_PER_RAD, su2_flow
 
 # basis block layout: (energy-like triple)(linear pair)(identity)
 HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
@@ -41,6 +40,7 @@ _DEN_TOL = 1e-12
 # duration sweeps' shortest ramps Omega halves within t_f, and 32 steps
 # are where two levels first agree to 1e-10
 _MAGNUS_MIN_STEPS = 32
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +574,6 @@ def _harmonic_flow(k2: float, theta: float) -> np.ndarray:
     return np.array([[c, s], [-k2 * s, c]])
 
 
-def _rotations(w: np.ndarray) -> np.ndarray:
-    """Rotations exp(w x) of an (N, 3) stack of axis vectors (Rodrigues):
-    cos|w| I + sin|w|/|w| [w]x + (1 - cos|w|)/|w|^2 w w^T, the last ratio
-    taken as (sin(|w|/2)/|w|)^2 / 2 so that a short axis loses no digits."""
-    angle = np.linalg.norm(w, axis=1)[:, None, None]
-    safe = np.where(angle > 0.0, angle, 1.0)
-    sin_ratio = np.where(angle > 0.0, np.sin(angle) / safe, 1.0)
-    half_ratio = np.where(angle > 0.0, np.sin(0.5 * angle) / safe, 0.5)
-    cross = np.zeros((len(w), 3, 3))
-    cross[:, [2, 0, 1], [1, 2, 0]] = w
-    cross -= cross.transpose(0, 2, 1)
-    return (np.cos(angle) * np.eye(3) + sin_ratio * cross
-            + 2.0 * half_ratio * half_ratio * (w[:, :, None] * w[:, None, :]))
-
-
 @dataclass(frozen=True)
 class HOModel:
     """Particle in a harmonic trap with time-dependent frequency.
@@ -730,18 +715,20 @@ class TLSModel:
     def exact_vector(
         self, t: float, *, rtol: float = 1e-10, atol: float = 1e-12
     ) -> LiouvilleVector:
-        """The initial vector propagated exactly to time t, as a product of rotations.
+        """The initial vector propagated exactly to time t, by the SU(2) flow.
 
         -i B = A0 + mu A1 acts on the spin triple as the cross product with
         (1, 0, mu), so v' = k x v with k(t) = Omega(t) (1, 0, mu(t)), and
-        the identity entry stays put.  Sixth-order Magnus steps
-        (``linalg.magnus_axes``) on an even grid of [0, t], each a rotation
-        by Rodrigues' formula, are multiplied by pairwise reduction.  The
-        step count starts near where that converges for the rotation angle
-        and doubles until two levels agree within atol + rtol |v| in every
-        entry; NotConverged past ``linalg.MAGNUS_MAX_STEPS`` steps, and
-        IntegratorFailure when a product is not orthogonal to 1e-9.
-        Guards and result otherwise as ``engine.propagate_exact``.
+        the identity entry stays put.  That is the Bloch vector of a spin
+        with U' = -i (k . sigma / 2) U, so ``linalg.su2_flow`` on the grid
+        [0, t] gives U, and v turns by its adjoint R_ab = Re tr(sigma_a U
+        sigma_b U^dagger) / 2.  The flow's first level takes about
+        MAGNUS_STEPS_PER_RAD steps per radian of rotation, at least
+        _MAGNUS_MIN_STEPS, doubling until two levels agree within atol +
+        rtol |U| in every entry; NotConverged past
+        ``linalg.MAGNUS_MAX_STEPS`` steps, and IntegratorFailure when R is
+        not orthogonal to 1e-9.  Guards and result otherwise as
+        ``engine.propagate_exact``.
         """
         p = self.protocol
         if t < 0.0:
@@ -761,17 +748,15 @@ class TLSModel:
         # the rotation angle is at most theta sqrt(1 + mu^2), mu linear in t
         angle = theta * math.hypot(1.0, max(abs(p.mu(0.0)), abs(p.mu(t))))
         n = max(_MAGNUS_MIN_STEPS, 2 ** round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
-        spin, previous = v0.coeffs[:3].real, None
-        while n <= MAGNUS_MAX_STEPS:
-            R = ordered_product(_rotations(magnus_axes(field, np.linspace(0.0, t, n + 1))))
-            drift = np.max(np.abs(R.T @ R - np.eye(3)))
-            if drift > 1e-9:
-                raise IntegratorFailure(f"rotation product lost orthogonality: {drift:.3e}")
-            v = R @ spin
-            if previous is not None and np.all(np.abs(v - previous) <= atol + rtol * np.abs(v)):
-                return LiouvilleVector(coeffs=np.append(v, v0.coeffs[3]), t=t, theta=theta)
-            previous, n = v, 2 * n
-        raise NotConverged(f"Magnus levels did not agree within {MAGNUS_MAX_STEPS} steps")
+        steps = [n << i for i in range(MAGNUS_MAX_STEPS.bit_length()) if n << i <= MAGNUS_MAX_STEPS]
+        U = su2_flow(field, [0.0, t], steps, rtol=rtol, atol=atol)[-1]
+        turned = U @ _PAULI @ U.conj().T
+        R = 0.5 * np.einsum("aij,bji->ab", _PAULI, turned).real
+        drift = np.max(np.abs(R.T @ R - np.eye(3)))
+        if drift > 1e-9:
+            raise IntegratorFailure(f"rotation product lost orthogonality: {drift:.3e}")
+        v = R @ v0.coeffs[:3].real
+        return LiouvilleVector(coeffs=np.append(v, v0.coeffs[3]), t=t, theta=theta)
 
     def reconstruct_state(self, coeffs: np.ndarray, t: float) -> BlochState:
         c = _real_coeffs(coeffs, 4)

@@ -34,8 +34,8 @@ from .linalg import (
     bi_eigendecompose,
     chebyshev_coefficients,
     chebyshev_levels,
-    magnus_axes,
-    ordered_product,
+    su2,
+    su2_flow,
 )
 from .models import BlochState, TLSModel, tls_generator
 
@@ -97,15 +97,15 @@ class MasterEquationSpec:
 
 def bose_occupation(alpha, temperature: float):
     """Bose-Einstein occupation at a positive frequency, or at each of an
-    array of them."""
+    array of them; inf where alpha / temperature is below 1 / DBL_MAX."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha <= 0.0):
         raise ValueError("occupation is defined for positive frequencies")
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
-    with np.errstate(divide="ignore", over="ignore"):  # x = inf gives N = 0
+    with np.errstate(divide="ignore", over="ignore"):  # N = 0 at x = inf, inf near x = 0
         x = alpha / temperature
-    return np.where(x > _MAX_EXPONENT, 0.0, 1.0 / np.expm1(np.minimum(x, _MAX_EXPONENT)))[()]
+        return np.where(x > _MAX_EXPONENT, 0.0, 1.0 / np.expm1(np.minimum(x, _MAX_EXPONENT)))[()]
 
 
 def decay_rate(bath: BathSpec, alpha):
@@ -114,12 +114,16 @@ def decay_rate(bath: BathSpec, alpha):
     Positive frequencies emit at coupling * alpha^3 * (1 + N(alpha));
     negative frequencies absorb at coupling * |alpha|^3 * N(|alpha|), the
     detailed-balance completion gamma(-alpha) = e^(-alpha/T) gamma(alpha).
-    An array of frequencies gives the array of rates.
+    Where N overflows, both sides take the limit |alpha|^3 N(|alpha|) ->
+    alpha^2 T.  An array of frequencies gives the array of rates.
     """
     alpha = np.asarray(alpha, dtype=float)
     mag, n = np.abs(alpha), np.zeros(alpha.shape)
     n[mag > 0.0] = bose_occupation(mag[mag > 0.0], bath.temperature)
-    return (bath.coupling * mag**3 * np.where(alpha > 0.0, 1.0 + n, n))[()]
+    flood = np.isinf(n)
+    n[flood] = 0.0
+    rate = bath.coupling * mag**3 * np.where(alpha > 0.0, 1.0 + n, n)
+    return np.where(flood, bath.coupling * mag**2 * bath.temperature, rate)[()]
 
 
 @functools.cache
@@ -389,16 +393,6 @@ def _zero_mode_frame(F, weights):
     return V, levels, np.stack([up, up + down, coherence.real, coherence.imag], axis=1)
 
 
-def _su2(w: np.ndarray) -> np.ndarray:
-    """exp(-i w . sigma / 2) = cos(|w|/2) I - i sin(|w|/2)/|w| w . sigma for
-    an (N, 3) stack of axis vectors."""
-    angle = np.linalg.norm(w, axis=1)
-    ratio = np.where(angle > 0.0, np.sin(0.5 * angle) / np.where(angle > 0.0, angle, 1.0), 0.5)
-    x, y, z = (ratio * w[:, i] for i in range(3))
-    c = np.cos(0.5 * angle)
-    return np.stack([c - 1j * z, -1j * x - y, -1j * x + y, c + 1j * z], axis=1).reshape(-1, 2, 2)
-
-
 def magnus_levels(protocol, ts):
     """The step cap and the Magnus steps per grid interval of each level
     the driven free propagator may take on ``ts``: from about
@@ -410,37 +404,6 @@ def magnus_levels(protocol, ts):
     s = 2 ** max(0, round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
     cap = max(MAGNUS_MAX_STEPS, 2 * n)
     return cap, [s << i for i in range(cap.bit_length()) if (s << i) * n <= cap]
-
-
-def _driven_propagators(protocol, ts, *, rtol: float, atol: float) -> np.ndarray:
-    """Time-ordered U(t) of H(t) = omega(t) S_z + epsilon S_x at every t of ``ts``.
-
-    H = (epsilon, 0, omega(t)) . sigma / 2, so each grid interval takes s
-    sixth-order Magnus steps (``linalg.magnus_axes``), exponentiated in
-    SU(2) and multiplied by pairwise reduction; prefix products over the
-    intervals give U on the grid.  s runs over ``magnus_levels`` until two
-    levels agree within atol + rtol |U| in every entry, and NotConverged
-    is raised when none do.
-    """
-    eps, dt = protocol.epsilon, np.diff(ts)
-
-    def field(t):
-        omega = protocol.omega(t)
-        return np.stack([np.full_like(omega, eps), np.zeros_like(omega), omega], axis=1)
-
-    cap, levels = magnus_levels(protocol, ts)
-    previous = None
-    for s in levels:
-        edges = np.append((ts[:-1, None] + dt[:, None] * (np.arange(s) / s)).ravel(), ts[-1])
-        U = ordered_product(_su2(magnus_axes(field, edges)).reshape(len(dt), s, 2, 2))
-        offset = 1
-        while offset < len(U):  # prefix products, later intervals on the left
-            U[offset:] = U[offset:] @ U[:-offset]
-            offset *= 2
-        if previous is not None and np.all(np.abs(U - previous) <= atol + rtol * np.abs(U)):
-            return np.concatenate([np.eye(2)[None], U])
-        previous = U
-    raise NotConverged(f"free propagator: no two Magnus levels agreed within {cap} steps")
 
 
 def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol, atol):
@@ -522,11 +485,14 @@ def mesolve(
 
     Solves the interaction-picture GKLS equation with channel rates
     gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) without an ODE and, on
-    request, maps back to the lab frame with the exact free propagator:
-    one SU(2) exponential (``_su2``) of t (epsilon, 0, omega) for a static
-    drive, of each of the stacked sixth-order Magnus steps aligned to
-    ``t_grid`` otherwise (``_driven_propagators``).  Returns the
-    stack of density matrices on ``t_grid`` (which must start at 0).
+    request, maps back to the lab frame with the exact free propagator of
+    H(t) = omega(t) S_z + epsilon S_x: one SU(2) exponential
+    (``linalg.su2``) of t (epsilon, 0, omega) for a static drive, the
+    sixth-order Magnus flow ``linalg.su2_flow`` on ``t_grid`` at the
+    levels of ``magnus_levels`` otherwise, the flow the two-level exact
+    reference also runs.  Raises IntegratorFailure when that propagator
+    is not unitary to 1e-9 (1 + t).  Returns the stack of density
+    matrices on ``t_grid`` (which must start at 0).
 
     In the zero-mode basis V the equation splits into a population p and
     a coherence c (``_zero_mode_frame``, ``_dissipator``), so rho_D =
@@ -573,9 +539,14 @@ def mesolve(
         return states
 
     if p.static:
-        U = _su2(np.outer(ts, (p.epsilon, 0.0, p.omega(0.0))))
+        U = su2(np.outer(ts, (p.epsilon, 0.0, p.omega(0.0))))
     else:
-        U = _driven_propagators(p, ts, rtol=min(rtol, 1e-10), atol=min(atol, 1e-12))
+        def field(t):  # H(t) = (epsilon, 0, omega(t)) . sigma / 2
+            omega = p.omega(t)
+            return np.stack([np.full_like(omega, p.epsilon), np.zeros_like(omega), omega], axis=1)
+
+        U = su2_flow(field, ts, magnus_levels(p, ts)[1], rtol=min(rtol, 1e-10),
+                     atol=min(atol, 1e-12))
     Ud = U.conj().transpose(0, 2, 1)
     drift = np.max(np.abs(Ud @ U - np.eye(2)), axis=(1, 2))
     lost = ~(drift <= 1e-9 * (1.0 + np.abs(ts)))

@@ -599,6 +599,22 @@ def free_two_level_propagators(omega, epsilon, ts, *, rtol=1e-12, atol=1e-14):
     return sol.y.T.reshape(-1, 2, 2)
 
 
+def field_propagators(field, ts, *, rtol=1e-13, atol=1e-15):
+    """Propagators U(t) of U' = -i (k(t) . sigma / 2) U, U(0) = I, on a time
+    grid, ``field`` giving the 3-vector k at a float time."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        kx, ky, kz = field(t)
+        return (-1j * (kx * SX + ky * SY + kz * SZ) @ y.reshape(2, 2)).ravel()
+
+    ts = np.asarray(ts, dtype=float)
+    sol = solve_ivp(rhs, (0.0, ts[-1]), ID2.ravel(), method="DOP853", t_eval=ts,
+                    rtol=rtol, atol=atol)
+    assert sol.success, sol.message
+    return sol.y.T.reshape(-1, 2, 2)
+
+
 def effective_frequencies(model, t: float) -> np.ndarray:
     """Per-mode phase velocities alpha_j = dLambda_j/dt of the inertial
     bookkeeping at time t.

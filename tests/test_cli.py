@@ -817,6 +817,26 @@ class TestDeterminism:
         # %.17g survives a float round trip bit for bit
         assert np.array_equal(np.array(payload["rows"]), np.array(rows))
 
+    def test_csv_cell_text(self, tmp_path):
+        # ints (numpy's too) and bools print as digits, floats as %.17g
+        cells = {
+            "int": (7, "7"),
+            "numpy_int": (np.int64(-12), "-12"),
+            "true": (True, "1"),
+            "false": (False, "0"),
+            "negative_zero": (-0.0, "-0"),
+            "huge": (1e300, "1.0000000000000001e+300"),
+            "inf": (math.inf, "inf"),
+            "minus_inf": (-math.inf, "-inf"),
+            "nan": (math.nan, "nan"),
+            "tenth": (np.float64(0.1), "0.10000000000000001"),
+        }
+        cfg = resolve_config("sweep", out_dir=str(tmp_path))
+        row = tuple(value for value, _ in cells.values())
+        data_path, _, _ = cli.write_outputs(cfg, tuple(cells), [row, row], {}, [None, None])
+        text = ",".join(want for _, want in cells.values())
+        assert data_path.read_text() == ",".join(cells) + "\n" + text + "\n" + text + "\n"
+
 
 class TestSingleCommand:
     def test_one_row_with_sweep_columns(self, tmp_path):
@@ -981,9 +1001,9 @@ class TestDiagnoseStack:
         blocks = []
         real = linalg._diagonalize
 
-        def recorded(B, gap_threshold):
+        def recorded(B):
             blocks.append(B.shape)
-            return real(B, gap_threshold)
+            return real(B)
 
         monkeypatch.setattr(linalg, "_diagonalize", recorded)
 
@@ -1144,6 +1164,26 @@ class TestOpenCommand:
         assert run_cli(["open", "--config", cfg, "--out", out]) == 0
         manifest = json.loads((out / "open_manifest.json").read_text())
         assert any("secular" in w for w in manifest["warnings"])
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-200, 1e-310])
+    def test_drive_too_weak_for_its_dipole_weights_exits_two(self, tmp_path, capsys, scale):
+        # the weights |a_j|^2 grow as 1 / hypot(epsilon, omega0)^2; these
+        # runs used to exit 4 with an OverflowError, a dipole operator left
+        # the span, or a ZeroDivisionError
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "open", "protocol": {"epsilon": scale, "omega0": scale},
+        })
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "protocol.epsilon/protocol.omega0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_weakest_accepted_drive_runs(self, tmp_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "open", "protocol": {"epsilon": 1e-150, "omega0": 1e-150},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["open", "--config", cfg, "--out", out]) == 0
+        assert json.loads((out / "open_manifest.json").read_text())["status"] == "ok"
 
     def test_level_shift_runs_at_low_temperature(self, tmp_path):
         # at T = 0.0625 adaptive Cauchy-weight quadrature of the shift gave

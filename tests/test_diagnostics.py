@@ -105,6 +105,7 @@ def frozen_fact(B_of_chi, mu, grad, rate):
         omega_of_t=lambda t: 1.0,
         B_of_chi=B_of_chi,
         chi_of_t=lambda t: np.full(np.shape(t), mu),
+        theta_of_t=lambda t: t,
         grad_B=lambda chi: grad,
         dchi_dtheta=lambda t: np.full(np.shape(t), rate),
     )
@@ -219,6 +220,7 @@ class TestInertialParameterAt:
             omega_of_t=lambda t: 20.0,
             B_of_chi=ho_generator,
             chi_of_t=lambda t: -0.05,
+            theta_of_t=lambda t: 20.0 * t,
         )
         with pytest.raises(ValueError):
             inertial_parameter_at(fact, 0.0)

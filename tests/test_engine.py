@@ -88,18 +88,12 @@ class TestScaledTime:
 
 
 class TestFactorizationType:
-    def test_theta_quadrature_fallback(self):
-        p = HOProtocol(20.0, -0.04, -5e-3)
-        fact = GeneratorFactorization(
-            omega_of_t=p.omega, B_of_chi=lambda c: np.zeros((1, 1)), chi_of_t=p.mu
-        )
-        assert abs(fact.theta(1.3) - p.theta(1.3)) < 1e-10
-
     def test_block_ranges_default(self):
         fact = GeneratorFactorization(
             omega_of_t=lambda t: 1.0,
             B_of_chi=lambda c: np.zeros((5, 5)),
             chi_of_t=lambda t: 0.0,
+            theta_of_t=lambda t: t,
         )
         assert fact.block_ranges(5) == ((0, 5),)
 
@@ -110,6 +104,7 @@ class TestFactorizationType:
             omega_of_t=lambda t: 1.0,
             B_of_chi=lambda c: np.zeros((2, 2)),
             chi_of_t=lambda t: (0.1, 0.2),
+            theta_of_t=lambda t: t,
         )
         assert fact2.chi_zero() == (0.0, 0.0)
 

@@ -107,12 +107,6 @@ class TestFailureModes:
         with pytest.raises(DegenerateSpectrum):
             bi_eigendecompose(np.diag([1j, 1j, 2j]))
 
-    def test_configurable_gap_threshold(self):
-        B = ho_upper(1.99)  # kappa ~ 0.2, fine by default
-        bi_eigendecompose(B)
-        with pytest.raises(DegenerateSpectrum):
-            bi_eigendecompose(B, gap_threshold=0.25)
-
     def test_near_defective_raises(self):
         B = np.array([[1.0, 1e10], [0.0, 1.001]], dtype=complex)
         with pytest.raises(NotDiagonalizable):

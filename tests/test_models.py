@@ -14,7 +14,7 @@ from liouvdyn.engine import (
     propagate_exact,
     propagate_inertial,
 )
-from liouvdyn import models
+from liouvdyn import linalg, models
 from liouvdyn.errors import DomainExceeded, IntegratorFailure, NotConverged, UnphysicalState
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
@@ -745,6 +745,24 @@ class TestTLSExactVector:
         got = model.exact_vector(t_f)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-11 * np.max(np.abs(want.coeffs))
 
+    @settings(max_examples=25, deadline=None)
+    @given(tls_sweep_ramps(), st.sampled_from([2, 11]))
+    def test_su2_flow_matches_a_tight_ode_solve(self, ramp, points):
+        # the shared flow under the exact reference's field k = Omega (1, 0, mu)
+        model, t_f = ramp
+        p = model.protocol
+
+        def field(ts):
+            return p.Omega(ts)[:, None] * np.stack([np.ones_like(ts), 0.0 * ts, p.mu(ts)], axis=1)
+
+        ts = np.linspace(0.0, t_f, points)
+        steps = [32 << i for i in range(12) if (32 << i) * (points - 1) <= linalg.MAGNUS_MAX_STEPS]
+        got = linalg.su2_flow(field, ts, steps, rtol=1e-10, atol=1e-12)
+        want = oracles.field_propagators(lambda t: field(np.array([t]))[0], ts)
+        assert got.shape == (points, 2, 2)
+        assert np.array_equal(got[0], np.eye(2))
+        assert np.max(np.abs(got - want)) <= 1e-11
+
     def test_guards_of_the_ode_route(self):
         model = TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.0375))
         v0 = model.initial_vector()
@@ -767,13 +785,15 @@ class TestTLSExactVector:
         assert time.perf_counter() - start < 1.0
 
     def test_corrupted_step_trips_the_orthogonality_guard(self, monkeypatch):
-        real = models._rotations
+        # every level carries the same scaled first step, so the levels
+        # agree and the adjoint of their product is no rotation
+        real = linalg.su2
 
         def spoiled(w):
-            R = real(w)
-            R[0] *= 1.01
-            return R
+            U = real(w)
+            U[0] *= 1.01
+            return U
 
-        monkeypatch.setattr(models, "_rotations", spoiled)
+        monkeypatch.setattr(linalg, "su2", spoiled)
         with pytest.raises(IntegratorFailure, match="orthogonality"):
             TLSModel(TLSProtocol(8.0, math.sqrt(336.0), -0.03, 2e-3)).exact_vector(0.7)

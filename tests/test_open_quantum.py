@@ -23,7 +23,7 @@ from oracles import (
     trace_distance,
 )
 
-from liouvdyn import open_quantum
+from liouvdyn import linalg, open_quantum
 from liouvdyn.engine import propagate_inertial
 from liouvdyn.errors import (
     DomainExceeded,
@@ -34,7 +34,7 @@ from liouvdyn.errors import (
     UnphysicalState,
     UnsupportedDimension,
 )
-from liouvdyn.linalg import MAGNUS_MAX_STEPS
+from liouvdyn.linalg import MAGNUS_MAX_STEPS, su2_flow
 from liouvdyn.models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol, initial_vector
 from liouvdyn.open_quantum import (
     BathSpec,
@@ -43,6 +43,7 @@ from liouvdyn.open_quantum import (
     build_master_equation,
     decay_rate,
     lamb_shift,
+    magnus_levels,
     mesolve,
     trajectory_rows,
     _check_states,
@@ -106,6 +107,12 @@ class TestBoseOccupation:
     def test_huge_exponent_underflows_to_zero(self):
         assert bose_occupation(1e6, 1.0) == 0.0
 
+    def test_overflow_to_inf_is_silent(self):
+        # alpha / T below 1 / DBL_MAX: N = 1 / expm1(x) is past the double
+        # range; the suite turns a RuntimeWarning into an error
+        assert bose_occupation(2.2e-309, 1.0) == math.inf
+        assert bose_occupation(1e-10, 1e300) == math.inf
+
 
 class TestDecayRate:
     def test_zero_frequency_rate_vanishes(self):
@@ -138,6 +145,29 @@ class TestDecayRate:
     def test_zero_coupling(self):
         bath = BathSpec(temperature=2.0, coupling=0.0, cutoff=50.0)
         assert decay_rate(bath, 3.0) == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_occupation_takes_the_classical_limit(self, sign):
+        # |alpha|^3 N(|alpha|) -> alpha^2 T where N overflows, on both sides
+        assert decay_rate(BathSpec(1.0, 1e-3, 100.0), sign * 2.2e-309) == 0.0
+        bath = BathSpec(1e300, 1e-3, 100.0)
+        assert decay_rate(bath, sign * 1e-10) == pytest.approx(1e-3 * 1e-20 * 1e300, rel=1e-15)
+        # N = 1e308 is still finite at 1e-8, and the rate already at the limit
+        assert decay_rate(bath, sign * 1e-8) == pytest.approx(1e-3 * 1e-16 * 1e300, rel=1e-12)
+        rates = decay_rate(bath, sign * np.array([1e-10, 1e-8]))
+        assert np.all(np.isfinite(rates)) and np.all(rates > 0.0)
+        # at T = 0 nothing overflows: N = 0
+        assert decay_rate(BathSpec(0.0, 1e-3, 100.0), sign * 2.2e-309) == 0.0
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.05, 2.0, 30.0])
+    def test_normal_range_rates_are_the_golden_rule_formula(self, temperature):
+        # bit for bit coupling |alpha|^3 (1 + N) or |alpha|^3 N wherever N is finite
+        bath = BathSpec(temperature, 3e-3, 1e3)
+        mag = np.logspace(-300, 2, 2001)
+        n = bose_occupation(mag, temperature)
+        assert np.all(np.isfinite(n))
+        assert np.array_equal(decay_rate(bath, mag), 3e-3 * mag**3 * (1.0 + n))
+        assert np.array_equal(decay_rate(bath, -mag), 3e-3 * mag**3 * n)
 
 
 class TestArrayRates:
@@ -866,14 +896,14 @@ class TestLevelShiftRotation:
 
             monkeypatch.setattr(open_quantum, "decay_rate", spoiled)
         else:
-            real = open_quantum._su2
+            real = linalg.su2
 
             def spoiled(w):
                 U = real(w)
                 U[0] *= 1.01
                 return U
 
-            monkeypatch.setattr(open_quantum, "_su2", spoiled)
+            monkeypatch.setattr(linalg, "su2", spoiled)
         # the short horizon also draws the secular-truncation warning
         with (
             pytest.warns(UserWarning, match="secular truncation"),
@@ -885,9 +915,9 @@ class TestLevelShiftRotation:
             )
 
     def test_static_propagator_guard_fires(self, monkeypatch):
-        # a static drive takes its free propagator from one _su2 call
-        real = open_quantum._su2
-        monkeypatch.setattr(open_quantum, "_su2", lambda w: 1.01 * real(w))
+        # a static drive takes its free propagator from one su2 call
+        real = linalg.su2
+        monkeypatch.setattr(open_quantum, "su2", lambda w: 1.01 * real(w))
         with pytest.raises(IntegratorFailure, match="lost unitarity"):
             mesolve(
                 open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
@@ -895,8 +925,8 @@ class TestLevelShiftRotation:
             )
 
     def test_static_propagator_guard_sees_nan(self, monkeypatch):
-        real = open_quantum._su2
-        monkeypatch.setattr(open_quantum, "_su2", lambda w: np.nan * real(w))
+        real = linalg.su2
+        monkeypatch.setattr(open_quantum, "su2", lambda w: np.nan * real(w))
         with pytest.raises(IntegratorFailure, match="lost unitarity"):
             mesolve(
                 open_default_model(), DEFAULT_BATH, DEFAULT_RHO0, np.linspace(0.0, 2.0, 5),
@@ -952,8 +982,18 @@ class TestLevelShiftRotation:
         assert counts[0] == counts[1] > 0
 
 
+def free_field(protocol):
+    """The field (epsilon, 0, omega(t)) of H(t) = omega(t) S_z + epsilon S_x."""
+    def field(t):
+        omega = protocol.omega(t)
+        return np.stack([np.full_like(omega, protocol.epsilon), 0.0 * omega, omega], axis=1)
+
+    return field
+
+
 class TestDrivenFreePropagator:
-    """The driven free propagator's Magnus product against tight DOP853 solves."""
+    """``linalg.su2_flow`` at the free propagator's field and levels against
+    tight DOP853 solves."""
 
     @settings(max_examples=25)
     @given(
@@ -967,7 +1007,7 @@ class TestDrivenFreePropagator:
         assume(p.t_max > t_final and not p.static)
         ts = np.linspace(0.0, t_final, points)
         want = free_two_level_propagators(p.omega, p.epsilon, ts, rtol=1e-13, atol=1e-15)
-        got = open_quantum._driven_propagators(p, ts, rtol=1e-10, atol=1e-12)
+        got = su2_flow(free_field(p), ts, magnus_levels(p, ts)[1], rtol=1e-10, atol=1e-12)
         assert got.shape == (points, 2, 2)
         assert np.array_equal(got[0], np.eye(2))
         assert np.max(np.abs(got - want)) <= 1e-11
@@ -977,8 +1017,8 @@ class TestDrivenFreePropagator:
         p = open_default_model(0.008, 0.002).protocol
         start = time.perf_counter()
         with pytest.raises(NotConverged, match=f"within {MAGNUS_MAX_STEPS} steps"):
-            open_quantum._driven_propagators(p, np.linspace(0.0, 0.5, 101), rtol=1e-300,
-                                             atol=1e-300)
+            ts = np.linspace(0.0, 0.5, 101)
+            su2_flow(free_field(p), ts, magnus_levels(p, ts)[1], rtol=1e-300, atol=1e-300)
         assert time.perf_counter() - start < 1.0
 
     def test_step_cap_keeps_two_steps_per_interval(self):
