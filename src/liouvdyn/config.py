@@ -244,6 +244,13 @@ def _validate(cfg: dict) -> RunConfig:
             "the gap hypot(epsilon, omega0) must be at least 1e-150, or the dipole "
             "weights, which grow as 1 / gap^2, leave the double range",
         )
+        omega0 = cfg["protocol"]["omega0"]
+        _require(
+            omega0 / math.hypot(omega0, cfg["protocol"]["epsilon"]) < 1.0,
+            "protocol.epsilon",
+            "must not vanish against protocol.omega0: z(0) = omega0 / hypot(omega0, "
+            "epsilon) rounds to 1, the edge of the drive's domain",
+        )
         _check_number(cfg, "protocol", "chi0", "abar")
         bath = cfg["model"]["bath"]
         for key in ("temperature", "coupling", "cutoff"):

@@ -199,29 +199,40 @@ def two_spin_nonlocal_family() -> GeneratorFamily:
 # ---------------------------------------------------------------------------
 
 
-def _parts(family: GeneratorFamily, chis: np.ndarray):
+def _parts(family: GeneratorFamily, chis: np.ndarray) -> list:
     """Structural parts of the family at the points chis (N, d).
 
-    Yields ``(lam, rights, lefts, rates, params, modes)`` per Kronecker
-    factor, per closed block, or once for a family without structure,
-    each from one ``eigenframes`` call on the part alone, so declared
-    structure keeps modes apart where their eigenvalues collide
-    accidentally.  ``lam`` (N, m), ``rights`` and ``lefts`` (N, m, m) are
-    the part's own; ``rates`` are its constant partials over the
-    parameters ``params`` it depends on; ``modes`` is the slice of
-    full-dimension modes the part fills, None for a factor.  ``_combine``
-    joins per-part mode values into the family's.
+    Returns ``(lam, rights, lefts, rates, params, modes)`` per Kronecker
+    factor, per closed block, or once for a family without structure.
+    Each part is diagonalized on its own, so declared structure keeps
+    modes apart where their eigenvalues collide accidentally; parts of
+    equal size share one ``eigenframes`` call on their stacks laid end to
+    end, since a call's fixed cost dominates small stacks.  ``lam``
+    (N, m), ``rights`` and ``lefts`` (N, m, m) are the part's own;
+    ``rates`` are its constant partials over the parameters ``params`` it
+    depends on; ``modes`` is the slice of full-dimension modes the part
+    fills, None for a factor.  ``_combine`` joins per-part mode values
+    into the family's.
     """
     if family.factors is not None:
-        for j, f in enumerate(family.factors):
-            lam, rights, lefts = eigenframes(f.matrices(chis[:, j : j + 1]))
-            yield lam, rights, lefts, f.coupling[1:], (j,), None
-        return
-    for lo, hi in family.blocks or ((0, len(family.coupling[0])),):
-        coupling = [C[lo:hi, lo:hi] for C in family.coupling]
-        params = tuple(k for k, C in enumerate(coupling[1:]) if C.any())
-        lam, rights, lefts = eigenframes(GeneratorFamily(coupling).matrices(chis))
-        yield lam, rights, lefts, [coupling[1 + k] for k in params], params, slice(lo, hi)
+        parts = [
+            (f.matrices(chis[:, j : j + 1]), f.coupling[1:], (j,), None)
+            for j, f in enumerate(family.factors)
+        ]
+    else:
+        parts = []
+        for lo, hi in family.blocks or ((0, len(family.coupling[0])),):
+            coupling = [C[lo:hi, lo:hi] for C in family.coupling]
+            params = tuple(k for k, C in enumerate(coupling[1:]) if C.any())
+            rates = [coupling[1 + k] for k in params]
+            parts.append((GeneratorFamily(coupling).matrices(chis), rates, params, slice(lo, hi)))
+    n, frames = len(chis), [None] * len(parts)
+    for size in dict.fromkeys(B.shape[1] for B, *_ in parts):
+        same = [i for i, (B, *_) in enumerate(parts) if B.shape[1] == size]
+        stacked = eigenframes(np.concatenate([parts[i][0] for i in same]))
+        for k, i in enumerate(same):
+            frames[i] = tuple(a[k * n : (k + 1) * n] for a in stacked)
+    return [(*frame, *part[1:]) for frame, part in zip(frames, parts)]
 
 
 def _combine(family: GeneratorFamily, values) -> np.ndarray:

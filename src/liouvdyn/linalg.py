@@ -1,9 +1,13 @@
 """Bi-orthogonal eigendecomposition of small dense complex matrices.
 
-The propagators in this package diagonalize non-Hermitian generators whose
-right and left eigenvectors differ.  This module produces gauge-fixed
+The propagators in this package diagonalize generators whose right and left
+eigenvectors differ in general.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
+A stack that is exactly Hermitian, as every two-level and spin generator
+1j (A0 + chi A1) with real antisymmetric A0, A1 is, takes ``eigh``: its
+lefts are its orthonormal rights.  Any other stack takes the general
+``eig`` and an inverse; both routes share the gauge and every guard.
 ``chebyshev_levels`` holds the nested node set of the spectral quadratures.
 ``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
 stacked sixth-order Magnus steps (``magnus_axes``), exponentiated by ``su2``
@@ -30,9 +34,11 @@ _RESIDUAL_TOL = 1e-10
 _QUALITY_FLOOR = 1e-8
 # Relative window treating near-equal component magnitudes as a gauge tie.
 _GAUGE_TIE = 1e-9
-# Most nodes a caller that slices a long node set (diagnostics.
-# inertial_parameters, geometric.surface_phases) puts in one eigenframes
-# stack: it bounds the frame memory however many nodes are asked for.
+# Most nodes of one structural part (a block or a factor) that a caller
+# slicing a long node set (diagnostics.inertial_parameters, geometric.
+# surface_phases) puts in one eigenframes stack: it bounds the frame memory
+# however many nodes are asked for.  geometric._parts lays the stacks of
+# equal-size parts end to end, so one call there holds a multiple of it.
 STACK_NODES = 1024
 
 
@@ -97,7 +103,9 @@ def eigenframes(B, *, blocks=None):
     ``_mode_order``.  The gauge makes the largest-magnitude component of
     each right eigenvector real and positive with unit 2-norm; the lefts
     come from the inverse right-eigenvector matrix, so G_k^H F_n =
-    delta_kn.  Raises DegenerateSpectrum when a minimal eigenvalue gap
+    delta_kn.  An exactly Hermitian stack is diagonalized by ``eigh``, and
+    its lefts equal its orthonormal rights (in an array of their own).
+    Raises DegenerateSpectrum when a minimal eigenvalue gap
     falls below ``DEGENERACY_GAP`` and NotDiagonalizable when a right/left
     pair is numerically orthogonal (defective generator) or the
     bi-orthonormality or residual bound fails, for the first failing node.
@@ -131,7 +139,14 @@ def _diagonalize(B: np.ndarray):
     if m == 1:
         return B[:, 0, :].copy(), np.ones_like(B), np.ones_like(B)
 
-    lam, vr = np.linalg.eig(B)
+    # B = 1j (A0 + chi A1) with A0, A1 real antisymmetric is Hermitian bit
+    # for bit: eigh gives orthonormal rights, whose inverse is their adjoint
+    hermitian = np.array_equal(B, B.conj().transpose(0, 2, 1))
+    if hermitian:
+        lam, vr = np.linalg.eigh(B)
+        lam = lam.astype(complex)
+    else:
+        lam, vr = np.linalg.eig(B)
     order = _mode_order(lam)
     lam = np.take_along_axis(lam, order, axis=1)
     vr = np.take_along_axis(vr, order[:, None, :], axis=2)
@@ -151,12 +166,17 @@ def _diagonalize(B: np.ndarray):
     top = np.take_along_axis(vr, pivot[:, None, :], axis=1)
     rights = vr / (top / np.abs(top))
     rights = rights / np.linalg.norm(rights, axis=1, keepdims=True)
-    try:
-        inverse = np.linalg.inv(rights)
-    except np.linalg.LinAlgError as exc:
-        raise NotDiagonalizable("right eigenvectors are linearly dependent") from exc
+    if hermitian:
+        inverse = rights.conj().transpose(0, 2, 1)
+    else:
+        try:
+            inverse = np.linalg.inv(rights)
+        except np.linalg.LinAlgError as exc:
+            raise NotDiagonalizable("right eigenvectors are linearly dependent") from exc
+    # a fresh array on both routes, so no caller writes through it into rights
     lefts = inverse.conj().transpose(0, 2, 1)
 
+    # on the Hermitian route this checks the orthonormality of the rights
     cross = inverse @ rights
     quality = np.abs(np.diagonal(cross, axis1=1, axis2=2)) / (
         np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=1)

@@ -114,6 +114,15 @@ class TestConfigResolution:
         with pytest.raises(ConfigInvalid, match="kind"):
             resolve_config("open", {"experiment": "open", "model": {"kind": "ho"}})
 
+    def test_open_epsilon_must_keep_z0_below_one(self):
+        # hypot(omega0, epsilon) rounds to omega0, so z(0) = 1 exactly and
+        # the run used to exit 4 with DomainExceeded at t = 0
+        bad = {"experiment": "open", "protocol": {"epsilon": 1e-200, "omega0": 1.0}}
+        with pytest.raises(ConfigInvalid, match=r"^protocol\.epsilon: "):
+            resolve_config("open", bad)
+        ok = {"experiment": "open", "protocol": {"epsilon": 1e-7, "omega0": 1.0}}
+        assert resolve_config("open", ok).protocol["epsilon"] == 1e-7
+
     def test_bloch_vector_must_stay_in_ball(self):
         bad = {"experiment": "open", "model": {"initial_bloch": [1.0, 1.0, 1.0]}}
         with pytest.raises(ConfigInvalid, match="initial_bloch"):
@@ -324,6 +333,7 @@ class TestRunFuzz:
     @example({"experiment": "open", "protocol": {"chi0": 1e-10}, "numerics": {"t_final": 1e4}})
     @example({"experiment": "open", "model": {"bath": {"temperature": 0.0625}},
               "numerics": {"lamb_shift": True}})
+    @example({"experiment": "open", "protocol": {"epsilon": 1e-200, "omega0": 1.0}})
     def test_open(self, config):
         self.run(config)
 
@@ -904,6 +914,29 @@ class TestExactRoute:
             cfg = write_json(tmp_path / "c.json", {"experiment": "open", **config})
             assert run_cli(["open", "--config", cfg, "--out", tmp_path]) == 0
         assert calls == []
+
+
+class TestHermitianRoute:
+    """The two-level and two-spin generators are Hermitian bit for bit, so
+    their frames come from eigh.  A coupling that lost exact antisymmetry
+    would send them back through the general eig, and lose its speed
+    without failing any other test."""
+
+    @pytest.mark.parametrize(
+        "experiment, kind",
+        [("single", "tls"), ("geo", "two-spin-local"), ("geo", "two-spin-nonlocal")],
+    )
+    def test_default_run_takes_no_general_eigensolve(self, tmp_path, monkeypatch, experiment, kind):
+        # single is one point of the sweep, and geo's default method is line
+        general, hermitian = [], []
+        real_eig, real_eigh = np.linalg.eig, np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eig", lambda M: general.append(len(M)) or real_eig(M))
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda M: hermitian.append(len(M)) or real_eigh(M)
+        )
+        cfg = write_json(tmp_path / "c.json", {"experiment": experiment, "model": {"kind": kind}})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path]) == 0
+        assert general == [] and hermitian
 
 
 class TestDiagnoseCommand:

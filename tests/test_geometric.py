@@ -468,8 +468,9 @@ class TestStackedSurface:
     def test_each_level_is_one_stack_per_part(self, family, monkeypatch):
         # the flat square stops after 64 and 128 segments of 12 and 14
         # spoke nodes; the second level's 1,792 nodes split into slices of
-        # whole segments, 73 (1,022 nodes) and 55; each slice makes one
-        # eigenframes call per part, two parts in either family
+        # whole segments, 73 (1,022 nodes) and 55; the two parts of either
+        # family are both 3x3, so each slice makes one eigenframes call on
+        # their stacks laid end to end
         sizes = []
 
         def counted(B, **kwargs):
@@ -478,7 +479,7 @@ class TestStackedSurface:
 
         monkeypatch.setattr(geometric, "eigenframes", counted)
         surface_phases(family(), unit_square_circuit())
-        assert sizes == [768, 768, 1022, 1022, 770, 770]
+        assert sizes == [1536, 2044, 1540]
 
 
 class TestSpinAnchor:

@@ -19,6 +19,19 @@ def tls(mu):
     return 1j * np.array([[0, -mu, 0], [mu, 0, -1], [0, 1, 0]], dtype=complex)
 
 
+def turned(solve):
+    """``solve`` with its first two eigenvectors turned by 1e-6 into each
+    other: an orthonormal frame that no longer diagonalizes."""
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def spoiled(M):
+        lam, vr = solve(M)
+        return lam, vr @ turn
+
+    return spoiled
+
+
 class TestClosedFormEigensystems:
     @pytest.mark.parametrize("mu", [0.0, 0.25, 0.5, 1.0, 1.9])
     def test_ho_upper_block(self, mu):
@@ -115,19 +128,41 @@ class TestFailureModes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_residual_guard_holds_past_the_squared_float_range(self, monkeypatch):
         # entries of 1e160 square past 1e308, yet the residual bound stays
-        # finite: exact frames pass, and eigenvectors each mixed with 1e-6
-        # of their neighbour fail
+        # finite: exact frames pass, and eigenvectors each turned by 1e-6
+        # into their neighbour, still orthonormal, fail.  The tls
+        # generator is Hermitian, so it is eigh that is spoiled
         B = 1e160 * tls(0.3)
         bi_eigendecompose(B)
-        eig = np.linalg.eig
-
-        def mixed(M):
-            lam, vr = eig(M)
-            return lam, vr + 1e-6 * np.roll(vr, 1, axis=-1)
-
-        monkeypatch.setattr(np.linalg, "eig", mixed)
+        monkeypatch.setattr(np.linalg, "eigh", turned(np.linalg.eigh))
         with pytest.raises(NotDiagonalizable, match="residual"):
             bi_eigendecompose(B)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_guard_of_the_general_route(self, monkeypatch):
+        # the same spoil of eig on the non-Hermitian oscillator block
+        B = 1e160 * ho_upper(0.3)
+        bi_eigendecompose(B)
+        monkeypatch.setattr(np.linalg, "eig", turned(np.linalg.eig))
+        with pytest.raises(NotDiagonalizable, match="residual"):
+            bi_eigendecompose(B)
+
+    def test_hermitian_route_checks_orthonormality(self, monkeypatch):
+        # eigenvectors each mixed with 1e-6 of their neighbour are no
+        # longer orthonormal, so their adjoint is no inverse
+        eigh = np.linalg.eigh
+
+        def mixed(M):
+            lam, vr = eigh(M)
+            return lam, vr + 1e-6 * np.roll(vr, 1, axis=-1)
+
+        monkeypatch.setattr(np.linalg, "eigh", mixed)
+        with pytest.raises(NotDiagonalizable, match="bi-orthonormality"):
+            bi_eigendecompose(tls(0.3))
+
+    def test_hermitian_lefts_are_the_rights_in_their_own_array(self):
+        frame = bi_eigendecompose(tls(0.3))
+        assert np.array_equal(frame.lefts, frame.rights)
+        assert not np.shares_memory(frame.lefts, frame.rights)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,13 @@
 
 Inputs are random diagonalizable non-Hermitian stacks V(s) diag(lam(s))
 V(s)^-1 along a path s in [0, 1], with a well-conditioned V and a
-spectrum spaced far above the degeneracy gap.
+spectrum spaced far above the degeneracy gap, and random Hermitian
+rotation generators 1j (A0 + chi A1), which take the ``eigh`` route.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from liouvdyn.errors import DegenerateSpectrum, NotDiagonalizable
@@ -97,6 +98,31 @@ def test_closed_loop_product_is_gauge_invariant(seed, m):
     phases[[0, -1]] = 1.0
     _, rephased = transport(rights * phases[:, None, :], lefts * phases[:, None, :])
     np.testing.assert_allclose(np.exp(rephased), np.exp(logs), rtol=0, atol=1e-12)
+
+
+def antisymmetric(rng):
+    """A random real antisymmetric 3x3 matrix, the generator of a rotation."""
+    x, y, z = rng.normal(size=3)
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+@given(seeds, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6))
+def test_hermitian_route_agrees_with_the_general_route(seed, chis):
+    # B = 1j (A0 + chi A1) has eigenvalues 0 and +-|k|, k the axis of
+    # A0 + chi A1, whose Frobenius norm is sqrt(2) |k|
+    rng = np.random.default_rng(seed)
+    A0, A1 = antisymmetric(rng), antisymmetric(rng)
+    B = 1j * (A0 + np.asarray(chis)[:, None, None] * A1)
+    norm = np.linalg.norm(B, axis=(1, 2))
+    assume(norm.min() > 0.1)
+    lam, rights, lefts = eigenframes(B)
+    assert np.array_equal(lefts, rights)
+    # one ulp off Hermitian in one entry sends the stack through eig
+    general = B.copy()
+    general.imag[:, 0, 1] = np.nextafter(B.imag[:, 0, 1], np.inf)
+    want_lam, want_rights, _ = eigenframes(general)
+    assert np.all(np.abs(lam - want_lam).max(axis=1) <= 1e-12 * norm)
+    np.testing.assert_allclose(rights, want_rights, rtol=0, atol=1e-10)
 
 
 def _assemble(frames, sizes):
