@@ -130,17 +130,23 @@ def _run_diagnose(cfg: RunConfig):
     }
     if closed:
         sources["upsilon_closed"] = "diagnostics.ho_inertial_parameter_closed"
+    # a column whose stacked call raises is evaluated row by row, to flag
+    # the failing samples
+    try:
+        mu = adiabatic_parameter(model, ts).tolist()
+    except (LiouvdynError, ValueError, ArithmeticError):
+        mu = None
     try:
         upsilon = inertial_parameters(fact, ts).tolist()
     except (LiouvdynError, ValueError, ArithmeticError):
-        upsilon = None  # some sample fails: evaluate row by row to flag it
+        upsilon = None
     rows, errors = [], []
     for i, t in enumerate(ts.tolist()):
         error = None
         try:
             row = [
                 t,
-                adiabatic_parameter(model, t),
+                adiabatic_parameter(model, t) if mu is None else mu[i],
                 inertial_parameter_at(fact, t) if upsilon is None else upsilon[i],
             ]
             if closed:

@@ -36,12 +36,13 @@ from .models import (
 )
 
 
-def adiabatic_parameter(model, t: float) -> float:
+def adiabatic_parameter(model, t):
     """Instantaneous drive-rate parameter of the model's protocol.
 
     Oscillator: d(omega)/dt / omega^2.  Spin: the same ratio built from
     the dressed gap, (d(omega)/dt * epsilon) / Omega^3.  The linear ramp
-    protocols are built so that both equal mu(t) = chi0 + a*t.
+    protocols are built so that both equal mu(t) = chi0 + a*t.  A float t
+    gives a float, a 1-D array of times the array of values.
     """
     try:
         mu = model.protocol.mu

@@ -19,8 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: it is most of the
-# package's import time, and `geo` and `diagnose` runs never need it.
+# scipy is imported inside the two functions that call it, `propagate_exact`
+# and `inverse_scaled_time`: it is most of the package's import time, and
+# no CLI experiment calls either.
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
 from .linalg import (

@@ -16,6 +16,7 @@ and multiplied by ``ordered_product``.  The two-level exact reference
 ``open_quantum.mesolve`` both run it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -90,10 +91,20 @@ def _mode_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((-lam.imag, -lam.real, np.round(np.abs(lam), 9)), axis=-1)
 
 
+@functools.cache
+def _upper_pairs(m: int) -> tuple:
+    """Read-only row and column indices of the strict upper triangle of an
+    m x m matrix."""
+    pairs = np.triu_indices(m, k=1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _first(bad: np.ndarray):
     """Index tuple of the first True entry of a guard mask, or None."""
-    hits = np.argwhere(bad)
-    return tuple(int(i) for i in hits[0]) if hits.size else None
+    # any() first: a guard that holds everywhere, the usual case, skips argwhere
+    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
 
 
 def eigenframes(B, *, blocks=None):
@@ -147,11 +158,12 @@ def _diagonalize(B: np.ndarray):
         lam = lam.astype(complex)
     else:
         lam, vr = np.linalg.eig(B)
+    rows, cols = np.arange(len(B))[:, None], np.arange(m)
     order = _mode_order(lam)
-    lam = np.take_along_axis(lam, order, axis=1)
-    vr = np.take_along_axis(vr, order[:, None, :], axis=2)
+    lam = lam[rows, order]
+    vr = vr[rows[:, None], cols[:, None], order[:, None, :]]
 
-    upper = np.triu_indices(m, k=1)
+    upper = _upper_pairs(m)
     gap = np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
     if bad := _first(gap < DEGENERACY_GAP):
         raise DegenerateSpectrum(
@@ -163,7 +175,7 @@ def _diagonalize(B: np.ndarray):
     # resolve identically regardless of rounding noise
     comp = np.abs(vr)
     pivot = np.argmax(comp >= (1.0 - _GAUGE_TIE) * comp.max(axis=1, keepdims=True), axis=1)
-    top = np.take_along_axis(vr, pivot[:, None, :], axis=1)
+    top = vr[rows, pivot, cols][:, None, :]
     rights = vr / (top / np.abs(top))
     rights = rights / np.linalg.norm(rights, axis=1, keepdims=True)
     if hermitian:
@@ -323,13 +335,15 @@ def chebyshev_coefficients(values) -> np.ndarray:
     return c
 
 
+@functools.cache
 def chebyshev_derivative(n: int) -> np.ndarray:
     """(n + 1, n + 1) matrix taking samples on the Chebyshev extreme points
     x_j = cos(pi j / n) of [-1, 1] to the derivative of their interpolant
     there (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6).  The node
     differences come from a product of sines, which loses no digits near
     x = +-1, and each diagonal entry is minus its row's other entries, so
-    the matrix differentiates constants to exactly zero."""
+    the matrix differentiates constants to exactly zero.  Built once per n
+    and returned read-only."""
     j = np.arange(n + 1)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     # x_i - x_j = 2 sin(pi (i + j) / 2n) sin(pi (j - i) / 2n)
@@ -339,6 +353,7 @@ def chebyshev_derivative(n: int) -> np.ndarray:
     D = np.outer(c, 1.0 / c) / diff
     np.fill_diagonal(D, 0.0)
     D[j, j] = -D.sum(axis=1)
+    D.setflags(write=False)
     return D
 
 

@@ -18,9 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-# scipy is imported inside the functions that call it: it is most of the
-# package's import time, and `geo` and `diagnose` runs never need it.
-
 from .engine import GeneratorFactorization, LiouvilleVector
 from .errors import (
     DomainExceeded,
@@ -173,6 +170,53 @@ def _first_positive_root(A: float, B: float, C: float) -> float:
     q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
     roots = () if q == 0.0 else (C / q,) if A == 0.0 else (q / A, C / q)
     return min((x for x in roots if x > 0.0), default=math.inf)
+
+
+# Veltkamp's splitter 2^27 + 1: it cuts a double into two 26-bit halves
+_SPLIT = 134217729.0
+# Carlson's (3 r)^(-1/6) at r = 2^-53: the duplication stops once the
+# arguments lie this close to their mean, for a relative error below r
+_RF_SPREAD = (3.0 * 2.0**-53) ** (-1.0 / 6.0)
+
+
+def _two_sum(a: float, b: float) -> tuple:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a: float, b: float) -> tuple:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker) while a b
+    is clear of the subnormal range.  Past 2^996 the split overflows, and
+    e is then 0: the product is only rounded."""
+    p = a * b
+    c = _SPLIT * a
+    ah = c - (c - a)
+    c = _SPLIT * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, e if math.isfinite(e) else 0.0
+
+
+def _carlson_rf(x: float, y: float, z: float) -> float:
+    """Carlson's symmetric integral R_F(x, y, z) for x, y, z >= 0, at most
+    one of them 0: the duplication theorem draws the three arguments
+    together, and a fifth-order series in their spread finishes (DLMF
+    §19.36(i); Carlson, Numer. Algorithms 10, 1995)."""
+    a0 = a = (x + y + z) / 3.0
+    dx, dy = a0 - x, a0 - y
+    spread = _RF_SPREAD * max(abs(dx), abs(dy), abs(a0 - z))
+    while spread >= a:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
+        dx, dy, spread = 0.25 * dx, 0.25 * dy, 0.25 * spread
+    X, Y = dx / a, dy / a
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
 @dataclass(frozen=True)
@@ -382,6 +426,26 @@ class TLSProtocol:
         return self.mu(t) * self.Omega(t) ** 3 / self.epsilon
 
     def theta(self, t: float) -> float:
+        """Scaled time, the integral of Omega over [0, t], in closed form.
+
+        As dz = epsilon mu ds and mu^2 = chi0^2 + (2 abar/epsilon)(z - z0)
+        is linear in z, theta is a sum of integrals of dz / sqrt((1 - z)(1
+        + z) mu^2) over the pieces on which z is monotone, split at the
+        turning point s* = -chi0/abar when 0 < s* < t.  A piece [s0, s1]
+        is 2 R_F(U12^2, U13^2, U14^2), the four-linear-factor reduction of
+        DLMF §19.29(i) with a4 = 1, b4 = 0:
+            U12 = (X1 X2 Y3 + Y1 Y2 X3) / (z1 - z0),
+            U13 = (X1 X3 Y2 + Y1 Y3 X2) / (z1 - z0),
+            U14 = (X1 Y2 Y3 + Y1 X2 X3) / (z1 - z0),
+        with X1, X2, X3 = sqrt(1 - z1), sqrt(1 + z1), |mu(s1)| and Y the
+        same at s0.  On a piece mu keeps its sign, so z1 - z0 = epsilon
+        (s1 - s0)(X3 + Y3)/2, and R_F's homogeneity leaves theta = epsilon
+        (s1 - s0) R_F(W12^2, W13^2, W14^2) with W = U (z1 - z0)/(X3 + Y3).
+        Each W sums positive terms, so nothing cancels, whether |chi0/abar|
+        is large or small against t.  Near an edge of the domain 1 -+ z is
+        a small difference of O(1) terms; ``_edge_roots`` forms it from a
+        double-double z, so it keeps its digits there too.
+        """
         self._require_valid(t)
         if t == 0.0:
             return 0.0
@@ -389,12 +453,56 @@ class TLSProtocol:
             if self.chi0 == 0.0:
                 return self.Omega0 * t
             return self._constant_rate_theta(t)
-        import scipy.integrate
+        turn = -self.chi0 / self.abar
+        cuts = (0.0, turn, t) if 0.0 < turn < t else (0.0, t)
+        ends = [self._edge_roots(s, turn) for s in cuts]
+        theta = 0.0
+        for s0, s1, (r0, a0, b0), (r1, a1, b1) in zip(cuts, cuts[1:], ends, ends[1:]):
+            total = r0 + r1  # 0 only where abar s underflows on a chi0 = 0 ramp
+            p, q = (r1 / total, r0 / total) if total else (0.5, 0.5)
+            w12 = a1 * b1 * q + a0 * b0 * p
+            w13 = a1 * b0 * p + a0 * b1 * q
+            w14 = a1 * b0 * q + a0 * b1 * p
+            # s1 - s0 last: a subnormal t then rounds once
+            theta += self.epsilon * _carlson_rf(w12 * w12, w13 * w13, w14 * w14) * (s1 - s0)
+        return theta
 
-        value, _ = scipy.integrate.quad(
-            self.Omega, 0.0, t, epsabs=1e-13, epsrel=1e-12, limit=200
-        )
-        return value
+    @cached_property
+    def _z0_pair(self) -> tuple:
+        """z0 = omega0 / hypot(omega0, epsilon) as hi + lo, good to about 2^-104."""
+        # z0 depends on the ratio alone: in the unit binade no square overflows
+        scale = -math.frexp(max(self.omega0, self.epsilon))[1]
+        w, e = math.ldexp(self.omega0, scale), math.ldexp(self.epsilon, scale)
+        (hw, lw), (he, le) = _two_prod(w, w), _two_prod(e, e)
+        sq, sq_lo = _two_sum(hw, he)
+        r = math.sqrt(sq)
+        rr, rr_lo = _two_prod(r, r)
+        r_lo = ((sq - rr) - rr_lo + (sq_lo + lw + le)) / (2.0 * r)
+        q = w / r
+        qr, qr_lo = _two_prod(q, r)
+        return q, ((w - qr) - qr_lo - q * r_lo) / r
+
+    def _edge_roots(self, s: float, turn: float) -> tuple:
+        """|mu(s)|, sqrt(1 - z(s)) and sqrt(1 + z(s)), each within an ulp or two.
+
+        z(s) - z0 = epsilon s (chi0 + abar s / 2) is carried as hi + lo
+        through error-free products, and math.fsum adds it to the pair of
+        z0 exactly, so 1 -+ z keeps its digits however close z is to -+1.
+        |mu| is 0 at the turning point, where the pieces meet.
+        """
+        zh, zl = self._z0_pair
+        h, l = _two_prod(self.abar, s)
+        rate = 0.0 if s == turn else abs(math.fsum((self.chi0, h, l)))
+        mh, ml = _two_sum(self.chi0, 0.5 * h)
+        ph, pl = _two_prod(mh, s)
+        gh, gl = _two_prod(ph, self.epsilon)
+        gl += (pl + (ml + 0.5 * l) * s) * self.epsilon
+        below = math.fsum((1.0, -zh, -zl, -gh, -gl))
+        above = math.fsum((1.0, zh, zl, gh, gl))
+        # the rounded z passed the domain check within an ulp of its edge
+        if not (below > 0.0 and above > 0.0):
+            raise DomainExceeded(f"|z| reaches 1 by t={s}, the edge of the protocol domain")
+        return rate, math.sqrt(below), math.sqrt(above)
 
     def _constant_rate_theta(self, t: float) -> float:
         """theta = (asin(z1) - asin(z0)) / chi0 for abar = 0, z1 = z(t).

@@ -723,17 +723,25 @@ def ho_ramp_closed_form(omega0, chi0, a, t, mass=1.0):
     return sol.y[:, -1].reshape(2, 2)
 
 
-def tls_theta_mp(epsilon, omega0, chi0, t, dps=50):
-    """Scaled time of the constant-rate two-level ramp, the integral of
-    Omega(s) = epsilon / sqrt(1 - z(s)^2) with z(s) = z0 + epsilon chi0 s,
-    by mpmath quadrature at ``dps`` digits."""
+def tls_theta_mp(epsilon, omega0, chi0, t, abar=0.0, dps=50):
+    """Scaled time of the two-level ramp, the integral of Omega(s) = epsilon
+    / sqrt(1 - z(s)^2) with z(s) = z0 + epsilon (chi0 s + abar s^2 / 2), by
+    mpmath quadrature at ``dps`` digits.  The interval is split at the
+    turning point -chi0/abar when it lies inside, so a near-tangent of z
+    to +-1 sits at a panel end."""
     import mpmath
 
     with mpmath.workdps(dps):
-        epsilon, omega0, chi0, t = (mpmath.mpf(x) for x in (epsilon, omega0, chi0, t))
+        epsilon, omega0, chi0, t, abar = (
+            mpmath.mpf(x) for x in (epsilon, omega0, chi0, t, abar)
+        )
         z0 = omega0 / mpmath.sqrt(omega0 * omega0 + epsilon * epsilon)
+        cuts = [0, t]
+        if abar != 0 and 0 < -chi0 / abar < t:
+            cuts.insert(1, -chi0 / abar)
         value = mpmath.quad(
-            lambda s: epsilon / mpmath.sqrt(1 - (z0 + epsilon * chi0 * s) ** 2), [0, t]
+            lambda s: epsilon / mpmath.sqrt(1 - (z0 + epsilon * (chi0 * s + abar * s * s / 2)) ** 2),
+            cuts,
         )
     return float(value)
 

@@ -1097,53 +1097,53 @@ class TestDiagnoseStack:
         assert errors == expected_errors
 
 
+def _scipy_modules_after(*runs) -> str:
+    """The scipy modules a fresh interpreter holds after the given CLI runs
+    (argument lists, each of which must exit 0), as a printed sorted list.
+    A fresh interpreter, so no earlier test has imported scipy already."""
+    script = (
+        "import json, sys\n"
+        "import liouvdyn.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert liouvdyn.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
-    # a fresh interpreter, so no earlier test has imported scipy already;
     # a driven open run with the level shift needs no scipy routine either
     cfg = write_json(tmp_path / "open.json", {
         "experiment": "open",
         "protocol": {"chi0": 0.008, "abar": 0.002},
         "numerics": {"t_final": 0.5, "lamb_shift": True},
     })
-    script = (
-        "import sys\n"
-        "import liouvdyn.cli\n"
-        "for experiment in ('diagnose', 'geo'):\n"
-        "    assert liouvdyn.cli.main([experiment, '--out', sys.argv[1]]) == 0\n"
-        "assert liouvdyn.cli.main(['open', '--config', sys.argv[2], '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path), str(cfg)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    out = str(tmp_path)
+    assert _scipy_modules_after(
+        ["diagnose", "--out", out], ["geo", "--out", out], ["open", "--config", str(cfg), "--out", out]
+    ) == "[]"
 
 
-def test_ho_sweep_leaves_scipy_unimported(tmp_path):
-    # the oscillator's exact state is closed form and its inertial phases
-    # are Clenshaw-Curtis sums, so a default ho sweep needs no scipy solver
-    script = (
-        "import sys\n"
-        "import liouvdyn.cli\n"
-        "assert liouvdyn.cli.main(['sweep', '--out', sys.argv[1]]) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
-    )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+def test_sweep_and_single_leave_scipy_unimported(tmp_path):
+    # the oscillator's exact state is closed form, the two-level one a
+    # Magnus product, the inertial phases are Clenshaw-Curtis sums and the
+    # two-level scaled time is a Carlson R_F, so neither model's sweep or
+    # single run needs scipy
+    out = str(tmp_path)
+    assert _scipy_modules_after(*(
+        [experiment, "--model", kind, "--out", out]
+        for experiment in ("sweep", "single")
+        for kind in ("ho", "tls")
+    )) == "[]"
 
 
 def test_import_leaves_fft_and_polynomial_unloaded():

@@ -600,6 +600,71 @@ class TestTLSConstantRateTheta:
         assert TLSProtocol(8.0, 15.0, 1e-300).theta(1.0) == pytest.approx(17.0, rel=1e-15)
 
 
+def _signed(log_lo: float, log_hi: float):
+    """A float of either sign with magnitude 10^u, u uniform in [log_lo, log_hi]."""
+    return st.builds(
+        lambda sign, u: sign * 10.0**u, st.sampled_from([-1.0, 1.0]), st.floats(log_lo, log_hi)
+    )
+
+
+class TestTLSAcceleratedTheta:
+    """theta of an accelerated spin ramp as Carlson R_F pieces split at the
+    turning point s* = -chi0/abar, against a 50-digit quadrature."""
+
+    @staticmethod
+    def turning(p):
+        """s* and the extremum z_c = z(s*) of a ramp."""
+        s_star = -p.chi0 / p.abar
+        return s_star, p.z0 - p.epsilon * p.chi0**2 / (2.0 * p.abar)
+
+    @given(
+        st.floats(0.5, 10.0),
+        st.floats(0.0, 20.0),
+        _signed(-3.0, 0.5),
+        _signed(-12.0, 1.0),
+        st.floats(0.0, 1.0 - 1e-9) | st.floats(-9.0, -0.01).map(lambda u: 1.0 - 10.0**u),
+    )
+    # s* inside [0, t] with |z_c| < 1: z turns and runs back to -1
+    @example(8.0, 15.0, 0.01, -0.05, 0.9)
+    # |z_c| > 1: the domain ends before s*, t a hair short of its edge
+    @example(8.0, 15.0, 0.05, -0.01, 1.0 - 1e-9)
+    # z_c = 1 / 1.000001: z nearly touches 1 at s* = 2, inside [0, t]
+    @example(1.0, 0.0, 1.0, -0.5000005, 0.5)
+    # |abar| = 1e-12 of both signs, s* far past t, at the edge of the domain
+    @example(8.0, 15.0, -0.05, 1e-12, 1.0 - 1e-9)
+    @example(8.0, 15.0, 0.05, -1e-12, 1.0 - 1e-9)
+    # chi0 = 0: s* = 0, one piece from a standing start
+    @example(4.0, 3.0, 0.0, 0.3, 0.7)
+    def test_matches_mpmath(self, epsilon, omega0, chi0, abar, fraction):
+        p = TLSProtocol(epsilon, omega0, chi0, abar)
+        t = fraction * p.t_max
+        want = oracles.tls_theta_mp(epsilon, omega0, chi0, t, abar)
+        # a subnormal theta (from a subnormal t) holds only its absolute spacing
+        assert abs(p.theta(t) - want) <= 1e-13 * abs(want) + math.ulp(0.0)
+
+    def test_examples_cover_both_sides_of_the_turn_and_the_edge(self):
+        # the pinned examples above reach every case the closed form splits on
+        inside = TLSProtocol(8.0, 15.0, 0.01, -0.05)
+        s_star, z_c = self.turning(inside)
+        assert 0.0 < s_star < 0.9 * inside.t_max and abs(z_c) < 1.0
+        beyond = TLSProtocol(8.0, 15.0, 0.05, -0.01)
+        s_star, z_c = self.turning(beyond)
+        assert s_star > beyond.t_max and abs(z_c) > 1.0
+        grazing = TLSProtocol(1.0, 0.0, 1.0, -0.5000005)
+        s_star, z_c = self.turning(grazing)
+        assert 0.0 < s_star < 0.5 * grazing.t_max and 1.0 - 1e-6 < z_c < 1.0
+
+    def test_a_time_past_the_true_edge_raises(self):
+        # the rounded z(t) = -0.9999999999999999 passes the domain check one
+        # ulp below t_max, but the exact 1 + z(t) is -5.5e-18
+        p = TLSProtocol(4.506134367529071, 19.240381668242193, -0.4742398359648804,
+                        0.022934509101127036)
+        t = math.nextafter(p.t_max, 0.0)
+        assert p.z(t) > -1.0
+        with pytest.raises(DomainExceeded, match="reaches 1"):
+            p.theta(t)
+
+
 def _ho_moments_to_vector(mean, cov, w, w0, m):
     """{H, L, C, K, J, 1} from the first and second moments at frequency w,
     the quadratic block scaled by w0/w."""
