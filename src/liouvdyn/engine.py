@@ -296,7 +296,6 @@ def propagate_inertial(
     fact: GeneratorFactorization,
     v0: LiouvilleVector,
     t: float,
-    include_geo: bool = True,
     *,
     phase_tol: float = _PHASE_TOL,
 ) -> tuple[LiouvilleVector, InertialSolution]:
@@ -314,12 +313,11 @@ def propagate_inertial(
         raise ValueError("propagation runs forward from t = 0")
     if t >= fact.t_max:
         raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
-    n = v0.dim
     if t == 0.0:
         B0 = fact.B_of_chi(fact.chi_of_t(np.zeros(1)))
         _, rights, lefts = eigenframes(B0, blocks=fact.blocks)
         c = lefts[0].conj().T @ v0.coeffs
-        zeros = np.zeros(n, dtype=complex)
+        zeros = np.zeros(v0.dim, dtype=complex)
         sol = InertialSolution(
             c=c, dyn_phase=zeros, geo_phase=zeros, Lambda=zeros, t=0.0
         )
@@ -342,9 +340,8 @@ def propagate_inertial(
         raise NotConverged(f"phase integrals not stable to {phase_tol} at {level + 1} points")
 
     c = frames[2][-1].conj().T @ v0.coeffs
-    used_geo = geo if include_geo else np.zeros(n, dtype=complex)
-    out = final @ (c * np.exp(-1j * dyn + 1j * used_geo))
-    sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=used_geo, Lambda=dyn - used_geo,
+    out = final @ (c * np.exp(-1j * dyn + 1j * geo))
+    sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=geo, Lambda=dyn - geo,
                            t=t, nodes=level + 1, delta=float(delta))
     return LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
 

@@ -8,10 +8,10 @@ curvature flux through a surface spanning the circuit (surface form).
 Stokes' theorem ties the two on circuits that do not enclose spectral
 degeneracies; degeneracy-enclosing circuits are refused.
 
-Both discretizations converge at least at second order in the step; the
-refinement loop doubles the sampling, extrapolates at the contraction
-order it actually observes, and stops once successive extrapolants
-agree.
+Both discretizations converge at second order in the step; the
+refinement loop doubles the sampling, Richardson-extrapolates each level
+with the one before, and stops once two raw levels or two successive
+extrapolants agree on every mode.
 """
 
 import functools
@@ -45,8 +45,9 @@ _ENDPOINT_TOL = 1e-12
 class ParameterCircuit:
     """Piecewise-smooth parameter curve chi(s), s in [0, 1].
 
-    ``samples`` sets the base discretization of the refinement loop;
-    closed circuits must return to their starting point.
+    ``samples`` is the number of segments of the refinement loop's first
+    level, doubled each level until the second-order extrapolation
+    settles; closed circuits must return to their starting point.
     """
 
     path: object
@@ -272,47 +273,36 @@ def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.nda
 
 
 def _refine(evaluate, n0: int) -> np.ndarray:
-    """Doubling loop with Richardson extrapolation at the observed order.
+    """Doubling loop with second-order Richardson extrapolation.
 
-    ``evaluate(n)`` returns the estimates of every mode at n samples.
-    The contraction ratio of each mode's doubling sequence fixes its
-    extrapolation weight (Aitken form), so second-order estimators and
-    faster-converging special cases are handled alike.  A mode stops as
-    soon as its raw sequence goes flat or two successive extrapolants
-    agree, and keeps that value; the loop returns once every mode has
-    stopped and raises NotConverged if any has not.
+    ``evaluate(n)`` returns the estimates of every mode at n samples.  Each
+    level is extrapolated with the one before, E = R + (R - R_prev) / 3.
+    The loop returns the raw level once two raw levels agree within
+    _REFINE_TOL / 10 on every mode, or the extrapolant once two successive
+    extrapolants agree within _REFINE_TOL on every mode.  A level raising
+    AmbiguousMatching is skipped; NotConverged names the modes whose last
+    two extrapolants disagree.
     """
-    raws = []
-    result = prev_ext = done = None
+    coarse = previous = pending = None
     n = int(n0)
     for _ in range(_MAX_DOUBLINGS + 1):
         try:
-            raws.append(np.asarray(evaluate(n), dtype=float))
+            raw = np.asarray(evaluate(n), dtype=float)
         except AmbiguousMatching:
-            raws.append(None)  # sampling too coarse to track modes; refine
-        if len(raws) >= 2 and raws[-1] is not None and raws[-2] is not None:
-            if result is None:
-                result = prev_ext = np.full(raws[-1].shape, np.nan)
-                done = np.zeros(raws[-1].shape, dtype=bool)
-            d_new = raws[-1] - raws[-2]
-            stop = ~done & (np.abs(d_new) <= 0.1 * _REFINE_TOL)
-            result = np.where(stop, raws[-1], result)
-            if len(raws) >= 3 and raws[-3] is not None:
-                d_old = raws[-2] - raws[-3]
-                moving = ~done & ~stop & (np.abs(d_old) > 2.0 * np.abs(d_new))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ext = raws[-1] + d_new * d_new / (d_old - d_new)
-                    agree = moving & (np.abs(ext - prev_ext) <= _REFINE_TOL)
-                result = np.where(agree, ext, result)
-                prev_ext = np.where(moving, ext, prev_ext)
-                stop |= agree
-            done = done | stop
-            if done.all():
-                return result
-        n *= 2
-    pending = "every mode" if done is None else f"modes {np.flatnonzero(~done).tolist()}"
+            raw = None  # sampling too coarse to track modes; refine
+        fine = None
+        if raw is not None and coarse is not None:
+            if np.all(np.abs(raw - coarse) <= 0.1 * _REFINE_TOL):
+                return raw
+            fine = raw + (raw - coarse) / 3.0
+            if previous is not None:
+                pending = ~(np.abs(fine - previous) <= _REFINE_TOL)
+                if not pending.any():
+                    return fine
+        coarse, previous, n = raw, fine, 2 * n
+    modes = "every mode" if pending is None else f"modes {np.flatnonzero(pending).tolist()}"
     raise NotConverged(
-        f"phase estimate of {pending} not stable to {_REFINE_TOL} after "
+        f"phase estimate of {modes} not stable to {_REFINE_TOL} after "
         f"{_MAX_DOUBLINGS} doublings"
     )
 
@@ -378,9 +368,9 @@ def line_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.ndarra
     """Transport phases of every mode: -Im sum_i ln (G_k(chi_i) | F_k(chi_{i+1})).
 
     Gauge-invariant for closed circuits.  One walk per refinement level
-    serves every mode; the discretization is doubled,
-    Richardson-extrapolated, and each mode declared converged when its
-    successive extrapolants move by no more than 1e-8.
+    serves every mode; the discretization is doubled and
+    Richardson-extrapolated at second order until every mode's raw levels
+    agree within 1e-9 or its successive extrapolants within 1e-8.
     """
     return _refine(
         lambda n: -_walk_logs(family, circuit.points(n), circuit.closed).imag,
@@ -392,8 +382,10 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     """Curvature flux -Im of every mode through a cone spanning the circuit.
 
     The surface is a cone swept from the boundary centroid, integrated
-    with Gauss-Legendre nodes along each spoke and a midpoint rule along
-    the boundary, refined like the line form.  Each refinement level
+    with a fixed 8-node Gauss-Legendre rule along each spoke and a
+    midpoint rule along the boundary, refined like the line form.  A
+    level of n segments samples the path once, at 2n uniform steps whose
+    even and odd points are the segment ends and midpoints.  Each level
     evaluates the curvature on every segment's spoke nodes at once, one
     stack per slice of whole segments of at most ``linalg.STACK_NODES``
     nodes.  One parameter dimension has no enclosed area, so every phase
@@ -411,18 +403,17 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     def padded(v):
         return np.pad(v, ((0, 0), (0, 3 - v.shape[1])))
 
+    # the boundary's midpoint rule carries the second-order error the
+    # extrapolation removes; a fixed 8-node spoke rule sits far below the
+    # tolerance, and its residual is a near-constant offset that cancels
+    # between levels, so the rule needs no more nodes as n grows
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    r, w = (nodes + 1.0) / 2.0, weights / 2.0
+
     def evaluate(n):
-        pts = circuit.points(n)
+        both = circuit.points(2 * n)
+        pts, mids = both[::2], both[1::2]
         center = pts[:-1].mean(axis=0)
-        # boundary error dominates, so the spoke rule only needs enough
-        # nodes that its residual keeps shrinking under refinement
-        nodes, weights = np.polynomial.legendre.leggauss(
-            max(8, round(2.0 * math.log2(n)))
-        )
-        r, w = (nodes + 1.0) / 2.0, weights / 2.0
-        mids = np.array(
-            [np.atleast_1d(np.asarray(circuit.path((i + 0.5) / n), dtype=float)) for i in range(n)]
-        )
         spokes = mids - center
         patches = np.cross(padded(spokes), padded(np.diff(pts, axis=0)))
         # per spoke node, segment-major
@@ -432,9 +423,9 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
         step = r.size * max(1, STACK_NODES // r.size)
         flux = 0.0
         for lo in range(0, len(chis), step):
-            nodes = slice(lo, lo + step)
-            curv = _curvatures(family, chis[nodes])
-            terms = node_weights[nodes] * (curv @ node_patches[nodes])[..., 0]
+            chunk = slice(lo, lo + step)
+            curv = _curvatures(family, chis[chunk])
+            terms = node_weights[chunk] * (curv @ node_patches[chunk])[..., 0]
             # node by node from 0.0: a dot product rounds differently, and
             # the extrapolation amplifies that to ~5e-14
             terms[0] = flux + terms[0]

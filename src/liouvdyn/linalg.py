@@ -414,6 +414,16 @@ def su2(w: np.ndarray) -> np.ndarray:
     return np.stack([c - 1j * z, -1j * x - y, -1j * x + y, c + 1j * z], axis=1).reshape(-1, 2, 2)
 
 
+def magnus_ladder(angle: float, intervals: int, least: int = 1) -> tuple:
+    """(cap, levels) of a Magnus flow over ``intervals`` grid intervals, the
+    widest turning by ``angle`` rad: the levels, in steps per interval,
+    double from about MAGNUS_STEPS_PER_RAD per radian (at least ``least``)
+    while within the cap of max(MAGNUS_MAX_STEPS, 2 intervals) steps."""
+    cap = max(MAGNUS_MAX_STEPS, 2 * intervals)
+    s = max(least, 2 ** round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
+    return cap, [s << i for i in range(cap.bit_length()) if (s << i) * intervals <= cap]
+
+
 def su2_flow(field, ts, steps, *, rtol: float, atol: float) -> np.ndarray:
     """Time-ordered U(t) of U' = -i (k(t) . sigma / 2) U, U(ts[0]) = I, at
     every time of the grid ``ts``.
@@ -423,8 +433,8 @@ def su2_flow(field, ts, steps, *, rtol: float, atol: float) -> np.ndarray:
     multiplied by ``ordered_product``; prefix products over the intervals
     give U on the grid.  s runs over ``steps`` (powers of two, each level's
     steps per interval) until two levels agree within atol + rtol |U| in
-    every entry.  Raises NotConverged when none do; the callers' levels
-    stop at max(MAGNUS_MAX_STEPS, 2 N) steps, which the message names.
+    every entry.  Raises NotConverged when none do, naming the cap of the
+    callers' ``magnus_ladder``, max(MAGNUS_MAX_STEPS, 2 N) steps.
     """
     ts = np.asarray(ts, dtype=float)
     dt = np.diff(ts)

@@ -25,7 +25,7 @@ from .errors import (
     SingularDenominator,
     UnphysicalState,
 )
-from .linalg import MAGNUS_MAX_STEPS, MAGNUS_STEPS_PER_RAD, su2_flow
+from .linalg import magnus_ladder, su2_flow
 
 # basis block layout: (energy-like triple)(linear pair)(identity)
 HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
@@ -830,13 +830,11 @@ class TLSModel:
         the identity entry stays put.  That is the Bloch vector of a spin
         with U' = -i (k . sigma / 2) U, so ``linalg.su2_flow`` on the grid
         [0, t] gives U, and v turns by its adjoint R_ab = Re tr(sigma_a U
-        sigma_b U^dagger) / 2.  The flow's first level takes about
-        MAGNUS_STEPS_PER_RAD steps per radian of rotation, at least
-        _MAGNUS_MIN_STEPS, doubling until two levels agree within atol +
-        rtol |U| in every entry; NotConverged past
-        ``linalg.MAGNUS_MAX_STEPS`` steps, and IntegratorFailure when R is
-        not orthogonal to 1e-9.  Guards and result otherwise as
-        ``engine.propagate_exact``.
+        sigma_b U^dagger) / 2.  The flow runs the ``linalg.magnus_ladder``
+        levels, from at least _MAGNUS_MIN_STEPS steps, until two agree
+        within atol + rtol |U| in every entry; NotConverged past its cap,
+        and IntegratorFailure when R is not orthogonal to 1e-9.  Guards
+        and result otherwise as ``engine.propagate_exact``.
         """
         p = self.protocol
         if t < 0.0:
@@ -855,8 +853,7 @@ class TLSModel:
 
         # the rotation angle is at most theta sqrt(1 + mu^2), mu linear in t
         angle = theta * math.hypot(1.0, max(abs(p.mu(0.0)), abs(p.mu(t))))
-        n = max(_MAGNUS_MIN_STEPS, 2 ** round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
-        steps = [n << i for i in range(MAGNUS_MAX_STEPS.bit_length()) if n << i <= MAGNUS_MAX_STEPS]
+        steps = magnus_ladder(angle, 1, _MAGNUS_MIN_STEPS)[1]
         U = su2_flow(field, [0.0, t], steps, rtol=rtol, atol=atol)[-1]
         turned = U @ _PAULI @ U.conj().T
         R = 0.5 * np.einsum("aij,bji->ab", _PAULI, turned).real

@@ -29,11 +29,10 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import (
-    MAGNUS_MAX_STEPS,
-    MAGNUS_STEPS_PER_RAD,
     bi_eigendecompose,
     chebyshev_coefficients,
     chebyshev_levels,
+    magnus_ladder,
     su2,
     su2_flow,
 )
@@ -394,16 +393,11 @@ def _zero_mode_frame(F, weights):
 
 
 def magnus_levels(protocol, ts):
-    """The step cap and the Magnus steps per grid interval of each level
-    the driven free propagator may take on ``ts``: from about
-    MAGNUS_STEPS_PER_RAD per radian of the widest interval's rotation,
-    doubling while a level stays within the cap of MAGNUS_MAX_STEPS steps
-    (or two steps per interval)."""
-    n, Om = len(ts) - 1, protocol.Omega(ts)
+    """The ``linalg.magnus_ladder`` of the driven free propagator on
+    ``ts``, each interval turning by dt times the larger Omega at its ends."""
+    Om = protocol.Omega(ts)
     angle = float(np.max(np.diff(ts) * np.maximum(Om[1:], Om[:-1])))
-    s = 2 ** max(0, round(math.log2(MAGNUS_STEPS_PER_RAD * angle)))
-    cap = max(MAGNUS_MAX_STEPS, 2 * n)
-    return cap, [s << i for i in range(cap.bit_length()) if (s << i) * n <= cap]
+    return magnus_ladder(angle, len(ts) - 1)
 
 
 def _phases(spec: MasterEquationSpec, bath: BathSpec, ts, weights, levels, rtol, atol):

@@ -638,45 +638,6 @@ def effective_frequencies(model, t: float) -> np.ndarray:
     return ((lam[0] - 1j * conn * drift) * pace).real
 
 
-# ---------------------------------------------------------------------------
-# geometric phases: the scalar refinement loop and the per-point curvature
-# ---------------------------------------------------------------------------
-
-
-class RefineNotConverged(Exception):
-    """The scalar refinement loop ran out of doublings."""
-
-
-def scalar_refine(evaluate, n0, *, skip, tol=1e-8, max_doublings=6):
-    """One mode's doubling loop with observed-order (Aitken) extrapolation.
-
-    ``evaluate(n)`` returns one float or raises ``skip`` when n samples
-    are too coarse.  Returns as soon as the raw sequence goes flat or two
-    successive extrapolants agree; raises RefineNotConverged otherwise.
-    """
-    raws = []
-    prev_ext = None
-    n = int(n0)
-    for _ in range(max_doublings + 1):
-        try:
-            raws.append(evaluate(n))
-        except skip:
-            raws.append(None)
-        if len(raws) >= 2 and raws[-1] is not None and raws[-2] is not None:
-            d_new = raws[-1] - raws[-2]
-            if abs(d_new) <= 0.1 * tol:
-                return raws[-1]
-            if len(raws) >= 3 and raws[-3] is not None:
-                d_old = raws[-2] - raws[-3]
-                if abs(d_old) > 2.0 * abs(d_new):
-                    ext = raws[-1] + d_new * d_new / (d_old - d_new)
-                    if prev_ext is not None and abs(ext - prev_ext) <= tol:
-                        return ext
-                    prev_ext = ext
-        n *= 2
-    raise RefineNotConverged(f"not stable to {tol} after {max_doublings} doublings")
-
-
 def ho_theta_mp(omega0, chi0, a, t, dps=40):
     """Scaled time of the oscillator ramp, int_0^t ds / q(s) with q(s) =
     1/omega0 - chi0 s - a s^2 / 2, by mpmath quadrature at ``dps`` digits."""
@@ -744,6 +705,11 @@ def tls_theta_mp(epsilon, omega0, chi0, t, abar=0.0, dps=50):
             cuts,
         )
     return float(value)
+
+
+# ---------------------------------------------------------------------------
+# geometric phases: the per-point curvature and the per-segment surface
+# ---------------------------------------------------------------------------
 
 
 def _plain_frame(B, gap_threshold=1e-8):
@@ -822,13 +788,33 @@ def plain_frame_curvature(family, chi, *, gap_threshold=1e-8):
     return np.einsum("cnm,nm->nc", cross, weight)
 
 
+def polygon_solid_angle(points):
+    """Signed solid angle at the origin of a planar convex polygon.
+
+    ``points`` are the (N, 3) vertices in order, not repeating the first.
+    The polygon is fanned from its first vertex into triangles, each
+    summed by the formula of Van Oosterom and Strackee (IEEE Trans. Biomed.
+    Eng. 30, 125, 1983), tan(Omega/2) = R1 . (R2 x R3) / (r1 r2 r3 +
+    (R1 . R2) r3 + (R1 . R3) r2 + (R2 . R3) r1).  Positive when the
+    vertices turn counterclockwise about the direction from the origin to
+    the polygon.
+    """
+    P = np.asarray(points, dtype=float)
+    R1, R2, R3 = P[0], P[1:-1], P[2:]
+    r1, r2, r3 = np.linalg.norm(R1), np.linalg.norm(R2, axis=1), np.linalg.norm(R3, axis=1)
+    triple = np.cross(R2, R3) @ R1
+    den = r1 * r2 * r3 + (R2 @ R1) * r3 + (R3 @ R1) * r2 + np.sum(R2 * R3, axis=1) * r1
+    return float(2.0 * np.sum(np.arctan2(triple, den)))
+
+
 def segment_surface_phases(family, circuit):
     """Curvature flux of every mode, one curvature stack per boundary segment.
 
     The cone surface of ``geometric.surface_phases`` evaluated segment by
-    segment: each segment's spoke nodes make one ``_curvatures`` stack,
-    and the flux is summed node by node from 0.0, under the package's
-    doubling loop.  ``circuit`` is a closed ParameterCircuit of two or
+    segment: each segment's 8 Gauss-Legendre spoke nodes make one
+    ``_curvatures`` stack, each midpoint is sampled on its own, and the
+    flux is summed node by node from 0.0, under the package's doubling
+    loop.  ``circuit`` is a closed ParameterCircuit of two or
     three parameters.
     """
     from liouvdyn.geometric import _curvatures, _refine
@@ -841,7 +827,7 @@ def segment_surface_phases(family, circuit):
     def evaluate(n):
         pts = circuit.points(n)
         center = pts[:-1].mean(axis=0)
-        nodes, weights = np.polynomial.legendre.leggauss(max(8, round(2.0 * math.log2(n))))
+        nodes, weights = np.polynomial.legendre.leggauss(8)
         r, w = (nodes + 1.0) / 2.0, weights / 2.0
         flux = 0.0
         for i in range(n):

@@ -245,14 +245,10 @@ class TestInertialPropagation:
         v, _ = propagate_inertial(fact, v0, 1.5)
         assert abs(v.coeffs[5] - 1.0) < 1e-12
 
-    def test_geo_flag_and_lambda_bookkeeping(self):
+    def test_lambda_bookkeeping(self):
         _, fact, v0 = tls_setup(chi0=-0.03, abar=4e-3)
-        t = 1.0
-        v_on, sol_on = propagate_inertial(fact, v0, t, include_geo=True)
-        v_off, sol_off = propagate_inertial(fact, v0, t, include_geo=False)
-        assert np.all(sol_off.geo_phase == 0)
-        assert np.allclose(sol_off.Lambda, sol_off.dyn_phase)
-        assert np.allclose(sol_on.Lambda, sol_on.dyn_phase - sol_on.geo_phase)
+        _, sol = propagate_inertial(fact, v0, 1.0)
+        assert np.allclose(sol.Lambda, sol.dyn_phase - sol.geo_phase)
 
     def test_outperforms_adiabatic_on_ramp(self):
         model, fact, v0 = ho_setup(chi0=-0.045, a=-4e-3)
