@@ -19,10 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-# scipy is imported inside the two functions that call it, `propagate_exact`
-# and `inverse_scaled_time`: it is most of the package's import time, and
-# no CLI experiment calls either.
-
 from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
 from .linalg import (
     EigenFrame,
@@ -126,9 +122,11 @@ class InertialSolution:
 
 
 def inverse_scaled_time(protocol, theta: float) -> float:
-    """The physical time at which the protocol reaches scaled time theta."""
-    import scipy.optimize
+    """The first double t at which the protocol's scaled time reaches theta.
 
+    Bisects a bracket [lo, hi] with theta(lo) < theta <= theta(hi) in
+    plain floats until lo and hi are adjacent doubles, and returns hi.
+    """
     if theta < 0.0:
         raise ValueError("scaled time runs forward from 0")
     if theta == 0.0:
@@ -148,11 +146,15 @@ def inverse_scaled_time(protocol, theta: float) -> float:
             hi *= 2.0
         else:
             raise DomainExceeded("scaled time not reached at any finite time")
-    return float(
-        scipy.optimize.brentq(
-            lambda s: protocol.theta(s) - theta, 0.0, hi, xtol=1e-14
-        )
-    )
+    lo = 0.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        if protocol.theta(mid) < theta:
+            lo = mid
+        else:
+            hi = mid
 
 
 def coefficients(frame: EigenFrame, v0) -> np.ndarray:
@@ -181,9 +183,16 @@ def propagate_exact(
     """Reference propagation by adaptive integration in scaled time.
 
     Integrates the augmented system (v, t) over theta, which keeps the
-    right-hand side well scaled even when Omega(t) grows steeply.
+    right-hand side well scaled even when Omega(t) grows steeply.  The
+    integrator is scipy's DOP853, which the ``reference`` extra installs;
+    this is the package's only use of scipy, and no CLI experiment calls it.
     """
-    import scipy.integrate
+    try:
+        import scipy.integrate
+    except ImportError as err:
+        raise ImportError(
+            "propagate_exact needs scipy: install the 'reference' extra"
+        ) from err
 
     if t < 0.0:
         raise ValueError("propagation runs forward from t = 0")

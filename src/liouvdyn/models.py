@@ -431,9 +431,10 @@ class TLSProtocol:
         As dz = epsilon mu ds and mu^2 = chi0^2 + (2 abar/epsilon)(z - z0)
         is linear in z, theta is a sum of integrals of dz / sqrt((1 - z)(1
         + z) mu^2) over the pieces on which z is monotone, split at the
-        turning point s* = -chi0/abar when 0 < s* < t.  A piece [s0, s1]
-        is 2 R_F(U12^2, U13^2, U14^2), the four-linear-factor reduction of
-        DLMF §19.29(i) with a4 = 1, b4 = 0:
+        turning point s* = -chi0/abar when 0 < s* < t.  With abar = 0, s*
+        is inf, so a constant-rate or static ramp is one piece.  A piece
+        [s0, s1] is 2 R_F(U12^2, U13^2, U14^2), the four-linear-factor
+        reduction of DLMF §19.29(i) with a4 = 1, b4 = 0:
             U12 = (X1 X2 Y3 + Y1 Y2 X3) / (z1 - z0),
             U13 = (X1 X3 Y2 + Y1 Y3 X2) / (z1 - z0),
             U14 = (X1 Y2 Y3 + Y1 X2 X3) / (z1 - z0),
@@ -449,16 +450,14 @@ class TLSProtocol:
         self._require_valid(t)
         if t == 0.0:
             return 0.0
-        if self.abar == 0.0:
-            if self.chi0 == 0.0:
-                return self.Omega0 * t
-            return self._constant_rate_theta(t)
-        turn = -self.chi0 / self.abar
+        turn = -self.chi0 / self.abar if self.abar else math.inf
         cuts = (0.0, turn, t) if 0.0 < turn < t else (0.0, t)
         ends = [self._edge_roots(s, turn) for s in cuts]
         theta = 0.0
         for s0, s1, (r0, a0, b0), (r1, a1, b1) in zip(cuts, cuts[1:], ends, ends[1:]):
-            total = r0 + r1  # 0 only where abar s underflows on a chi0 = 0 ramp
+            # 0 on a static ramp, or where abar s underflows on a chi0 = 0
+            # one: z stays put, and any p + q = 1 gives W = sqrt(1 - z^2)
+            total = r0 + r1
             p, q = (r1 / total, r0 / total) if total else (0.5, 0.5)
             w12 = a1 * b1 * q + a0 * b0 * p
             w13 = a1 * b0 * p + a0 * b1 * q
@@ -503,26 +502,6 @@ class TLSProtocol:
         if not (below > 0.0 and above > 0.0):
             raise DomainExceeded(f"|z| reaches 1 by t={s}, the edge of the protocol domain")
         return rate, math.sqrt(below), math.sqrt(above)
-
-    def _constant_rate_theta(self, t: float) -> float:
-        """theta = (asin(z1) - asin(z0)) / chi0 for abar = 0, z1 = z(t).
-
-        The difference cancels when chi0 is small.  While z0 and z1 lie on
-        one side of 0 it equals asin(w) with w = (z1^2 - z0^2) / (z1 c0 +
-        z0 c1), c = sqrt(1 - z^2), so w = chi0 t g with g = epsilon (z0 +
-        z1) / (z1 c0 + z0 c1), and theta = t g asin(w)/w, in which nothing
-        cancels.  On opposite sides the difference adds two magnitudes.
-        """
-        z0, z1 = self.z0, self.z(t)
-        if (z0 < 0.0) != (z1 < 0.0):
-            return (math.asin(z1) - math.asin(z0)) / self.chi0
-        c0, c1 = self.epsilon / self.Omega0, math.sqrt((1.0 - z1) * (1.0 + z1))
-        den = z1 * c0 + z0 * c1
-        # den is 0 only where z0 = z1 = 0, and there Omega = epsilon = Omega0
-        g = self.epsilon * ((z0 + z1) / den) if den else self.Omega0
-        # rounding can carry |w| past 1 within an ulp of the domain edge
-        w = max(-1.0, min(1.0, self.chi0 * t * g))
-        return t * g * (math.asin(w) / w if w else 1.0)
 
     @classmethod
     def solve_boundary(

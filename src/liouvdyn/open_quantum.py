@@ -469,7 +469,6 @@ def mesolve(
     rho0,
     t_grid,
     *,
-    dipole=None,
     lamb_shift_enabled: bool = False,
     picture: str = "schrodinger",
     rtol: float = 1e-10,
@@ -478,7 +477,8 @@ def mesolve(
     """Evolve a two-level state under the driven-system master equation.
 
     Solves the interaction-picture GKLS equation with channel rates
-    gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)) without an ODE and, on
+    gamma_j = |a_j|^2 decay_rate(bath, alpha_j(t)), a_j the weights of the
+    S_x dipole (``build_master_equation``), without an ODE and, on
     request, maps back to the lab frame with the exact free propagator of
     H(t) = omega(t) S_z + epsilon S_x: one SU(2) exponential
     (``linalg.su2``) of t (epsilon, 0, omega) for a static drive, the
@@ -495,7 +495,7 @@ def mesolve(
     """
     if picture not in ("schrodinger", "interaction"):
         raise ValueError("picture must be 'schrodinger' or 'interaction'")
-    spec = build_master_equation(model, dipole)
+    spec = build_master_equation(model)
     p = model.protocol
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:

@@ -246,6 +246,25 @@ def diagnose_configs(draw):
 
 
 @st.composite
+def sweep_configs(draw):
+    # both kinds at drawn accelerations, 0 included: an unaccelerated
+    # two-level ramp has a constant rate, one R_F piece of scaled time
+    experiment = draw(st.sampled_from(("sweep", "single")))
+    kind = draw(st.sampled_from(("ho", "tls")))
+    protocol = {
+        "omega_target": draw(st.floats(8.5, 40.0)),
+        "acceleration": draw(st.just(0.0) | _EXTREMES | st.floats(-0.05, 0.05)),
+    }
+    if experiment == "sweep":
+        numerics = {"points": draw(st.integers(2, 3))}
+    else:
+        protocol["t_f"] = draw(st.floats(0.01, 5.0))
+        numerics = {}
+    return {"experiment": experiment, "model": {"kind": kind},
+            "protocol": protocol, "numerics": numerics}
+
+
+@st.composite
 def geo_configs(draw):
     kind = draw(st.sampled_from(KINDS))
     width = 1 if kind in ("ho", "tls") else 2
@@ -292,10 +311,10 @@ def open_configs(draw):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestRunFuzz:
-    """Whole ``diagnose``, ``geo`` and ``open`` runs on drawn file configs
-    end with a documented exit code, no traceback, no RuntimeWarning (an
-    overflow or an invalid operation), and a manifest status that says the
-    same as the code."""
+    """Whole ``sweep``, ``single``, ``diagnose``, ``geo`` and ``open`` runs
+    on drawn file configs end with a documented exit code, no traceback, no
+    RuntimeWarning (an overflow or an invalid operation), and a manifest
+    status that says the same as the code."""
 
     STATUS = {0: ("ok",), 3: ("partial",), 4: ("failed", None), 2: (None,)}
 
@@ -316,6 +335,13 @@ class TestRunFuzz:
     @example({"experiment": "diagnose", "model": {"kind": "ho"}, "protocol": {"t_f": 1e300}})
     @example({"experiment": "diagnose", "model": {"kind": "tls"}, "protocol": {"t_f": 1e-300}})
     def test_diagnose(self, config):
+        self.run(config)
+
+    @settings(max_examples=60)
+    @given(sweep_configs())
+    @example({"experiment": "sweep", "model": {"kind": "tls"},
+              "protocol": {"acceleration": 0.0}, "numerics": {"points": 2}})
+    def test_sweep(self, config):
         self.run(config)
 
     @settings(max_examples=30)
@@ -1097,20 +1123,13 @@ class TestDiagnoseStack:
         assert errors == expected_errors
 
 
-def _scipy_modules_after(*runs) -> str:
-    """The scipy modules a fresh interpreter holds after the given CLI runs
-    (argument lists, each of which must exit 0), as a printed sorted list.
-    A fresh interpreter, so no earlier test has imported scipy already."""
-    script = (
-        "import json, sys\n"
-        "import liouvdyn.cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert liouvdyn.cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
+def _last_line_of(script, *args) -> str:
+    """The last line a fresh interpreter prints running ``script`` with
+    ``args``, which must exit 0.  A fresh interpreter, so no earlier test
+    has imported a module already."""
     src = Path(cli.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(runs)],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -1118,6 +1137,25 @@ def _scipy_modules_after(*runs) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
+
+
+# runs the CLI argument lists in sys.argv[1], each of which must exit 0
+_CLI_RUNS = (
+    "import json, sys\n"
+    "import liouvdyn.cli\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert liouvdyn.cli.main(argv) == 0, argv\n"
+)
+
+
+def _scipy_modules_after(*runs) -> str:
+    """The scipy modules a fresh interpreter holds after the given CLI runs
+    (argument lists, each of which must exit 0), as a printed sorted list."""
+    return _last_line_of(
+        _CLI_RUNS
+        + "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n",
+        json.dumps(runs),
+    )
 
 
 def test_geo_and_diagnose_leave_scipy_unimported(tmp_path):
@@ -1153,16 +1191,43 @@ def test_import_leaves_fft_and_polynomial_unloaded():
         "import liouvdyn\n"
         "print(sorted(m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules))\n"
     )
-    src = Path(cli.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
+    assert _last_line_of(script) == "[]"
+
+
+def test_everything_but_the_exact_reference_runs_with_scipy_refused(tmp_path):
+    # scipy is the optional ``reference`` extra: an interpreter whose import
+    # system refuses it runs every experiment and model kind and inverts the
+    # scaled time, and propagate_exact names the extra it needs
+    refuse = (
+        "import importlib.abc, sys\n"
+        "class Refuse(importlib.abc.MetaPathFinder):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    probe = (
+        "import math\n"
+        "from liouvdyn import engine, models\n"
+        "for p in (models.HOProtocol(20.0, -0.04, -5e-3),\n"
+        "          models.TLSProtocol(8.0, math.sqrt(336.0), -0.03, 5e-3)):\n"
+        "    assert abs(engine.inverse_scaled_time(p, p.theta(0.5)) - 0.5) < 1e-14\n"
+        "model = models.HOModel(protocol=models.HOProtocol(20.0, -0.04, -5e-3))\n"
+        "try:\n"
+        "    engine.propagate_exact(model.factorization(), models.initial_vector(model), 0.5)\n"
+        "except ImportError as err:\n"
+        "    print(err)\n"
+        "else:\n"
+        "    print('propagate_exact ran')\n"
+    )
+    out = str(tmp_path)
+    runs = [
+        [experiment, "--model", kind, "--out", out]
+        for experiment in ("sweep", "single", "diagnose")
+        for kind in ("ho", "tls")
+    ]
+    runs += [["open", "--out", out]] + [["geo", "--model", kind, "--out", out] for kind in KINDS]
+    assert "'reference' extra" in _last_line_of(refuse + _CLI_RUNS + probe, json.dumps(runs))
 
 
 class TestOpenCommand:

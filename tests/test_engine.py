@@ -64,16 +64,27 @@ class TestScaledTime:
         assert p.theta(0.5) == 10.0
         assert p.theta(0.0) == 0.0
 
+    @staticmethod
+    def assert_first_double(p, t):
+        # the inverse of theta(t) is the first double at which theta reaches it
+        theta = p.theta(t)
+        r = inverse_scaled_time(p, theta)
+        assert p.theta(math.nextafter(r, 0.0)) < theta <= p.theta(r)
+
     def test_round_trip(self):
         for p in (
             HOProtocol(20.0, -0.05, 0.0),
             HOProtocol(20.0, -0.04, -5e-3),
             HOProtocol(20.0, 0.03, 1e-3),
             TLSProtocol(8.0, math.sqrt(336.0), -0.0375, 0.0),
+            TLSProtocol(8.0, math.sqrt(336.0), -0.03, 5e-3),
         ):
-            for t in (0.2, 0.8, 1.4):
-                theta = p.theta(t)
-                assert abs(inverse_scaled_time(p, theta) - t) < 1e-10
+            for t in (1e-6, 1e-3, 0.05, 0.2, 0.8, 1.4):
+                self.assert_first_double(p, t)
+
+    @given(st.sampled_from(["ho", "tls"]), st.floats(0.05, 5.0), st.floats(-6.0, 0.0))
+    def test_round_trip_on_sweep_ramps(self, kind, t_f, log_fraction):
+        self.assert_first_double(sweep_ramp(kind, t_f).protocol, 10.0**log_fraction * t_f)
 
     def test_inverse_rejects_unreachable(self):
         p = TLSProtocol(8.0, math.sqrt(336.0), -0.0375, 0.0)

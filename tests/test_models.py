@@ -608,8 +608,9 @@ def _signed(log_lo: float, log_hi: float):
 
 
 class TestTLSAcceleratedTheta:
-    """theta of an accelerated spin ramp as Carlson R_F pieces split at the
-    turning point s* = -chi0/abar, against a 50-digit quadrature."""
+    """theta of a spin ramp, accelerated, constant-rate or static, as Carlson
+    R_F pieces split at the turning point s* = -chi0/abar (inf for abar =
+    0), against a 50-digit quadrature."""
 
     @staticmethod
     def turning(p):
@@ -621,7 +622,7 @@ class TestTLSAcceleratedTheta:
         st.floats(0.5, 10.0),
         st.floats(0.0, 20.0),
         _signed(-3.0, 0.5),
-        _signed(-12.0, 1.0),
+        _signed(-12.0, 1.0) | st.just(0.0),
         st.floats(0.0, 1.0 - 1e-9) | st.floats(-9.0, -0.01).map(lambda u: 1.0 - 10.0**u),
     )
     # s* inside [0, t] with |z_c| < 1: z turns and runs back to -1
@@ -635,9 +636,14 @@ class TestTLSAcceleratedTheta:
     @example(8.0, 15.0, 0.05, -1e-12, 1.0 - 1e-9)
     # chi0 = 0: s* = 0, one piece from a standing start
     @example(4.0, 3.0, 0.0, 0.3, 0.7)
+    # abar = 0: one piece, at the edge of the domain, static, and at a tiny rate
+    @example(8.0, 15.0, 0.05, 0.0, 1.0 - 1e-9)
+    @example(8.0, 15.0, 0.0, 0.0, 0.5)
+    @example(8.0, 15.0, 1e-12, 0.0, 1.0 - 1e-9)
     def test_matches_mpmath(self, epsilon, omega0, chi0, abar, fraction):
         p = TLSProtocol(epsilon, omega0, chi0, abar)
-        t = fraction * p.t_max
+        # a static ramp never leaves its domain: t is the fraction itself
+        t = fraction * (1.0 if p.static else p.t_max)
         want = oracles.tls_theta_mp(epsilon, omega0, chi0, t, abar)
         # a subnormal theta (from a subnormal t) holds only its absolute spacing
         assert abs(p.theta(t) - want) <= 1e-13 * abs(want) + math.ulp(0.0)
