@@ -24,7 +24,6 @@ from .engine import (
     GeneratorFactorization,
     InertialSolution,
     LiouvilleVector,
-    apply_identity_rescaling,
     coefficients,
     inverse_scaled_time,
     propagate_adiabatic,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .engine import (
     GeneratorFactorization,
-    apply_identity_rescaling,
     propagate_adiabatic,
     propagate_inertial,
 )
@@ -265,17 +264,21 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
 
 def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
     m = model.for_duration(t_f, omega_target)
+    mu_max, ups_max = max_parameters_along(m, t_f, samples)
+    # the scores mean nothing outside the model's diagonalizable domain
+    if mu_max >= m.mu_limit:
+        raise DomainExceeded(
+            f"max |mu| = {mu_max:.6g} reaches the exceptional point |mu| = {m.mu_limit:g}"
+        )
     fact = m.factorization()
     v0 = initial_vector(m)
     v_exact = m.exact_vector(t_f, rtol=tols[0], atol=tols[1])
     v_inertial, _ = propagate_inertial(fact, v0, t_f, phase_tol=tols[2])
     v_adiabatic = propagate_adiabatic(fact, v0, t_f)
     exact, inertial, adiabatic = (
-        reconstruct_state(m, apply_identity_rescaling(m, v, t_f), t_f)
-        for v in (v_exact, v_inertial, v_adiabatic)
+        reconstruct_state(m, v, t_f) for v in (v_exact, v_inertial, v_adiabatic)
     )
     deficit = one_minus_fidelity(exact, inertial)
-    mu_max, ups_max = max_parameters_along(m, t_f, samples)
     row = (
         1.0 - deficit,
         fidelity(exact, adiabatic),
@@ -283,11 +286,6 @@ def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
         ups_max,
         -math.log10(deficit) if deficit > 0.0 else math.inf,
     )
-    # the scores mean nothing outside the model's diagonalizable domain
-    if mu_max >= m.mu_limit:
-        raise DomainExceeded(
-            f"max |mu| = {mu_max:.6g} reaches the exceptional point |mu| = {m.mu_limit:g}"
-        )
     nan = [name for name, x in zip(SweepResult.COLUMNS[1:], row) if math.isnan(x)]
     if nan:
         raise FloatingPointError(f"{', '.join(nan)} evaluated to NaN")

@@ -157,6 +157,15 @@ def inverse_scaled_time(protocol, theta: float) -> float:
             hi = mid
 
 
+def require_propagation_time(t: float, t_max: float) -> None:
+    """The guard of every propagation to time t: ValueError before t = 0,
+    DomainExceeded at or past the protocol's end t_max."""
+    if t < 0.0:
+        raise ValueError("propagation runs forward from t = 0")
+    if t >= t_max:
+        raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+
+
 def coefficients(frame: EigenFrame, v0) -> np.ndarray:
     """Expansion coefficients c_k = (G_k | v0) in a bi-orthonormal frame."""
     vec = v0.coeffs if isinstance(v0, LiouvilleVector) else np.asarray(v0)
@@ -194,10 +203,7 @@ def propagate_exact(
             "propagate_exact needs scipy: install the 'reference' extra"
         ) from err
 
-    if t < 0.0:
-        raise ValueError("propagation runs forward from t = 0")
-    if t >= fact.t_max:
-        raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+    require_propagation_time(t, fact.t_max)
     theta_f = fact.theta_of_t(t)
     if theta_f == 0.0:
         return LiouvilleVector(coeffs=v0.coeffs.copy(), t=t, theta=0.0)
@@ -318,10 +324,7 @@ def propagate_inertial(
     mode that turns orthogonal to each of its node frames along the path
     raises SingularDenominator.
     """
-    if t < 0.0:
-        raise ValueError("propagation runs forward from t = 0")
-    if t >= fact.t_max:
-        raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+    require_propagation_time(t, fact.t_max)
     if t == 0.0:
         B0 = fact.B_of_chi(fact.chi_of_t(np.zeros(1)))
         _, rights, lefts = eigenframes(B0, blocks=fact.blocks)
@@ -353,17 +356,3 @@ def propagate_inertial(
     sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=geo, Lambda=dyn - geo,
                            t=t, nodes=level + 1, delta=float(delta))
     return LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
-
-
-def apply_identity_rescaling(model, v: LiouvilleVector, t: float) -> LiouvilleVector:
-    """Physical vector from the scaled one via per-component power weights.
-
-    Each component is multiplied by (base(t))^w with the model's weight
-    vector w; weight 0 leaves a component (notably the identity) untouched.
-    """
-    base = model.rescaling_base(t)
-    weights = np.asarray(model.rescaling_weights, dtype=float)
-    if weights.shape[0] != v.dim:
-        raise ValueError("rescaling weight vector does not match the basis")
-    coeffs = v.coeffs * np.power(base, weights)
-    return LiouvilleVector(coeffs=coeffs, t=t, theta=v.theta)

@@ -389,7 +389,7 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     evaluates the curvature on every segment's spoke nodes at once, one
     stack per slice of whole segments of at most ``linalg.STACK_NODES``
     nodes.  One parameter dimension has no enclosed area, so every phase
-    is zero.
+    is zero.  A patch area past the float range raises FloatingPointError.
     """
     if family.n_params > 3:
         raise UnsupportedDimension(
@@ -415,7 +415,8 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
         pts, mids = both[::2], both[1::2]
         center = pts[:-1].mean(axis=0)
         spokes = mids - center
-        patches = np.cross(padded(spokes), padded(np.diff(pts, axis=0)))
+        with np.errstate(over="raise"):
+            patches = np.cross(padded(spokes), padded(np.diff(pts, axis=0)))
         # per spoke node, segment-major
         chis = (center + r[:, None] * spokes[:, None, :]).reshape(-1, circuit.dim)
         node_patches = np.repeat(patches, r.size, axis=0)[:, :, None]

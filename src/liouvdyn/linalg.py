@@ -86,9 +86,10 @@ class Alignment:
 
 def _mode_order(lam: np.ndarray) -> np.ndarray:
     # per row of an (N, m) eigenvalue stack: magnitude groups first (rounded
-    # so +k/-k pairs tie), then descending real part, resolving the tie as
-    # {0, +k, -k} for the model generators
-    return np.lexsort((-lam.imag, -lam.real, np.round(np.abs(lam), 9)), axis=-1)
+    # so +k/-k pairs tie, as inf past |lambda| ~ 1.8e299), then descending
+    # real part, resolving the tie as {0, +k, -k} for the model generators
+    with np.errstate(over="ignore"):
+        return np.lexsort((-lam.imag, -lam.real, np.round(np.abs(lam), 9)), axis=-1)
 
 
 @functools.cache

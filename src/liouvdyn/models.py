@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import GeneratorFactorization, LiouvilleVector
+from .engine import GeneratorFactorization, LiouvilleVector, require_propagation_time
 from .errors import (
     DomainExceeded,
     IntegratorFailure,
@@ -33,6 +33,8 @@ HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
 TLS_BLOCKS = ((0, 3), (3, 4))
 
 _DEN_TOL = 1e-12
+# slack of the positivity, uncertainty and realness checks on physical states
+_STATE_TOL = 1e-6
 # fewest steps of the two-level exact flow's first Magnus level: on the
 # duration sweeps' shortest ramps Omega halves within t_f, and 32 steps
 # are where two levels first agree to 1e-10
@@ -219,6 +221,19 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
     return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / math.sqrt(a)
 
 
+def _checked_boundary(protocol, pace, t_f: float, target: float):
+    """The solved protocol, once t_f lies inside its domain (else
+    DomainExceeded) and pace(t_f) meets target within 1e-12 relative
+    (else ArithmeticError)."""
+    if protocol.t_max <= t_f:
+        raise DomainExceeded("protocol leaves its domain before the requested endpoint")
+    residual = abs(pace(t_f) - target)
+    # not <=: a ramp past the float range gives chi0 = inf and a NaN residual
+    if not residual <= 1e-12 * target:
+        raise ArithmeticError(f"boundary solve residual {residual:.3e} too large")
+    return protocol
+
+
 @dataclass(frozen=True)
 class HOProtocol:
     """Frequency ramp omega(t) = omega0 / (1 - omega0 (chi0 t + a t^2/2)).
@@ -283,15 +298,16 @@ class HOProtocol:
         w0 = self.omega(0.0)
         w = self.omega(t)
         wd = self.omega_dot(t)
-        wdd = self.omega_ddot(t)
-        if wd == 0.0 and wdd == 0.0:
-            return 0.0
         mu = wd / (w * w)
-        ksq = 4.0 - mu * mu
-        if ksq <= 0.0:
+        # before omega_ddot, whose mu^2 w^3 term overflows for large |mu|
+        if abs(mu) >= 2.0:
             raise SingularDenominator(
                 "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined"
             )
+        wdd = self.omega_ddot(t)
+        if wd == 0.0 and wdd == 0.0:
+            return 0.0
+        ksq = 4.0 - mu * mu
         log_ratio = math.log(w / w0)
         curv = wdd / w
         rate_sq = (wd / w) ** 2
@@ -342,17 +358,7 @@ class HOProtocol:
             raise ValueError("need t_f > 0 and a positive target frequency")
         chi0 = (1.0 / omega0 - 1.0 / omega_target - 0.5 * a * t_f * t_f) / t_f
         protocol = cls(omega0=omega0, chi0=chi0, a=a)
-        if protocol.t_max <= t_f:
-            raise DomainExceeded(
-                "protocol diverges before reaching the requested endpoint"
-            )
-        residual = abs(protocol.omega(t_f) - omega_target)
-        # not <=: a ramp past the float range gives chi0 = inf and a NaN residual
-        if not residual <= 1e-12 * omega_target:
-            raise ArithmeticError(
-                f"boundary solve residual {residual:.3e} too large"
-            )
-        return protocol
+        return _checked_boundary(protocol, protocol.omega, t_f, omega_target)
 
 
 @dataclass(frozen=True)
@@ -522,17 +528,7 @@ class TLSProtocol:
         z_f = math.sqrt(1.0 - (epsilon / Omega_target) ** 2)
         chi0 = (z_f - z0 - 0.5 * epsilon * abar * t_f * t_f) / (epsilon * t_f)
         protocol = cls(epsilon=epsilon, omega0=omega0, chi0=chi0, abar=abar)
-        if protocol.t_max <= t_f:
-            raise DomainExceeded(
-                "protocol leaves its domain before the requested endpoint"
-            )
-        residual = abs(protocol.Omega(t_f) - Omega_target)
-        # not <=: a ramp past the float range gives chi0 = inf and a NaN residual
-        if not residual <= 1e-12 * Omega_target:
-            raise ArithmeticError(
-                f"boundary solve residual {residual:.3e} too large"
-            )
-        return protocol
+        return _checked_boundary(protocol, protocol.Omega, t_f, Omega_target)
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +554,10 @@ class GaussianState:
     def uncertainty_product(self) -> float:
         return self.sigma_qq * self.sigma_pp - self.sigma_qp**2
 
-    def validate(self, tol: float = 1e-6) -> "GaussianState":
+    def validate(self) -> "GaussianState":
         if self.sigma_qq <= 0.0 or self.sigma_pp <= 0.0:
             raise UnphysicalState("covariances must be positive")
-        if self.uncertainty_product() < 0.25 - tol:
+        if self.uncertainty_product() < 0.25 - _STATE_TOL:
             raise UnphysicalState(
                 f"uncertainty product {self.uncertainty_product():.6f} "
                 "below the quantum bound 1/4"
@@ -585,8 +581,8 @@ class BlochState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.r))
 
-    def validate(self, tol: float = 1e-6) -> "BlochState":
-        if self.norm() > 1.0 + tol:
+    def validate(self) -> "BlochState":
+        if self.norm() > 1.0 + _STATE_TOL:
             raise UnphysicalState(f"Bloch vector norm {self.norm():.6f} > 1")
         return self
 
@@ -594,6 +590,22 @@ class BlochState:
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
+
+
+def _factorization(protocol, pace, generator, coupling, blocks, rate) -> GeneratorFactorization:
+    """Omega(t) B(mu(t)) for a ramp whose rate mu = chi0 + rate t grows
+    linearly: B is the affine generator of the coupling pair, so its
+    gradient is 1j A1, and dmu/dtheta = rate / pace."""
+    return GeneratorFactorization(
+        omega_of_t=pace,
+        B_of_chi=generator,
+        chi_of_t=protocol.mu,
+        theta_of_t=protocol.theta,
+        grad_B=lambda chi: 1j * coupling[1],
+        dchi_dtheta=lambda t: rate / pace(t),
+        blocks=blocks,
+        t_max=protocol.t_max,
+    )
 
 
 def _ho_coefficients(state: GaussianState, w: float, w0: float, m: float) -> np.ndarray:
@@ -667,8 +679,8 @@ class HOModel:
 
     Basis order: frequency-scaled energy H, asymmetry L, squeeze generator
     C, then position-like K, momentum-like J, then the identity.  The
-    scaling absorbs the explicit time dependence, so no identity rescaling
-    is needed (all weights zero).
+    frequency scaling of the quadratic block absorbs the explicit time
+    dependence, and ``reconstruct_state`` undoes it at omega(t).
     """
 
     protocol: HOProtocol
@@ -681,13 +693,6 @@ class HOModel:
     @property
     def omega_start(self) -> float:
         return self.protocol.omega0
-
-    @property
-    def rescaling_weights(self) -> np.ndarray:
-        return np.zeros(6)
-
-    def rescaling_base(self, t: float) -> float:
-        return self.protocol.omega(t) / self.protocol.omega0
 
     def for_duration(self, t_f: float, omega_target: float) -> "HOModel":
         """This model re-driven from omega0 to omega(t_f) = omega_target at
@@ -728,10 +733,7 @@ class HOModel:
         tolerances are accepted for that signature and ignored.
         """
         p, m = self.protocol, self.mass
-        if t < 0.0:
-            raise ValueError("propagation runs forward from t = 0")
-        if t >= p.t_max:
-            raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+        require_propagation_time(t, p.t_max)
         theta = p.theta(t)
         if theta == 0.0:
             return dataclasses.replace(self.initial_vector(), t=t)
@@ -750,16 +752,7 @@ class HOModel:
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
-        return GeneratorFactorization(
-            omega_of_t=p.omega,
-            B_of_chi=ho_generator,
-            chi_of_t=p.mu,
-            theta_of_t=p.theta,
-            grad_B=lambda chi: 1j * HO_COUPLING[1],
-            dchi_dtheta=lambda t: p.a / p.omega(t),
-            blocks=HO_BLOCKS,
-            t_max=p.t_max,
-        )
+        return _factorization(p, p.omega, ho_generator, HO_COUPLING, HO_BLOCKS, p.a)
 
 
 @dataclass(frozen=True)
@@ -767,8 +760,8 @@ class TLSModel:
     """Two-level system with ramped splitting and fixed transverse drive.
 
     Basis order: scaled energy H, transverse partner L, coherence C, then
-    the identity.  The scaled triple carries weight 1 under identity
-    rescaling (physical values grow with the instantaneous gap).
+    the identity.  The propagated triple is scaled by Omega0 / Omega(t);
+    ``reconstruct_state`` grows it back with the instantaneous gap.
     """
 
     protocol: TLSProtocol
@@ -779,13 +772,6 @@ class TLSModel:
     @property
     def omega_start(self) -> float:
         return self.protocol.Omega0
-
-    @property
-    def rescaling_weights(self) -> np.ndarray:
-        return np.array([1.0, 1.0, 1.0, 0.0])
-
-    def rescaling_base(self, t: float) -> float:
-        return self.protocol.Omega(t) / self.protocol.Omega0
 
     def for_duration(self, t_f: float, omega_target: float) -> "TLSModel":
         """This model re-driven from Omega0 to Omega(t_f) = omega_target at
@@ -816,10 +802,7 @@ class TLSModel:
         and result otherwise as ``engine.propagate_exact``.
         """
         p = self.protocol
-        if t < 0.0:
-            raise ValueError("propagation runs forward from t = 0")
-        if t >= p.t_max:
-            raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+        require_propagation_time(t, p.t_max)
         theta = p.theta(t)
         v0 = self.initial_vector()
         if theta == 0.0:
@@ -843,10 +826,12 @@ class TLSModel:
         return LiouvilleVector(coeffs=np.append(v, v0.coeffs[3]), t=t, theta=theta)
 
     def reconstruct_state(self, coeffs: np.ndarray, t: float) -> BlochState:
+        """Bloch vector of the propagated vector at time t: the scaled
+        triple is first grown with the gap, by Omega(t) / Omega0."""
         c = _real_coeffs(coeffs, 4)
         p = self.protocol
         w, Om, eps = p.omega(t), p.Omega(t), p.epsilon
-        H, L, C = c[:3]
+        H, L, C = c[:3] * (Om / p.Omega0)
         sz = (w * H - eps * L) / (Om * Om)
         sx = (eps * H + w * L) / (Om * Om)
         sy = C / Om
@@ -854,15 +839,8 @@ class TLSModel:
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
-        return GeneratorFactorization(
-            omega_of_t=p.Omega,
-            B_of_chi=tls_generator_embedded,
-            chi_of_t=p.mu,
-            theta_of_t=p.theta,
-            grad_B=lambda chi: 1j * TLS_EMBEDDED_COUPLING[1],
-            dchi_dtheta=lambda t: p.abar / p.Omega(t),
-            blocks=TLS_BLOCKS,
-            t_max=p.t_max,
+        return _factorization(
+            p, p.Omega, tls_generator_embedded, TLS_EMBEDDED_COUPLING, TLS_BLOCKS, p.abar
         )
 
 
@@ -878,22 +856,22 @@ def initial_vector(model) -> LiouvilleVector:
     return model.initial_vector()
 
 
-def _real_coeffs(v: np.ndarray, n: int, tol: float = 1e-6) -> np.ndarray:
+def _real_coeffs(v: np.ndarray, n: int) -> np.ndarray:
     if v.shape != (n,):
         raise ValueError(f"expected a length-{n} coefficient vector")
     scale = max(1.0, float(np.max(np.abs(v))))
-    if np.max(np.abs(v.imag)) > tol * scale:
+    if np.max(np.abs(v.imag)) > _STATE_TOL * scale:
         raise UnphysicalState("expectation values have non-real parts")
     return v.real.copy()
 
 
 def reconstruct_state(model, v, t: float):
-    """Physical state from a (rescaled, physical) basis vector at time t.
+    """Physical state from a propagated basis vector at time t.
 
-    Dispatches to ``model.reconstruct_state``.  Raises UnphysicalState
-    when the recovered moments violate positivity or uncertainty
-    constraints beyond 1e-6, which signals a propagation or rescaling
-    error upstream.
+    Dispatches to ``model.reconstruct_state``, which undoes the model's
+    scaling of the basis.  Raises UnphysicalState when the recovered
+    moments violate positivity or uncertainty constraints beyond 1e-6,
+    which signals a propagation error upstream.
     """
     if not hasattr(type(model), "reconstruct_state"):
         raise TypeError(f"no reconstruction defined for {type(model).__name__}")

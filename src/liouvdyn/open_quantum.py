@@ -225,8 +225,8 @@ def _tls_basis_matrices(protocol):
     )
 
 
-def build_master_equation(model, dipole=None) -> MasterEquationSpec:
-    """Jump operators, dipole weights, and frequency map for a two-level model.
+def build_master_equation(model) -> MasterEquationSpec:
+    """Jump operators, S_x dipole weights, and frequency map for a two-level model.
 
     The jump operator of mode k uses the conjugated eigenvector
     components: operator-valued combinations transport with the transpose
@@ -246,18 +246,12 @@ def build_master_equation(model, dipole=None) -> MasterEquationSpec:
         ops.append(f[0] * basis[0] + f[1] * basis[1] + f[2] * basis[2])
     ops.append(basis[3])
 
-    D = _SX if dipole is None else np.asarray(dipole, dtype=complex)
-    if D.shape != (2, 2):
-        raise ValueError(f"dipole operator must be 2x2, got {D.shape}")
-    if np.max(np.abs(D - D.conj().T)) > 1e-9:
-        raise ValueError("dipole operator must be Hermitian")
-
     coeffs = []
     for F in ops:
         norm2 = np.trace(F.conj().T @ F).real
-        coeffs.append(complex(np.trace(F.conj().T @ D)) / norm2)
+        coeffs.append(complex(np.trace(F.conj().T @ _SX)) / norm2)
     recon = sum(a * F for a, F in zip(coeffs, ops))
-    if np.max(np.abs(recon - D)) > 1e-10:
+    if np.max(np.abs(recon - _SX)) > 1e-10:
         raise LiouvdynError("dipole operator left the span of the jump operators")
 
     return MasterEquationSpec(

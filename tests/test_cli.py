@@ -269,8 +269,9 @@ def geo_configs(draw):
     kind = draw(st.sampled_from(KINDS))
     width = 1 if kind in ("ho", "tls") else 2
     # coordinates on both sides of |chi| = 2, where the oscillator's
-    # generator stops being diagonalizable
-    point = st.lists(st.floats(-2.5, 2.5), min_size=width, max_size=width)
+    # generator stops being diagonalizable, and extremes whose eigenvalues
+    # reach past 1e299
+    point = st.lists(st.floats(-2.5, 2.5) | _EXTREMES, min_size=width, max_size=width)
     protocol = {
         "waypoints": draw(st.lists(point, min_size=2, max_size=4)),
         "closed": draw(st.booleans()),
@@ -349,6 +350,11 @@ class TestRunFuzz:
     @example({"experiment": "geo", "model": {"kind": "ho"},
               "protocol": {"waypoints": [[1.5], [2.5], [1.9]]},
               "numerics": {"method": "both"}})
+    @example({"experiment": "geo", "model": {"kind": "tls"},
+              "protocol": {"waypoints": [[0.1], [1e300]]}, "numerics": {"method": "both"}})
+    @example({"experiment": "geo", "model": {"kind": "two-spin-local"},
+              "protocol": {"waypoints": [[0.0, -1e43], [-2e267, 0.0]]},
+              "numerics": {"method": "surface"}})
     def test_geo(self, config):
         self.run(config)
 

@@ -477,6 +477,14 @@ class TestFidelitySweep:
         assert math.isnan(res.fidelity_inertial[1])
         assert math.isfinite(res.fidelity_inertial[0])
 
+    def test_rate_past_the_exceptional_point_fails_before_propagating(self):
+        # reaching half the frequency in 1e-300 takes mu ~ -5e298, where the
+        # scaled time's atanh has no value: the row names the domain instead
+        res = fidelity_sweep(HOModel(protocol=HOProtocol(20.0, 0.0, -5e-3)), [1e-300])
+        assert res.errors == (
+            "DomainExceeded: max |mu| = 5e+298 reaches the exceptional point |mu| = 2",
+        )
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             fidelity_sweep(fig1_ho_model(), [])

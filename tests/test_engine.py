@@ -11,7 +11,6 @@ from liouvdyn.diagnostics import fidelity_sweep
 from liouvdyn.engine import (
     GeneratorFactorization,
     LiouvilleVector,
-    apply_identity_rescaling,
     coefficients,
     inverse_scaled_time,
     propagate_adiabatic,
@@ -212,7 +211,7 @@ class TestAdiabaticPropagation:
         t = 1.0
         va = propagate_adiabatic(fact, v0, t)
         assert abs(va.coeffs[0] - 10.0) < 1e-12
-        state = reconstruct_state(model, apply_identity_rescaling(model, va, t), t)
+        state = reconstruct_state(model, va, t)
         w = model.protocol.omega(t)
         energy = state.sigma_pp / 2.0 + 0.5 * w * w * state.sigma_qq
         assert abs(energy - (w / 20.0) * 10.0) < 1e-9
@@ -467,20 +466,5 @@ class TestPurityPreservation:
         )
         for t in (0.3, 0.8, 1.2):
             v = propagate_exact(fact, v0, t)
-            state = reconstruct_state(
-                model, apply_identity_rescaling(model, v, t), t
-            )
+            state = reconstruct_state(model, v, t)
             assert abs(state.norm() - 1.0) < 1e-9
-
-
-class TestIdentityRescaling:
-    def test_identity_map_at_start(self):
-        model, _, v0 = tls_setup()
-        out = apply_identity_rescaling(model, v0, 0.0)
-        assert np.array_equal(out.coeffs, v0.coeffs)
-
-    def test_weight_mismatch_rejected(self):
-        model, _, _ = tls_setup()
-        bad = LiouvilleVector(coeffs=np.ones(3), t=0.0, theta=0.0)
-        with pytest.raises(ValueError):
-            apply_identity_rescaling(model, bad, 0.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from liouvdyn.engine import (
     LiouvilleVector,
-    apply_identity_rescaling,
     propagate_exact,
     propagate_inertial,
 )
@@ -437,28 +436,16 @@ class TestStates:
 
 
 class TestRescalingDeclarations:
-    def test_ho_weights_are_zero(self):
-        model = HOModel(protocol=HOProtocol(20.0, -0.05))
-        assert np.all(model.rescaling_weights == 0.0)
-
     def test_tls_halved_pace_halves_triple(self):
+        # Omega halves from 20 to 10 by t = 1: a propagated triple twice the
+        # physical one there reconstructs the Bloch vector of that physical one
         p = TLSProtocol.solve_boundary(20.0, 10.0, epsilon=8.0, t_f=1.0)
-        model = TLSModel(protocol=p)
-        v = LiouvilleVector(coeffs=np.ones(4, dtype=complex), t=1.0, theta=p.theta(1.0))
-        out = apply_identity_rescaling(model, v, 1.0)
-        assert np.allclose(out.coeffs[:3], 0.5, atol=1e-11)
-        assert out.coeffs[3] == 1.0
-
-    def test_two_spin_cross_weight_squares_the_factor(self):
-        class Halved:
-            rescaling_weights = 2.0 * np.ones(9)
-
-            def rescaling_base(self, t):
-                return 0.5
-
-        v = LiouvilleVector(coeffs=np.ones(9, dtype=complex), t=0.0, theta=0.0)
-        out = apply_identity_rescaling(Halved(), v, 0.0)
-        assert np.allclose(out.coeffs, 0.25)
+        w, eps, Om = p.omega(1.0), p.epsilon, p.Omega(1.0)
+        r = np.array([0.3, -0.5, 0.6])
+        # <w S_z + eps S_x>, <w S_x - eps S_z> and <Omega S_y> of r
+        physical = 0.5 * np.array([w * r[2] + eps * r[0], w * r[0] - eps * r[2], Om * r[1]])
+        state = reconstruct_state(TLSModel(protocol=p), np.append(2.0 * physical, 1.0), 1.0)
+        assert np.max(np.abs(state.r - r)) < 1e-12
 
 
 def _bits(x) -> bytes:

@@ -383,14 +383,6 @@ class TestBuildMasterEquation:
         recon = sum(a * F for a, F in zip(spec.dipole_coeffs, spec.jump_ops))
         assert np.max(np.abs(recon - sx)) < 1e-12
 
-    def test_general_dipole_expansion_is_exact(self):
-        rng = np.random.default_rng(7)
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        D = 0.5 * (raw + raw.conj().T)
-        spec = build_master_equation(static_model(), dipole=D)
-        recon = sum(a * F for a, F in zip(spec.dipole_coeffs, spec.jump_ops))
-        assert np.max(np.abs(recon - D)) < 1e-12
-
     def test_static_dipole_weights(self):
         # projecting S_x on the gap-20 eigenoperators gives
         # a_0 = eps/gap^2 on the Hamiltonian mode and
@@ -425,12 +417,6 @@ class TestBuildMasterEquation:
         spec = build_master_equation(m)
         got = spec.alpha_of_t(0.5)
         assert got == pytest.approx(effective_frequencies(m, 0.5), rel=1e-10, abs=1e-10)
-
-    def test_rejects_bad_dipole(self):
-        with pytest.raises(ValueError):
-            build_master_equation(static_model(), dipole=np.eye(3))
-        with pytest.raises(ValueError):
-            build_master_equation(static_model(), dipole=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_oscillator_model(self):
         m = HOModel(protocol=HOProtocol(omega0=20.0, chi0=0.05, a=0.0))
@@ -842,7 +828,7 @@ class TestLevelShiftRotation:
         ops = list(spec.jump_ops)
         ops[1] = V @ crafted @ V.conj().T
 
-        def crafted_spec(model, dipole=None):
+        def crafted_spec(model):
             return MasterEquationSpec(tuple(ops), spec.dipole_coeffs, spec.alpha_of_t)
 
         monkeypatch.setattr(open_quantum, "build_master_equation", crafted_spec)
