@@ -22,6 +22,7 @@ from .diagnostics import (
 )
 from .engine import (
     GeneratorFactorization,
+    GeneratorFamily,
     InertialSolution,
     LiouvilleVector,
     coefficients,
@@ -46,7 +47,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .geometric import (
-    GeneratorFamily,
     ParameterCircuit,
     geometric_phase_line,
     geometric_phase_surface,

@@ -313,6 +313,11 @@ def _validate(cfg: dict) -> RunConfig:
             cfg["numerics"]["method"] in ("line", "surface", "both"),
             "numerics.method", "must be line, surface, or both",
         )
+        _require(
+            cfg["protocol"]["closed"] or cfg["numerics"]["method"] == "line",
+            "numerics.method",
+            "must be line when protocol.closed is false: a spanning surface needs a closed circuit",
+        )
 
     return RunConfig(
         experiment=experiment,

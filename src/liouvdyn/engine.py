@@ -102,6 +102,73 @@ class GeneratorFactorization:
         return tuple(0.0 for _ in chi)
 
 
+@dataclass(frozen=True, eq=False)
+class GeneratorFamily:
+    """Affine generator family B(chi) = C0 + sum_k chi_k C_k with optional structure.
+
+    ``coupling`` holds the constant matrices (C0, C1, ..., Cd): the family
+    has d parameters, and its partial derivatives are the constants C_k.
+    ``blocks`` declares closed sub-blocks diagonalized independently.
+    ``factors`` declares a Kronecker-sum composition of one-parameter
+    families, whose product modes stay smooth even where sums of factor
+    eigenvalues collide accidentally.
+    """
+
+    coupling: tuple
+    blocks: tuple = None
+    factors: tuple = None
+
+    def __post_init__(self):
+        coupling = tuple(np.array(C, dtype=complex) for C in self.coupling)
+        for C in coupling:
+            if C.shape != (len(coupling[0]),) * 2:
+                raise ValueError("coupling matrices must share one square shape")
+            C.setflags(write=False)
+        object.__setattr__(self, "coupling", coupling)
+
+    @property
+    def n_params(self) -> int:
+        return len(self.coupling) - 1
+
+    def __call__(self, *chis) -> np.ndarray:
+        """B at one point of float parameters chi_1, ..., chi_d, or the
+        (N, m, m) stack when each is a 1-D array of N values."""
+        B = self.coupling[0]
+        for chi, C in zip(chis, self.coupling[1:], strict=True):
+            # a Python float scales an array faster than np.float64 does
+            term = (float(chi) if isinstance(chi, float) else np.asarray(chi)[..., None, None]) * C
+            term += B  # in place: a fresh sum costs a second stack
+            B = term
+        return B
+
+    def matrices(self, chis) -> np.ndarray:
+        """(N, m, m) stack of B at the (N, d) parameter points chis."""
+        return self(*np.asarray(chis, dtype=float).T)
+
+    @classmethod
+    def kronecker_sum(cls, factors):
+        """Compose one-parameter families f_j into sum_j I x B_j(chi_j) x I.
+
+        Each factor's coupling is embedded into the full space once, here.
+        """
+        factors = tuple(factors)
+        if any(f.n_params != 1 for f in factors):
+            raise ValueError("factors must be one-parameter families")
+        dims = [len(f.coupling[0]) for f in factors]
+
+        def embed(mat, j):
+            out = mat
+            if j > 0:
+                out = np.kron(np.eye(math.prod(dims[:j])), out)
+            if j < len(dims) - 1:
+                out = np.kron(out, np.eye(math.prod(dims[j + 1 :])))
+            return out
+
+        constant = sum(embed(f.coupling[0], j) for j, f in enumerate(factors))
+        rates = (embed(f.coupling[1], j) for j, f in enumerate(factors))
+        return cls(coupling=(constant, *rates), factors=factors)
+
+
 @dataclass(frozen=True)
 class InertialSolution:
     """Per-mode bookkeeping of an eigenframe-following propagation.

@@ -15,11 +15,12 @@ extrapolants agree on every mode.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
+from .engine import GeneratorFamily
 from .errors import (
     AmbiguousMatching,
     DegenerateSpectrum,
@@ -27,14 +28,6 @@ from .errors import (
     UnsupportedDimension,
 )
 from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes, transport
-from .models import (
-    HO_BLOCKS,
-    HO_COUPLING,
-    TLS_BLOCKS,
-    TLS_COUPLING,
-    TLS_EMBEDDED_COUPLING,
-    TWO_SPIN_LOCAL_COUPLING,
-)
 
 _REFINE_TOL = 1e-8
 _MAX_DOUBLINGS = 6
@@ -104,95 +97,32 @@ class ParameterCircuit:
         return cls(path=path, closed=closed, samples=samples)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorFamily:
-    """Affine generator family B(chi) = C0 + sum_k chi_k C_k with optional structure.
-
-    ``coupling`` holds the constant matrices (C0, C1, ..., Cd): the family
-    has d parameters, and its partial derivatives are the constants C_k.
-    ``blocks`` declares closed sub-blocks diagonalized independently.
-    ``factors`` declares a Kronecker-sum composition of one-parameter
-    families, whose product modes stay smooth even where sums of factor
-    eigenvalues collide accidentally.
-    """
-
-    coupling: tuple
-    blocks: tuple = None
-    factors: tuple = None
-
-    def __post_init__(self):
-        coupling = tuple(np.array(C, dtype=complex) for C in self.coupling)
-        for C in coupling:
-            if C.shape != (len(coupling[0]),) * 2:
-                raise ValueError("coupling matrices must share one square shape")
-            C.setflags(write=False)
-        object.__setattr__(self, "coupling", coupling)
-
-    @property
-    def n_params(self) -> int:
-        return len(self.coupling) - 1
-
-    def matrices(self, chis) -> np.ndarray:
-        """(N, m, m) stack of B at the (N, d) parameter points chis."""
-        B = self.coupling[0]
-        for chi, C in zip(np.asarray(chis, dtype=float).T, self.coupling[1:], strict=True):
-            B = B + chi[:, None, None] * C
-        return B
-
-    @classmethod
-    def kronecker_sum(cls, factors):
-        """Compose one-parameter families f_j into sum_j I x B_j(chi_j) x I.
-
-        Each factor's coupling is embedded into the full space once, here.
-        """
-        factors = tuple(factors)
-        if any(f.n_params != 1 for f in factors):
-            raise ValueError("factors must be one-parameter families")
-        dims = [len(f.coupling[0]) for f in factors]
-
-        def embed(mat, j):
-            out = mat
-            if j > 0:
-                out = np.kron(np.eye(math.prod(dims[:j])), out)
-            if j < len(dims) - 1:
-                out = np.kron(out, np.eye(math.prod(dims[j + 1 :])))
-            return out
-
-        constant = sum(embed(f.coupling[0], j) for j, f in enumerate(factors))
-        rates = (embed(f.coupling[1], j) for j, f in enumerate(factors))
-        return cls(coupling=(constant, *rates), factors=factors)
-
-
-def _bundled(coupling, blocks=None) -> GeneratorFamily:
-    """Family of a bundled generator 1j (A0 + sum_k chi_k A_k) from its
-    real coupling."""
-    return GeneratorFamily(coupling=tuple(1j * A for A in coupling), blocks=blocks)
-
-
 def ho_family() -> GeneratorFamily:
-    """One-parameter oscillator generator family."""
-    return _bundled(HO_COUPLING, HO_BLOCKS)
+    """One-parameter oscillator generator family (``models.HO_FAMILY``)."""
+    return models.HO_FAMILY
 
 
 def tls_family() -> GeneratorFamily:
-    """One-parameter two-level generator family (identity row embedded)."""
-    return _bundled(TLS_EMBEDDED_COUPLING, TLS_BLOCKS)
+    """One-parameter two-level generator family, identity row embedded
+    (``models.TLS_EMBEDDED_FAMILY``)."""
+    return models.TLS_EMBEDDED_FAMILY
 
 
 def two_spin_local_family() -> GeneratorFamily:
-    """Two-parameter family of the stacked single-spin triples."""
-    return _bundled(TWO_SPIN_LOCAL_COUPLING, ((0, 3), (3, 6)))
+    """Two-parameter family of the stacked single-spin triples
+    (``models.TWO_SPIN_LOCAL_FAMILY``)."""
+    return models.TWO_SPIN_LOCAL_FAMILY
 
 
 def two_spin_nonlocal_family() -> GeneratorFamily:
-    """Two-parameter family of the nine cross-correlator products.
+    """Two-parameter family of the nine cross-correlator products
+    (``models.TWO_SPIN_NONLOCAL_FAMILY``).
 
-    Built as a Kronecker sum of the two single-spin families, so modes
-    are factor products and remain well defined on the chi1 = chi2 line
-    where eigenvalues of the sum cross accidentally.
+    A Kronecker sum of the two single-spin families, so modes are factor
+    products and remain well defined on the chi1 = chi2 line where
+    eigenvalues of the sum cross accidentally.
     """
-    single = _bundled(TLS_COUPLING)
-    return GeneratorFamily.kronecker_sum((single, single))
+    return models.TWO_SPIN_NONLOCAL_FAMILY
 
 
 # ---------------------------------------------------------------------------

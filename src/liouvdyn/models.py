@@ -6,7 +6,7 @@ protocols with closed-form scaled time where available, the inversion
 from basis expectation values back to physical states, and its exact
 propagation (``exact_vector``: closed form for the oscillator, the
 adjoint of the SU(2) Magnus flow ``linalg.su2_flow`` for the two-level
-system).  The two-spin couplings serve the geometric phases alone.
+system).  The two-spin families serve the geometric phases alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import GeneratorFactorization, LiouvilleVector, require_propagation_time
+from .engine import (
+    GeneratorFactorization,
+    GeneratorFamily,
+    LiouvilleVector,
+    require_propagation_time,
+)
 from .errors import (
     DomainExceeded,
     IntegratorFailure,
@@ -27,11 +32,6 @@ from .errors import (
 )
 from .linalg import magnus_ladder, su2_flow
 
-# basis block layout: (energy-like triple)(linear pair)(identity)
-HO_BLOCKS = ((0, 3), (3, 5), (5, 6))
-# (energy-like triple)(identity)
-TLS_BLOCKS = ((0, 3), (3, 4))
-
 _DEN_TOL = 1e-12
 # slack of the positivity, uncertainty and realness checks on physical states
 _STATE_TOL = 1e-6
@@ -39,7 +39,8 @@ _STATE_TOL = 1e-6
 # duration sweeps' shortest ramps Omega halves within t_f, and 32 steps
 # are where two levels first agree to 1e-10
 _MAGNUS_MIN_STEPS = 32
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# (sigma_x, sigma_y, sigma_z)
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 # ---------------------------------------------------------------------------
@@ -47,56 +48,41 @@ _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # ---------------------------------------------------------------------------
 
 
-def _coupling(n: int, constant: dict, rate: dict) -> tuple:
-    """Read-only real pair (A0, A1) from {(row, col): value} entries."""
-    pair = (np.zeros((n, n)), np.zeros((n, n)))
-    for A, entries in zip(pair, (constant, rate)):
-        for (i, j), value in entries.items():
+def _family(n: int, *entries: dict, blocks: tuple = None) -> GeneratorFamily:
+    """The generator family B(chi) = 1j (A0 + sum_k chi_k A_k) of real n x n
+    couplings, each A_k read from {(row, col): value} entries, so its
+    gradients are the constants 1j A_k."""
+    coupling = np.zeros((len(entries), n, n))
+    for A, values in zip(coupling, entries):
+        for (i, j), value in values.items():
             A[i, j] = value
-        A.setflags(write=False)
-    return pair
+    return GeneratorFamily(tuple(1j * coupling), blocks=blocks)
 
 
-# Every bundled generator is affine in its drive parameter, B(chi) =
-# 1j (A0 + chi A1) for the real coupling pair, so its gradient is 1j A1.
-HO_COUPLING = _coupling(
+def _shifted(entries: dict, by: int) -> dict:
+    return {(i + by, j + by): value for (i, j), value in entries.items()}
+
+
+# basis blocks: (energy-like triple)(linear pair)(identity)
+HO_FAMILY = _family(
     6,
     {(1, 2): 2.0, (2, 1): -2.0, (3, 4): -1.0, (4, 3): 1.0},
     {(0, 1): -1.0, (1, 0): -1.0, (3, 3): 0.5, (4, 4): -0.5},
+    blocks=((0, 3), (3, 5), (5, 6)),
 )
 _TLS_ENTRIES = ({(1, 2): -1.0, (2, 1): 1.0}, {(0, 1): -1.0, (1, 0): 1.0})
-TLS_COUPLING = _coupling(3, *_TLS_ENTRIES)
+TLS_FAMILY = _family(3, *_TLS_ENTRIES)
 # the spin triple with a zero identity row and column appended
-TLS_EMBEDDED_COUPLING = _coupling(4, *_TLS_ENTRIES)
-
-
-def _two_spin_couplings():
-    A0, A1 = TLS_COUPLING
-    eye, zero = np.eye(3), np.zeros((3, 3))
-    local = (
-        np.block([[A0, zero], [zero, A0]]),
-        np.block([[A1, zero], [zero, zero]]),
-        np.block([[zero, zero], [zero, A1]]),
-    )
-    cross = (np.kron(A0, eye) + np.kron(eye, A0), np.kron(A1, eye), np.kron(eye, A1))
-    for A in local + cross:
-        A.setflags(write=False)
-    return local, cross
-
-
-# (A0, A1, A2) of the two-spin couplings A0 + chi1 A1 + chi2 A2
-TWO_SPIN_LOCAL_COUPLING, TWO_SPIN_CROSS_COUPLING = _two_spin_couplings()
-
-
-def _scale(chi):
-    """A float chi as a float; a 1-D array of chi shaped (N, 1, 1), so that
-    scaling an (n, n) matrix gives the (N, n, n) stack."""
-    # a Python float scales an array faster than np.float64 does
-    return float(chi) if isinstance(chi, float) else np.asarray(chi)[..., None, None]
-
-
-def _affine(coupling, chi) -> np.ndarray:
-    return 1j * (coupling[0] + _scale(chi) * coupling[1])
+TLS_EMBEDDED_FAMILY = _family(4, *_TLS_ENTRIES, blocks=((0, 3), (3, 4)))
+# both single-spin triples stacked, spin j driven by chi_j
+TWO_SPIN_LOCAL_FAMILY = _family(
+    6,
+    {**_TLS_ENTRIES[0], **_shifted(_TLS_ENTRIES[0], 3)},
+    _TLS_ENTRIES[1],
+    _shifted(_TLS_ENTRIES[1], 3),
+    blocks=((0, 3), (3, 6)),
+)
+TWO_SPIN_NONLOCAL_FAMILY = GeneratorFamily.kronecker_sum((TLS_FAMILY, TLS_FAMILY))
 
 
 def ho_generator(chi) -> np.ndarray:
@@ -107,7 +93,7 @@ def ho_generator(chi) -> np.ndarray:
     |chi| < 2; the blocks collapse onto a non-diagonalizable point at
     |chi| = 2.  A 1-D array of chi gives the stack.
     """
-    return _affine(HO_COUPLING, chi)
+    return HO_FAMILY(chi)
 
 
 def tls_generator(chi) -> np.ndarray:
@@ -117,12 +103,12 @@ def tls_generator(chi) -> np.ndarray:
     spectrum {0, +/-sqrt(1+chi^2)} is real for every chi.  A 1-D array of
     chi gives the stack.
     """
-    return _affine(TLS_COUPLING, chi)
+    return TLS_FAMILY(chi)
 
 
 def tls_generator_embedded(chi) -> np.ndarray:
     """4x4 extension with a zero identity row/column appended."""
-    return _affine(TLS_EMBEDDED_COUPLING, chi)
+    return TLS_EMBEDDED_FAMILY(chi)
 
 
 def two_spin_generators(chi1, chi2):
@@ -134,11 +120,7 @@ def two_spin_generators(chi1, chi2):
     its generator is the Kronecker sum of the single-spin couplings: it
     does not decompose into independent sub-blocks.  1-D arrays give stacks.
     """
-    chi1, chi2 = _scale(chi1), _scale(chi2)
-    return tuple(
-        1j * (A0 + chi1 * A1 + chi2 * A2)
-        for A0, A1, A2 in (TWO_SPIN_LOCAL_COUPLING, TWO_SPIN_CROSS_COUPLING)
-    )
+    return TWO_SPIN_LOCAL_FAMILY(chi1, chi2), TWO_SPIN_NONLOCAL_FAMILY(chi1, chi2)
 
 
 # ---------------------------------------------------------------------------
@@ -592,18 +574,18 @@ class BlochState:
 # ---------------------------------------------------------------------------
 
 
-def _factorization(protocol, pace, generator, coupling, blocks, rate) -> GeneratorFactorization:
+def _factorization(protocol, pace, generator, family, rate) -> GeneratorFactorization:
     """Omega(t) B(mu(t)) for a ramp whose rate mu = chi0 + rate t grows
-    linearly: B is the affine generator of the coupling pair, so its
-    gradient is 1j A1, and dmu/dtheta = rate / pace."""
+    linearly: B = ``generator``, the view of the affine ``family``, so its
+    gradient is the family's constant C1, and dmu/dtheta = rate / pace."""
     return GeneratorFactorization(
         omega_of_t=pace,
         B_of_chi=generator,
         chi_of_t=protocol.mu,
         theta_of_t=protocol.theta,
-        grad_B=lambda chi: 1j * coupling[1],
+        grad_B=lambda chi: family.coupling[1],
         dchi_dtheta=lambda t: rate / pace(t),
-        blocks=blocks,
+        blocks=family.blocks,
         t_max=protocol.t_max,
     )
 
@@ -752,7 +734,7 @@ class HOModel:
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
-        return _factorization(p, p.omega, ho_generator, HO_COUPLING, HO_BLOCKS, p.a)
+        return _factorization(p, p.omega, ho_generator, HO_FAMILY, p.a)
 
 
 @dataclass(frozen=True)
@@ -817,8 +799,8 @@ class TLSModel:
         angle = theta * math.hypot(1.0, max(abs(p.mu(0.0)), abs(p.mu(t))))
         steps = magnus_ladder(angle, 1, _MAGNUS_MIN_STEPS)[1]
         U = su2_flow(field, [0.0, t], steps, rtol=rtol, atol=atol)[-1]
-        turned = U @ _PAULI @ U.conj().T
-        R = 0.5 * np.einsum("aij,bji->ab", _PAULI, turned).real
+        turned = U @ PAULI @ U.conj().T
+        R = 0.5 * np.einsum("aij,bji->ab", PAULI, turned).real
         drift = np.max(np.abs(R.T @ R - np.eye(3)))
         if drift > 1e-9:
             raise IntegratorFailure(f"rotation product lost orthogonality: {drift:.3e}")
@@ -839,9 +821,7 @@ class TLSModel:
 
     def factorization(self) -> GeneratorFactorization:
         p = self.protocol
-        return _factorization(
-            p, p.Omega, tls_generator_embedded, TLS_EMBEDDED_COUPLING, TLS_BLOCKS, p.abar
-        )
+        return _factorization(p, p.Omega, tls_generator_embedded, TLS_EMBEDDED_FAMILY, p.abar)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,11 @@ from .linalg import (
     su2,
     su2_flow,
 )
-from .models import BlochState, TLSModel, tls_generator
+from .models import PAULI, BlochState, TLSModel, tls_generator
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2.0
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex) / 2.0
+# the spin operators S_x, S_y, S_z
+_SPIN = PAULI / 2.0
+_SX, _SY, _SZ = _SPIN
 
 # overflow guard for the Bose-Einstein exponent
 _MAX_EXPONENT = 700.0
@@ -556,7 +556,7 @@ def trajectory_rows(model, t_grid, states) -> list:
     ts = np.asarray(t_grid, dtype=float)
     rho = np.asarray(states)
     # tr(rho (2 S)) for S = S_x, S_y, S_z
-    bloch = 2.0 * np.einsum("nij,kji->nk", rho, np.stack([_SX, _SY, _SZ])).real
+    bloch = 2.0 * np.einsum("nij,kji->nk", rho, _SPIN).real
     H = p.omega(ts)[:, None, None] * _SZ + p.epsilon * _SX
     _, vecs = np.linalg.eigh(H)
     pops = np.einsum("nik,nij,njk->nk", vecs.conj(), rho, vecs).real

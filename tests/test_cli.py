@@ -284,8 +284,9 @@ def geo_configs(draw):
 
 @st.composite
 def open_configs(draw):
-    # static and driven ramps over the ranges the bath and horizon are
-    # used at; a horizon past t_max exits 2
+    # static and driven ramps; horizons from 1e-3 to 1e4 and couplings up
+    # to 1 are drawn log-uniformly, and some couplings are exactly 0; a
+    # horizon past t_max exits 2
     drive = st.just(0.0) | st.floats(-0.05, 0.05)
     protocol = {
         "epsilon": draw(st.floats(0.5, 16.0)),
@@ -297,12 +298,12 @@ def open_configs(draw):
         "initial_bloch": draw(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)),
         "bath": {
             "temperature": draw(st.floats(0.0, 30.0)),
-            "coupling": draw(st.floats(0.0, 5e-3)),
+            "coupling": draw(st.just(0.0) | st.floats(-6.0, 0.0).map(lambda e: 10.0**e)),
             "cutoff": draw(st.floats(1.0, 300.0)),
         },
     }
     numerics = {
-        "t_final": draw(st.floats(1e-3, 5.0)),
+        "t_final": 10.0 ** draw(st.floats(-3.0, 4.0)),
         "points": draw(st.integers(2, 201)),
         "lamb_shift": draw(st.booleans()),
         "picture": draw(st.sampled_from(("schrodinger", "interaction"))),
@@ -423,6 +424,21 @@ class TestExitCodes:
     def test_mismatched_experiment_exits_two(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"experiment": "open"})
         assert run_cli(["sweep", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("method, code", [("line", 0), ("surface", 2), ("both", 2)])
+    def test_surface_on_an_open_circuit_exits_two(self, tmp_path, capsys, method, code):
+        # the line form runs on an open circuit; the surface form needs a closed one
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "geo",
+            "model": {"kind": "tls"},
+            "protocol": {"waypoints": [[0.1], [0.3]], "closed": False},
+            "numerics": {"method": method},
+        })
+        assert run_cli(["geo", "--config", cfg, "--out", tmp_path / "out"]) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert "numerics.method" in err and "protocol.closed" in err
+            assert not (tmp_path / "out").exists()
 
     def test_total_runtime_failure_exits_four(self, tmp_path):
         # a cutoff below the gap leaves the level shift undefined: mesolve

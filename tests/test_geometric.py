@@ -18,7 +18,7 @@ from liouvdyn.errors import (
     NotConverged,
     UnsupportedDimension,
 )
-from liouvdyn import geometric
+from liouvdyn import geometric, models
 from liouvdyn.geometric import (
     GeneratorFamily,
     ParameterCircuit,
@@ -35,16 +35,7 @@ from liouvdyn.geometric import (
     two_spin_nonlocal_family,
 )
 from liouvdyn.linalg import eigenframes
-from liouvdyn.models import (
-    TLS_COUPLING,
-    TWO_SPIN_CROSS_COUPLING,
-    HOModel,
-    HOProtocol,
-    ho_generator,
-    initial_vector,
-    tls_generator_embedded,
-    two_spin_generators,
-)
+from liouvdyn.models import HOModel, HOProtocol, initial_vector
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -70,7 +61,7 @@ def spin_family():
 def curved_block_family():
     # chi . sigma on parameters 0-2 beside the flat three-level block of
     # the spin triple on parameter 0
-    A0, A1 = TLS_COUPLING
+    C0, C1 = models.TLS_FAMILY.coupling
     zero = np.zeros((3, 3))
 
     def stacked(spin, triple):
@@ -78,8 +69,8 @@ def curved_block_family():
 
     return GeneratorFamily(
         coupling=(
-            stacked(ZERO, 1j * A0),
-            stacked(PAULI_X, 1j * A1),
+            stacked(ZERO, C0),
+            stacked(PAULI_X, C1),
             stacked(PAULI_Y, zero),
             stacked(PAULI_Z, zero),
         ),
@@ -109,7 +100,7 @@ def anchor_circuit(samples=64):
 
 def unstructured_nonlocal_family():
     # the nine cross-correlator generator without its Kronecker structure
-    return GeneratorFamily(coupling=tuple(1j * A for A in TWO_SPIN_CROSS_COUPLING))
+    return GeneratorFamily(coupling=two_spin_nonlocal_family().coupling)
 
 
 def unit_square_circuit():
@@ -183,23 +174,6 @@ class TestGeneratorFamily:
         with pytest.raises(ValueError):
             GeneratorFamily.kronecker_sum((spin_family(),))
 
-    def test_kronecker_sum_matches_direct_cross_generator(self):
-        fam = two_spin_nonlocal_family()
-        chi = np.array([0.31, 0.17])
-        direct = two_spin_generators(chi[0], chi[1])[1]
-        assert np.max(np.abs(fam.matrices(chi[None])[0] - direct)) < 1e-14
-
-    def test_kronecker_sum_gradients_match_direct(self):
-        fam = two_spin_nonlocal_family()
-        direct = [1j * A for A in TWO_SPIN_CROSS_COUPLING[1:]]
-        for got, want in zip(fam.coupling[1:], direct, strict=True):
-            assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_kronecker_sum_coupling_is_the_cross_coupling(self):
-        coupling = two_spin_nonlocal_family().coupling
-        for got, want in zip(coupling, TWO_SPIN_CROSS_COUPLING, strict=True):
-            assert np.array_equal(got, 1j * want)
-
     def test_derived_parameter_count(self):
         assert spin_family().n_params == 3
         assert two_spin_nonlocal_family().n_params == 2
@@ -211,18 +185,20 @@ class TestGeneratorFamily:
 
     @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=8))
     def test_stack_equals_the_per_point_generators(self, points):
-        # exact equality of every entry: the bundled generators compute
-        # 1j (A0 + chi A1), the family 1j A0 + chi (1j A1), so only the
-        # signs of zero real parts may differ
+        # bit for bit: the stack and the float fast path of one point
         chis = np.array(points)
-        expected = [
-            (ho_family(), [ho_generator(x) for x, _ in points]),
-            (tls_family(), [tls_generator_embedded(x) for x, _ in points]),
-            (two_spin_local_family(), [two_spin_generators(x, y)[0] for x, y in points]),
-            (two_spin_nonlocal_family(), [two_spin_generators(x, y)[1] for x, y in points]),
-        ]
-        for fam, mats in expected:
-            assert np.array_equal(fam.matrices(chis[:, : fam.n_params]), np.array(mats))
+        for fam in (ho_family(), tls_family(), two_spin_local_family(), two_spin_nonlocal_family()):
+            mats = [fam(*point[: fam.n_params]) for point in points]
+            assert fam.matrices(chis[:, : fam.n_params]).tobytes() == np.array(mats).tobytes()
+
+    def test_bundled_families_are_the_models_own(self):
+        for getter, fam in (
+            (ho_family, models.HO_FAMILY),
+            (tls_family, models.TLS_EMBEDDED_FAMILY),
+            (two_spin_local_family, models.TWO_SPIN_LOCAL_FAMILY),
+            (two_spin_nonlocal_family, models.TWO_SPIN_NONLOCAL_FAMILY),
+        ):
+            assert getter() is fam and getter() is getter()
 
 
 class TestRefine:

@@ -11,6 +11,8 @@ import functools
 import importlib
 from pathlib import Path
 
+from liouvdyn import models
+
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
@@ -33,3 +35,12 @@ def test_every_traced_target_resolves():
         assert callable(functools.reduce(getattr, qualname.split("."), mod)), (
             f"{module}.{qualname}"
         )
+
+
+def test_factorizations_call_the_traced_generators():
+    # the tracer counts generator calls by rebinding these module names; a
+    # factorization holding a family's bound method instead would count 0
+    ho = models.HOModel(models.HOProtocol(omega0=2.0, chi0=0.1))
+    tls = models.TLSModel(models.TLSProtocol(epsilon=1.0, omega0=2.0, chi0=0.1))
+    assert ho.factorization().B_of_chi is models.ho_generator
+    assert tls.factorization().B_of_chi is models.tls_generator_embedded

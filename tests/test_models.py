@@ -17,7 +17,9 @@ from liouvdyn import linalg, models
 from liouvdyn.errors import DomainExceeded, IntegratorFailure, NotConverged, UnphysicalState
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
-    HO_BLOCKS,
+    HO_FAMILY,
+    TWO_SPIN_LOCAL_FAMILY,
+    TWO_SPIN_NONLOCAL_FAMILY,
     BlochState,
     GaussianState,
     HOModel,
@@ -127,6 +129,16 @@ class TestFactorizationConsistency:
             M_l, M_nl = oracles.two_spin_direct_generators(t, Om, c1, c2, a0)
             assert np.max(np.abs(M_l - Om * B_l)) < 1e-12
             assert np.max(np.abs(M_nl - Om * B_nl)) < 1e-12
+
+    def test_two_spin_partials_match_direct_heisenberg_differences(self):
+        # both families are affine in chi, so a unit step of chi_k in the
+        # direct generators, over Omega, is the partial C_k
+        Om, t = 20.0, 0.37
+        base = oracles.two_spin_direct_generators(t, Om, 0.0, 0.0)
+        for k, step in ((1, (1.0, 0.0)), (2, (0.0, 1.0))):
+            moved = oracles.two_spin_direct_generators(t, Om, *step)
+            for fam, M, M0 in zip((TWO_SPIN_LOCAL_FAMILY, TWO_SPIN_NONLOCAL_FAMILY), moved, base):
+                assert np.max(np.abs((M - M0) / Om - fam.coupling[k])) < 1e-12
 
 
 class TestHOProtocol:
@@ -716,7 +728,7 @@ class TestHOExactVector:
         assert v.t == t_f and v.theta == p.theta(t_f)
         got = v.coeffs
         assert np.all(got.imag == 0.0)
-        for lo, hi in HO_BLOCKS:
+        for lo, hi in HO_FAMILY.blocks:
             err = np.max(np.abs(got[lo:hi].real - want[lo:hi]))
             assert err <= 1e-10 * np.max(np.abs(want[lo:hi]))
 
