@@ -28,9 +28,11 @@ from .engine import (
     coefficients,
     inverse_scaled_time,
     propagate_adiabatic,
+    propagate_adiabatic_batch,
     propagate_constant_chi,
     propagate_exact,
     propagate_inertial,
+    propagate_inertial_batch,
 )
 from .errors import (
     AmbiguousMatching,

@@ -140,6 +140,10 @@ def _run_diagnose(cfg: RunConfig):
         upsilon = inertial_parameters(fact, ts).tolist()
     except (LiouvdynError, ValueError, ArithmeticError):
         upsilon = None
+    try:
+        upsilon_closed = closed(ts).tolist() if closed else None
+    except (LiouvdynError, ValueError, ArithmeticError):
+        upsilon_closed = None
     rows, errors = [], []
     for i, t in enumerate(ts.tolist()):
         error = None
@@ -149,7 +153,9 @@ def _run_diagnose(cfg: RunConfig):
                 adiabatic_parameter(model, t) if mu is None else mu[i],
                 inertial_parameter_at(fact, t) if upsilon is None else upsilon[i],
             ]
-            if closed:
+            if upsilon_closed is not None:
+                row.append(upsilon_closed[i])
+            elif closed:
                 try:
                     row.append(closed(t))
                 except SingularDenominator as exc:

@@ -10,13 +10,16 @@ solutions against the exact one with state fidelities.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import (
     GeneratorFactorization,
     propagate_adiabatic,
+    propagate_adiabatic_batch,
     propagate_inertial,
+    propagate_inertial_batch,
 )
 from .errors import (
     DegenerateSpectrum,
@@ -245,14 +248,20 @@ class SweepResult:
 def max_parameters_along(model, t_f: float, samples: int = 65):
     """Largest |mu| and largest Upsilon over an even time sample of the run.
 
-    A protocol with a closed-form Upsilon (the oscillator's) uses it,
-    skipping flagged singular samples; otherwise the generic pairwise sum.
+    A protocol with a closed-form Upsilon (the oscillator's) evaluates it
+    on the whole sample at once, and sample by sample only when that
+    raises, skipping the flagged singular samples; otherwise the generic
+    pairwise sum.
     """
     ts = np.linspace(0.0, t_f, samples)
     mu_max = float(np.abs(adiabatic_parameter(model, ts)).max())
     closed = model.protocol.inertial_parameter_closed
     if closed is None:
         return mu_max, float(inertial_parameters(model.factorization(), ts).max())
+    try:
+        return mu_max, float(closed(ts).max())
+    except SingularDenominator:
+        pass
     ups = []
     for t in ts:
         try:
@@ -262,7 +271,24 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
     return mu_max, (max(ups) if ups else math.nan)
 
 
-def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
+# the errors that fail one sweep point and leave the others running
+_POINT_ERRORS = (LiouvdynError, ArithmeticError, ValueError)
+
+
+class _Point(NamedTuple):
+    """One sweep point after its per-point phase: the re-driven model, its
+    factorization, initial and exact vectors, and its parameter maxima."""
+
+    t_f: float
+    model: object
+    fact: GeneratorFactorization
+    v0: object
+    exact: object
+    mu_max: float
+    ups_max: float
+
+
+def _prepared_point(model, t_f: float, omega_target: float, samples: int, tols) -> _Point:
     m = model.for_duration(t_f, omega_target)
     mu_max, ups_max = max_parameters_along(m, t_f, samples)
     # the scores mean nothing outside the model's diagonalizable domain
@@ -272,18 +298,41 @@ def _sweep_point(model, t_f: float, omega_target: float, samples: int, tols):
         )
     fact = m.factorization()
     v0 = initial_vector(m)
-    v_exact = m.exact_vector(t_f, rtol=tols[0], atol=tols[1])
-    v_inertial, _ = propagate_inertial(fact, v0, t_f, phase_tol=tols[2])
-    v_adiabatic = propagate_adiabatic(fact, v0, t_f)
+    exact = m.exact_vector(t_f, rtol=tols[0], atol=tols[1])
+    return _Point(t_f, m, fact, v0, exact, mu_max, ups_max)
+
+
+def _batch_or_each(batch, one, live: dict, errors: list) -> dict:
+    """``batch`` over the live points, as a dict by index.  When it raises,
+    each point runs alone through ``one``: a point that raises leaves
+    ``live`` with its error text in ``errors``."""
+    if not live:
+        return {}
+    try:
+        return dict(zip(live, batch(list(live.values())), strict=True))
+    except _POINT_ERRORS:
+        pass
+    results = {}
+    for i, point in list(live.items()):
+        try:
+            results[i] = one(point)
+        except _POINT_ERRORS as exc:
+            errors[i] = f"{type(exc).__name__}: {exc}"
+            del live[i]
+    return results
+
+
+def _scores(point: _Point, v_inertial, v_adiabatic) -> tuple:
+    m, t_f = point.model, point.t_f
     exact, inertial, adiabatic = (
-        reconstruct_state(m, v, t_f) for v in (v_exact, v_inertial, v_adiabatic)
+        reconstruct_state(m, v, t_f) for v in (point.exact, v_inertial, v_adiabatic)
     )
     deficit = one_minus_fidelity(exact, inertial)
     row = (
         1.0 - deficit,
         fidelity(exact, adiabatic),
-        mu_max,
-        ups_max,
+        point.mu_max,
+        point.ups_max,
         -math.log10(deficit) if deficit > 0.0 else math.inf,
     )
     nan = [name for name, x in zip(SweepResult.COLUMNS[1:], row) if math.isnan(x)]
@@ -310,6 +359,16 @@ def fidelity_sweep(
     frozen-frame solutions, and scores the approximations against the
     exact state.  A failed point is recorded and the sweep continues.
 
+    The points run in three phases.  Per point: the re-drive, the
+    parameter maxima, the mu domain check and the exact reference.  Then
+    the points that survive, together: ``engine.propagate_inertial_batch``
+    refines all of them level by level, each retiring where its own two
+    levels agree, and ``engine.propagate_adiabatic_batch`` diagonalizes
+    the chi = 0 frame once for all.  When a batch raises, each of its
+    points reruns alone (``propagate_inertial``, ``propagate_adiabatic``).
+    Last, per point: reconstruction and fidelities.  So every row, and
+    every error text, is the one the point gets alone.
+
     `rtol`/`atol` control the two-level exact reference, whose SU(2)
     Magnus flow (``linalg.su2_flow``) doubles its steps until two levels
     agree within atol + rtol |U| (the oscillator's exact state is closed
@@ -326,14 +385,32 @@ def fidelity_sweep(
         omega_target = 0.5 * model.omega_start
 
     tols = (rtol, atol, phase_tol)
-    values, errors = [], []
-    for t_f in grid:
+    errors = [None] * len(grid)
+    live = {}
+    for i, t_f in enumerate(grid):
         try:
-            values.append(_sweep_point(model, float(t_f), omega_target, samples, tols))
-            errors.append(None)
-        except (LiouvdynError, ArithmeticError, ValueError) as exc:
-            values.append((math.nan,) * 5)
-            errors.append(f"{type(exc).__name__}: {exc}")
+            live[i] = _prepared_point(model, float(t_f), omega_target, samples, tols)
+        except _POINT_ERRORS as exc:
+            errors[i] = f"{type(exc).__name__}: {exc}"
+    inertial = _batch_or_each(
+        lambda points: [v for v, _ in propagate_inertial_batch(
+            [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points],
+            phase_tol=phase_tol)],
+        lambda p: propagate_inertial(p.fact, p.v0, p.t_f, phase_tol=phase_tol)[0],
+        live, errors,
+    )
+    adiabatic = _batch_or_each(
+        lambda points: propagate_adiabatic_batch(
+            [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points]),
+        lambda p: propagate_adiabatic(p.fact, p.v0, p.t_f),
+        live, errors,
+    )
+    values = [(math.nan,) * 5] * len(grid)
+    for i, point in live.items():
+        try:
+            values[i] = _scores(point, inertial[i], adiabatic[i])
+        except _POINT_ERRORS as exc:
+            errors[i] = f"{type(exc).__name__}: {exc}"
 
     cols = list(zip(*values))
     return SweepResult(

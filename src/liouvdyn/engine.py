@@ -21,11 +21,13 @@ import numpy as np
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
 from .linalg import (
+    STACK_NODES,
     EigenFrame,
     chebyshev_coefficients,
     chebyshev_derivative,
-    chebyshev_levels,
+    chebyshev_nodes,
     eigenframes,
+    interleave,
     transport,
 )
 
@@ -305,73 +307,205 @@ def propagate_exact(
     return LiouvilleVector(coeffs=sol.y[:n, -1], t=t, theta=theta_f)
 
 
+def propagate_adiabatic_batch(facts, v0s, ts) -> list:
+    """Frozen-parameter baseline of many points of one generator family.
+
+    Point i expands v0s[i] in the eigenframe of B at chi = 0 and advances
+    each mode by its zero-parameter eigenvalue over the actual scaled time
+    theta(ts[i]) of facts[i].  The factorizations share one generator and
+    block layout (ValueError otherwise), so that frame is diagonalized
+    once for the batch.
+    """
+    facts, v0s, ts = list(facts), list(v0s), list(ts)
+    thetas = [f.theta_of_t(t) if t != 0.0 else 0.0 for f, t in zip(facts, ts, strict=True)]
+    if not facts:
+        return []
+    fact = facts[0]
+    if any(f.B_of_chi is not fact.B_of_chi or f.blocks != fact.blocks for f in facts):
+        raise ValueError("the points of a batch share one generator and block layout")
+    lam, rights, lefts = eigenframes(fact.B_of_chi(fact.chi_zero())[None], blocks=fact.blocks)
+    out = []
+    for v0, t, theta_f in zip(v0s, ts, thetas, strict=True):
+        c = lefts[0].conj().T @ v0.coeffs
+        coeffs = rights[0] @ (c * np.exp(-1j * lam[0] * theta_f))
+        out.append(LiouvilleVector(coeffs=coeffs, t=t, theta=theta_f))
+    return out
+
+
 def propagate_adiabatic(
     fact: GeneratorFactorization, v0: LiouvilleVector, t: float
 ) -> LiouvilleVector:
     """Frozen-parameter baseline: the chi = 0 frame with the true pace.
 
-    Expands v0 in the eigenframe of B at chi = 0 and advances each mode by
-    its zero-parameter eigenvalue over the actual scaled time theta(t).
+    The one-point view of ``propagate_adiabatic_batch``.
     """
-    theta_f = fact.theta_of_t(t) if t != 0.0 else 0.0
-    B0 = fact.B_of_chi(fact.chi_zero())[None]
-    lam, rights, lefts = eigenframes(B0, blocks=fact.blocks)
-    c = lefts[0].conj().T @ v0.coeffs
-    out = rights[0] @ (c * np.exp(-1j * lam[0] * theta_f))
-    return LiouvilleVector(coeffs=out, t=t, theta=theta_f)
+    return propagate_adiabatic_batch([fact], [v0], [t])[0]
 
 
-def _level_phases(fact, x, paces, B, frames):
-    """Dynamical and transport phases from one Chebyshev level of [0, t].
+def _level_phases(fact, x, paces, B, lam, rights, lefts):
+    """Dynamical and transport phases of P points from one Chebyshev level of [0, t].
 
-    The stacks run over the nodes ``x``, x_0 = 1 at the end time, and
-    ``paces`` holds Omega dt/dx.  ``transport`` orders the modes along the
-    path.  Each mode k is referred to its frame r_k at one node of the
-    first level: once a unit factor on F_k and G_k makes r_k^H F_k(t) real
-    and positive, that node gives the largest smallest overlap of
-    neighbouring nodes' frames (SingularDenominator when every choice
-    turns the frame by pi / 2 or more in one step).  In that reference
-    gauge dF_k/dx = P_k + a_k F_k, with the first-order pair sum P_k =
-    sum_j F_j (G_j^H dB F_k) / (lambda_k - lambda_j) over the other modes
-    of k's block: unit norm fixes Re a_k = -Re(F_k^H P_k) and the real
-    overlap Im a_k = -Im(r_k^H P_k) / |r_k^H F_k|.  Returns the final
-    frame in its pivot gauge and mode order, int lambda_k Omega dt, and
-    geo_k = i int a_k dx moved to the pivot gauges at both ends.
+    The (P, N, ...) stacks run over the points and the nodes ``x``, x_0 = 1
+    at each point's end time, and ``paces`` holds Omega dt/dx.
+    ``transport`` orders the modes along each path.  Each mode k is
+    referred to its frame r_k at one node of the first level: once a unit
+    factor on F_k and G_k makes r_k^H F_k(t) real and positive, that node
+    gives the largest smallest overlap of neighbouring nodes' frames
+    (SingularDenominator when every choice turns the frame by pi / 2 or
+    more in one step).  In that reference gauge dF_k/dx = P_k + a_k F_k,
+    with the first-order pair sum P_k = sum_j F_j (G_j^H dB F_k) /
+    (lambda_k - lambda_j) over the other modes of k's block: unit norm
+    fixes Re a_k = -Re(F_k^H P_k) and the real overlap Im a_k =
+    -Im(r_k^H P_k) / |r_k^H F_k|.  Returns per point the final frame in
+    its pivot gauge and mode order, int lambda_k Omega dt, and geo_k = i
+    int a_k dx moved to the pivot gauges at both ends.  Every step acts
+    on each point alone, so a point's phases do not depend on the others.
     """
-    lam, rights, lefts = (a[::-1] for a in frames)  # time order from here
+    lam, rights, lefts = (a[:, ::-1] for a in (lam, rights, lefts))  # time order from here
     perms, _ = transport(rights, lefts)
-    lam = np.take_along_axis(lam, perms, axis=1)
-    rights, lefts = (np.take_along_axis(a, perms[:, None, :], axis=2) for a in (rights, lefts))
-    m, modes = lam.shape[1], np.arange(lam.shape[1])
+    lam = np.take_along_axis(lam, perms, axis=2)
+    rights, lefts = (np.take_along_axis(a, perms[:, :, None, :], axis=3) for a in (rights, lefts))
+    points, m = np.arange(len(lam))[:, None], lam.shape[2]
+    modes = np.arange(m)
     # candidate references: the first level's nodes, present at every level.
-    # o[k, j, i] = F_k(t_j)^H F_k(t_i): referred to candidate j, the frame's
-    # step from node i to i + 1 overlaps as o[k, j, i] s[k, i] conj(o[k, j, i + 1])
+    # o[p, k, j, i] = F_k(t_j)^H F_k(t_i): referred to candidate j, the frame's
+    # step from node i to i + 1 overlaps as o[p, k, j, i] s[p, k, i] conj(o[p, k, j, i + 1])
     stride = (len(x) - 1) // _CHEB_N0
-    per_mode = rights.transpose(2, 0, 1)
-    o = per_mode[:, ::stride].conj() @ per_mode.transpose(0, 2, 1)
-    steps = (per_mode[:, :-1].conj() * per_mode[:, 1:]).sum(axis=2)
-    turns = o[:, :, :-1] * steps[:, None, :] * o[:, :, 1:].conj()
-    ref = turns.real.min(axis=2).argmax(axis=1)
-    turns, overlap = turns[modes, ref], o[modes, ref].T
-    if (bad := np.flatnonzero(~(turns.real.min(axis=1) >= _REFERENCE_FLOOR))).size:
-        raise SingularDenominator(f"mode {bad[0]} turns by pi / 2 or more between two nodes "
+    per_mode = rights.transpose(0, 3, 1, 2)
+    o = per_mode[:, :, ::stride].conj() @ per_mode.transpose(0, 1, 3, 2)
+    steps = (per_mode[:, :, :-1].conj() * per_mode[:, :, 1:]).sum(axis=3)
+    turns = o[..., :-1] * steps[:, :, None, :] * o[..., 1:].conj()
+    ref = turns.real.min(axis=3).argmax(axis=2)
+    turns, overlap = turns[points, modes, ref], o[points, modes, ref].transpose(0, 2, 1)
+    if (bad := np.argwhere(~(turns.real.min(axis=2) >= _REFERENCE_FLOOR))).size:
+        raise SingularDenominator(f"mode {bad[0][-1]} turns by pi / 2 or more between two nodes "
                                   "against each of its candidate reference frames")
     size = np.abs(overlap)
-    F, G = (a * (overlap.conj() / size)[:, None, :] for a in (rights, lefts))
+    F, G = (a * (overlap.conj() / size)[:, :, None, :] for a in (rights, lefts))
 
-    dB = (chebyshev_derivative(len(x) - 1) @ B.reshape(len(x), -1)).reshape(B.shape)
+    n = len(x) - 1
+    dB = (chebyshev_derivative(n) @ B.reshape(len(B), n + 1, -1)).reshape(B.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pairs = G.conj().transpose(0, 2, 1) @ dB[::-1] @ F / (lam[:, None, :] - lam[:, :, None])
+        pairs = (G.conj().swapaxes(-1, -2) @ dB[:, ::-1] @ F
+                 / (lam[:, :, None, :] - lam[:, :, :, None]))
     P = F @ np.where(fact.mode_pairs(m), pairs, 0.0)
-    a = (-np.einsum("nak,nak->nk", F.conj(), P).real
-         - 1j * np.einsum("ka,nak->nk", F[ref * stride, :, modes].conj(), P).imag / size)
-    # Clenshaw-Curtis: int_{-1}^{1} T_k dx = 2 / (1 - k^2) for even k, 0 for odd k
-    integrands = np.hstack([lam * paces[::-1, None], a])[::-1]
-    even = np.arange(0, len(x), 2)
-    sums = 2.0 / (1.0 - even**2) @ chebyshev_coefficients(integrands)[even]
+    a = (-np.einsum("pnak,pnak->pnk", F.conj(), P).real
+         - 1j * np.einsum("pka,pnak->pnk", F[points, ref * stride, :, modes].conj(), P).imag
+         / size)
+    # Clenshaw-Curtis: int_{-1}^{1} T_k dx = 2 / (1 - k^2) for even k, 0 for
+    # odd k; the coefficients run over the nodes' axis, so it leads here
+    integrands = np.concatenate([lam * paces[:, ::-1, None], a], axis=2)[:, ::-1]
+    even = np.arange(0, n + 1, 2)
+    coeffs = chebyshev_coefficients(integrands.transpose(1, 0, 2))[even]
+    sums = 2.0 / (1.0 - even**2) @ coeffs.transpose(1, 0, 2)
     # the pivot gauges' phase steps less the reference gauge's, each within pi / 2
-    winding = np.angle(steps).sum(axis=1) - np.angle(turns).sum(axis=1)
-    return rights[-1], sums[:m], 1j * sums[m:] - winding
+    winding = np.angle(steps).sum(axis=2) - np.angle(turns).sum(axis=2)
+    return rights[:, -1], sums[:, :m], 1j * sums[:, m:] - winding
+
+
+def _at_start(fact, v0):
+    """The inertial solution at t = 0: v0 itself, expanded in the t = 0 frame."""
+    B0 = fact.B_of_chi(fact.chi_of_t(np.zeros(1)))
+    _, rights, lefts = eigenframes(B0, blocks=fact.blocks)
+    c = lefts[0].conj().T @ v0.coeffs
+    zeros = np.zeros(v0.dim, dtype=complex)
+    sol = InertialSolution(c=c, dyn_phase=zeros, geo_phase=zeros, Lambda=zeros, t=0.0)
+    return LiouvilleVector(coeffs=rights[0] @ c, t=0.0, theta=0.0), sol
+
+
+def _sample(points, x):
+    """(paces, B, lam, rights, lefts) stacks of the points at the nodes x,
+    the frames of every point from one ``eigenframes`` stack."""
+    paces, B = [], []
+    for _, fact, _, t in points:
+        ts = 0.5 * t * (1.0 + x)
+        B.append(fact.B_of_chi(fact.chi_of_t(ts)))
+        paces.append(0.5 * t * fact.omega_of_t(ts))
+    B = np.stack(B)
+    frames = eigenframes(B.reshape(-1, *B.shape[2:]), blocks=points[0][1].blocks)
+    return (np.stack(paces), B, *(a.reshape(len(points), len(x), *a.shape[1:]) for a in frames))
+
+
+def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None):
+    """Refine the points, (index, fact, v0, t) each, from level n.
+
+    ``samples`` holds the ``_sample`` stacks of level n over the points,
+    and ``previous`` the phases of the level before, or None at the first
+    level.  A point whose two levels agree within phase_tol retires, its
+    result going to results[index].  When the next level's new nodes would
+    pass STACK_NODES, the points split into parts refined one by one.
+    """
+    while True:
+        new = n + 1 if samples is None else n // 2
+        size = max(1, STACK_NODES // new)
+        if len(points) > size:
+            for lo in range(0, len(points), size):
+                part = slice(lo, lo + size)
+                _refine(points[part], phase_tol, results, n,
+                        *(None if s is None else tuple(a[part] for a in s)
+                          for s in (samples, previous)))
+            return
+        x = chebyshev_nodes(n)
+        if samples is None:
+            samples = _sample(points, x)
+        else:
+            samples = tuple(interleave(old, odd, axis=1)
+                            for old, odd in zip(samples, _sample(points, x[1::2])))
+        final, dyn, geo = _level_phases(points[0][1], x, *samples)
+        if previous is not None:
+            delta = np.maximum(np.abs(dyn - previous[0]).max(axis=1),
+                               np.abs(geo - previous[1]).max(axis=1))
+            done = delta < phase_tol
+            for j in np.flatnonzero(done):
+                i, fact, v0, t = points[j]
+                c = samples[4][j, -1].conj().T @ v0.coeffs
+                out = final[j] @ (c * np.exp(-1j * dyn[j] + 1j * geo[j]))
+                sol = InertialSolution(c=c, dyn_phase=dyn[j], geo_phase=geo[j],
+                                       Lambda=dyn[j] - geo[j], t=t, nodes=n + 1,
+                                       delta=float(delta[j]))
+                results[i] = LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return
+            points = [points[j] for j in keep]
+            samples = tuple(s[keep] for s in samples)
+            dyn, geo = dyn[keep], geo[keep]
+        if 2 * n > _CHEB_MAX_N:
+            raise NotConverged(f"phase integrals not stable to {phase_tol} at {n + 1} points")
+        previous, n = (dyn, geo), 2 * n
+
+
+def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -> list:
+    """Eigenframe-following propagation of many points at once.
+
+    Point i propagates v0s[i] under facts[i] to ts[i] as
+    ``propagate_inertial`` does, and the list holds each point's
+    ``(LiouvilleVector, InertialSolution)``.  The factorizations share one
+    block layout (ValueError otherwise).  The Chebyshev levels run over
+    every active point together: one ``eigenframes`` stack holds the new
+    nodes of all of them, and ``transport`` and the level phases run over
+    (points, nodes, m, m) stacks.  A point retires at the level where its
+    own two levels agree, so its nodes, delta and result are the ones it
+    gets alone.  A batch whose next stack would hold more than
+    ``linalg.STACK_NODES`` nodes splits, and its parts are refined one
+    after the other, which bounds the frame memory however many points
+    are asked for.  Any point's guard error raises for the batch.
+    """
+    facts, v0s, ts = list(facts), list(v0s), list(ts)
+    if any(f.blocks != facts[0].blocks for f in facts):
+        raise ValueError("the points of a batch share one block layout")
+    for fact, t in zip(facts, ts, strict=True):
+        require_propagation_time(t, fact.t_max)
+    results = [None] * len(ts)
+    moving = []
+    for i, (fact, v0, t) in enumerate(zip(facts, v0s, ts, strict=True)):
+        if t == 0.0:
+            results[i] = _at_start(fact, v0)
+        else:
+            moving.append((i, fact, v0, t))
+    if moving:
+        _refine(moving, phase_tol, results)
+    return results
 
 
 def propagate_inertial(
@@ -389,37 +523,7 @@ def propagate_inertial(
     by less than phase_tol, with NotConverged past _CHEB_MAX_N intervals.
     Each level keeps the ``eigenframes`` and ``transport`` guards, and a
     mode that turns orthogonal to each of its node frames along the path
-    raises SingularDenominator.
+    raises SingularDenominator.  The one-point view of
+    ``propagate_inertial_batch``.
     """
-    require_propagation_time(t, fact.t_max)
-    if t == 0.0:
-        B0 = fact.B_of_chi(fact.chi_of_t(np.zeros(1)))
-        _, rights, lefts = eigenframes(B0, blocks=fact.blocks)
-        c = lefts[0].conj().T @ v0.coeffs
-        zeros = np.zeros(v0.dim, dtype=complex)
-        sol = InertialSolution(
-            c=c, dyn_phase=zeros, geo_phase=zeros, Lambda=zeros, t=0.0
-        )
-        return LiouvilleVector(coeffs=rights[0] @ c, t=0.0, theta=0.0), sol
-
-    def sample(x):
-        ts = 0.5 * t * (1.0 + x)
-        B = fact.B_of_chi(fact.chi_of_t(ts))
-        return (0.5 * t * fact.omega_of_t(ts), B, *eigenframes(B, blocks=fact.blocks))
-
-    previous = None
-    for level, x, (paces, B, *frames) in chebyshev_levels(sample, _CHEB_N0, _CHEB_MAX_N):
-        final, dyn, geo = _level_phases(fact, x, paces, B, frames)
-        if previous is not None:
-            delta = max(np.abs(dyn - previous[0]).max(), np.abs(geo - previous[1]).max())
-            if delta < phase_tol:
-                break
-        previous = dyn, geo
-    else:
-        raise NotConverged(f"phase integrals not stable to {phase_tol} at {level + 1} points")
-
-    c = frames[2][-1].conj().T @ v0.coeffs
-    out = final @ (c * np.exp(-1j * dyn + 1j * geo))
-    sol = InertialSolution(c=c, dyn_phase=dyn, geo_phase=geo, Lambda=dyn - geo,
-                           t=t, nodes=level + 1, delta=float(delta))
-    return LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
+    return propagate_inertial_batch([fact], [v0], [t], phase_tol=phase_tol)[0]

@@ -4,11 +4,12 @@ The propagators in this package diagonalize generators whose right and left
 eigenvectors differ in general.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
-A stack that is exactly Hermitian, as every two-level and spin generator
+A matrix that is exactly Hermitian, as every two-level and spin generator
 1j (A0 + chi A1) with real antisymmetric A0, A1 is, takes ``eigh``: its
-lefts are its orthonormal rights.  Any other stack takes the general
-``eig`` and an inverse; both routes share the gauge and every guard.
-``chebyshev_levels`` holds the nested node set of the spectral quadratures.
+lefts are its orthonormal rights.  Any other takes the general ``eig`` and
+an inverse; both routes share the gauge and every guard.
+``chebyshev_nodes``, ``interleave`` and ``chebyshev_levels`` hold the nested
+node set of the spectral quadratures.
 ``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
 stacked sixth-order Magnus steps (``magnus_axes``), exponentiated by ``su2``
 and multiplied by ``ordered_product``.  The two-level exact reference
@@ -37,8 +38,9 @@ _QUALITY_FLOOR = 1e-8
 _GAUGE_TIE = 1e-9
 # Most nodes of one structural part (a block or a factor) that a caller
 # slicing a long node set (diagnostics.inertial_parameters, geometric.
-# surface_phases) puts in one eigenframes stack: it bounds the frame memory
-# however many nodes are asked for.  geometric._parts lays the stacks of
+# surface_phases, the levels of engine.propagate_inertial_batch) puts in one
+# eigenframes stack: it bounds the frame memory however many nodes are
+# asked for.  geometric._parts lays the stacks of
 # equal-size parts end to end, so one call there holds a multiple of it.
 STACK_NODES = 1024
 
@@ -115,8 +117,9 @@ def eigenframes(B, *, blocks=None):
     ``_mode_order``.  The gauge makes the largest-magnitude component of
     each right eigenvector real and positive with unit 2-norm; the lefts
     come from the inverse right-eigenvector matrix, so G_k^H F_n =
-    delta_kn.  An exactly Hermitian stack is diagonalized by ``eigh``, and
-    its lefts equal its orthonormal rights (in an array of their own).
+    delta_kn.  Each exactly Hermitian matrix is diagonalized by ``eigh``,
+    and its lefts equal its orthonormal rights (in an array of their own),
+    so every frame of a stack is the frame of its matrix alone.
     Raises DegenerateSpectrum when a minimal eigenvalue gap
     falls below ``DEGENERACY_GAP`` and NotDiagonalizable when a right/left
     pair is numerically orthogonal (defective generator) or the
@@ -152,8 +155,15 @@ def _diagonalize(B: np.ndarray):
         return B[:, 0, :].copy(), np.ones_like(B), np.ones_like(B)
 
     # B = 1j (A0 + chi A1) with A0, A1 real antisymmetric is Hermitian bit
-    # for bit: eigh gives orthonormal rights, whose inverse is their adjoint
-    hermitian = np.array_equal(B, B.conj().transpose(0, 2, 1))
+    # for bit: eigh gives orthonormal rights, whose inverse is their adjoint.
+    # Each matrix takes its own route, so no frame depends on its stack
+    exact = np.all(B == B.conj().transpose(0, 2, 1), axis=(1, 2))
+    if exact.any() and not exact.all():
+        lam, rights, lefts = np.empty(B.shape[:2], dtype=complex), np.empty_like(B), np.empty_like(B)
+        for part in (exact, ~exact):
+            lam[part], rights[part], lefts[part] = _diagonalize(B[part])
+        return lam, rights, lefts
+    hermitian = bool(exact.all())
     if hermitian:
         lam, vr = np.linalg.eigh(B)
         lam = lam.astype(complex)
@@ -238,44 +248,48 @@ def bi_eigendecompose(B: np.ndarray) -> EigenFrame:
 
 
 def transport(rights, lefts):
-    """Follow every mode along a path of frames, given as (N+1, m, m) stacks.
+    """Follow every mode along a path of frames, given as (N+1, m, m) stacks,
+    or along each of P paths at once, given as (P, N+1, m, m) stacks.
 
     Mode k continues into the column of the next frame with the largest
     normalized overlap |G_k . F_n|.  Returns ``(perms, logs)``:
-    ``perms[i, k]`` is the column of frame i continuing column k of frame
-    0, and ``logs[k]`` sums ln(G_k . F_k) over the steps of mode k.
-    Raises AmbiguousMatching when the two best overlaps of any column are
-    within ``MATCH_AMBIGUITY``, or two columns claim one successor.
+    ``perms[..., i, k]`` is the column of frame i continuing column k of
+    frame 0, and ``logs[..., k]`` sums ln(G_k . F_k) over the steps of
+    mode k.  Raises AmbiguousMatching when the two best overlaps of any
+    column are within ``MATCH_AMBIGUITY``, or two columns claim one
+    successor.
     """
     rights = np.asarray(rights)
     lefts = np.asarray(lefts)
-    if rights.shape != lefts.shape or rights.ndim != 3:
+    if rights.shape != lefts.shape or rights.ndim not in (3, 4):
         raise ValueError("frames of different dimension cannot be matched")
-    steps, m = rights.shape[0] - 1, rights.shape[2]
-    raw = lefts[:-1].conj().transpose(0, 2, 1) @ rights[1:]
+    steps, m = rights.shape[-3] - 1, rights.shape[-1]
+    raw = lefts[..., :-1, :, :].conj().swapaxes(-1, -2) @ rights[..., 1:, :, :]
     norms = (
-        np.linalg.norm(lefts[:-1], axis=1)[:, :, None]
-        * np.linalg.norm(rights[1:], axis=1)[:, None, :]
+        np.linalg.norm(lefts[..., :-1, :, :], axis=-2)[..., :, None]
+        * np.linalg.norm(rights[..., 1:, :, :], axis=-2)[..., None, :]
     )
     overlaps = np.abs(raw) / norms
-    succ = np.argmax(overlaps, axis=2)
+    succ = np.argmax(overlaps, axis=-1)
     if m > 1:
-        top = np.partition(overlaps, -2, axis=2)
-        if bad := _first(top[:, :, -1] - top[:, :, -2] < MATCH_AMBIGUITY):
+        top = np.partition(overlaps, -2, axis=-1)
+        if bad := _first(top[..., -1] - top[..., -2] < MATCH_AMBIGUITY):
             raise AmbiguousMatching(
-                f"mode {bad[1]} at step {bad[0] + 1}: top overlaps "
+                f"mode {bad[-1]} at step {bad[-2] + 1}: top overlaps "
                 f"{top[bad][-1]:.6f} and {top[bad][-2]:.6f} are too close "
                 "to resolve"
             )
     ident = np.arange(m)
-    if np.any(np.sort(succ, axis=1) != ident):
+    if np.any(np.sort(succ, axis=-1) != ident):
         raise AmbiguousMatching("two modes matched the same successor column")
 
-    perms = np.tile(ident, (steps + 1, 1))
-    for i in np.flatnonzero(np.any(succ != ident, axis=1)):
-        perms[i + 1 :] = succ[i][perms[i]]
-    chosen = raw[np.arange(steps)[:, None], perms[:-1], perms[1:]]
-    return perms, np.log(chosen).sum(axis=0)
+    perms = np.tile(ident, (*succ.shape[:-2], steps + 1, 1))
+    for *path, i in np.argwhere(np.any(succ != ident, axis=-1)):
+        perms[(*path, slice(i + 1, None))] = succ[(*path, i)][perms[(*path, i)]]
+    # raw[..., i, perms[i, k], perms[i + 1, k]]: the row, then the column
+    rows = np.take_along_axis(raw, perms[..., :-1, :, None], axis=-2)
+    chosen = np.take_along_axis(rows, perms[..., 1:, :, None], axis=-1)[..., 0]
+    return perms, np.log(chosen).sum(axis=-2)
 
 
 def track_continuity(prev: EigenFrame, nxt: EigenFrame) -> Alignment:
@@ -301,23 +315,33 @@ def track_continuity(prev: EigenFrame, nxt: EigenFrame) -> Alignment:
     return Alignment(frame=frame, permutation=permutation, phases=phases)
 
 
+def chebyshev_nodes(n: int) -> np.ndarray:
+    """The n + 1 Chebyshev extreme points x_j = cos(pi j / n) of [-1, 1], x_0 = 1."""
+    return np.cos(np.pi * np.arange(n + 1) / n)
+
+
+def interleave(old, odd, axis: int = 0) -> np.ndarray:
+    """Samples of the next level along ``axis``: those of the level before
+    (``old``) with the new odd nodes' samples (``odd``) between them."""
+    return np.insert(old, np.arange(1, old.shape[axis]), odd, axis=axis)
+
+
 def chebyshev_levels(f, n0: int, n_max: int):
     """Samples of f on nested Chebyshev extreme points of [-1, 1].
 
     Yields ``(n, x, values)`` for n = n0, 2 n0, ... intervals up to n_max,
-    the nodes being x_j = cos(pi j / n), so x_0 = 1.  ``f`` maps a 1-D
-    array of nodes to a tuple of arrays over them.  A doubling evaluates f
-    only at the new odd nodes and interleaves them with the earlier
-    samples, so no node is evaluated twice.
+    x being ``chebyshev_nodes(n)``.  ``f`` maps a 1-D array of nodes to a
+    tuple of arrays over them.  A doubling evaluates f only at the new
+    odd nodes and interleaves them with the earlier samples, so no node
+    is evaluated twice.
     """
     n, values = n0, None
     while n <= n_max:
-        x = np.cos(np.pi * np.arange(n + 1) / n)
+        x = chebyshev_nodes(n)
         if values is None:
             values = f(x)
         else:
-            values = tuple(np.insert(old, np.arange(1, len(old)), odd, axis=0)
-                           for old, odd in zip(values, f(x[1::2])))
+            values = tuple(map(interleave, values, f(x[1::2])))
         yield n, x, values
         n *= 2
 

@@ -222,7 +222,8 @@ class HOProtocol:
 
     Built so the rate parameter chi(t) = omega_dot / omega^2 is exactly
     chi0 + a t: chi0 is the initial rate, `a` its constant acceleration.
-    Every method but ``theta`` takes a float t or a 1-D array of times.
+    Every method but ``theta`` takes a float t or a 1-D array of times,
+    the closed-form ``inertial_parameter_closed`` included.
     """
 
     omega0: float
@@ -267,42 +268,48 @@ class HOProtocol:
         mu = self.chi0 + self.a * t
         return self.a * w * w + 2.0 * mu * mu * w**3
 
-    def inertial_parameter_closed(self, t: float) -> float:
+    def inertial_parameter_closed(self, t):
         """Closed-form drive-acceleration parameter Upsilon at time t.
 
         Evaluates the frequency-profile expression
             mu^2 (w''/w - 2 (w'/w)^2)
             / [ (2 kappa)^2 ( (w''/w) log(w/w0) - (w'/w)^2 (2 log(w/w0) + 1) ) ]
-        with kappa = sqrt(4 - mu^2), returned as a magnitude.  Points where
-        the bracketed denominator vanishes (for example t -> 0 on a ramp
-        that starts from rest) are flagged instead of evaluated.
+        with kappa = sqrt(4 - mu^2), returned as a magnitude; 0 where the
+        ramp is at rest.  Points where the bracketed denominator vanishes
+        (for example t -> 0 on a ramp that starts from rest) are flagged
+        instead of evaluated: SingularDenominator names the first.  A float
+        t gives a float, a 1-D array of times the array of values, each
+        the value at its time alone.
         """
+        # a float runs as a 1-element array, so it gets the array's bits
+        times = np.asarray(t, dtype=float).reshape(-1)
         w0 = self.omega(0.0)
-        w = self.omega(t)
-        wd = self.omega_dot(t)
+        w = self.omega(times)
+        wd = self.omega_dot(times)
         mu = wd / (w * w)
         # before omega_ddot, whose mu^2 w^3 term overflows for large |mu|
-        if abs(mu) >= 2.0:
+        if np.any(abs(mu) >= 2.0):
             raise SingularDenominator(
                 "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined"
             )
-        wdd = self.omega_ddot(t)
-        if wd == 0.0 and wdd == 0.0:
-            return 0.0
+        wdd = self.omega_ddot(times)
+        rest = (wd == 0.0) & (wdd == 0.0)
         ksq = 4.0 - mu * mu
-        log_ratio = math.log(w / w0)
+        log_ratio = np.log(w / w0)
         curv = wdd / w
         rate_sq = (wd / w) ** 2
         num = mu * mu * (curv - 2.0 * rate_sq)
         bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
-        scale = abs(curv) * max(abs(log_ratio), 1.0) + rate_sq * (
+        scale = abs(curv) * np.maximum(abs(log_ratio), 1.0) + rate_sq * (
             2.0 * abs(log_ratio) + 1.0
         )
-        if abs(bracket) <= _DEN_TOL * scale:
+        singular = ~rest & (abs(bracket) <= _DEN_TOL * scale)
+        if singular.any():
             raise SingularDenominator(
-                f"denominator vanishes at t = {t:g}; point skipped"
+                f"denominator vanishes at t = {times[singular][0]:g}; point skipped"
             )
-        return abs(num / (4.0 * ksq * bracket))
+        ups = np.where(rest, 0.0, abs(num / (4.0 * ksq * np.where(rest, 1.0, bracket))))
+        return float(ups[0]) if np.ndim(t) == 0 else ups
 
     def theta(self, t: float) -> float:
         """Scaled time, the closed-form antiderivative of omega.

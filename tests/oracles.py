@@ -2,10 +2,12 @@
 
 Everything in this module is derived from first principles (operator
 algebra, textbook closed forms) without importing the package under test,
-so agreement between the two is meaningful.  Four exceptions replay an
+so agreement between the two is meaningful.  Five exceptions replay an
 older route through the package's own frame layer: ``per_row_diagnose``
 runs the ``diagnose`` row loop through the one-point functions, so the
-stacked column can be held to it, ``grid_inertial`` runs the uniform
+stacked column can be held to it, ``per_point_sweep`` runs a duration
+sweep one point at a time through the one-point propagators, so the
+batched sweep can be held to it, ``grid_inertial`` runs the uniform
 grid inertial propagation, so the spectral route can be held to it,
 ``segment_surface_phases`` runs the surface form one curvature stack per
 boundary segment, so the stacked levels can be held to it, and
@@ -883,6 +885,67 @@ def per_row_diagnose(model, ts):
             error = f"{type(exc).__name__}: {exc}"
         rows.append(tuple(row))
         errors.append(error)
+    return rows, errors
+
+
+# ---------------------------------------------------------------------------
+# sweep: the point-by-point evaluation of a duration sweep
+# ---------------------------------------------------------------------------
+
+
+def per_point_sweep(model, grid, *, omega_target=None, samples=65, rtol=1e-10,
+                    atol=1e-12, phase_tol=1e-10):
+    """(rows, errors) of ``fidelity_sweep`` evaluated one point at a time.
+
+    Each point runs the whole chain alone: re-drive, parameter maxima,
+    the mu domain check, the exact reference, ``propagate_inertial``,
+    ``propagate_adiabatic``, reconstruction and fidelities.  Rows are
+    ``SweepResult.rows()`` tuples; a point that raises gets NaN in every
+    value column and the error text.
+    """
+    from liouvdyn.diagnostics import fidelity, max_parameters_along, one_minus_fidelity
+    from liouvdyn.engine import propagate_adiabatic, propagate_inertial
+    from liouvdyn.errors import DomainExceeded, LiouvdynError
+    from liouvdyn.models import initial_vector, reconstruct_state
+
+    if omega_target is None:
+        omega_target = 0.5 * model.omega_start
+    names = ("fidelity_inertial", "fidelity_adiabatic", "max_abs_mu", "max_upsilon",
+             "neg_log10_one_minus_fidelity")
+    rows, errors = [], []
+    for t_f in grid:
+        t_f = float(t_f)
+        try:
+            m = model.for_duration(t_f, omega_target)
+            mu_max, ups_max = max_parameters_along(m, t_f, samples)
+            if mu_max >= m.mu_limit:
+                raise DomainExceeded(
+                    f"max |mu| = {mu_max:.6g} reaches the exceptional point "
+                    f"|mu| = {m.mu_limit:g}"
+                )
+            fact, v0 = m.factorization(), initial_vector(m)
+            v_exact = m.exact_vector(t_f, rtol=rtol, atol=atol)
+            v_inertial, _ = propagate_inertial(fact, v0, t_f, phase_tol=phase_tol)
+            v_adiabatic = propagate_adiabatic(fact, v0, t_f)
+            exact, inertial, adiabatic = (
+                reconstruct_state(m, v, t_f) for v in (v_exact, v_inertial, v_adiabatic)
+            )
+            deficit = one_minus_fidelity(exact, inertial)
+            values = (
+                1.0 - deficit,
+                fidelity(exact, adiabatic),
+                mu_max,
+                ups_max,
+                -math.log10(deficit) if deficit > 0.0 else math.inf,
+            )
+            nan = [name for name, x in zip(names, values) if math.isnan(x)]
+            if nan:
+                raise FloatingPointError(f"{', '.join(nan)} evaluated to NaN")
+            rows.append((t_f, *values))
+            errors.append(None)
+        except (LiouvdynError, ArithmeticError, ValueError) as exc:
+            rows.append((t_f,) + (math.nan,) * 5)
+            errors.append(f"{type(exc).__name__}: {exc}")
     return rows, errors
 
 

@@ -1097,6 +1097,21 @@ class TestDiagnoseStack:
         assert all(n == 129 for n, _, _ in blocks)
         assert sum(m > 1 for _, m, _ in blocks) == mixing
 
+    @pytest.mark.parametrize("experiment", ["diagnose", "sweep"])
+    def test_closed_form_is_one_array_call(self, tmp_path, monkeypatch, experiment):
+        # the diagnose column, and each sweep point's maximum, evaluate the
+        # oscillator's closed form once over all their samples
+        shapes = []
+        real = models.HOProtocol.inertial_parameter_closed
+
+        def recorded(protocol, t):
+            shapes.append(np.shape(t))
+            return real(protocol, t)
+
+        monkeypatch.setattr(models.HOProtocol, "inertial_parameter_closed", recorded)
+        assert run_cli([experiment, "--model", "ho", "--out", tmp_path]) == 0
+        assert shapes == ([(129,)] if experiment == "diagnose" else [(65,)] * 20)
+
     def test_stack_is_bounded_and_matches_rows(self, monkeypatch):
         cfg = self.resolve("ho", numerics={"samples": 3000})
         sizes = _count_stacks(monkeypatch)

@@ -14,9 +14,10 @@ from liouvdyn.diagnostics import (
     max_parameters_along,
     one_minus_fidelity,
 )
-from liouvdyn.engine import GeneratorFactorization
+from liouvdyn import engine
+from liouvdyn.engine import GeneratorFactorization, propagate_inertial
 from liouvdyn.errors import DegenerateSpectrum, SingularDenominator, UnphysicalState
-from liouvdyn.linalg import bi_eigendecompose
+from liouvdyn.linalg import STACK_NODES, bi_eigendecompose
 from liouvdyn.models import (
     BlochState,
     GaussianState,
@@ -33,6 +34,7 @@ from oracles import (
     gauge_align,
     ho_lower_eigensystem,
     ho_upper_eigensystem,
+    per_point_sweep,
     tls_eigensystem,
 )
 
@@ -256,6 +258,24 @@ class TestClosedFormUpsilon:
     def test_mode_collapse_is_singular(self):
         with pytest.raises(SingularDenominator):
             ho_inertial_parameter_closed(1e-3, HOProtocol(20.0, 2.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "protocol", [HOProtocol(20.0, -0.05, -5e-3), HOProtocol(20.0, 0.04, 3e-2),
+                     HOProtocol(20.0, 0.0, 0.0)],
+    )
+    def test_array_matches_each_time_alone(self, protocol):
+        ts = np.linspace(0.05, 0.9, 65)
+        got = protocol.inertial_parameter_closed(ts)
+        want = [protocol.inertial_parameter_closed(float(t)) for t in ts]
+        assert [repr(float(x)) for x in got] == [repr(x) for x in want]
+
+    def test_array_names_the_first_flagged_time(self):
+        # a ramp from rest is singular at t = 0 alone
+        p = HOProtocol(20.0, 0.0, -5e-3)
+        with pytest.raises(SingularDenominator, match=r"at t = 0; point skipped"):
+            p.inertial_parameter_closed(np.array([0.5, 0.0, 0.2]))
+        with pytest.raises(SingularDenominator, match=r"\|mu\| >= 2"):
+            HOProtocol(20.0, 2.5, 0.0).inertial_parameter_closed(np.array([0.0, 1e-3]))
 
 
 def ground_gaussian(omega, q=0.0, p=0.0):
@@ -488,3 +508,88 @@ class TestFidelitySweep:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             fidelity_sweep(fig1_ho_model(), [])
+
+
+def sweep_seed(kind):
+    """The ``sweep`` experiment's seed ramp from 20 at acceleration -5e-3
+    (the two-level system with epsilon 8)."""
+    if kind == "ho":
+        return HOModel(protocol=HOProtocol(20.0, 0.0, -5e-3))
+    return TLSModel(protocol=TLSProtocol(8.0, math.sqrt(20.0**2 - 8.0**2), 0.0, -5e-3))
+
+
+def _bits(rows):
+    # repr tells -0.0 from 0.0 and keeps every digit, so equal lists mean
+    # equal values with NaN in the same places
+    return [[repr(float(x)) for x in row] for row in rows]
+
+
+class TestBatchedSweep:
+    """The batched sweep, row for row and error for error, against the
+    point-by-point chain of ``oracles.per_point_sweep``."""
+
+    @staticmethod
+    def check(model, grid, **kw):
+        res = fidelity_sweep(model, grid, **kw)
+        rows, errors = per_point_sweep(model, grid, **kw)
+        assert _bits(res.rows()) == _bits(rows)
+        assert list(res.errors) == errors
+        return res
+
+    @pytest.mark.parametrize("kind", ["ho", "tls"])
+    def test_points_retiring_at_different_levels(self, kind):
+        grid = [0.5, 5.0, 1.0]
+        res = self.check(sweep_seed(kind), grid, omega_target=10.0)
+        assert res.errors == (None, None, None)
+        if kind == "tls":
+            # the two-level phases need 65 nodes at t_f = 5 and 33 elsewhere
+            nodes = []
+            for t_f in grid:
+                model = sweep_seed(kind).for_duration(t_f, 10.0)
+                nodes.append(propagate_inertial(model.factorization(),
+                                                model.initial_vector(), t_f)[1].nodes)
+            assert nodes == [33, 65, 33]
+
+    def test_failing_points_between_passing_ones(self):
+        # the steep ramp: at t_f = 0.02 it starts past |mu| = 2, and at
+        # t_f = 4 its boundary problem leaves the protocol's domain
+        res = self.check(HOModel(protocol=HOProtocol(20.0, -0.05, -0.2)),
+                         [0.5, 0.02, 0.3, 4.0, 1.0])
+        assert res.errors[1].startswith("DomainExceeded: max |mu| = 2.5")
+        assert res.errors[3] == (
+            "DomainExceeded: protocol leaves its domain before the requested endpoint"
+        )
+        assert [e is None for e in res.errors] == [True, False, True, False, True]
+
+    def test_a_failing_batch_reruns_each_point_alone(self):
+        # at the rounding floor some points never settle: NotConverged
+        # raises for the batch, and each point reruns alone
+        res = self.check(sweep_seed("ho"), [0.05, 0.2, 0.3, 0.5], omega_target=10.0,
+                         phase_tol=1e-16)
+        assert any(e is not None and e.startswith("NotConverged") for e in res.errors)
+        assert any(e is None for e in res.errors)
+
+    @pytest.mark.parametrize("kind", ["ho", "tls"])
+    def test_one_point_grid(self, kind):
+        res = self.check(sweep_seed(kind), [1.0], omega_target=10.0)
+        assert res.errors == (None,)
+
+    def test_stacks_are_bounded(self, monkeypatch):
+        sizes = []
+        real = engine.eigenframes
+
+        def counted(B, **kw):
+            sizes.append(len(B))
+            return real(B, **kw)
+
+        monkeypatch.setattr(engine, "eigenframes", counted)
+        grid = np.geomspace(0.3, 5.0, 130)
+        res = fidelity_sweep(sweep_seed("tls"), grid, omega_target=10.0)
+        assert all(e is None for e in res.errors)
+        # full stacks of many points, none past the bound, and the chi = 0
+        # frame diagonalized once for the whole sweep
+        assert STACK_NODES // 2 < max(sizes) <= STACK_NODES
+        assert sizes.count(1) == 1
+        rows, errors = per_point_sweep(sweep_seed("tls"), grid, omega_target=10.0)
+        assert _bits(res.rows()) == _bits(rows)
+        assert list(res.errors) == errors

@@ -14,9 +14,11 @@ from liouvdyn.engine import (
     coefficients,
     inverse_scaled_time,
     propagate_adiabatic,
+    propagate_adiabatic_batch,
     propagate_constant_chi,
     propagate_exact,
     propagate_inertial,
+    propagate_inertial_batch,
 )
 from liouvdyn.errors import (
     AmbiguousMatching,
@@ -452,6 +454,34 @@ class TestSpectralRoute:
         _, second = propagate_inertial(fact, v0, 5.0)
         assert (first.nodes, first.delta) == (second.nodes, second.delta)
         assert first.nodes >= 33 and 0.0 <= first.delta < 1e-10
+
+    @pytest.mark.parametrize("kind", ["ho", "tls"])
+    def test_batch_points_match_the_one_point_view(self, kind):
+        # t = 0 takes the start frame, and on the two-level ramp t_f = 5
+        # retires a level after the others; each point is the point alone
+        cases = [(0.5, 0.5), (5.0, 5.0), (1.0, 0.0), (2.0, 1.3)]
+        models = [sweep_ramp(kind, t_f) for t_f, _ in cases]
+        facts = [m.factorization() for m in models]
+        v0s = [initial_vector(m) for m in models]
+        ts = [t for _, t in cases]
+        batch = propagate_inertial_batch(facts, v0s, ts)
+        for fact, v0, t, (v, sol) in zip(facts, v0s, ts, batch, strict=True):
+            v_alone, alone = propagate_inertial(fact, v0, t)
+            assert (sol.nodes, sol.delta) == (alone.nodes, alone.delta)
+            assert np.array_equal(v.coeffs, v_alone.coeffs)
+            assert np.array_equal(sol.Lambda, alone.Lambda)
+        assert [sol.nodes for _, sol in batch] == [33, 65 if kind == "tls" else 33, 1, 33]
+
+    def test_batch_needs_one_structure(self):
+        ho, tls = sweep_ramp("ho", 1.0), sweep_ramp("tls", 1.0)
+        facts = [ho.factorization(), tls.factorization()]
+        v0s = [initial_vector(ho), initial_vector(tls)]
+        with pytest.raises(ValueError, match="block layout"):
+            propagate_inertial_batch(facts, v0s, [1.0, 1.0])
+        with pytest.raises(ValueError, match="one generator"):
+            propagate_adiabatic_batch(facts, v0s, [1.0, 1.0])
+        assert propagate_inertial_batch([], [], []) == []
+        assert propagate_adiabatic_batch([], [], []) == []
 
 
 class TestPurityPreservation:

@@ -202,3 +202,17 @@ def test_a_bad_node_in_one_block_raises_as_the_per_block_call(stack, kind, data)
     assert errors
     with pytest.raises(errors[0]):
         eigenframes(B, blocks=ranges)
+
+
+@given(seeds)
+def test_a_mixed_stack_routes_each_matrix_alone(seed):
+    # a Hermitian rotation generator between two non-Hermitian matrices
+    # still takes eigh, as it does alone
+    rng = np.random.default_rng(seed)
+    H = 1j * (antisymmetric(rng) + 0.7 * antisymmetric(rng))
+    assume(np.linalg.norm(H) > 0.1)
+    B = np.concatenate([path_stack(seed, 3, [0.2]), H[None], path_stack(seed, 3, [0.9])])
+    frames = eigenframes(B)
+    for i in range(len(B)):
+        assert _bits(a[i] for a in frames) == _bits(a[0] for a in eigenframes(B[i : i + 1]))
+    assert np.array_equal(frames[1][1], frames[2][1])
