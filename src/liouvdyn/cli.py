@@ -22,14 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
-from .diagnostics import (
-    adiabatic_parameter,
-    fidelity_sweep,
-    inertial_parameter_at,
-    inertial_parameters,
-    log_time_grid,
-)
-from .errors import ConfigInvalid, LiouvdynError, SingularDenominator
+from .diagnostics import adiabatic_parameter, fidelity_sweep, inertial_parameters, log_time_grid
+from .errors import ConfigInvalid, LiouvdynError, settle
 from .geometric import (
     ParameterCircuit,
     ho_family,
@@ -50,11 +44,11 @@ _SWEEP_COLUMNS = (
     "mu_max",
     "upsilon_max",
 )
-_EXACT_ROUTE = "model.exact_vector: closed form for ho, Magnus rotation product for tls"
+_EXACT = "model.exact_vector: closed form for ho, Magnus rotation product for tls"
 _SWEEP_SOURCES = {
     "t_f": "diagnostics.log_time_grid",
-    "F_inertial": f"diagnostics.fidelity_sweep (engine.propagate_inertial vs {_EXACT_ROUTE})",
-    "F_adiabatic": f"diagnostics.fidelity_sweep (engine.propagate_adiabatic vs {_EXACT_ROUTE})",
+    "F_inertial": f"diagnostics.fidelity_sweep (engine.propagate_inertial_batch vs {_EXACT})",
+    "F_adiabatic": f"diagnostics.fidelity_sweep (engine.propagate_adiabatic_batch vs {_EXACT})",
     "neglog1mF_inertial": "diagnostics.fidelity_sweep",
     "mu_max": "diagnostics.max_parameters_along (adiabatic_parameter)",
     "upsilon_max": "diagnostics.max_parameters_along (inertial parameter)",
@@ -129,44 +123,25 @@ def _run_diagnose(cfg: RunConfig):
         "upsilon": "diagnostics.inertial_parameters",
     }
     if closed:
-        sources["upsilon_closed"] = "diagnostics.ho_inertial_parameter_closed"
-    # a column whose stacked call raises is evaluated row by row, to flag
-    # the failing samples
-    try:
-        mu = adiabatic_parameter(model, ts).tolist()
-    except (LiouvdynError, ValueError, ArithmeticError):
-        mu = None
-    try:
-        upsilon = inertial_parameters(fact, ts).tolist()
-    except (LiouvdynError, ValueError, ArithmeticError):
-        upsilon = None
-    try:
-        upsilon_closed = closed(ts).tolist() if closed else None
-    except (LiouvdynError, ValueError, ArithmeticError):
-        upsilon_closed = None
-    rows, errors = [], []
-    for i, t in enumerate(ts.tolist()):
-        error = None
-        try:
-            row = [
-                t,
-                adiabatic_parameter(model, t) if mu is None else mu[i],
-                inertial_parameter_at(fact, t) if upsilon is None else upsilon[i],
-            ]
-            if upsilon_closed is not None:
-                row.append(upsilon_closed[i])
-            elif closed:
-                try:
-                    row.append(closed(t))
-                except SingularDenominator as exc:
-                    row.append(math.nan)
-                    error = f"SingularDenominator: {exc}"
-        except (LiouvdynError, ValueError, ArithmeticError) as exc:
-            row = [t] + [math.nan] * (len(columns) - 1)
-            error = f"{type(exc).__name__}: {exc}"
-        rows.append(tuple(row))
-        errors.append(error)
-    return columns, rows, sources, errors
+        sources["upsilon_closed"] = "models.HOProtocol.inertial_parameter_closed"
+    # one stacked call per column over the rows no earlier column flagged,
+    # run again without the rows a guard names.  A flag of mu or upsilon
+    # clears its row; one of the closed form, which only ever meets rows
+    # past the domain check of mu, is a vanishing denominator of its own
+    table = np.full((len(ts), len(columns)), math.nan)
+    table[:, 0] = ts
+    errors = [None] * len(ts)
+    live = np.arange(len(ts))
+    evaluate = (lambda t: adiabatic_parameter(model, t), lambda t: inertial_parameters(fact, t))
+    for col, column in enumerate(evaluate + ((closed,) if closed else ()), start=1):
+        kept, values, failed = settle(lambda k: column(ts[live[k]]), len(live))
+        table[live[kept], col] = values
+        for j, text in failed.items():
+            errors[live[j]] = text
+        if col < 3:
+            table[live[list(failed)], 1:] = math.nan
+            live = live[kept]
+    return columns, [tuple(row) for row in table.tolist()], sources, errors
 
 
 def _run_open(cfg: RunConfig):

@@ -14,20 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import (
-    GeneratorFactorization,
-    propagate_adiabatic,
-    propagate_adiabatic_batch,
-    propagate_inertial,
-    propagate_inertial_batch,
-)
-from .errors import (
-    DegenerateSpectrum,
-    DomainExceeded,
-    LiouvdynError,
-    SingularDenominator,
-    UnphysicalState,
-)
+from .engine import GeneratorFactorization, propagate_adiabatic_batch, propagate_inertial_batch
+from .errors import DegenerateSpectrum, DomainExceeded, LiouvdynError, SingularDenominator
+from .errors import UnphysicalState, guard, nodes_at, settle
 from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes
 from .models import (
     BlochState,
@@ -65,13 +54,8 @@ def _pair_sums(lam, rights, lefts, directional, paired) -> np.ndarray:
     gaps = np.abs(lam[:, None, :] - lam[:, :, None])
     gaps[:, ~paired] = np.inf
     scale = np.maximum(np.abs(lam).max(axis=1), 1.0)
-    close = gaps < DEGENERACY_GAP * scale[:, None, None]
-    if close.any():
-        _, k, n = np.argwhere(close)[0]
-        raise DegenerateSpectrum(
-            f"modes {k} and {n} are too close to evaluate the "
-            "drive-acceleration parameter"
-        )
+    guard(DegenerateSpectrum, (gaps < DEGENERACY_GAP * scale[:, None, None], lambda i: (
+        f"modes {i[1]} and {i[2]} are too close to evaluate the drive-acceleration parameter")))
     elements = np.abs(lefts.conj().transpose(0, 2, 1) @ directional @ rights)
     # elements and gaps scaled by powers of two near the largest |lambda|:
     # exact, so no value changes, but no squared gap overflows past 1e154
@@ -92,7 +76,8 @@ def inertial_parameters(fact: GeneratorFactorization, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     total = np.empty(len(ts))
     for lo in range(0, len(ts), STACK_NODES):
-        total[lo : lo + STACK_NODES] = _block_sums(fact, ts[lo : lo + STACK_NODES])
+        with nodes_at(range(lo, len(ts))):
+            total[lo : lo + STACK_NODES] = _block_sums(fact, ts[lo : lo + STACK_NODES])
     return total
 
 
@@ -249,26 +234,16 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
     """Largest |mu| and largest Upsilon over an even time sample of the run.
 
     A protocol with a closed-form Upsilon (the oscillator's) evaluates it
-    on the whole sample at once, and sample by sample only when that
-    raises, skipping the flagged singular samples; otherwise the generic
-    pairwise sum.
+    on the whole sample at once, skipping the samples it flags singular
+    (NaN when it flags all); otherwise the generic pairwise sum.
     """
     ts = np.linspace(0.0, t_f, samples)
     mu_max = float(np.abs(adiabatic_parameter(model, ts)).max())
     closed = model.protocol.inertial_parameter_closed
     if closed is None:
         return mu_max, float(inertial_parameters(model.factorization(), ts).max())
-    try:
-        return mu_max, float(closed(ts).max())
-    except SingularDenominator:
-        pass
-    ups = []
-    for t in ts:
-        try:
-            ups.append(closed(t))
-        except SingularDenominator:
-            continue
-    return mu_max, (max(ups) if ups else math.nan)
+    _, ups, _ = settle(lambda kept: closed(ts[kept]), samples, SingularDenominator)
+    return mu_max, (float(ups.max()) if ups.size else math.nan)
 
 
 # the errors that fail one sweep point and leave the others running
@@ -302,24 +277,10 @@ def _prepared_point(model, t_f: float, omega_target: float, samples: int, tols) 
     return _Point(t_f, m, fact, v0, exact, mu_max, ups_max)
 
 
-def _batch_or_each(batch, one, live: dict, errors: list) -> dict:
-    """``batch`` over the live points, as a dict by index.  When it raises,
-    each point runs alone through ``one``: a point that raises leaves
-    ``live`` with its error text in ``errors``."""
-    if not live:
-        return {}
-    try:
-        return dict(zip(live, batch(list(live.values())), strict=True))
-    except _POINT_ERRORS:
-        pass
-    results = {}
-    for i, point in list(live.items()):
-        try:
-            results[i] = one(point)
-        except _POINT_ERRORS as exc:
-            errors[i] = f"{type(exc).__name__}: {exc}"
-            del live[i]
-    return results
+def _batched(points) -> tuple:
+    """The facts, initial vectors and durations of the points: the
+    arguments of a propagator batch."""
+    return [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points]
 
 
 def _scores(point: _Point, v_inertial, v_adiabatic) -> tuple:
@@ -364,17 +325,17 @@ def fidelity_sweep(
     the points that survive, together: ``engine.propagate_inertial_batch``
     refines all of them level by level, each retiring where its own two
     levels agree, and ``engine.propagate_adiabatic_batch`` diagonalizes
-    the chi = 0 frame once for all.  When a batch raises, each of its
-    points reruns alone (``propagate_inertial``, ``propagate_adiabatic``).
-    Last, per point: reconstruction and fidelities.  So every row, and
-    every error text, is the one the point gets alone.
+    the chi = 0 frame once for all.  A batch error names the points that
+    fail, with the text each gets alone; they are flagged and the rest
+    run again in one more batch (``errors.settle``).  Last, per point:
+    reconstruction and fidelities.  So every row, and every error text,
+    is the one the point gets alone.
 
     `rtol`/`atol` control the two-level exact reference, whose SU(2)
     Magnus flow (``linalg.su2_flow``) doubles its steps until two levels
     agree within atol + rtol |U| (the oscillator's exact state is closed
-    form), and `phase_tol` the
-    inertial phase refinement; tighten them when the infidelity floor
-    being measured approaches the defaults.
+    form), and `phase_tol` the inertial phase refinement; tighten them
+    when the infidelity floor being measured approaches the defaults.
     """
     grid = np.asarray(t_f_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -386,29 +347,27 @@ def fidelity_sweep(
 
     tols = (rtol, atol, phase_tol)
     errors = [None] * len(grid)
-    live = {}
+    live = []
     for i, t_f in enumerate(grid):
         try:
-            live[i] = _prepared_point(model, float(t_f), omega_target, samples, tols)
+            live.append((i, _prepared_point(model, float(t_f), omega_target, samples, tols)))
         except _POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
-    inertial = _batch_or_each(
-        lambda points: [v for v, _ in propagate_inertial_batch(
-            [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points],
-            phase_tol=phase_tol)],
-        lambda p: propagate_inertial(p.fact, p.v0, p.t_f, phase_tol=phase_tol)[0],
-        live, errors,
-    )
-    adiabatic = _batch_or_each(
-        lambda points: propagate_adiabatic_batch(
-            [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points]),
-        lambda p: propagate_adiabatic(p.fact, p.v0, p.t_f),
-        live, errors,
-    )
+    propagated = {i: [] for i, _ in live}
+    for batch in (
+        lambda *args: [v for v, _ in propagate_inertial_batch(*args, phase_tol=phase_tol)],
+        propagate_adiabatic_batch,
+    ):
+        kept, out, failed = settle(lambda k: batch(*_batched([live[j][1] for j in k])), len(live))
+        for j, text in failed.items():
+            errors[live[j][0]] = text
+        live = [live[j] for j in kept]
+        for (i, _), v in zip(live, out, strict=True):
+            propagated[i].append(v)
     values = [(math.nan,) * 5] * len(grid)
-    for i, point in live.items():
+    for i, point in live:
         try:
-            values[i] = _scores(point, inertial[i], adiabatic[i])
+            values[i] = _scores(point, *propagated[i])
         except _POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
 

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
+from .errors import guard, nodes_at
 from .linalg import (
     STACK_NODES,
     EigenFrame,
@@ -314,7 +315,7 @@ def propagate_adiabatic_batch(facts, v0s, ts) -> list:
     each mode by its zero-parameter eigenvalue over the actual scaled time
     theta(ts[i]) of facts[i].  The factorizations share one generator and
     block layout (ValueError otherwise), so that frame is diagonalized
-    once for the batch.
+    once for the batch, and its guard error names every point.
     """
     facts, v0s, ts = list(facts), list(v0s), list(ts)
     thetas = [f.theta_of_t(t) if t != 0.0 else 0.0 for f, t in zip(facts, ts, strict=True)]
@@ -323,7 +324,8 @@ def propagate_adiabatic_batch(facts, v0s, ts) -> list:
     fact = facts[0]
     if any(f.B_of_chi is not fact.B_of_chi or f.blocks != fact.blocks for f in facts):
         raise ValueError("the points of a batch share one generator and block layout")
-    lam, rights, lefts = eigenframes(fact.B_of_chi(fact.chi_zero())[None], blocks=fact.blocks)
+    with nodes_at([range(len(facts))]):
+        lam, rights, lefts = eigenframes(fact.B_of_chi(fact.chi_zero())[None], blocks=fact.blocks)
     out = []
     for v0, t, theta_f in zip(v0s, ts, thetas, strict=True):
         c = lefts[0].conj().T @ v0.coeffs
@@ -377,9 +379,9 @@ def _level_phases(fact, x, paces, B, lam, rights, lefts):
     turns = o[..., :-1] * steps[:, :, None, :] * o[..., 1:].conj()
     ref = turns.real.min(axis=3).argmax(axis=2)
     turns, overlap = turns[points, modes, ref], o[points, modes, ref].transpose(0, 2, 1)
-    if (bad := np.argwhere(~(turns.real.min(axis=2) >= _REFERENCE_FLOOR))).size:
-        raise SingularDenominator(f"mode {bad[0][-1]} turns by pi / 2 or more between two nodes "
-                                  "against each of its candidate reference frames")
+    guard(SingularDenominator, (~(turns.real.min(axis=2) >= _REFERENCE_FLOOR), lambda i: (
+        f"mode {i[1]} turns by pi / 2 or more between two nodes "
+        "against each of its candidate reference frames")))
     size = np.abs(overlap)
     F, G = (a * (overlap.conj() / size)[:, :, None, :] for a in (rights, lefts))
 
@@ -415,14 +417,17 @@ def _at_start(fact, v0):
 
 def _sample(points, x):
     """(paces, B, lam, rights, lefts) stacks of the points at the nodes x,
-    the frames of every point from one ``eigenframes`` stack."""
+    the frames of every point from one ``eigenframes`` stack.  A guard
+    error names the positions of the points in ``points``."""
     paces, B = [], []
-    for _, fact, _, t in points:
+    for p, (_, fact, _, t) in enumerate(points):
         ts = 0.5 * t * (1.0 + x)
-        B.append(fact.B_of_chi(fact.chi_of_t(ts)))
-        paces.append(0.5 * t * fact.omega_of_t(ts))
+        with nodes_at(np.full(len(x), p)):
+            B.append(fact.B_of_chi(fact.chi_of_t(ts)))
+            paces.append(0.5 * t * fact.omega_of_t(ts))
     B = np.stack(B)
-    frames = eigenframes(B.reshape(-1, *B.shape[2:]), blocks=points[0][1].blocks)
+    with nodes_at(np.repeat(np.arange(len(points)), len(x))):
+        frames = eigenframes(B.reshape(-1, *B.shape[2:]), blocks=points[0][1].blocks)
     return (np.stack(paces), B, *(a.reshape(len(points), len(x), *a.shape[1:]) for a in frames))
 
 
@@ -432,8 +437,9 @@ def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None)
     ``samples`` holds the ``_sample`` stacks of level n over the points,
     and ``previous`` the phases of the level before, or None at the first
     level.  A point whose two levels agree within phase_tol retires, its
-    result going to results[index].  When the next level's new nodes would
-    pass STACK_NODES, the points split into parts refined one by one.
+    result going to results[index].  A guard error names points by index,
+    NotConverged those unsettled past _CHEB_MAX_N intervals.  When the next
+    level's new nodes would pass STACK_NODES, the points split into parts.
     """
     while True:
         new = n + 1 if samples is None else n // 2
@@ -446,33 +452,36 @@ def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None)
                           for s in (samples, previous)))
             return
         x = chebyshev_nodes(n)
-        if samples is None:
-            samples = _sample(points, x)
-        else:
-            samples = tuple(interleave(old, odd, axis=1)
-                            for old, odd in zip(samples, _sample(points, x[1::2])))
-        final, dyn, geo = _level_phases(points[0][1], x, *samples)
-        if previous is not None:
+        with nodes_at([i for i, *_ in points]):
+            if samples is None:
+                samples = _sample(points, x)
+            else:
+                samples = tuple(interleave(old, odd, axis=1)
+                                for old, odd in zip(samples, _sample(points, x[1::2])))
+            final, dyn, geo = _level_phases(points[0][1], x, *samples)
+            if previous is None:  # the first level, below _CHEB_MAX_N
+                previous, n = (dyn, geo), 2 * n
+                continue
             delta = np.maximum(np.abs(dyn - previous[0]).max(axis=1),
                                np.abs(geo - previous[1]).max(axis=1))
             done = delta < phase_tol
-            for j in np.flatnonzero(done):
-                i, fact, v0, t = points[j]
-                c = samples[4][j, -1].conj().T @ v0.coeffs
-                out = final[j] @ (c * np.exp(-1j * dyn[j] + 1j * geo[j]))
-                sol = InertialSolution(c=c, dyn_phase=dyn[j], geo_phase=geo[j],
-                                       Lambda=dyn[j] - geo[j], t=t, nodes=n + 1,
-                                       delta=float(delta[j]))
-                results[i] = LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
-            keep = np.flatnonzero(~done)
-            if not keep.size:
-                return
-            points = [points[j] for j in keep]
-            samples = tuple(s[keep] for s in samples)
-            dyn, geo = dyn[keep], geo[keep]
-        if 2 * n > _CHEB_MAX_N:
-            raise NotConverged(f"phase integrals not stable to {phase_tol} at {n + 1} points")
-        previous, n = (dyn, geo), 2 * n
+            if 2 * n > _CHEB_MAX_N:
+                guard(NotConverged, (~done, lambda _: (
+                    f"phase integrals not stable to {phase_tol} at {n + 1} points")))
+        for j in np.flatnonzero(done):
+            i, fact, v0, t = points[j]
+            c = samples[4][j, -1].conj().T @ v0.coeffs
+            out = final[j] @ (c * np.exp(-1j * dyn[j] + 1j * geo[j]))
+            sol = InertialSolution(c=c, dyn_phase=dyn[j], geo_phase=geo[j],
+                                   Lambda=dyn[j] - geo[j], t=t, nodes=n + 1,
+                                   delta=float(delta[j]))
+            results[i] = LiouvilleVector(coeffs=out, t=t, theta=fact.theta_of_t(t)), sol
+        keep = np.flatnonzero(~done)
+        if not keep.size:
+            return
+        points = [points[j] for j in keep]
+        samples = tuple(s[keep] for s in samples)
+        previous, n = (dyn[keep], geo[keep]), 2 * n
 
 
 def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -> list:
@@ -489,7 +498,8 @@ def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -
     gets alone.  A batch whose next stack would hold more than
     ``linalg.STACK_NODES`` nodes splits, and its parts are refined one
     after the other, which bounds the frame memory however many points
-    are asked for.  Any point's guard error raises for the batch.
+    are asked for.  A guard error, NotConverged included, names every
+    point that fails there, each with the message it gets alone.
     """
     facts, v0s, ts = list(facts), list(v0s), list(ts)
     if any(f.blocks != facts[0].blocks for f in facts):
@@ -500,7 +510,8 @@ def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -
     moving = []
     for i, (fact, v0, t) in enumerate(zip(facts, v0s, ts, strict=True)):
         if t == 0.0:
-            results[i] = _at_start(fact, v0)
+            with nodes_at([i]):
+                results[i] = _at_start(fact, v0)
         else:
             moving.append((i, fact, v0, t))
     if moving:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousMatching, DegenerateSpectrum, NotConverged, NotDiagonalizable
+from .errors import guard, nodes_at
 
 DEGENERACY_GAP = 1e-8
 MATCH_AMBIGUITY = 1e-6
@@ -104,12 +105,6 @@ def _upper_pairs(m: int) -> tuple:
     return pairs
 
 
-def _first(bad: np.ndarray):
-    """Index tuple of the first True entry of a guard mask, or None."""
-    # any() first: a guard that holds everywhere, the usual case, skips argwhere
-    return tuple(int(i) for i in np.argwhere(bad)[0]) if bad.any() else None
-
-
 def eigenframes(B, *, blocks=None):
     """Gauge-fixed bi-orthonormal frames of an (N, m, m) stack of generators.
 
@@ -120,10 +115,11 @@ def eigenframes(B, *, blocks=None):
     delta_kn.  Each exactly Hermitian matrix is diagonalized by ``eigh``,
     and its lefts equal its orthonormal rights (in an array of their own),
     so every frame of a stack is the frame of its matrix alone.
-    Raises DegenerateSpectrum when a minimal eigenvalue gap
-    falls below ``DEGENERACY_GAP`` and NotDiagonalizable when a right/left
-    pair is numerically orthogonal (defective generator) or the
-    bi-orthonormality or residual bound fails, for the first failing node.
+    Raises ValueError for non-finite entries, DegenerateSpectrum when a
+    minimal eigenvalue gap falls below ``DEGENERACY_GAP`` and
+    NotDiagonalizable when a right/left pair is numerically orthogonal
+    (defective generator) or the bi-orthonormality or residual bound
+    fails, naming every node that fails at the first guard that fires.
 
     ``blocks`` lists index ranges (lo, hi) of closed blocks on which every
     generator of the stack is block-diagonal.  Each block is diagonalized
@@ -134,13 +130,10 @@ def eigenframes(B, *, blocks=None):
     B = np.asarray(B, dtype=complex)
     if B.ndim != 3 or B.shape[1] != B.shape[2]:
         raise ValueError(f"expected square matrices, got shape {B.shape[1:]}")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("generator contains non-finite entries")
+    guard(ValueError, (~np.isfinite(B), lambda i: "generator contains non-finite entries"))
     if blocks is None:
         return _diagonalize(B)
-    lam = np.zeros(B.shape[:2], dtype=complex)
-    rights = np.zeros_like(B)
-    lefts = np.zeros_like(B)
+    lam, rights, lefts = np.zeros(B.shape[:2], dtype=complex), np.zeros_like(B), np.zeros_like(B)
     for lo, hi in blocks:
         lam[:, lo:hi], rights[:, lo:hi, lo:hi], lefts[:, lo:hi, lo:hi] = _diagonalize(
             B[:, lo:hi, lo:hi]
@@ -161,7 +154,8 @@ def _diagonalize(B: np.ndarray):
     if exact.any() and not exact.all():
         lam, rights, lefts = np.empty(B.shape[:2], dtype=complex), np.empty_like(B), np.empty_like(B)
         for part in (exact, ~exact):
-            lam[part], rights[part], lefts[part] = _diagonalize(B[part])
+            with nodes_at(np.flatnonzero(part)):
+                lam[part], rights[part], lefts[part] = _diagonalize(B[part])
         return lam, rights, lefts
     hermitian = bool(exact.all())
     if hermitian:
@@ -176,11 +170,8 @@ def _diagonalize(B: np.ndarray):
 
     upper = _upper_pairs(m)
     gap = np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
-    if bad := _first(gap < DEGENERACY_GAP):
-        raise DegenerateSpectrum(
-            f"minimal eigenvalue gap {gap[bad]:.3e} below threshold "
-            f"{DEGENERACY_GAP:.1e}"
-        )
+    guard(DegenerateSpectrum, (gap < DEGENERACY_GAP, lambda i: (
+        f"minimal eigenvalue gap {gap[i]:.3e} below threshold {DEGENERACY_GAP:.1e}")))
 
     # smallest index whose magnitude ties the maximum, so exact ties
     # resolve identically regardless of rounding noise
@@ -195,7 +186,10 @@ def _diagonalize(B: np.ndarray):
         try:
             inverse = np.linalg.inv(rights)
         except np.linalg.LinAlgError as exc:
-            raise NotDiagonalizable("right eigenvectors are linearly dependent") from exc
+            # slogdet's sign is 0 where the LU factorization of inv hit a zero pivot
+            message = "right eigenvectors are linearly dependent"
+            guard(NotDiagonalizable, (np.linalg.slogdet(rights)[0] == 0, lambda i: message))
+            raise NotDiagonalizable(message) from exc
     # a fresh array on both routes, so no caller writes through it into rights
     lefts = inverse.conj().transpose(0, 2, 1)
 
@@ -204,20 +198,16 @@ def _diagonalize(B: np.ndarray):
     quality = np.abs(np.diagonal(cross, axis1=1, axis2=2)) / (
         np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=1)
     )
-    if bad := _first(quality < _QUALITY_FLOOR):
-        raise NotDiagonalizable(
-            f"right/left pair {bad[1]} nearly orthogonal "
-            f"(normalized |G^H F| = {quality[bad]:.3e})"
-        )
-    if _first(np.abs(cross - np.eye(m)).max(axis=(1, 2)) > _BIORTHO_TOL):
-        raise NotDiagonalizable(
-            "bi-orthonormality violated beyond tolerance; generator is "
-            "too close to defective"
-        )
     residual = np.abs(B @ rights - rights * lam[:, None, :]).max(axis=(1, 2))
-    bound = _RESIDUAL_TOL * np.maximum(1.0, _frobenius(B))
-    if bad := _first(residual > bound):
-        raise NotDiagonalizable(f"eigenpair residual {residual[bad]:.3e} too large")
+    guard(
+        NotDiagonalizable,
+        (quality < _QUALITY_FLOOR, lambda i: (
+            f"right/left pair {i[1]} nearly orthogonal (normalized |G^H F| = {quality[i]:.3e})")),
+        (np.abs(cross - np.eye(m)).max(axis=(1, 2)) > _BIORTHO_TOL, lambda i: (
+            "bi-orthonormality violated beyond tolerance; generator is too close to defective")),
+        (residual > _RESIDUAL_TOL * np.maximum(1.0, _frobenius(B)),
+         lambda i: f"eigenpair residual {residual[i]:.3e} too large"),
+    )
     return lam, rights, lefts
 
 
@@ -257,12 +247,16 @@ def transport(rights, lefts):
     frame 0, and ``logs[..., k]`` sums ln(G_k . F_k) over the steps of
     mode k.  Raises AmbiguousMatching when the two best overlaps of any
     column are within ``MATCH_AMBIGUITY``, or two columns claim one
-    successor.
+    successor; over P paths the error names every path that fails at the
+    first guard that fires, each with its one-path message.
     """
     rights = np.asarray(rights)
     lefts = np.asarray(lefts)
     if rights.shape != lefts.shape or rights.ndim not in (3, 4):
         raise ValueError("frames of different dimension cannot be matched")
+    if rights.ndim == 3:
+        perms, logs = transport(rights[None], lefts[None])
+        return perms[0], logs[0]
     steps, m = rights.shape[-3] - 1, rights.shape[-1]
     raw = lefts[..., :-1, :, :].conj().swapaxes(-1, -2) @ rights[..., 1:, :, :]
     norms = (
@@ -271,21 +265,19 @@ def transport(rights, lefts):
     )
     overlaps = np.abs(raw) / norms
     succ = np.argmax(overlaps, axis=-1)
+    ident = np.arange(m)
+    close = ()
     if m > 1:
         top = np.partition(overlaps, -2, axis=-1)
-        if bad := _first(top[..., -1] - top[..., -2] < MATCH_AMBIGUITY):
-            raise AmbiguousMatching(
-                f"mode {bad[-1]} at step {bad[-2] + 1}: top overlaps "
-                f"{top[bad][-1]:.6f} and {top[bad][-2]:.6f} are too close "
-                "to resolve"
-            )
-    ident = np.arange(m)
-    if np.any(np.sort(succ, axis=-1) != ident):
-        raise AmbiguousMatching("two modes matched the same successor column")
+        close = ((top[..., -1] - top[..., -2] < MATCH_AMBIGUITY, lambda i: (
+            f"mode {i[2]} at step {i[1] + 1}: top overlaps {top[i][-1]:.6f} and "
+            f"{top[i][-2]:.6f} are too close to resolve")),)
+    guard(AmbiguousMatching, *close, (np.sort(succ, axis=-1) != ident,
+                                      lambda i: "two modes matched the same successor column"))
 
-    perms = np.tile(ident, (*succ.shape[:-2], steps + 1, 1))
-    for *path, i in np.argwhere(np.any(succ != ident, axis=-1)):
-        perms[(*path, slice(i + 1, None))] = succ[(*path, i)][perms[(*path, i)]]
+    perms = np.tile(ident, (len(succ), steps + 1, 1))
+    for p, i in np.argwhere(np.any(succ != ident, axis=-1)):
+        perms[p, i + 1 :] = succ[p, i][perms[p, i]]
     # raw[..., i, perms[i, k], perms[i + 1, k]]: the row, then the column
     rows = np.take_along_axis(raw, perms[..., :-1, :, None], axis=-2)
     chosen = np.take_along_axis(rows, perms[..., 1:, :, None], axis=-1)[..., 0]

@@ -24,12 +24,8 @@ from .engine import (
     LiouvilleVector,
     require_propagation_time,
 )
-from .errors import (
-    DomainExceeded,
-    IntegratorFailure,
-    SingularDenominator,
-    UnphysicalState,
-)
+from .errors import DomainExceeded, IntegratorFailure, SingularDenominator, UnphysicalState
+from .errors import guard
 from .linalg import magnus_ladder, su2_flow
 
 _DEN_TOL = 1e-12
@@ -129,10 +125,10 @@ def two_spin_generators(chi1, chi2):
 
 
 def _require_inside(t, outside, t_max: float):
-    """Raise DomainExceeded at the first time in t that `outside` flags."""
-    if np.any(outside):
-        first = np.asarray(t)[outside][0]
-        raise DomainExceeded(f"t={first} is outside the protocol domain [0, {t_max})")
+    """Raise DomainExceeded naming every time in t that `outside` flags."""
+    t = np.atleast_1d(t)
+    guard(DomainExceeded, (np.atleast_1d(outside),
+                           lambda i: f"t={t[i]} is outside the protocol domain [0, {t_max})"))
 
 
 def _sqrt(x):
@@ -275,11 +271,11 @@ class HOProtocol:
             mu^2 (w''/w - 2 (w'/w)^2)
             / [ (2 kappa)^2 ( (w''/w) log(w/w0) - (w'/w)^2 (2 log(w/w0) + 1) ) ]
         with kappa = sqrt(4 - mu^2), returned as a magnitude; 0 where the
-        ramp is at rest.  Points where the bracketed denominator vanishes
-        (for example t -> 0 on a ramp that starts from rest) are flagged
-        instead of evaluated: SingularDenominator names the first.  A float
-        t gives a float, a 1-D array of times the array of values, each
-        the value at its time alone.
+        ramp is at rest.  SingularDenominator names every point at |mu| >=
+        2, else every point where the bracketed denominator vanishes (for
+        example t -> 0 on a ramp that starts from rest).  A float t gives
+        a float, a 1-D array of times the array of values, each the value
+        at its time alone.
         """
         # a float runs as a 1-element array, so it gets the array's bits
         times = np.asarray(t, dtype=float).reshape(-1)
@@ -288,10 +284,8 @@ class HOProtocol:
         wd = self.omega_dot(times)
         mu = wd / (w * w)
         # before omega_ddot, whose mu^2 w^3 term overflows for large |mu|
-        if np.any(abs(mu) >= 2.0):
-            raise SingularDenominator(
-                "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined"
-            )
+        guard(SingularDenominator, (abs(mu) >= 2.0, lambda i: (
+            "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined")))
         wdd = self.omega_ddot(times)
         rest = (wd == 0.0) & (wdd == 0.0)
         ksq = 4.0 - mu * mu
@@ -300,14 +294,9 @@ class HOProtocol:
         rate_sq = (wd / w) ** 2
         num = mu * mu * (curv - 2.0 * rate_sq)
         bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
-        scale = abs(curv) * np.maximum(abs(log_ratio), 1.0) + rate_sq * (
-            2.0 * abs(log_ratio) + 1.0
-        )
-        singular = ~rest & (abs(bracket) <= _DEN_TOL * scale)
-        if singular.any():
-            raise SingularDenominator(
-                f"denominator vanishes at t = {times[singular][0]:g}; point skipped"
-            )
+        scale = abs(curv) * np.maximum(abs(log_ratio), 1.0) + rate_sq * (2.0 * abs(log_ratio) + 1.0)
+        guard(SingularDenominator, (~rest & (abs(bracket) <= _DEN_TOL * scale), lambda i: (
+            f"denominator vanishes at t = {times[i]:g}; point skipped")))
         ups = np.where(rest, 0.0, abs(num / (4.0 * ksq * np.where(rest, 1.0, bracket))))
         return float(ups[0]) if np.ndim(t) == 0 else ups
 

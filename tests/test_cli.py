@@ -1,10 +1,14 @@
 """Command-line interface: config resolution, outputs, determinism."""
 
 import contextlib
+import functools
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import per_row_diagnose
 
+import liouvdyn
 from liouvdyn import __version__, cli, diagnostics, engine, geometric, linalg, models
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
@@ -1034,6 +1039,38 @@ def _count_stacks(monkeypatch):
     return sizes
 
 
+# guard stages on the path of each diagnose column: the protocol's domain
+# check for mu; for upsilon that check, the non-finite, gap, inverse and
+# defect guards of eigenframes and the pair-sum gap; for the closed form
+# the domain check, |mu| >= 2 and the vanishing bracket
+_COLUMN_STAGES = {"mu": 1, "upsilon": 6, "upsilon_closed": 3}
+
+
+def _count_columns(monkeypatch):
+    """Record the argument shape of every stacked call of each diagnose
+    column, and fail any one-point evaluation of upsilon."""
+    calls = {name: [] for name in _COLUMN_STAGES}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name].append(np.shape(args[-1]))
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(cli, "adiabatic_parameter", counted("mu", cli.adiabatic_parameter))
+    monkeypatch.setattr(cli, "inertial_parameters", counted("upsilon", cli.inertial_parameters))
+    monkeypatch.setattr(models.HOProtocol, "inertial_parameter_closed", counted(
+        "upsilon_closed", models.HOProtocol.inertial_parameter_closed))
+
+    def no_rows(fact, t):
+        raise AssertionError("per-row evaluation of upsilon")
+
+    for module in (cli, diagnostics):
+        monkeypatch.setattr(module, "inertial_parameter_at", no_rows, raising=False)
+    return calls
+
+
 def _bits(rows):
     # repr tells -0.0 from 0.0 and keeps every digit, so equal lists mean
     # equal values with NaN in the same places
@@ -1087,12 +1124,11 @@ class TestDiagnoseStack:
             return real(B)
 
         monkeypatch.setattr(linalg, "_diagonalize", recorded)
-
-        def no_rows(fact, t):
-            raise AssertionError("per-row evaluation while the stack succeeded")
-
-        monkeypatch.setattr(cli, "inertial_parameter_at", no_rows)
+        # and one stacked call per column, with no per-row evaluation
+        calls = _count_columns(monkeypatch)
         assert run_cli(["diagnose", "--model", kind, "--out", tmp_path]) == 0
+        columns = ("mu", "upsilon") + (("upsilon_closed",) if kind == "ho" else ())
+        assert calls == {name: [(129,)] if name in columns else [] for name in calls}
         assert sizes == [129]
         assert all(n == 129 for n, _, _ in blocks)
         assert sum(m > 1 for _, m, _ in blocks) == mixing
@@ -1128,16 +1164,21 @@ class TestDiagnoseStack:
         [({"acceleration": -100.0, "t_f": 0.025}, 1), ({"acceleration": -200.0, "t_f": 0.04}, 2)],
     )
     def test_ramp_through_the_exceptional_point_keeps_row_flags(
-        self, tmp_path, protocol, defective
+        self, tmp_path, monkeypatch, protocol, defective
     ):
-        # |mu| crosses 2: the stack raises, and the row loop flags the
-        # defective samples alone
+        # |mu| crosses 2: the stack raises naming the defective samples,
+        # which alone are flagged, and the rest of the column runs again
+        calls = _count_columns(monkeypatch)
         path = write_json(tmp_path / "c.json", {"experiment": "diagnose", "protocol": protocol})
         assert run_cli(["diagnose", "--config", path, "--out", tmp_path]) == 3
         manifest = json.loads((tmp_path / "diagnose_manifest.json").read_text())
         kinds = [(e or "").split(":")[0] for e in manifest["point_errors"]]
         assert kinds.count("NotDiagonalizable") == defective
         assert kinds.count("SingularDenominator") == 64
+        # at most one round per guard stage, each over a stack of samples
+        for name, shapes in calls.items():
+            assert 1 <= len(shapes) <= _COLUMN_STAGES[name] + 1, (name, shapes)
+            assert all(len(shape) == 1 and shape[0] > 1 for shape in shapes), (name, shapes)
 
     @settings(max_examples=60)
     @given(diagnose_ramps())
@@ -1158,6 +1199,29 @@ class TestDiagnoseStack:
         expected, expected_errors = per_row_diagnose(model, np.linspace(0.0, t_f, samples))
         assert _bits(rows) == _bits(expected)
         assert errors == expected_errors
+
+
+# a dotted name that starts with a module of the package
+_PACKAGE_NAME = re.compile(
+    r"\b(%s)((?:\.\w+)+)" % "|".join(m.name for m in pkgutil.iter_modules(liouvdyn.__path__))
+)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_manifest_sources_name_code_that_exists(tmp_path, experiment):
+    # each dotted name of the package in a default run's column provenance
+    # resolves by import and getattr, or is a key path of the config
+    assert run_cli([experiment, "--out", tmp_path]) == 0
+    manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
+    names = [m.groups() for source in manifest["columns"].values()
+             for m in _PACKAGE_NAME.finditer(source)]
+    assert names
+    for module, path in names:
+        parts = path.split(".")[1:]
+        if module == "config" and parts[0] in manifest["config"]:
+            functools.reduce(dict.__getitem__, parts, manifest["config"])
+        else:
+            functools.reduce(getattr, parts, importlib.import_module(f"liouvdyn.{module}"))
 
 
 def _last_line_of(script, *args) -> str:

@@ -14,7 +14,7 @@ from liouvdyn.diagnostics import (
     max_parameters_along,
     one_minus_fidelity,
 )
-from liouvdyn import engine
+from liouvdyn import diagnostics, engine
 from liouvdyn.engine import GeneratorFactorization, propagate_inertial
 from liouvdyn.errors import DegenerateSpectrum, SingularDenominator, UnphysicalState
 from liouvdyn.linalg import STACK_NODES, bi_eigendecompose
@@ -530,7 +530,16 @@ class TestBatchedSweep:
 
     @staticmethod
     def check(model, grid, **kw):
-        res = fidelity_sweep(model, grid, **kw)
+        # the sweep runs every point through the batches alone, failing
+        # points included: no one-point propagator is ever called
+        def one_point(*args, **kwargs):
+            raise AssertionError("a one-point propagator ran inside the sweep")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (engine, diagnostics):
+                for name in ("propagate_inertial", "propagate_adiabatic"):
+                    patch.setattr(module, name, one_point, raising=False)
+            res = fidelity_sweep(model, grid, **kw)
         rows, errors = per_point_sweep(model, grid, **kw)
         assert _bits(res.rows()) == _bits(rows)
         assert list(res.errors) == errors
@@ -563,7 +572,7 @@ class TestBatchedSweep:
 
     def test_a_failing_batch_reruns_each_point_alone(self):
         # at the rounding floor some points never settle: NotConverged
-        # raises for the batch, and each point reruns alone
+        # names them, and the other points finish in one more batch
         res = self.check(sweep_seed("ho"), [0.05, 0.2, 0.3, 0.5], omega_target=10.0,
                          phase_tol=1e-16)
         assert any(e is not None and e.startswith("NotConverged") for e in res.errors)
