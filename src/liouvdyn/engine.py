@@ -227,13 +227,18 @@ def inverse_scaled_time(protocol, theta: float) -> float:
             hi = mid
 
 
-def require_propagation_time(t: float, t_max: float) -> None:
+def require_propagation_time(t, t_max) -> None:
     """The guard of every propagation to time t: ValueError before t = 0,
-    DomainExceeded at or past the protocol's end t_max."""
-    if t < 0.0:
-        raise ValueError("propagation runs forward from t = 0")
-    if t >= t_max:
-        raise DomainExceeded(f"t={t} is at or beyond the protocol domain")
+    DomainExceeded at or past the protocol's end t_max.  Given sequences of
+    times and ends, one of each per point of a batch, an error names every
+    point it flags, each with the message the point's own call gives."""
+    if np.ndim(t) == 0 and 0.0 <= t < t_max:  # plain floats for the common case
+        return
+    times = [t] if np.ndim(t) == 0 else list(t)
+    at = np.asarray(times, dtype=float)
+    guard(ValueError, (at < 0.0, lambda i: "propagation runs forward from t = 0"))
+    guard(DomainExceeded, (at >= t_max, lambda i: (
+        f"t={times[i[0]]} is at or beyond the protocol domain")))
 
 
 def coefficients(frame: EigenFrame, v0) -> np.ndarray:
@@ -315,12 +320,14 @@ def propagate_adiabatic_batch(facts, v0s, ts) -> list:
     each mode by its zero-parameter eigenvalue over the actual scaled time
     theta(ts[i]) of facts[i].  The factorizations share one generator and
     block layout (ValueError otherwise), so that frame is diagonalized
-    once for the batch, and its guard error names every point.
+    once for the batch, and its guard error names every point.  The times
+    pass ``require_propagation_time`` first, which names each failing point.
     """
     facts, v0s, ts = list(facts), list(v0s), list(ts)
-    thetas = [f.theta_of_t(t) if t != 0.0 else 0.0 for f, t in zip(facts, ts, strict=True)]
     if not facts:
         return []
+    require_propagation_time(ts, [f.t_max for f in facts])
+    thetas = [f.theta_of_t(t) if t != 0.0 else 0.0 for f, t in zip(facts, ts, strict=True)]
     fact = facts[0]
     if any(f.B_of_chi is not fact.B_of_chi or f.blocks != fact.blocks for f in facts):
         raise ValueError("the points of a batch share one generator and block layout")
@@ -498,14 +505,14 @@ def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -
     gets alone.  A batch whose next stack would hold more than
     ``linalg.STACK_NODES`` nodes splits, and its parts are refined one
     after the other, which bounds the frame memory however many points
-    are asked for.  A guard error, NotConverged included, names every
-    point that fails there, each with the message it gets alone.
+    are asked for.  A guard error, NotConverged and the
+    ``require_propagation_time`` errors included, names every point that
+    fails there, each with the message it gets alone.
     """
     facts, v0s, ts = list(facts), list(v0s), list(ts)
     if any(f.blocks != facts[0].blocks for f in facts):
         raise ValueError("the points of a batch share one block layout")
-    for fact, t in zip(facts, ts, strict=True):
-        require_propagation_time(t, fact.t_max)
+    require_propagation_time(ts, [f.t_max for f in facts])
     results = [None] * len(ts)
     moving = []
     for i, (fact, v0, t) in enumerate(zip(facts, v0s, ts, strict=True)):

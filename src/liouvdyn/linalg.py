@@ -4,10 +4,18 @@ The propagators in this package diagonalize generators whose right and left
 eigenvectors differ in general.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
-A matrix that is exactly Hermitian, as every two-level and spin generator
-1j (A0 + chi A1) with real antisymmetric A0, A1 is, takes ``eigh``: its
-lefts are its orthonormal rights.  Any other takes the general ``eig`` and
-an inverse; both routes share the gauge and every guard.
+Each matrix takes one of three routes, all sharing the gauge and every
+guard:
+- exactly Hermitian, as every two-level and spin generator 1j (A0 + chi A1)
+  with real antisymmetric A0, A1 is: ``eigh``, whose orthonormal rights are
+  their own lefts;
+- non-Hermitian of size 2 or 3, as the oscillator's blocks are: closed
+  form, the roots of the characteristic quadratic or cubic (Smith, Commun.
+  ACM 4, 168, 1961) with adjugate eigenvectors, certified by the guards
+  because closed roots lose accuracy near a multiple eigenvalue (Kopp,
+  Int. J. Mod. Phys. C 19, 523, 2008); a matrix whose frame fails one
+  takes the next route, whose guards decide;
+- any other: the general ``eig`` and an inverse.
 ``chebyshev_nodes``, ``interleave`` and ``chebyshev_levels`` hold the nested
 node set of the spectral quadratures.
 ``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
@@ -44,6 +52,12 @@ _GAUGE_TIE = 1e-9
 # asked for.  geometric._parts lays the stacks of
 # equal-size parts end to end, so one call there holds a multiple of it.
 STACK_NODES = 1024
+# rows i + 1 and i + 2 (mod 3) of a 3 x 3 matrix are rows i and i + 1 of
+# its rows taken in this order; the signs of the cofactors of a 2 x 2 one
+_CYCLIC = np.array([1, 2, 0, 1])
+_CHECKERBOARD = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# the three cube roots of unity
+_CUBE_UNITY = np.exp(2j * np.pi / 3.0) ** np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -112,9 +126,13 @@ def eigenframes(B, *, blocks=None):
     ``_mode_order``.  The gauge makes the largest-magnitude component of
     each right eigenvector real and positive with unit 2-norm; the lefts
     come from the inverse right-eigenvector matrix, so G_k^H F_n =
-    delta_kn.  Each exactly Hermitian matrix is diagonalized by ``eigh``,
-    and its lefts equal its orthonormal rights (in an array of their own),
-    so every frame of a stack is the frame of its matrix alone.
+    delta_kn.  Each matrix takes its own route, so every frame of a stack
+    is the frame of its matrix alone: an exactly Hermitian one ``eigh``,
+    its lefts equal to its orthonormal rights (in an array of their own);
+    a non-Hermitian 2 x 2 or 3 x 3 one the closed form of
+    ``_closed_eigensystem`` (Smith 1961), kept where its frame passes
+    every guard below and else diagonalized again by ``eig`` (closed roots
+    lose accuracy near multiple eigenvalues; Kopp 2008); any other ``eig``.
     Raises ValueError for non-finite entries, DegenerateSpectrum when a
     minimal eigenvalue gap falls below ``DEGENERACY_GAP`` and
     NotDiagonalizable when a right/left pair is numerically orthogonal
@@ -157,58 +175,165 @@ def _diagonalize(B: np.ndarray):
             with nodes_at(np.flatnonzero(part)):
                 lam[part], rights[part], lefts[part] = _diagonalize(B[part])
         return lam, rights, lefts
-    hermitian = bool(exact.all())
-    if hermitian:
+    if exact.all():
         lam, vr = np.linalg.eigh(B)
-        lam = lam.astype(complex)
-    else:
-        lam, vr = np.linalg.eig(B)
-    rows, cols = np.arange(len(B))[:, None], np.arange(m)
+        return _framed(B, lam.astype(complex), vr, _adjoint)
+    if m > 3:
+        return _framed(B, *np.linalg.eig(B), _inverse)
+    # a node whose closed-form frame misses a bound is diagonalized again
+    # by eig, whose guards then decide as if no closed form had been tried
+    with np.errstate(all="ignore"):
+        lam, rights, lefts, certified = _certified(B, *_closed_eigensystem(B))
+    if not certified.all():
+        redo = np.flatnonzero(~certified)
+        with nodes_at(redo):
+            frames = _framed(B[redo], *np.linalg.eig(B[redo]), _inverse)
+        lam[redo], rights[redo], lefts[redo] = frames
+    return lam, rights, lefts
+
+
+def _framed(B, lam, vr, invert):
+    """Ordered, gauge-fixed frames of the eigenpairs (lam, vr) of a stack,
+    the lefts from ``invert(rights)``, with every guard raising."""
+    lam, vr, gap = _ordered(lam, vr)
+    guard(DegenerateSpectrum, _gap_check(gap))
+    rights = _gauged(vr)
+    inverse = invert(rights)
+    # a fresh array on every route, so no caller writes through it into rights
+    lefts = inverse.conj().transpose(0, 2, 1)
+    guard(NotDiagonalizable, *_pair_checks(B, lam, rights, inverse, lefts)[0])
+    return lam, rights, lefts
+
+
+def _adjoint(rights):
+    # orthonormal rights: on the Hermitian route the pair checks test that
+    return rights.conj().transpose(0, 2, 1)
+
+
+def _inverse(rights):
+    try:
+        return np.linalg.inv(rights)
+    except np.linalg.LinAlgError as exc:
+        # slogdet's sign is 0 where the LU factorization of inv hit a zero pivot
+        message = "right eigenvectors are linearly dependent"
+        guard(NotDiagonalizable, (np.linalg.slogdet(rights)[0] == 0, lambda i: message))
+        raise NotDiagonalizable(message) from exc
+
+
+def _ordered(lam, vr):
+    """Eigenvalues and eigenvector columns in ``_mode_order``, and the
+    minimal eigenvalue gap of every node."""
+    rows, cols = np.arange(len(lam))[:, None], np.arange(lam.shape[1])
     order = _mode_order(lam)
     lam = lam[rows, order]
     vr = vr[rows[:, None], cols[:, None], order[:, None, :]]
+    upper = _upper_pairs(lam.shape[1])
+    return lam, vr, np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
 
-    upper = _upper_pairs(m)
-    gap = np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
-    guard(DegenerateSpectrum, (gap < DEGENERACY_GAP, lambda i: (
-        f"minimal eigenvalue gap {gap[i]:.3e} below threshold {DEGENERACY_GAP:.1e}")))
 
+def _gap_check(gap):
+    return gap < DEGENERACY_GAP, lambda i: (
+        f"minimal eigenvalue gap {gap[i]:.3e} below threshold {DEGENERACY_GAP:.1e}")
+
+
+def _gauged(vr):
+    """Eigenvector columns scaled to unit norm, each largest component real
+    and positive."""
+    rows, cols = np.arange(len(vr))[:, None], np.arange(vr.shape[2])
     # smallest index whose magnitude ties the maximum, so exact ties
     # resolve identically regardless of rounding noise
     comp = np.abs(vr)
     pivot = np.argmax(comp >= (1.0 - _GAUGE_TIE) * comp.max(axis=1, keepdims=True), axis=1)
     top = vr[rows, pivot, cols][:, None, :]
     rights = vr / (top / np.abs(top))
-    rights = rights / np.linalg.norm(rights, axis=1, keepdims=True)
-    if hermitian:
-        inverse = rights.conj().transpose(0, 2, 1)
-    else:
-        try:
-            inverse = np.linalg.inv(rights)
-        except np.linalg.LinAlgError as exc:
-            # slogdet's sign is 0 where the LU factorization of inv hit a zero pivot
-            message = "right eigenvectors are linearly dependent"
-            guard(NotDiagonalizable, (np.linalg.slogdet(rights)[0] == 0, lambda i: message))
-            raise NotDiagonalizable(message) from exc
-    # a fresh array on both routes, so no caller writes through it into rights
-    lefts = inverse.conj().transpose(0, 2, 1)
+    return rights / np.linalg.norm(rights, axis=1, keepdims=True)
 
-    # on the Hermitian route this checks the orthonormality of the rights
+
+def _pair_checks(B, lam, rights, inverse, lefts):
+    """The NotDiagonalizable checks of a frame stack: pair quality,
+    bi-orthonormality and residual, and a mask of the nodes whose
+    bi-orthonormality and residual are finite."""
     cross = inverse @ rights
     quality = np.abs(np.diagonal(cross, axis1=1, axis2=2)) / (
         np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=1)
     )
+    biortho = np.abs(cross - np.eye(rights.shape[2])).max(axis=(1, 2))
     residual = np.abs(B @ rights - rights * lam[:, None, :]).max(axis=(1, 2))
-    guard(
-        NotDiagonalizable,
+    checks = (
         (quality < _QUALITY_FLOOR, lambda i: (
             f"right/left pair {i[1]} nearly orthogonal (normalized |G^H F| = {quality[i]:.3e})")),
-        (np.abs(cross - np.eye(m)).max(axis=(1, 2)) > _BIORTHO_TOL, lambda i: (
+        (biortho > _BIORTHO_TOL, lambda i: (
             "bi-orthonormality violated beyond tolerance; generator is too close to defective")),
         (residual > _RESIDUAL_TOL * np.maximum(1.0, _frobenius(B)),
          lambda i: f"eigenpair residual {residual[i]:.3e} too large"),
     )
-    return lam, rights, lefts
+    return checks, np.isfinite(biortho) & np.isfinite(residual)
+
+
+def _cofactors(M):
+    """Cofactor matrices of a (..., m, m) stack, m in {2, 3}: row i of the
+    result is column i of the adjugate, so M @ it^T = det(M) I, and for
+    m = 3 it is the cross product of rows i + 1 and i + 2 of M."""
+    if M.shape[-1] == 2:
+        return M[..., ::-1, ::-1] * _CHECKERBOARD
+    # C_ij = M_{i+1,j+1} M_{i+2,j+2} - M_{i+1,j+2} M_{i+2,j+1}, indices mod 3
+    D = M[..., _CYCLIC[:, None], _CYCLIC]
+    return D[..., :3, :3] * D[..., 1:, 1:] - D[..., :3, 1:] * D[..., 1:, :3]
+
+
+def _closed_eigensystem(B):
+    """``np.linalg.eig`` of a stack of 2 x 2 or 3 x 3 matrices in closed form.
+
+    The eigenvalues are the roots of the characteristic quadratic or cubic
+    (Cardano, from the larger-magnitude root of the resolvent quadratic)
+    of each matrix scaled by the power of two of its largest entry, which
+    is exact and keeps the invariants in range.  Each eigenvector is the
+    largest cofactor row of B - lambda I, i.e. its largest adjugate
+    column.  Near a multiple eigenvalue closed roots lose accuracy before
+    iterative ones do (Kopp, Int. J. Mod. Phys. C 19, 523, 2008): the
+    caller certifies the result, with floating-point warnings off: a
+    defective or degenerate matrix gives NaN or parallel columns.
+    """
+    m = B.shape[1]
+    scale = np.ldexp(1.0, np.frexp(np.abs(B).max(axis=(1, 2)))[1])[:, None]
+    A = B / scale[:, :, None]
+    shift = np.trace(A, axis1=1, axis2=2)[:, None] / m
+    C = A - shift[:, :, None] * np.eye(m)
+    if m == 2:
+        # C is traceless: x^2 = -det C
+        root = np.sqrt(-(C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]))[:, None]
+        x = np.concatenate([root, -root], axis=1)
+    else:
+        # x^3 + p x + q = 0, p the sum of C's principal minors and q = -det C:
+        # w = -q/2 +- sqrt(q^2/4 + p^3/27), the sign giving the larger |w|,
+        # and x = u - p / 3u over the three cube roots u of w
+        cof = _cofactors(C)
+        p = np.trace(cof, axis1=1, axis2=2)[:, None]
+        half_q = -0.5 * (C[:, 0] * cof[:, 0]).sum(axis=1)[:, None]
+        s = np.sqrt(half_q * half_q + (p / 3.0) ** 3)
+        w = np.where((half_q.conj() * s).real <= 0.0, s - half_q, -s - half_q)
+        u = w ** (1.0 / 3.0) * _CUBE_UNITY
+        x = u - p / (3.0 * u)
+    # cof[n, k, i]: cofactor row i of C - x_k I at node n
+    cof = _cofactors(C[:, None] - x[:, :, None, None] * np.eye(m))
+    best = np.argmax((cof * cof.conj()).real.sum(axis=3), axis=2)
+    vr = cof[np.arange(len(B))[:, None], np.arange(m), best].transpose(0, 2, 1)
+    return scale * (x + shift), vr
+
+
+def _certified(B, lam, vr):
+    """``_framed`` with the lefts from the cofactors of the rights over
+    their determinant, and, instead of raising, a mask of the nodes whose
+    frames pass every guard with finite bounds."""
+    lam, vr, gap = _ordered(lam, vr)
+    rights = _gauged(vr)
+    cof = _cofactors(rights)
+    inverse = cof.transpose(0, 2, 1) / (rights[:, 0] * cof[:, 0]).sum(axis=1)[:, None, None]
+    lefts = inverse.conj().transpose(0, 2, 1)
+    checks, ok = _pair_checks(B, lam, rights, inverse, lefts)
+    for bad in (_gap_check(gap)[0], *(bad for bad, _ in checks)):
+        ok &= ~bad.reshape(len(bad), -1).any(axis=1)
+    return lam, rights, lefts, ok
 
 
 def _frobenius(B: np.ndarray) -> np.ndarray:

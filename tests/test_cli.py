@@ -992,6 +992,26 @@ class TestHermitianRoute:
         assert general == [] and hermitian
 
 
+class TestClosedFormRoute:
+    """The oscillator's non-Hermitian blocks of 3 and 2 modes take the
+    closed form, whose guards certify every node of a default run.  A
+    certification that always failed would send every node back through
+    eig, and lose its speed without failing any other test."""
+
+    @pytest.mark.parametrize("experiment", ["diagnose", "single"])
+    def test_default_run_takes_no_general_eigensolve(self, tmp_path, monkeypatch, experiment):
+        general, closed = [], []
+        real_eig, real_closed = np.linalg.eig, linalg._closed_eigensystem
+        monkeypatch.setattr(np.linalg, "eig", lambda M: general.append(len(M)) or real_eig(M))
+        monkeypatch.setattr(
+            linalg, "_closed_eigensystem", lambda B: closed.append(B.shape) or real_closed(B)
+        )
+        cfg = write_json(tmp_path / "c.json", {"experiment": experiment, "model": {"kind": "ho"}})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path]) == 0
+        assert general == []
+        assert {shape[1:] for shape in closed} == {(3, 3), (2, 2)}
+
+
 class TestDiagnoseCommand:
     def test_ho_gets_closed_form_column(self, tmp_path):
         cfg = write_json(

@@ -25,6 +25,7 @@ from liouvdyn.errors import (
     DomainExceeded,
     NotConverged,
     SingularDenominator,
+    settle,
 )
 from liouvdyn.linalg import bi_eigendecompose
 from liouvdyn.models import (
@@ -482,6 +483,41 @@ class TestSpectralRoute:
             propagate_adiabatic_batch(facts, v0s, [1.0, 1.0])
         assert propagate_inertial_batch([], [], []) == []
         assert propagate_adiabatic_batch([], [], []) == []
+
+    @pytest.mark.parametrize(
+        "batch, alone",
+        [
+            (lambda *a: [v for v, _ in propagate_inertial_batch(*a)],
+             lambda *a: propagate_inertial(*a)[0]),
+            (propagate_adiabatic_batch, propagate_adiabatic),
+        ],
+        ids=["inertial", "adiabatic"],
+    )
+    def test_batch_time_errors_name_their_points(self, batch, alone):
+        # t_max = 5: each error names every point it flags by batch index,
+        # with the text of the point alone, ValueError before DomainExceeded;
+        # settling the batch flags t = 6 and keeps t = 1 as it is alone
+        model = HOModel(protocol=HOProtocol(20.0, 0.01, 0.0))
+        fact, v0 = model.factorization(), initial_vector(model)
+
+        def run(ts):
+            return batch([fact] * len(ts), [v0] * len(ts), ts)
+
+        def error(call):
+            with pytest.raises((ValueError, DomainExceeded)) as caught:
+                call()
+            return type(caught.value), str(caught.value), dict(caught.value.nodes)
+
+        late, early = error(lambda: alone(fact, v0, 6.0)), error(lambda: alone(fact, v0, -1.0))
+        assert error(lambda: run([6.0, -1.0, 1.0, -1.0])) == (
+            ValueError, early[1], {1: early[1], 3: early[1]})
+        assert error(lambda: run([1.0, 6.0, 7.0])) == (
+            DomainExceeded, late[1], {1: late[1], 2: "t=7.0 is at or beyond the protocol domain"})
+        ts = [1.0, 6.0]
+        kept, values, failed = settle(lambda k: run([ts[j] for j in k]), len(ts))
+        assert list(kept) == [0]
+        assert failed == {1: f"DomainExceeded: {late[1]}"}
+        assert values[0].coeffs.tobytes() == alone(fact, v0, 1.0).coeffs.tobytes()
 
 
 class TestPurityPreservation:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from liouvdyn.errors import AmbiguousMatching, DegenerateSpectrum, NotDiagonalizable
-from liouvdyn.linalg import EigenFrame, bi_eigendecompose, track_continuity
+from liouvdyn import linalg
+from liouvdyn.linalg import EigenFrame, bi_eigendecompose, eigenframes, track_continuity
 
 import oracles
 
@@ -19,15 +20,17 @@ def tls(mu):
     return 1j * np.array([[0, -mu, 0], [mu, 0, -1], [0, 1, 0]], dtype=complex)
 
 
-def turned(solve):
-    """``solve`` with its first two eigenvectors turned by 1e-6 into each
-    other: an orthonormal frame that no longer diagonalizes."""
+def turned(solve, nodes=slice(None)):
+    """``solve`` with the first two eigenvectors of the ``nodes`` of a stack
+    turned by 1e-6 into each other: an orthonormal frame that no longer
+    diagonalizes."""
     c, s = np.cos(1e-6), np.sin(1e-6)
     turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     def spoiled(M):
         lam, vr = solve(M)
-        return lam, vr @ turn
+        vr[nodes] = vr[nodes] @ turn
+        return lam, vr
 
     return spoiled
 
@@ -139,12 +142,29 @@ class TestFailureModes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_residual_guard_of_the_general_route(self, monkeypatch):
-        # the same spoil of eig on the non-Hermitian oscillator block
+        # the same spoil of the closed form and of eig, which diagonalizes
+        # the non-Hermitian oscillator block again when its closed form fails
         B = 1e160 * ho_upper(0.3)
         bi_eigendecompose(B)
+        monkeypatch.setattr(linalg, "_closed_eigensystem", turned(linalg._closed_eigensystem))
         monkeypatch.setattr(np.linalg, "eig", turned(np.linalg.eig))
         with pytest.raises(NotDiagonalizable, match="residual"):
             bi_eigendecompose(B)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_spoiled_closed_form_falls_back_to_eig(self, monkeypatch):
+        # the residual guard rejects the spoiled closed-form frames of the
+        # middle node alone; eig diagonalizes it again, and the frames of
+        # every node are those of its own route bit for bit
+        B = 1e160 * np.stack([ho_upper(0.3), ho_upper(-1.2), ho_upper(1.7)])
+        closed = eigenframes(B)
+        monkeypatch.setattr(linalg, "_closed_eigensystem", turned(linalg._closed_eigensystem, 1))
+        frames = eigenframes(B)
+        general = linalg._framed(B[1:2], *np.linalg.eig(B[1:2]), linalg._inverse)
+        for got, want, eig in zip(frames, closed, general, strict=True):
+            assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+            assert got[1].tobytes() == eig[0].tobytes()
+            assert got[1].tobytes() != want[1].tobytes()
 
     def test_hermitian_route_checks_orthonormality(self, monkeypatch):
         # eigenvectors each mixed with 1e-6 of their neighbour are no

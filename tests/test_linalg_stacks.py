@@ -4,6 +4,8 @@ Inputs are random diagonalizable non-Hermitian stacks V(s) diag(lam(s))
 V(s)^-1 along a path s in [0, 1], with a well-conditioned V and a
 spectrum spaced far above the degeneracy gap, and random Hermitian
 rotation generators 1j (A0 + chi A1), which take the ``eigh`` route.
+Non-Hermitian 2 x 2 and 3 x 3 stacks, and the oscillator's blocks, take
+the closed form, held here to the frames and errors of ``eig``.
 """
 
 import numpy as np
@@ -11,8 +13,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from liouvdyn.errors import DegenerateSpectrum, NotDiagonalizable
+from liouvdyn import linalg, models
+from liouvdyn.errors import DegenerateSpectrum, LiouvdynError, NotDiagonalizable
 from liouvdyn.linalg import bi_eigendecompose, eigenframes, transport
+
+import oracles
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 5)
@@ -216,3 +221,104 @@ def test_a_mixed_stack_routes_each_matrix_alone(seed):
     for i in range(len(B)):
         assert _bits(a[i] for a in frames) == _bits(a[0] for a in eigenframes(B[i : i + 1]))
     assert np.array_equal(frames[1][1], frames[2][1])
+
+
+# --------------------------------------------------------------------------
+# the closed form of non-Hermitian 2 x 2 and 3 x 3 stacks against eig
+# --------------------------------------------------------------------------
+
+
+def general_route(B):
+    """The frames of a non-Hermitian stack from eig and an inverse, with
+    the guards of eigenframes: the route the closed form stands in for."""
+    return linalg._framed(B, *np.linalg.eig(B), linalg._inverse)
+
+
+def closed_form(B):
+    """The frames eigenframes gives a stack, after checking that they are
+    the closed form's, every node certified."""
+    with np.errstate(all="ignore"):
+        *frames, certified = linalg._certified(B, *linalg._closed_eigensystem(B))
+    assert certified.all()
+    got = eigenframes(B)
+    assert _bits(got) == _bits(frames)
+    return got
+
+
+def outcome(call):
+    """The frames ``call()`` returns, or the type, text and nodes it raises."""
+    try:
+        return call()
+    except (LiouvdynError, ValueError) as exc:
+        return type(exc), str(exc), dict(exc.nodes)
+
+
+def assert_frames_agree(got, want):
+    """Eigenvalues and rights within 1e-12 of the largest eigenvalue and of
+    1; each node's lefts within 1e-12 of its largest left squared, as an
+    inverse moves by the square of its size."""
+    (lam, rights, lefts), (want_lam, want_rights, want_lefts) = got, want
+    scale = np.maximum(1.0, np.abs(want_lam).max(axis=1))
+    assert np.all(np.abs(lam - want_lam).max(axis=1) <= 1e-12 * scale)
+    np.testing.assert_allclose(rights, want_rights, rtol=0, atol=1e-12)
+    size = np.abs(want_lefts).max(axis=(1, 2))
+    assert np.all(np.abs(lefts - want_lefts).max(axis=(1, 2)) <= 1e-12 * np.maximum(1.0, size) ** 2)
+
+
+HO_BLOCKS = [(lo, hi) for lo, hi in models.HO_FAMILY.blocks if hi - lo > 1]
+
+
+def ho_block(mus, block):
+    lo, hi = block
+    return models.HO_FAMILY(np.asarray(mus, dtype=float))[:, lo:hi, lo:hi]
+
+
+@given(seeds, st.sampled_from([2, 3]), st.integers(1, 6), st.booleans())
+def test_closed_form_agrees_with_eig_on_interior_stacks(seed, m, n, real):
+    B = path_stack(seed, m, np.linspace(0.0, 1.0, n), real=real)
+    assert_frames_agree(closed_form(B), general_route(B))
+
+
+@given(st.lists(st.floats(-1.99, 1.99), min_size=1, max_size=8), st.sampled_from(HO_BLOCKS))
+def test_closed_form_agrees_with_eig_on_oscillator_blocks(mus, block):
+    B = ho_block(mus, block)
+    assume(not np.all(B == B.conj().transpose(0, 2, 1), axis=(1, 2)).any())  # mu = 0 takes eigh
+    assert_frames_agree(closed_form(B), general_route(B))
+
+
+LADDER = np.concatenate([np.linspace(0.3, 1.9, 17), [1.95, 1.99, 1.995, 1.999]])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_oscillator_ladder_towards_the_exceptional_point(sign):
+    mus = sign * LADDER
+    oracle_of = (oracles.ho_upper_eigensystem, oracles.ho_lower_eigensystem)
+    for block, oracle in zip(HO_BLOCKS, oracle_of, strict=True):
+        B = ho_block(mus, block)
+        frames = closed_form(B)
+        assert_frames_agree(frames, general_route(B))
+        want = np.array([oracle(mu)[0] for mu in mus])
+        np.testing.assert_allclose(frames[0], want, rtol=0, atol=1e-12)
+
+
+def test_past_the_ladder_the_oscillator_block_raises_as_eig_does():
+    # the closed form cannot certify these nodes either, so eig decides
+    # each with its own guard
+    mus = np.array([1.9999, 1.99995, 1.99999, 2.0, -1.9999, -2.0])
+    B = ho_block(mus, HO_BLOCKS[0])
+    got = outcome(lambda: eigenframes(B))
+    assert got == outcome(lambda: general_route(B))
+    assert got[0] is NotDiagonalizable and sorted(got[2]) == list(range(len(mus)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seeds, st.sampled_from([2, 3]), st.integers(1, 4), st.sampled_from([-1000, 1000]))
+def test_stacks_scaled_past_the_float_range_warn_nothing(seed, m, n, power):
+    # 2^-1000 puts every gap below DEGENERACY_GAP; 2^1000 squares past
+    # the largest double, and the closed form still certifies every node
+    B = path_stack(seed, m, np.linspace(0.0, 1.0, n)) * 2.0**power
+    want = outcome(lambda: general_route(B))
+    if power < 0:
+        assert outcome(lambda: eigenframes(B)) == want and want[0] is DegenerateSpectrum
+    else:
+        assert_frames_agree(closed_form(B), want)
