@@ -17,8 +17,10 @@ from .diagnostics import (
     inertial_parameter_at,
     inertial_parameters,
     log_time_grid,
+    max_mu_along,
     max_parameters_along,
     one_minus_fidelity,
+    upsilon_maxima,
 )
 from .engine import (
     GeneratorFactorization,

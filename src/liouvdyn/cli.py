@@ -50,8 +50,8 @@ _SWEEP_SOURCES = {
     "F_inertial": f"diagnostics.fidelity_sweep (engine.propagate_inertial_batch vs {_EXACT})",
     "F_adiabatic": f"diagnostics.fidelity_sweep (engine.propagate_adiabatic_batch vs {_EXACT})",
     "neglog1mF_inertial": "diagnostics.fidelity_sweep",
-    "mu_max": "diagnostics.max_parameters_along (adiabatic_parameter)",
-    "upsilon_max": "diagnostics.max_parameters_along (inertial parameter)",
+    "mu_max": "diagnostics.max_mu_along (adiabatic_parameter)",
+    "upsilon_max": "diagnostics.upsilon_maxima (inertial parameter)",
 }
 
 _GEO_FAMILIES = {

@@ -90,6 +90,29 @@ def _block_sums(fact: GeneratorFactorization, ts) -> np.ndarray:
     return _pair_sums(*frames, directional, paired=fact.mode_pairs(frames[0].shape[1]))
 
 
+def _stacked_sums(facts, ts) -> np.ndarray:
+    """``_block_sums`` of several runs, factorization facts[p] at its times
+    ts[p], end to end from one frame stack of one block layout.  Each run
+    meets its guards in the order it meets them alone, and an error names
+    positions in the concatenated times.  A single run takes
+    ``inertial_parameters`` instead, which does without this bookkeeping."""
+    if any(fact.grad_B is None or fact.dchi_dtheta is None for fact in facts):
+        raise ValueError("factorization lacks grad_B or dchi_dtheta")
+    offsets = np.cumsum([0, *map(len, ts)]).tolist()
+    spans = [range(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    chis, B, directional = [], [], []
+    for fact, t, span in zip(facts, ts, spans, strict=True):
+        with nodes_at(span):
+            chis.append(fact.chi_of_t(t))
+            B.append(fact.B_of_chi(chis[-1]))
+    frames = eigenframes(np.concatenate(B), blocks=facts[0].blocks)
+    for fact, t, chi, span in zip(facts, ts, chis, spans):
+        with nodes_at(span):
+            directional.append(fact.dchi_dtheta(t)[:, None, None] * fact.grad_B(chi))
+    return _pair_sums(*frames, np.concatenate(directional),
+                      paired=facts[0].mode_pairs(frames[0].shape[1]))
+
+
 def inertial_parameter_at(fact: GeneratorFactorization, t: float) -> float:
     """Drive-acceleration parameter of a factorized generator at time t.
 
@@ -230,20 +253,48 @@ class SweepResult:
         return out
 
 
-def max_parameters_along(model, t_f: float, samples: int = 65):
-    """Largest |mu| and largest Upsilon over an even time sample of the run.
+def max_mu_along(model, t_f: float, samples: int = 65) -> float:
+    """Largest |mu| over an even time sample of the run to t_f."""
+    return float(np.abs(adiabatic_parameter(model, np.linspace(0.0, t_f, samples))).max())
+
+
+def upsilon_maxima(models, t_fs, samples: int = 65) -> np.ndarray:
+    """Largest Upsilon over an even time sample of each run (models[p], t_fs[p]).
 
     A protocol with a closed-form Upsilon (the oscillator's) evaluates it
-    on the whole sample at once, skipping the samples it flags singular
-    (NaN when it flags all); otherwise the generic pairwise sum.
+    per run on the whole sample at once, skipping the samples it flags
+    singular (NaN when it flags all).  The other runs share one
+    ``eigenframes`` stack and pair sum per part of at most
+    ``linalg.STACK_NODES`` nodes, a part holding whole runs, so each run's
+    guards fire in the order they fire alone; a run of more samples than
+    that is sliced as ``inertial_parameters`` slices it.  A guard error
+    names the runs by position, each with its one-run message.
     """
-    ts = np.linspace(0.0, t_f, samples)
-    mu_max = float(np.abs(adiabatic_parameter(model, ts)).max())
-    closed = model.protocol.inertial_parameter_closed
-    if closed is None:
-        return mu_max, float(inertial_parameters(model.factorization(), ts).max())
-    _, ups, _ = settle(lambda kept: closed(ts[kept]), samples, SingularDenominator)
-    return mu_max, (float(ups.max()) if ups.size else math.nan)
+    out = np.empty(len(models))
+    stacked = []
+    for p, (model, t_f) in enumerate(zip(models, t_fs, strict=True)):
+        ts = np.linspace(0.0, t_f, samples)
+        closed = model.protocol.inertial_parameter_closed
+        if closed is None:
+            stacked.append((p, model.factorization(), ts))
+            continue
+        with nodes_at(np.full(samples, p)):
+            _, ups, _ = settle(lambda kept: closed(ts[kept]), samples, SingularDenominator)
+        out[p] = float(ups.max()) if ups.size else math.nan
+    size = max(1, STACK_NODES // samples)
+    for lo in range(0, len(stacked), size):
+        runs, facts, ts = zip(*stacked[lo : lo + size])
+        with nodes_at(np.repeat(runs, samples)):
+            sums = inertial_parameters(facts[0], ts[0]) if len(runs) == 1 else _stacked_sums(facts, ts)
+        out[list(runs)] = sums.reshape(len(runs), samples).max(axis=1)
+    return out
+
+
+def max_parameters_along(model, t_f: float, samples: int = 65):
+    """Largest |mu| and largest Upsilon over an even time sample of the run:
+    ``max_mu_along`` and the one-run view of ``upsilon_maxima``."""
+    mu_max = max_mu_along(model, t_f, samples)
+    return mu_max, float(upsilon_maxima([model], [t_f], samples)[0])
 
 
 # the errors that fail one sweep point and leave the others running
@@ -263,9 +314,7 @@ class _Point(NamedTuple):
     ups_max: float
 
 
-def _prepared_point(model, t_f: float, omega_target: float, samples: int, tols) -> _Point:
-    m = model.for_duration(t_f, omega_target)
-    mu_max, ups_max = max_parameters_along(m, t_f, samples)
+def _prepared_point(m, t_f: float, mu_max: float, ups_max: float, tols) -> _Point:
     # the scores mean nothing outside the model's diagonalizable domain
     if mu_max >= m.mu_limit:
         raise DomainExceeded(
@@ -277,9 +326,10 @@ def _prepared_point(model, t_f: float, omega_target: float, samples: int, tols) 
     return _Point(t_f, m, fact, v0, exact, mu_max, ups_max)
 
 
-def _batched(points) -> tuple:
-    """The facts, initial vectors and durations of the points: the
-    arguments of a propagator batch."""
+def _batched(entries) -> tuple:
+    """The facts, initial vectors and durations of the (index, point)
+    entries: the arguments of a propagator batch."""
+    points = [p for _, p in entries]
     return [p.fact for p in points], [p.v0 for p in points], [p.t_f for p in points]
 
 
@@ -320,16 +370,19 @@ def fidelity_sweep(
     frozen-frame solutions, and scores the approximations against the
     exact state.  A failed point is recorded and the sweep continues.
 
-    The points run in three phases.  Per point: the re-drive, the
-    parameter maxima, the mu domain check and the exact reference.  Then
-    the points that survive, together: ``engine.propagate_inertial_batch``
+    The points run in stages.  Per point: the re-drive and the mu
+    maximum (``max_mu_along``).  All points together: the Upsilon maxima
+    (``upsilon_maxima``), whose frames are one ``eigenframes`` stack per
+    part of whole points (the oscillator's closed form stays per point).
+    Per point: the mu domain check and the exact reference.  Then the
+    points that survive, together: ``engine.propagate_inertial_batch``
     refines all of them level by level, each retiring where its own two
     levels agree, and ``engine.propagate_adiabatic_batch`` diagonalizes
-    the chi = 0 frame once for all.  A batch error names the points that
-    fail, with the text each gets alone; they are flagged and the rest
-    run again in one more batch (``errors.settle``).  Last, per point:
-    reconstruction and fidelities.  So every row, and every error text,
-    is the one the point gets alone.
+    the chi = 0 frame once for all.  A stacked stage's error names the
+    points that fail, with the text each gets alone; they are flagged and
+    the rest run again in one more call (``errors.settle``).  Last, per
+    point: reconstruction and fidelities.  So every row, and every error
+    text, is the one the point gets alone.
 
     `rtol`/`atol` control the two-level exact reference, whose SU(2)
     Magnus flow (``linalg.su2_flow``) doubles its steps until two levels
@@ -347,10 +400,29 @@ def fidelity_sweep(
 
     tols = (rtol, atol, phase_tol)
     errors = [None] * len(grid)
-    live = []
-    for i, t_f in enumerate(grid):
+
+    def settled(run, entries):
+        # settle run over the (index, ...) entries: flag the failing ones
+        kept, out, failed = settle(lambda k: run([entries[j] for j in k]), len(entries))
+        for j, text in failed.items():
+            errors[entries[j][0]] = text
+        return [entries[j] for j in kept], out
+
+    driven = []
+    for i, t_f in enumerate(grid.tolist()):
         try:
-            live.append((i, _prepared_point(model, float(t_f), omega_target, samples, tols)))
+            m = model.for_duration(t_f, omega_target)
+            driven.append((i, t_f, m, max_mu_along(m, t_f, samples)))
+        except _POINT_ERRORS as exc:
+            errors[i] = f"{type(exc).__name__}: {exc}"
+    driven, ups = settled(
+        lambda d: upsilon_maxima([m for _, _, m, _ in d], [t_f for _, t_f, _, _ in d], samples),
+        driven,
+    )
+    live = []
+    for (i, t_f, m, mu_max), ups_max in zip(driven, ups, strict=True):
+        try:
+            live.append((i, _prepared_point(m, t_f, mu_max, float(ups_max), tols)))
         except _POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
     propagated = {i: [] for i, _ in live}
@@ -358,10 +430,7 @@ def fidelity_sweep(
         lambda *args: [v for v, _ in propagate_inertial_batch(*args, phase_tol=phase_tol)],
         propagate_adiabatic_batch,
     ):
-        kept, out, failed = settle(lambda k: batch(*_batched([live[j][1] for j in k])), len(live))
-        for j, text in failed.items():
-            errors[live[j][0]] = text
-        live = [live[j] for j in kept]
+        live, out = settled(lambda entries: batch(*_batched(entries)), live)
         for (i, _), v in zip(live, out, strict=True):
             propagated[i].append(v)
     values = [(math.nan,) * 5] * len(grid)

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainExceeded, IntegratorFailure, NotConverged, SingularDenominator
-from .errors import guard, nodes_at
+from .errors import DomainExceeded, IntegratorFailure, LiouvdynError, NotConverged
+from .errors import SingularDenominator, guard, nodes_at
 from .linalg import (
     STACK_NODES,
     EigenFrame,
@@ -438,18 +438,38 @@ def _sample(points, x):
     return (np.stack(paces), B, *(a.reshape(len(points), len(x), *a.shape[1:]) for a in frames))
 
 
+def _first_levels(points, n):
+    """The ``_sample`` stacks of level n over the points, and the phases of
+    level n / 2, whose nodes are the even ones of level n, from one
+    ``eigenframes`` stack.  When that stack raises, the two levels run
+    again one after the other, as the later levels do, so a point that
+    fails a guard of level n / 2 keeps that error, whatever its new nodes
+    of level n fail."""
+    x = chebyshev_nodes(n)
+    try:
+        samples = _sample(points, x)
+    except (LiouvdynError, ValueError, ArithmeticError):
+        coarse = _sample(points, x[::2])
+        phases = _level_phases(points[0][1], x[::2], *coarse)[1:]
+        return tuple(interleave(old, odd, axis=1)
+                     for old, odd in zip(coarse, _sample(points, x[1::2]))), phases
+    coarse = (a[:, ::2] for a in samples)
+    return samples, _level_phases(points[0][1], x[::2], *coarse)[1:]
+
+
 def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None):
     """Refine the points, (index, fact, v0, t) each, from level n.
 
     ``samples`` holds the ``_sample`` stacks of level n over the points,
-    and ``previous`` the phases of the level before, or None at the first
-    level.  A point whose two levels agree within phase_tol retires, its
-    result going to results[index].  A guard error names points by index,
-    NotConverged those unsettled past _CHEB_MAX_N intervals.  When the next
-    level's new nodes would pass STACK_NODES, the points split into parts.
+    and ``previous`` the phases of the level before; without them the
+    first two levels, n and 2n, come from one stack (``_first_levels``).
+    A point whose two levels agree within phase_tol retires, its result
+    going to results[index].  A guard error names points by index,
+    NotConverged those unsettled past _CHEB_MAX_N intervals.  When the
+    next stack's nodes would pass STACK_NODES, the points split into parts.
     """
     while True:
-        new = n + 1 if samples is None else n // 2
+        new = 2 * n + 1 if samples is None else n // 2
         size = max(1, STACK_NODES // new)
         if len(points) > size:
             for lo in range(0, len(points), size):
@@ -458,17 +478,14 @@ def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None)
                         *(None if s is None else tuple(a[part] for a in s)
                           for s in (samples, previous)))
             return
-        x = chebyshev_nodes(n)
         with nodes_at([i for i, *_ in points]):
             if samples is None:
-                samples = _sample(points, x)
+                n *= 2
+                samples, previous = _first_levels(points, n)
             else:
-                samples = tuple(interleave(old, odd, axis=1)
-                                for old, odd in zip(samples, _sample(points, x[1::2])))
-            final, dyn, geo = _level_phases(points[0][1], x, *samples)
-            if previous is None:  # the first level, below _CHEB_MAX_N
-                previous, n = (dyn, geo), 2 * n
-                continue
+                samples = tuple(interleave(old, odd, axis=1) for old, odd
+                                in zip(samples, _sample(points, chebyshev_nodes(n)[1::2])))
+            final, dyn, geo = _level_phases(points[0][1], chebyshev_nodes(n), *samples)
             delta = np.maximum(np.abs(dyn - previous[0]).max(axis=1),
                                np.abs(geo - previous[1]).max(axis=1))
             done = delta < phase_tol
@@ -499,10 +516,10 @@ def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -
     ``(LiouvilleVector, InertialSolution)``.  The factorizations share one
     block layout (ValueError otherwise).  The Chebyshev levels run over
     every active point together: one ``eigenframes`` stack holds the new
-    nodes of all of them, and ``transport`` and the level phases run over
-    (points, nodes, m, m) stacks.  A point retires at the level where its
-    own two levels agree, so its nodes, delta and result are the ones it
-    gets alone.  A batch whose next stack would hold more than
+    nodes of all of them (the first two levels share one), and
+    ``transport`` and the level phases run over (points, nodes, m, m)
+    stacks.  A point retires at the level where its own two levels agree,
+    so its nodes, delta and result are the ones it gets alone.  A batch whose next stack would hold more than
     ``linalg.STACK_NODES`` nodes splits, and its parts are refined one
     after the other, which bounds the frame memory however many points
     are asked for.  A guard error, NotConverged and the

@@ -823,13 +823,12 @@ class TestSweepFlags:
         assert all(math.isnan(x) for x in rows[0][1:])
 
     def test_nan_column_is_flagged(self, tmp_path, monkeypatch):
-        real = diagnostics.max_parameters_along
+        real = diagnostics.upsilon_maxima
 
-        def nan_upsilon_below(model, t_f, samples=65):
-            mu, ups = real(model, t_f, samples)
-            return mu, (math.nan if t_f < 0.1 else ups)
+        def nan_upsilon_below(models, t_fs, samples=65):
+            return np.where(np.asarray(t_fs) < 0.1, math.nan, real(models, t_fs, samples))
 
-        monkeypatch.setattr(diagnostics, "max_parameters_along", nan_upsilon_below)
+        monkeypatch.setattr(diagnostics, "upsilon_maxima", nan_upsilon_below)
         errors, _ = self.run_partial(tmp_path, {"t_min": 0.05, "t_max": 0.5, "points": 2})
         assert errors[0].startswith("FloatingPointError") and "max_upsilon" in errors[0]
         assert errors[1] is None

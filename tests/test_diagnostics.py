@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liouvdyn.diagnostics import (
     SweepResult,
@@ -13,10 +16,12 @@ from liouvdyn.diagnostics import (
     log_time_grid,
     max_parameters_along,
     one_minus_fidelity,
+    upsilon_maxima,
 )
 from liouvdyn import diagnostics, engine
 from liouvdyn.engine import GeneratorFactorization, propagate_inertial
-from liouvdyn.errors import DegenerateSpectrum, SingularDenominator, UnphysicalState
+from liouvdyn.errors import DegenerateSpectrum, LiouvdynError, SingularDenominator
+from liouvdyn.errors import UnphysicalState, settle
 from liouvdyn.linalg import STACK_NODES, bi_eigendecompose
 from liouvdyn.models import (
     BlochState,
@@ -510,12 +515,12 @@ class TestFidelitySweep:
             fidelity_sweep(fig1_ho_model(), [])
 
 
-def sweep_seed(kind):
-    """The ``sweep`` experiment's seed ramp from 20 at acceleration -5e-3
-    (the two-level system with epsilon 8)."""
+def sweep_seed(kind, acceleration=-5e-3):
+    """The ``sweep`` experiment's seed ramp from 20, at acceleration -5e-3
+    unless given (the two-level system with epsilon 8)."""
     if kind == "ho":
-        return HOModel(protocol=HOProtocol(20.0, 0.0, -5e-3))
-    return TLSModel(protocol=TLSProtocol(8.0, math.sqrt(20.0**2 - 8.0**2), 0.0, -5e-3))
+        return HOModel(protocol=HOProtocol(20.0, 0.0, acceleration))
+    return TLSModel(protocol=TLSProtocol(8.0, math.sqrt(20.0**2 - 8.0**2), 0.0, acceleration))
 
 
 def _bits(rows):
@@ -602,3 +607,111 @@ class TestBatchedSweep:
         rows, errors = per_point_sweep(sweep_seed("tls"), grid, omega_target=10.0)
         assert _bits(res.rows()) == _bits(rows)
         assert list(res.errors) == errors
+
+    def test_stacks_at_many_samples(self, monkeypatch):
+        # 20 two-level points at 129 samples: 2,580 Upsilon nodes, stacked
+        # 7 whole points at a time, and one first inertial stack holding
+        # both first levels of every point, 33 nodes each
+        sizes = {diagnostics: [], engine: []}
+        for module in sizes:
+            def counted(B, _sizes=sizes[module], _real=module.eigenframes, **kw):
+                _sizes.append(len(B))
+                return _real(B, **kw)
+
+            monkeypatch.setattr(module, "eigenframes", counted)
+        grid = np.geomspace(0.3, 5.0, 20)
+        res = fidelity_sweep(sweep_seed("tls"), grid, omega_target=10.0, samples=129)
+        monkeypatch.undo()
+        assert all(e is None for e in res.errors)
+        assert sizes[diagnostics] == [7 * 129, 7 * 129, 6 * 129]
+        assert sizes[engine][0] == 20 * 33
+        assert max(sizes[diagnostics] + sizes[engine]) <= STACK_NODES
+        rows, errors = per_point_sweep(sweep_seed("tls"), grid, omega_target=10.0, samples=129)
+        assert _bits(res.rows()) == _bits(rows)
+        assert list(res.errors) == errors
+
+
+def one_point(call):
+    """(value, None) of a one-point call, or (None, "Type: message")."""
+    try:
+        return call(), None
+    except (LiouvdynError, ValueError, ArithmeticError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@dataclasses.dataclass(frozen=True)
+class PlantedTLS(TLSModel):
+    """The two-level model with its generator spoiled at chosen sample
+    indices of the re-driven runs whose duration is a key of `planted`:
+    NaN entries (the non-finite guard) or a zero matrix (the gap guard)."""
+
+    planted: tuple = ()
+    t_f: float = None
+
+    def for_duration(self, t_f, omega_target):
+        return dataclasses.replace(super().for_duration(t_f, omega_target), t_f=t_f)
+
+    def factorization(self):
+        fact = super().factorization()
+        spoil = dict(self.planted).get(self.t_f)
+        if spoil is None:
+            return fact
+        nodes, fill = spoil
+
+        def spoiled(chi):
+            B = fact.B_of_chi(chi).copy()
+            B[[j % len(B) for j in nodes]] = fill
+            return B
+
+        return dataclasses.replace(fact, B_of_chi=spoiled)
+
+
+class TestUpsilonMaxima:
+    """The stacked Upsilon maxima against each run alone."""
+
+    @given(
+        st.sampled_from(["ho", "tls"]),
+        st.floats(-0.2, 0.2),
+        st.floats(5.0, 30.0),
+        st.lists(st.floats(0.02, 5.0), min_size=1, max_size=6),
+        st.sampled_from([2, 17, 65, 300, 1100]),
+    )
+    @example("ho", -0.2, 20.0, [0.5, 4.0, 1.0], 65)
+    def test_stacked_maxima_equal_the_one_point_view(self, kind, a, target, t_fs, samples):
+        # runs whose re-drive fails are left out; each other value is bit
+        # for bit the run's alone, and each failing run is flagged alone
+        seed, models, ts = sweep_seed(kind, a), [], []
+        for t in t_fs:
+            model, _ = one_point(lambda: seed.for_duration(t, target))
+            if model is not None:
+                models.append(model)
+                ts.append(t)
+        kept, values, failed = settle(lambda k: upsilon_maxima(
+            [models[j] for j in k], [ts[j] for j in k], samples), len(models))
+        alone = [one_point(lambda: max_parameters_along(m, t, samples)[1])
+                 for m, t in zip(models, ts)]
+        assert failed == {j: text for j, (_, text) in enumerate(alone) if text}
+        assert [repr(float(v)) for v in values] == [repr(alone[j][0]) for j in kept]
+
+    @settings(max_examples=15)
+    @given(
+        st.floats(-0.3, 0.3),
+        st.lists(st.floats(0.02, 5.0), min_size=1, max_size=5, unique=True),
+        st.lists(st.tuples(st.lists(st.integers(0, 64), min_size=1, max_size=3),
+                           st.sampled_from([math.nan, 0.0])), max_size=3),
+    )
+    @example(0.3, [0.05, 5.0, 0.5, 1.0], [([3], math.nan), ([0, 64], 0.0), ([40], 0.0)])
+    def test_failing_points_are_flagged_alone(self, a, t_fs, spoils):
+        # the first durations' generators are spoiled at some samples: those
+        # points fail the Upsilon guards unless their re-drive fails first,
+        # and every row and error text is the point's alone
+        planted = tuple(zip(t_fs, spoils))
+        model = PlantedTLS(protocol=sweep_seed("tls", a).protocol, planted=planted)
+        res = fidelity_sweep(model, t_fs, omega_target=10.0)
+        rows, errors = per_point_sweep(model, t_fs, omega_target=10.0)
+        assert list(res.errors) == errors
+        assert _bits(res.rows()) == _bits(rows)
+        for error, _ in zip(res.errors, planted):
+            assert error.startswith(("DomainExceeded: protocol leaves", "ValueError: need",
+                                     "ValueError: generator contains non-finite",
+                                     "DegenerateSpectrum"))

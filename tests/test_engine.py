@@ -27,7 +27,7 @@ from liouvdyn.errors import (
     SingularDenominator,
     settle,
 )
-from liouvdyn.linalg import bi_eigendecompose
+from liouvdyn.linalg import bi_eigendecompose, chebyshev_nodes
 from liouvdyn.models import (
     HOModel,
     HOProtocol,
@@ -395,6 +395,32 @@ class TestSpectralRoute:
         fact = spin_factorization(lambda ts: np.where(ts > 0.5, 0.5 * math.pi, 0.0))
         with pytest.raises(AmbiguousMatching):
             propagate_inertial(fact, self.V0, 1.0)
+
+    def test_first_level_errors_outrank_new_nodes_of_the_second(self):
+        # the first two levels, 16 and 32 intervals, come from one stack.
+        # A point whose level-16 transport is ambiguous (the pi / 4 step)
+        # and whose generator is non-finite at a node new to level 32 keeps
+        # the level-16 error, as when the levels run one by one; the clean
+        # point of its batch finishes as alone
+        new_node = 0.5 * 1.0 * (1.0 + chebyshev_nodes(32)[1])
+
+        def spoiled(step):
+            return spin_factorization(lambda ts: np.where(
+                ts == new_node, math.nan, np.where(ts > 0.5, step, 0.0)))
+
+        clean = spin_factorization(lambda ts: 0.3 * ts)
+        with pytest.raises(ValueError, match="non-finite"):
+            propagate_inertial(spoiled(0.0), self.V0, 1.0)
+        with pytest.raises(AmbiguousMatching) as alone:
+            propagate_inertial(spoiled(0.5 * math.pi), self.V0, 1.0)
+        facts = [clean, spoiled(0.5 * math.pi)]
+        kept, values, failed = settle(lambda k: propagate_inertial_batch(
+            [facts[j] for j in k], [self.V0] * len(k), [1.0] * len(k)), len(facts))
+        assert failed == {1: f"AmbiguousMatching: {alone.value}"}
+        v, sol = values[0]
+        v_alone, sol_alone = propagate_inertial(clean, self.V0, 1.0)
+        assert v.coeffs.tobytes() == v_alone.coeffs.tobytes()
+        assert (sol.nodes, sol.delta) == (sol_alone.nodes, sol_alone.delta)
 
     @pytest.mark.parametrize("t", [1.0, 1.4, 1.8])
     def test_frames_turning_past_a_right_angle(self, t):
