@@ -16,8 +16,9 @@ guard:
   Int. J. Mod. Phys. C 19, 523, 2008); a matrix whose frame fails one
   takes the next route, whose guards decide;
 - any other: the general ``eig`` and an inverse.
-``chebyshev_nodes``, ``interleave`` and ``chebyshev_levels`` hold the nested
-node set of the spectral quadratures.
+``chebyshev_nodes`` and ``interleave`` hold the nested node set of the
+spectral quadratures: a level is sampled whole once, and each doubling
+only at its new odd nodes, interleaved with the samples before.
 ``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
 stacked sixth-order Magnus steps (``magnus_axes``), exponentiated by ``su2``
 and multiplied by ``ordered_product``.  The two-level exact reference
@@ -443,30 +444,11 @@ def interleave(old, odd, axis: int = 0) -> np.ndarray:
     return np.insert(old, np.arange(1, old.shape[axis]), odd, axis=axis)
 
 
-def chebyshev_levels(f, n0: int, n_max: int):
-    """Samples of f on nested Chebyshev extreme points of [-1, 1].
-
-    Yields ``(n, x, values)`` for n = n0, 2 n0, ... intervals up to n_max,
-    x being ``chebyshev_nodes(n)``.  ``f`` maps a 1-D array of nodes to a
-    tuple of arrays over them.  A doubling evaluates f only at the new
-    odd nodes and interleaves them with the earlier samples, so no node
-    is evaluated twice.
-    """
-    n, values = n0, None
-    while n <= n_max:
-        x = chebyshev_nodes(n)
-        if values is None:
-            values = f(x)
-        else:
-            values = tuple(map(interleave, values, f(x[1::2])))
-        yield n, x, values
-        n *= 2
-
-
 def chebyshev_coefficients(values) -> np.ndarray:
     """Coefficients of T_0 ... T_n (axis 0) of the interpolant through the
-    samples of one ``chebyshev_levels`` level: a DCT-I, as the FFT of their
-    even extension (Trefethen, SIAM Review 50, 2008), one per complex part."""
+    samples on one level's ``chebyshev_nodes(n)``: a DCT-I, as the FFT of
+    their even extension (Trefethen, SIAM Review 50, 2008), one per
+    complex part."""
     from numpy.fft import rfft
 
     if np.iscomplexobj(values):

@@ -271,33 +271,37 @@ class HOProtocol:
             mu^2 (w''/w - 2 (w'/w)^2)
             / [ (2 kappa)^2 ( (w''/w) log(w/w0) - (w'/w)^2 (2 log(w/w0) + 1) ) ]
         with kappa = sqrt(4 - mu^2), returned as a magnitude; 0 where the
-        ramp is at rest.  SingularDenominator names every point at |mu| >=
-        2, else every point where the bracketed denominator vanishes (for
-        example t -> 0 on a ramp that starts from rest).  A float t gives
-        a float, a 1-D array of times the array of values, each the value
-        at its time alone.
+        ramp is at rest.  SingularDenominator names every point where
+        omega^2 is not a normal float or |mu| >= 2, else every point where
+        a term overflows or the bracketed denominator vanishes (t -> 0 on
+        a ramp from rest).  A float t gives a float, a 1-D array of times
+        the array of values, each the value at its time alone.
         """
         # a float runs as a 1-element array, so it gets the array's bits
         times = np.asarray(t, dtype=float).reshape(-1)
         w0 = self.omega(0.0)
         w = self.omega(times)
-        wd = self.omega_dot(times)
-        mu = wd / (w * w)
-        # before omega_ddot, whose mu^2 w^3 term overflows for large |mu|
-        guard(SingularDenominator, (abs(mu) >= 2.0, lambda i: (
-            "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined")))
-        wdd = self.omega_ddot(times)
-        rest = (wd == 0.0) & (wdd == 0.0)
-        ksq = 4.0 - mu * mu
-        log_ratio = np.log(w / w0)
-        curv = wdd / w
-        rate_sq = (wd / w) ** 2
-        num = mu * mu * (curv - 2.0 * rate_sq)
-        bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
-        scale = abs(curv) * np.maximum(abs(log_ratio), 1.0) + rate_sq * (2.0 * abs(log_ratio) + 1.0)
-        guard(SingularDenominator, (~rest & (abs(bracket) <= _DEN_TOL * scale), lambda i: (
-            f"denominator vanishes at t = {times[i]:g}; point skipped")))
-        ups = np.where(rest, 0.0, abs(num / (4.0 * ksq * np.where(rest, 1.0, bracket))))
+        with np.errstate(all="ignore"):  # every value past the float range is flagged below
+            w2, wd, wdd = w * w, self.omega_dot(times), self.omega_ddot(times)
+            mu = wd / w2
+            rest = (wd == 0.0) & (wdd == 0.0)
+            ksq = 4.0 - mu * mu
+            log_ratio = np.log(w / w0)
+            curv = wdd / w
+            rate_sq = (wd / w) ** 2
+            num = mu * mu * (curv - 2.0 * rate_sq)
+            bracket = curv * log_ratio - rate_sq * (2.0 * log_ratio + 1.0)
+            scale = abs(curv) * np.maximum(abs(log_ratio), 1.0) + rate_sq * (2.0 * abs(log_ratio) + 1.0)
+            ups = np.where(rest, 0.0, abs(num / (4.0 * ksq * np.where(rest, 1.0, bracket))))
+        # mu is 0/0, inf/inf or short of digits where omega^2 is 0, inf or subnormal
+        guard(SingularDenominator, (~((w2 >= np.finfo(float).tiny) & (w2 < np.inf)), lambda i: (
+            f"omega^2 = {w2[i]:.3g} at t = {times[i]:g} is not a normal float")),
+            (abs(mu) >= 2.0, lambda i: (
+                "mode splitting kappa vanishes at |mu| >= 2; the expression is undefined")))
+        guard(SingularDenominator, (~rest & ~(np.isfinite(bracket) & np.isfinite(ups)), lambda i: (
+            f"a term overflows at t = {times[i]:g}; point skipped")),
+            (~rest & (abs(bracket) <= _DEN_TOL * scale), lambda i: (
+                f"denominator vanishes at t = {times[i]:g}; point skipped")))
         return float(ups[0]) if np.ndim(t) == 0 else ups
 
     def theta(self, t: float) -> float:
@@ -695,6 +699,8 @@ class HOModel:
     def reconstruct_state(self, coeffs: np.ndarray, t: float) -> GaussianState:
         c = _real_coeffs(coeffs, 6)
         w = self.protocol.omega(t)
+        if not np.finfo(float).tiny <= self.mass * w * w < math.inf:  # the divisor of <q^2>
+            raise SingularDenominator(f"m omega^2 = {self.mass * w * w:.3g} is not a normal float")
         return _ho_state(c, w, self.protocol.omega0, self.mass).validate()
 
     def exact_vector(

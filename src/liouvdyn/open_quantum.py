@@ -25,13 +25,13 @@ from .errors import (
     LiouvdynError,
     NotConverged,
     PositivityViolation,
-    UnphysicalState,
     UnsupportedDimension,
 )
 from .linalg import (
     bi_eigendecompose,
     chebyshev_coefficients,
-    chebyshev_levels,
+    chebyshev_nodes,
+    interleave,
     magnus_ladder,
     su2,
     su2_flow,
@@ -303,18 +303,19 @@ def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np
     """Integrals int_0^t f(s) ds at every t of ``ts``, one per column of f.
 
     ``f`` maps a 1-D array of m times in [0, t_end] to an (m, k) array.
-    It is sampled on ``linalg.chebyshev_levels`` of [0, t_end], doubling
-    the n intervals from _CHEB_N0; the interpolant is integrated term by
-    term (Clenshaw-Curtis) and summed at ``ts``.  Stops when the
+    It is sampled on nested Chebyshev levels of [0, t_end], doubling the n
+    intervals from _CHEB_N0, each level after the first only at its new
+    odd nodes (``linalg.interleave``); the interpolant is integrated term
+    by term (Clenshaw-Curtis) and summed at ``ts``.  Stops when the
     integrals of two successive levels agree within atol + rtol |I| on
     the finer level's points, so the samples do not depend on ``ts``,
     and raises NotConverged once n would pass _CHEB_MAX_N.
     """
     from numpy.polynomial import chebyshev
 
-    levels = chebyshev_levels(lambda x: (f(0.5 * t_end * (1.0 + x)),), _CHEB_N0, _CHEB_MAX_N)
-    previous = None
-    for n, nodes, (values,) in levels:
+    n, nodes, previous = _CHEB_N0, chebyshev_nodes(_CHEB_N0), None
+    values = f(0.5 * t_end * (1.0 + nodes))
+    while True:
         anti = chebyshev.chebint(chebyshev_coefficients(values), lbnd=-1.0, scl=0.5 * t_end)
         if previous is not None:
             # the two levels' integrals compared on this level's points,
@@ -324,11 +325,11 @@ def _cumulative_integral(f, t_end: float, ts, *, rtol: float, atol: float) -> np
                       <= atol + rtol * np.abs(new)):
                 x = 2.0 * np.asarray(ts, dtype=float) / t_end - 1.0
                 return chebyshev.chebval(x, anti).T
-        previous = anti
-    raise NotConverged(
-        f"cumulative phase quadrature did not settle within {n + 1} "
-        "Chebyshev points"
-    )
+        if 2 * n > _CHEB_MAX_N:
+            raise NotConverged(f"cumulative phase quadrature did not settle within {n + 1} "
+                               "Chebyshev points")
+        n, nodes, previous = 2 * n, chebyshev_nodes(2 * n), anti
+        values = interleave(values, f(0.5 * t_end * (1.0 + nodes[1::2])))
 
 
 def _secular_phase_check(alphas: np.ndarray, Lam: np.ndarray):
@@ -338,13 +339,9 @@ def _secular_phase_check(alphas: np.ndarray, Lam: np.ndarray):
     ``Lam`` their accumulated phases Lambda_j there.
     """
     scale = max(np.max(np.abs(alphas)), 1.0)
-    n = alphas.size
-    worst = math.inf
-    for i in range(n):
-        for j in range(i, n):
-            if abs(alphas[i] + alphas[j]) <= 1e-9 * scale:
-                continue  # conjugate pair, survives the secular average
-            worst = min(worst, abs(Lam[i] + Lam[j]))
+    # the pairs i <= j that are not conjugate, which the secular average drops
+    pairs = np.triu(~(np.abs(alphas[:, None] + alphas) <= 1e-9 * scale))
+    worst = np.min(np.abs(Lam[:, None] + Lam), where=pairs, initial=math.inf)
     if worst < 10.0:
         warnings.warn(
             "accumulated phases of non-conjugate channels stay below 10 "

@@ -570,6 +570,19 @@ def level_phases_reference(jump_ops, weights, alpha_of_t, shift, ts):
     return np.vstack([np.zeros(2), np.cumsum(steps, axis=0)])
 
 
+def secular_min_phase(alphas, Lam):
+    """Smallest |Lambda_i + Lambda_j| over the channel pairs i <= j that are
+    not conjugate, |alpha_i + alpha_j| > 1e-9 max(max |alpha|, 1), one
+    pair at a time; inf when every pair is conjugate."""
+    scale = max(max(abs(a) for a in alphas), 1.0)
+    worst = math.inf
+    for i in range(len(alphas)):
+        for j in range(i, len(alphas)):
+            if abs(alphas[i] + alphas[j]) > 1e-9 * scale:
+                worst = min(worst, abs(Lam[i] + Lam[j]))
+    return worst
+
+
 def per_row_trajectory(omega, epsilon, ts, states):
     """Trajectory summary rows, one state at a time.
 

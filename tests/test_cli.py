@@ -260,6 +260,8 @@ def sweep_configs(draw):
         "omega_target": draw(st.floats(8.5, 40.0)),
         "acceleration": draw(st.just(0.0) | _EXTREMES | st.floats(-0.05, 0.05)),
     }
+    if draw(st.booleans()):
+        protocol["omega_start"] = draw(_EXTREMES)
     if experiment == "sweep":
         numerics = {"points": draw(st.integers(2, 3))}
     else:
@@ -341,6 +343,9 @@ class TestRunFuzz:
     @given(diagnose_configs())
     @example({"experiment": "diagnose", "model": {"kind": "ho"}, "protocol": {"t_f": 1e300}})
     @example({"experiment": "diagnose", "model": {"kind": "tls"}, "protocol": {"t_f": 1e-300}})
+    # omega^2 underflows to 0 along the whole ramp
+    @example({"experiment": "diagnose", "model": {"kind": "ho"},
+              "protocol": {"omega_start": 1e-300, "omega_target": 1e-301}})
     def test_diagnose(self, config):
         self.run(config)
 
@@ -348,6 +353,14 @@ class TestRunFuzz:
     @given(sweep_configs())
     @example({"experiment": "sweep", "model": {"kind": "tls"},
               "protocol": {"acceleration": 0.0}, "numerics": {"points": 2}})
+    @example({"experiment": "sweep", "model": {"kind": "ho"},
+              "protocol": {"omega_start": 1e-300, "omega_target": 1e-301}})
+    @example({"experiment": "single", "model": {"kind": "ho"},
+              "protocol": {"omega_start": 1e-300, "omega_target": 1e-301}})
+    # a static ramp: m omega^2 underflows in the state reconstruction
+    @example({"experiment": "sweep", "model": {"kind": "ho"},
+              "protocol": {"omega_start": 1e-300, "omega_target": 1e-300},
+              "numerics": {"points": 2}})
     def test_sweep(self, config):
         self.run(config)
 

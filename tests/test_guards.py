@@ -194,7 +194,7 @@ def _closed_stage(failed):
     kind, message = failed
     if kind is DomainExceeded:
         return 0
-    return 1 if message.startswith("mode splitting") else 2
+    return 1 if message.startswith(("omega^2", "mode splitting")) else 2
 
 
 @settings(max_examples=100, deadline=None)

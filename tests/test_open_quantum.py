@@ -19,6 +19,7 @@ from oracles import (
     optical_bloch_trajectory,
     pv_lamb_shift,
     qubit_density,
+    secular_min_phase,
     shifted_master_equation,
     trace_distance,
 )
@@ -51,6 +52,7 @@ from liouvdyn.open_quantum import (
     _dissipator,
     _level_shifts,
     _phases,
+    _secular_phase_check,
     _zero_mode_frame,
 )
 
@@ -719,6 +721,46 @@ class TestCumulativeIntegral:
         got = _cumulative_integral(lambda t: f(t)[:, None], t_end, ts, **self.TOLS)[:, 0]
         assert np.max(np.abs(got - F(ts))) <= 1e-13 * max(1.0, np.max(np.abs(F(ts))))
 
+    def test_each_level_evaluates_only_its_new_nodes(self):
+        # one array call per level: 9 points, then 8, 16, 32, ... new ones,
+        # which with those before are that level's nodes, each met once
+        calls = []
+
+        def f(t):
+            calls.append(t.copy())
+            return np.cos(40.0 * t)[:, None]
+
+        t_end = 2.0
+        got = _cumulative_integral(f, t_end, np.array([t_end]), **self.TOLS)
+        assert got[0, 0] == pytest.approx(math.sin(80.0) / 40.0, abs=1e-12)
+        sizes = [len(t) for t in calls]
+        assert len(sizes) >= 4
+        assert sizes == [open_quantum._CHEB_N0 + 1] + [
+            open_quantum._CHEB_N0 * 2**k for k in range(len(sizes) - 1)]
+        seen = np.concatenate(calls)
+        n = open_quantum._CHEB_N0 * 2 ** (len(sizes) - 1)
+        nodes = 0.5 * t_end * (1.0 + linalg.chebyshev_nodes(n))
+        assert np.array_equal(np.sort(seen), np.sort(nodes))
+
+
+class TestSecularPhaseCheck:
+    @settings(max_examples=200)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.5, -2.5]) | st.floats(-50.0, 50.0),
+                 min_size=n, max_size=n),
+        st.lists(st.floats(-30.0, 30.0), min_size=n, max_size=n),
+    )))
+    def test_warns_as_the_pairwise_loop(self, case):
+        # conjugate pairs, zero channels and all-conjugate sets drawn
+        alphas, Lam = map(np.array, case)
+        worst = secular_min_phase(alphas, Lam)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _secular_phase_check(alphas, Lam)
+        assert len(caught) == (worst < 10.0)
+        if caught:
+            assert f"(min {worst:.3g})" in str(caught[0].message)
+
 
 class TestTrajectoryRows:
     def test_matches_the_per_row_summary(self):
@@ -921,7 +963,7 @@ class TestLevelShiftRotation:
     def test_node_cap_raises_not_converged(self, monkeypatch):
         # the cap stops the level phases before two node levels can agree
         monkeypatch.setattr(open_quantum, "_CHEB_MAX_N", open_quantum._CHEB_N0)
-        with pytest.raises(NotConverged, match="Chebyshev points"):
+        with pytest.raises(NotConverged, match="within 9 Chebyshev points"):
             mesolve(
                 open_default_model(0.008, 0.002), DEFAULT_BATH, DEFAULT_RHO0,
                 np.linspace(0.0, 0.5, 5), lamb_shift_enabled=True,
