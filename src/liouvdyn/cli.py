@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from .diagnostics import adiabatic_parameter, fidelity_sweep, inertial_parameters, log_time_grid
-from .errors import ConfigInvalid, LiouvdynError, settle
+from .errors import POINT_ERRORS, ConfigInvalid, settle
 from .geometric import (
     ParameterCircuit,
     ho_family,
@@ -227,7 +227,7 @@ def _run_geo(cfg: RunConfig):
         sources[f"phase_{name}"] = f"geometric.{fn.__name__}"
         try:
             values.append(fn(family, circuit)[modes])
-        except (LiouvdynError, ValueError, ArithmeticError) as exc:
+        except POINT_ERRORS as exc:
             values.append([math.nan] * len(modes))
             errors = [f"{type(exc).__name__}: {exc}"] * len(modes)
     rows = [tuple(row) for row in zip(modes, *values)]
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (LiouvdynError, ValueError, ArithmeticError) as exc:
+    except POINT_ERRORS as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import GeneratorFactorization, propagate_adiabatic_batch, propagate_inertial_batch
-from .errors import DegenerateSpectrum, DomainExceeded, LiouvdynError, SingularDenominator
+from .errors import POINT_ERRORS, DegenerateSpectrum, DomainExceeded, SingularDenominator
 from .errors import UnphysicalState, guard, nodes_at, settle
 from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes
 from .models import (
@@ -297,10 +297,6 @@ def max_parameters_along(model, t_f: float, samples: int = 65):
     return mu_max, float(upsilon_maxima([model], [t_f], samples)[0])
 
 
-# the errors that fail one sweep point and leave the others running
-_POINT_ERRORS = (LiouvdynError, ArithmeticError, ValueError)
-
-
 class _Point(NamedTuple):
     """One sweep point after its per-point phase: the re-driven model, its
     factorization, initial and exact vectors, and its parameter maxima."""
@@ -413,7 +409,7 @@ def fidelity_sweep(
         try:
             m = model.for_duration(t_f, omega_target)
             driven.append((i, t_f, m, max_mu_along(m, t_f, samples)))
-        except _POINT_ERRORS as exc:
+        except POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
     driven, ups = settled(
         lambda d: upsilon_maxima([m for _, _, m, _ in d], [t_f for _, t_f, _, _ in d], samples),
@@ -423,7 +419,7 @@ def fidelity_sweep(
     for (i, t_f, m, mu_max), ups_max in zip(driven, ups, strict=True):
         try:
             live.append((i, _prepared_point(m, t_f, mu_max, float(ups_max), tols)))
-        except _POINT_ERRORS as exc:
+        except POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
     propagated = {i: [] for i, _ in live}
     for batch in (
@@ -437,7 +433,7 @@ def fidelity_sweep(
     for i, point in live:
         try:
             values[i] = _scores(point, *propagated[i])
-        except _POINT_ERRORS as exc:
+        except POINT_ERRORS as exc:
             errors[i] = f"{type(exc).__name__}: {exc}"
 
     cols = list(zip(*values))

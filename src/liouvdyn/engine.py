@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainExceeded, IntegratorFailure, LiouvdynError, NotConverged
+from .errors import DomainExceeded, IntegratorFailure, NotConverged
 from .errors import SingularDenominator, guard, nodes_at
 from .linalg import (
     STACK_NODES,
@@ -438,34 +438,16 @@ def _sample(points, x):
     return (np.stack(paces), B, *(a.reshape(len(points), len(x), *a.shape[1:]) for a in frames))
 
 
-def _first_levels(points, n):
-    """The ``_sample`` stacks of level n over the points, and the phases of
-    level n / 2, whose nodes are the even ones of level n, from one
-    ``eigenframes`` stack.  When that stack raises, the two levels run
-    again one after the other, as the later levels do, so a point that
-    fails a guard of level n / 2 keeps that error, whatever its new nodes
-    of level n fail."""
-    x = chebyshev_nodes(n)
-    try:
-        samples = _sample(points, x)
-    except (LiouvdynError, ValueError, ArithmeticError):
-        coarse = _sample(points, x[::2])
-        phases = _level_phases(points[0][1], x[::2], *coarse)[1:]
-        return tuple(interleave(old, odd, axis=1)
-                     for old, odd in zip(coarse, _sample(points, x[1::2]))), phases
-    coarse = (a[:, ::2] for a in samples)
-    return samples, _level_phases(points[0][1], x[::2], *coarse)[1:]
-
-
 def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None):
     """Refine the points, (index, fact, v0, t) each, from level n.
 
     ``samples`` holds the ``_sample`` stacks of level n over the points,
-    and ``previous`` the phases of the level before; without them the
-    first two levels, n and 2n, come from one stack (``_first_levels``).
+    and ``previous`` the phases of the level before; without them one
+    stack samples level 2n, and level n's phases come from its even nodes.
     A point whose two levels agree within phase_tol retires, its result
-    going to results[index].  A guard error names points by index,
-    NotConverged those unsettled past _CHEB_MAX_N intervals.  When the
+    going to results[index].  A guard error names each point by index with
+    the first guard it fails in its level's stack (the first holds n and
+    2n), NotConverged those unsettled past _CHEB_MAX_N intervals.  When the
     next stack's nodes would pass STACK_NODES, the points split into parts.
     """
     while True:
@@ -481,7 +463,9 @@ def _refine(points, phase_tol, results, n=_CHEB_N0, samples=None, previous=None)
         with nodes_at([i for i, *_ in points]):
             if samples is None:
                 n *= 2
-                samples, previous = _first_levels(points, n)
+                x = chebyshev_nodes(n)
+                samples = _sample(points, x)
+                previous = _level_phases(points[0][1], x[::2], *(a[:, ::2] for a in samples))[1:]
             else:
                 samples = tuple(interleave(old, odd, axis=1) for old, odd
                                 in zip(samples, _sample(points, chebyshev_nodes(n)[1::2])))
@@ -516,15 +500,16 @@ def propagate_inertial_batch(facts, v0s, ts, *, phase_tol: float = _PHASE_TOL) -
     ``(LiouvilleVector, InertialSolution)``.  The factorizations share one
     block layout (ValueError otherwise).  The Chebyshev levels run over
     every active point together: one ``eigenframes`` stack holds the new
-    nodes of all of them (the first two levels share one), and
-    ``transport`` and the level phases run over (points, nodes, m, m)
-    stacks.  A point retires at the level where its own two levels agree,
-    so its nodes, delta and result are the ones it gets alone.  A batch whose next stack would hold more than
+    nodes of all of them, and ``transport`` and the level phases run over
+    (points, nodes, m, m) stacks.  A point retires at the level where its
+    own two levels agree, so its nodes, delta and result are the ones it
+    gets alone.  A batch whose next stack would hold more than
     ``linalg.STACK_NODES`` nodes splits, and its parts are refined one
     after the other, which bounds the frame memory however many points
     are asked for.  A guard error, NotConverged and the
     ``require_propagation_time`` errors included, names every point that
-    fails there, each with the message it gets alone.
+    fails there, each with the message it gets alone: the first guard it
+    fails in the stack of its level, the first stack holding levels 16 and 32.
     """
     facts, v0s, ts = list(facts), list(v0s), list(ts)
     if any(f.blocks != facts[0].blocks for f in facts):

@@ -68,6 +68,10 @@ class ConfigInvalid(LiouvdynError):
     """A run configuration is missing keys or holds out-of-range values."""
 
 
+# the errors that fail one point of a batch and leave the others running
+POINT_ERRORS = (LiouvdynError, ValueError, ArithmeticError)
+
+
 def guard(cls, *checks) -> None:
     """Raise ``cls`` naming every node that one of the ``checks`` flags.
 
@@ -105,7 +109,7 @@ def nodes_at(where):
         raise
 
 
-def settle(run, count: int, flags=(LiouvdynError, ValueError, ArithmeticError)):
+def settle(run, count: int, flags=POINT_ERRORS):
     """``(kept, values, failed)``: the stacked call ``run(kept)`` over the
     indices 0..count-1 that no guard flags, and "Type: message" per flagged one.
 

@@ -21,6 +21,7 @@ from liouvdyn.engine import (
     propagate_inertial_batch,
 )
 from liouvdyn.errors import (
+    POINT_ERRORS,
     AmbiguousMatching,
     DomainExceeded,
     NotConverged,
@@ -317,16 +318,16 @@ def sweep_ramp(kind, t_f, omega_start=20.0, omega_target=10.0, a=-5e-3, epsilon=
     return seed.for_duration(t_f, omega_target)
 
 
-def spin_factorization(chi_of_t):
-    """Two-level generator cos(chi) sigma_z + sin(chi) sigma_x at unit pace;
-    its eigenvectors turn by chi / 2."""
+def spin_factorization(chi_of_t, rate=0.0):
+    """Two-level generator cos(chi) sigma_z + sin(chi) sigma_x at the pace
+    exp(rate t), unit pace by default; its eigenvectors turn by chi / 2."""
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     return GeneratorFactorization(
-        omega_of_t=np.ones_like,
+        omega_of_t=np.ones_like if rate == 0.0 else lambda ts: np.exp(rate * ts),
         B_of_chi=lambda chi: np.multiply.outer(np.cos(chi), sz) + np.multiply.outer(np.sin(chi), sx),
         chi_of_t=chi_of_t,
-        theta_of_t=lambda t: t,
+        theta_of_t=lambda t: t if rate == 0.0 else math.expm1(rate * t) / rate,
     )
 
 
@@ -396,12 +397,13 @@ class TestSpectralRoute:
         with pytest.raises(AmbiguousMatching):
             propagate_inertial(fact, self.V0, 1.0)
 
-    def test_first_level_errors_outrank_new_nodes_of_the_second(self):
-        # the first two levels, 16 and 32 intervals, come from one stack.
-        # A point whose level-16 transport is ambiguous (the pi / 4 step)
-        # and whose generator is non-finite at a node new to level 32 keeps
-        # the level-16 error, as when the levels run one by one; the clean
-        # point of its batch finishes as alone
+    def test_first_stack_node_guards_come_before_its_level_16_phases(self):
+        # the first two levels, 16 and 32 intervals, come from one stack,
+        # and a point's error is the first guard it fails there. A point
+        # whose level-16 transport is ambiguous (the pi / 4 step) and whose
+        # generator is non-finite at a node new to level 32 fails the node
+        # guard, alone and in a batch; the clean point of its batch
+        # finishes as alone
         new_node = 0.5 * 1.0 * (1.0 + chebyshev_nodes(32)[1])
 
         def spoiled(step):
@@ -409,18 +411,60 @@ class TestSpectralRoute:
                 ts == new_node, math.nan, np.where(ts > 0.5, step, 0.0)))
 
         clean = spin_factorization(lambda ts: 0.3 * ts)
-        with pytest.raises(ValueError, match="non-finite"):
-            propagate_inertial(spoiled(0.0), self.V0, 1.0)
-        with pytest.raises(AmbiguousMatching) as alone:
+        with pytest.raises(ValueError, match="^generator contains non-finite entries$") as alone:
             propagate_inertial(spoiled(0.5 * math.pi), self.V0, 1.0)
         facts = [clean, spoiled(0.5 * math.pi)]
         kept, values, failed = settle(lambda k: propagate_inertial_batch(
             [facts[j] for j in k], [self.V0] * len(k), [1.0] * len(k)), len(facts))
-        assert failed == {1: f"AmbiguousMatching: {alone.value}"}
+        assert failed == {1: f"ValueError: {alone.value}"}
         v, sol = values[0]
         v_alone, sol_alone = propagate_inertial(clean, self.V0, 1.0)
         assert v.coeffs.tobytes() == v_alone.coeffs.tobytes()
         assert (sol.nodes, sol.delta) == (sol_alone.nodes, sol_alone.delta)
+
+    @given(st.lists(
+        st.tuples(
+            st.floats(-3.0, 3.0),
+            st.floats(0.0, 15.0),
+            st.booleans(),
+            st.none() | st.sampled_from([16, 32, 64]).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        ),
+        min_size=1, max_size=4,
+    ))
+    def test_settled_batch_equals_each_point_alone_under_planted_failures(self, draws):
+        # each point ramps chi with a drawn slope at the pace exp(rate t),
+        # which retires it at 33 or 65 nodes; the pi / 4 step replaces the
+        # ramp (ambiguous level-16 transport), and a NaN sits at a node of
+        # level 16, 32 or 64. Settling the batch gives every point its
+        # own error text, or its own result, nodes and delta, bit for bit
+        def point(slope, rate, step, nan):
+            def chi(ts):
+                out = np.where(ts > 0.5, 0.5 * math.pi, 0.0) if step else slope * ts
+                if nan is None:
+                    return out
+                return np.where(ts == 0.5 * (1.0 + chebyshev_nodes(nan[0])[nan[1]]), math.nan, out)
+
+            return spin_factorization(chi, rate)
+
+        def alone(fact):
+            try:
+                return propagate_inertial(fact, self.V0, 1.0)
+            except POINT_ERRORS as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        facts = [point(*draw) for draw in draws]
+        kept, values, failed = settle(lambda k: propagate_inertial_batch(
+            [facts[j] for j in k], [self.V0] * len(k), [1.0] * len(k)), len(facts))
+        batch = failed | dict(zip(kept.tolist(), values, strict=True))
+        for i, fact in enumerate(facts):
+            want = alone(fact)
+            if isinstance(want, str):
+                assert batch[i] == want
+            else:
+                (v, sol), (v_alone, sol_alone) = batch[i], want
+                assert v.coeffs.tobytes() == v_alone.coeffs.tobytes()
+                assert (sol.nodes, sol.delta) == (sol_alone.nodes, sol_alone.delta)
 
     @pytest.mark.parametrize("t", [1.0, 1.4, 1.8])
     def test_frames_turning_past_a_right_angle(self, t):
