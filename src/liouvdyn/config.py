@@ -1,10 +1,15 @@
-"""Run configuration: embedded defaults, file loading, validation.
+"""Run configuration: one schema of defaults and checks, file loading.
 
 A run is described by one JSON tree with five parts: the experiment
 kind plus ``model``, ``protocol``, ``numerics``, and ``output``
-sections.  Every key has an embedded default, so a config file (or the
-command line) only needs to name what it changes; unknown or ill-typed
-keys fail with the offending key path spelled out.
+sections.  One schema per experiment and model kind declares every key
+once, as a leaf ``(default, check, ...)``: the default fills what a
+config file (or the command line) leaves out, and each check is a test
+of the value with the message the key fails with, tried in turn.  The
+rules that tie several keys together follow the leaves, each a test of
+the whole config with the key it names.  Unknown or ill-typed keys fail
+with the offending key path spelled out.  The schemas are built once,
+at import.
 """
 
 import copy
@@ -12,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,80 +33,152 @@ _MODEL_KINDS = {
     "geo": ("ho", "tls", "two-spin-local", "two-spin-nonlocal"),
 }
 
-# boundary-value ramp shared by sweep/diagnose/single
-_RAMP_HO = {"omega_start": 20.0, "omega_target": 10.0, "acceleration": -5e-3}
-_RAMP_TLS = {
-    "omega_start": 20.0,
-    "omega_target": 10.0,
-    "acceleration": -5e-3,
-    "epsilon": 8.0,
-}
-
-_MODEL_HO = {"kind": "ho", "mass": 1.0, "q0": 0.0, "p0": 0.0}
-_MODEL_TLS = {"kind": "tls", "initial_values": [4.0, 1.0, 1.0]}
-
-_EXACT_TOLS = {"rtol": 1e-10, "atol": 1e-12, "phase_tol": 1e-10}
+# the level shifts take cutoff^3 in plain floats, which overflows past this
+_CUTOFF_MAX = sys.float_info.max ** (1.0 / 3.0)
+_SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
 
 
-def _defaults(experiment: str, kind: str) -> dict:
-    if experiment in ("sweep", "diagnose", "single"):
-        model = copy.deepcopy(_MODEL_HO if kind == "ho" else _MODEL_TLS)
-        protocol = dict(_RAMP_HO if kind == "ho" else _RAMP_TLS)
-        if experiment == "sweep":
-            numerics = {
-                "t_min": 0.05,
-                "t_max": 5.0,
-                "points": 20,
-                "samples": 65,
-                **_EXACT_TOLS,
-            }
-        elif experiment == "single":
-            protocol["t_f"] = 1.0
-            numerics = {"samples": 65, **_EXACT_TOLS}
-        else:
-            protocol["t_f"] = 1.0
-            numerics = {"samples": 129}
-    elif experiment == "open":
-        model = {
-            "kind": "tls",
-            "initial_bloch": [0.3, -0.2, 0.5],
-            "bath": {"temperature": 10.0, "coupling": 2e-3, "cutoff": 100.0},
+def _is_number(v) -> bool:
+    # json parses NaN and Infinity, which no numeric setting accepts
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or math.isfinite(v)
+
+
+def _is_int(v, minimum: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
+def _is_vector(v, n: int) -> bool:
+    return isinstance(v, list) and len(v) == n and all(_is_number(x) for x in v)
+
+
+# a check is a test of one value and the message its key fails with
+_FINITE = (_is_number, "must be a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "must be a positive number")
+_FLAG = (lambda v: isinstance(v, bool), "must be true or false")
+_NO_NUL = (lambda v: "\0" not in v, "must not contain a NUL character")
+_TRIPLE = (lambda v: _is_vector(v, 3), "must be a list of three numbers")
+_COUNT = (lambda v: _is_int(v, 2), "must be an integer >= 2")
+
+
+def _one_of(choices, message):
+    return (lambda v: v in choices), message
+
+
+def _text(what):
+    return (lambda v: isinstance(v, str) and v != ""), f"must be a non-empty {what}"
+
+
+def _leaf_defaults(tree: dict) -> dict:
+    return {key: _leaf_defaults(leaf) if isinstance(leaf, dict) else leaf[0]
+            for key, leaf in tree.items()}
+
+
+def _schema(experiment: str, kind: str):
+    """The leaf tree, the multi-key rules and the default config (as JSON
+    text, whose loading is a deep copy four times cheaper than
+    ``copy.deepcopy``) of one experiment and model kind."""
+    kinds = _MODEL_KINDS[experiment]
+    model = {"kind": (kind, _one_of(kinds, f"must be one of {', '.join(kinds)} for {experiment}"))}
+    rules = [(lambda c: not any(sep in c["output"]["stem"] for sep in _SEPARATORS),
+              "output.stem", "must be a file name without a path separator")]
+    if experiment == "open":
+        model["initial_bloch"] = ([0.3, -0.2, 0.5], _TRIPLE)
+        model["bath"] = {
+            "temperature": (10.0, _FINITE, (lambda v: v >= 0, "must be >= 0")),
+            "coupling": (2e-3, _FINITE, (lambda v: v >= 0, "must be >= 0")),
+            "cutoff": (100.0, _FINITE, (lambda v: v > 0, "must be positive")),
         }
-        protocol = {"epsilon": 8.0, "omega0": 15.0, "chi0": 0.0, "abar": 0.0}
+        protocol = {"epsilon": (8.0, _POSITIVE), "omega0": (15.0, _POSITIVE),
+                    "chi0": (0.0, _FINITE), "abar": (0.0, _FINITE)}
         numerics = {
-            "t_final": 2.0,
-            "points": 101,
-            "rtol": 1e-10,
-            "atol": 1e-12,
-            "lamb_shift": False,
-            "picture": "schrodinger",
+            "t_final": (2.0, _POSITIVE),
+            "points": (101, _COUNT),
+            "rtol": (1e-10, _POSITIVE),
+            "atol": (1e-12, _POSITIVE),
+            "lamb_shift": (False, _FLAG),
+            "picture": ("schrodinger", _one_of(("schrodinger", "interaction"),
+                                               "must be schrodinger or interaction")),
         }
+        rules += [
+            # the dipole weights |a_j|^2 grow as 1 / gap^2 and overflow near gap 1e-154
+            (lambda c: math.hypot(c["protocol"]["epsilon"], c["protocol"]["omega0"]) >= 1e-150,
+             "protocol.epsilon/protocol.omega0",
+             "the gap hypot(epsilon, omega0) must be at least 1e-150, or the dipole "
+             "weights, which grow as 1 / gap^2, leave the double range"),
+            (lambda c: c["protocol"]["omega0"]
+             / math.hypot(c["protocol"]["omega0"], c["protocol"]["epsilon"]) < 1.0,
+             "protocol.epsilon",
+             "must not vanish against protocol.omega0: z(0) = omega0 / hypot(omega0, "
+             "epsilon) rounds to 1, the edge of the drive's domain"),
+            (lambda c: sum(v * v for v in c["model"]["initial_bloch"]) <= 1.0 + 1e-9,
+             "model.initial_bloch", "must lie inside the Bloch ball"),
+            (lambda c: not c["numerics"]["lamb_shift"]
+             or c["model"]["bath"]["cutoff"] <= _CUTOFF_MAX,
+             "model.bath.cutoff",
+             f"must be at most {_CUTOFF_MAX:.4g} with numerics.lamb_shift, or the level "
+             "shifts, which grow as cutoff^3, leave the double range"),
+        ]
     elif experiment == "geo":
-        model = {"kind": kind}
-        if kind in ("ho", "tls"):
-            protocol = {
-                "waypoints": [[0.1], [0.4], [0.25]],
-                "closed": True,
-                "samples": None,
-            }
-        else:
-            protocol = {
-                "waypoints": [[0.25, 0.25], [0.35, 0.25], [0.35, 0.35], [0.25, 0.35]],
-                "closed": True,
-                "samples": None,
-            }
-        numerics = {"modes": "all", "method": "line"}
+        width = 1 if kind in ("ho", "tls") else 2
+        corners = [[0.1], [0.4], [0.25]] if width == 1 else [
+            [0.25, 0.25], [0.35, 0.25], [0.35, 0.35], [0.25, 0.35]]
+        protocol = {
+            "waypoints": (corners, (
+                lambda v: isinstance(v, list) and len(v) >= 2
+                and all(_is_vector(p, width) for p in v),
+                f"must be a list of >= 2 points with {width} coordinate(s) each")),
+            "closed": (True, _FLAG),
+            "samples": (None, (lambda v: v is None or _is_int(v, 4),
+                               "must be null or an integer >= 4")),
+        }
+        numerics = {
+            "modes": ("all", (
+                lambda v: v == "all" or (
+                    isinstance(v, list) and len(v) > 0 and all(_is_int(m, 0) for m in v)),
+                'must be "all" or a list of mode indices')),
+            "method": ("line", _one_of(("line", "surface", "both"),
+                                       "must be line, surface, or both")),
+        }
+        rules.append((lambda c: c["protocol"]["closed"] or c["numerics"]["method"] == "line",
+                      "numerics.method",
+                      "must be line when protocol.closed is false: a spanning surface needs "
+                      "a closed circuit"))
     else:
-        raise ConfigInvalid(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
-        )
-    return {
-        "experiment": experiment,
-        "model": model,
-        "protocol": protocol,
-        "numerics": numerics,
-        "output": {"dir": ".", "format": "csv", "stem": experiment},
+        # the boundary-value ramp shared by sweep, diagnose and single
+        protocol = {"omega_start": (20.0, _POSITIVE), "omega_target": (10.0, _POSITIVE),
+                    "acceleration": (-5e-3, _FINITE)}
+        if kind == "ho":
+            model.update(mass=(1.0, _POSITIVE), q0=(0.0, _FINITE), p0=(0.0, _FINITE))
+        else:
+            model["initial_values"] = ([4.0, 1.0, 1.0], _TRIPLE)
+            protocol["epsilon"] = (8.0, _POSITIVE)
+            rules += [(lambda c, key=key: c["protocol"][key] > c["protocol"]["epsilon"],
+                       f"protocol.{key}", "must exceed protocol.epsilon (the gap never closes)")
+                      for key in ("omega_start", "omega_target")]
+        tolerances = {"rtol": (1e-10, _POSITIVE), "atol": (1e-12, _POSITIVE),
+                      "phase_tol": (1e-10, _POSITIVE)}
+        if experiment == "sweep":
+            numerics = {"t_min": (0.05, _POSITIVE), "t_max": (5.0, _POSITIVE),
+                        "points": (20, _COUNT), "samples": (65, _COUNT), **tolerances}
+            rules.append((lambda c: c["numerics"]["t_min"] < c["numerics"]["t_max"],
+                          "numerics.t_min", "must be below numerics.t_max"))
+        else:
+            protocol["t_f"] = (1.0, _POSITIVE)
+            numerics = ({"samples": (129, _COUNT)} if experiment == "diagnose"
+                        else {"samples": (65, _COUNT), **tolerances})
+    output = {
+        "dir": (".", _text("path"), _NO_NUL),
+        "format": ("csv", _one_of(("csv", "json"), "must be csv or json")),
+        "stem": (experiment, _text("file stem"), _NO_NUL),
     }
+    tree = {"model": model, "protocol": protocol, "numerics": numerics, "output": output}
+    return tree, rules, json.dumps({"experiment": experiment, **_leaf_defaults(tree)})
+
+
+_SCHEMAS = {(experiment, kind): _schema(experiment, kind)
+            for experiment, kinds in _MODEL_KINDS.items() for kind in kinds}
 
 
 @dataclass(frozen=True)
@@ -154,178 +232,16 @@ def _merge(base: dict, override: dict, path: str):
             base[key] = value
 
 
-def _is_number(v) -> bool:
-    # json parses NaN and Infinity, which no numeric setting accepts
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    return isinstance(v, int) or math.isfinite(v)
-
-
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise ConfigInvalid(f"{path}: {message}")
-
-
-def _check_positive(cfg: dict, section: str, *keys):
-    for key in keys:
-        v = cfg[section][key]
-        _require(_is_number(v) and v > 0, f"{section}.{key}", "must be a positive number")
-
-
-def _check_number(cfg: dict, section: str, *keys):
-    for key in keys:
-        v = cfg[section][key]
-        _require(_is_number(v), f"{section}.{key}", "must be a finite number")
-
-
-def _check_count(cfg: dict, section: str, key: str, minimum: int):
-    v = cfg[section][key]
-    _require(
-        isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
-        f"{section}.{key}",
-        f"must be an integer >= {minimum}",
-    )
-
-
-def _validate(cfg: dict) -> RunConfig:
-    experiment = cfg["experiment"]
-    kind = cfg["model"]["kind"]
-    allowed = _MODEL_KINDS[experiment]
-    _require(kind in allowed, "model.kind",
-             f"must be one of {', '.join(allowed)} for {experiment}")
-
-    fmt = cfg["output"]["format"]
-    _require(fmt in ("csv", "json"), "output.format", "must be csv or json")
-    for key, what in (("dir", "path"), ("stem", "file stem")):
-        v = cfg["output"][key]
-        _require(isinstance(v, str) and v != "", f"output.{key}", f"must be a non-empty {what}")
-        _require("\0" not in v, f"output.{key}", "must not contain a NUL character")
-    _require(
-        not any(sep in cfg["output"]["stem"] for sep in (os.sep, os.altsep) if sep),
-        "output.stem", "must be a file name without a path separator",
-    )
-    if experiment in ("sweep", "diagnose", "single"):
-        _check_positive(cfg, "protocol", "omega_start", "omega_target")
-        _check_number(cfg, "protocol", "acceleration")
-        if kind == "tls":
-            _check_positive(cfg, "protocol", "epsilon")
-            for key in ("omega_start", "omega_target"):
-                _require(
-                    cfg["protocol"][key] > cfg["protocol"]["epsilon"],
-                    f"protocol.{key}",
-                    "must exceed protocol.epsilon (the gap never closes)",
-                )
-            vals = cfg["model"]["initial_values"]
-            _require(
-                isinstance(vals, list) and len(vals) == 3 and all(_is_number(v) for v in vals),
-                "model.initial_values", "must be a list of three numbers",
-            )
+def _check(tree: dict, cfg: dict, path: str = ""):
+    """Every check of every leaf, in schema order; a leaf's later checks
+    run only on a value that passed its earlier ones."""
+    for key, leaf in tree.items():
+        if isinstance(leaf, dict):
+            _check(leaf, cfg[key], f"{path}{key}.")
         else:
-            _check_positive(cfg, "model", "mass")
-            _check_number(cfg, "model", "q0", "p0")
-        if experiment == "sweep":
-            _check_positive(cfg, "numerics", "t_min", "t_max")
-            _require(
-                cfg["numerics"]["t_min"] < cfg["numerics"]["t_max"],
-                "numerics.t_min", "must be below numerics.t_max",
-            )
-            _check_count(cfg, "numerics", "points", 2)
-        else:
-            _check_positive(cfg, "protocol", "t_f")
-        _check_count(cfg, "numerics", "samples", 2)
-        if experiment != "diagnose":
-            _check_positive(cfg, "numerics", "rtol", "atol", "phase_tol")
-    elif experiment == "open":
-        _check_positive(cfg, "protocol", "epsilon", "omega0")
-        # the dipole weights |a_j|^2 grow as 1 / gap^2 and overflow near gap 1e-154
-        _require(
-            math.hypot(cfg["protocol"]["epsilon"], cfg["protocol"]["omega0"]) >= 1e-150,
-            "protocol.epsilon/protocol.omega0",
-            "the gap hypot(epsilon, omega0) must be at least 1e-150, or the dipole "
-            "weights, which grow as 1 / gap^2, leave the double range",
-        )
-        omega0 = cfg["protocol"]["omega0"]
-        _require(
-            omega0 / math.hypot(omega0, cfg["protocol"]["epsilon"]) < 1.0,
-            "protocol.epsilon",
-            "must not vanish against protocol.omega0: z(0) = omega0 / hypot(omega0, "
-            "epsilon) rounds to 1, the edge of the drive's domain",
-        )
-        _check_number(cfg, "protocol", "chi0", "abar")
-        bath = cfg["model"]["bath"]
-        for key in ("temperature", "coupling", "cutoff"):
-            _require(_is_number(bath.get(key)), f"model.bath.{key}", "must be a finite number")
-        _require(bath["temperature"] >= 0, "model.bath.temperature", "must be >= 0")
-        _require(bath["coupling"] >= 0, "model.bath.coupling", "must be >= 0")
-        _require(bath["cutoff"] > 0, "model.bath.cutoff", "must be positive")
-        bloch = cfg["model"]["initial_bloch"]
-        _require(
-            isinstance(bloch, list) and len(bloch) == 3 and all(_is_number(v) for v in bloch),
-            "model.initial_bloch", "must be a list of three numbers",
-        )
-        _require(
-            sum(v * v for v in bloch) <= 1.0 + 1e-9,
-            "model.initial_bloch", "must lie inside the Bloch ball",
-        )
-        _check_positive(cfg, "numerics", "t_final", "rtol", "atol")
-        _check_count(cfg, "numerics", "points", 2)
-        _require(
-            isinstance(cfg["numerics"]["lamb_shift"], bool),
-            "numerics.lamb_shift", "must be true or false",
-        )
-        _require(
-            cfg["numerics"]["picture"] in ("schrodinger", "interaction"),
-            "numerics.picture", "must be schrodinger or interaction",
-        )
-    elif experiment == "geo":
-        pts = cfg["protocol"]["waypoints"]
-        n_params = 1 if kind in ("ho", "tls") else 2
-        ok = (
-            isinstance(pts, list)
-            and len(pts) >= 2
-            and all(
-                isinstance(p, list) and len(p) == n_params and all(_is_number(v) for v in p)
-                for p in pts
-            )
-        )
-        _require(ok, "protocol.waypoints",
-                 f"must be a list of >= 2 points with {n_params} coordinate(s) each")
-        _require(
-            isinstance(cfg["protocol"]["closed"], bool),
-            "protocol.closed", "must be true or false",
-        )
-        samples = cfg["protocol"]["samples"]
-        _require(
-            samples is None or (isinstance(samples, int) and samples >= 4),
-            "protocol.samples", "must be null or an integer >= 4",
-        )
-        modes = cfg["numerics"]["modes"]
-        _require(
-            modes == "all"
-            or (
-                isinstance(modes, list)
-                and len(modes) > 0
-                and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in modes)
-            ),
-            "numerics.modes", 'must be "all" or a list of mode indices',
-        )
-        _require(
-            cfg["numerics"]["method"] in ("line", "surface", "both"),
-            "numerics.method", "must be line, surface, or both",
-        )
-        _require(
-            cfg["protocol"]["closed"] or cfg["numerics"]["method"] == "line",
-            "numerics.method",
-            "must be line when protocol.closed is false: a spanning surface needs a closed circuit",
-        )
-
-    return RunConfig(
-        experiment=experiment,
-        model=cfg["model"],
-        protocol=cfg["protocol"],
-        numerics=cfg["numerics"],
-        output=cfg["output"],
-    )
+            for test, message in leaf[1:]:
+                if not test(cfg[key]):
+                    raise ConfigInvalid(f"{path}{key}: {message}")
 
 
 def resolve_config(
@@ -379,7 +295,8 @@ def resolve_config(
             f"for {experiment}, got {kind!r}"
         )
 
-    cfg = _defaults(experiment, kind)
+    tree, rules, defaults = _SCHEMAS[experiment, kind]
+    cfg = json.loads(defaults)
     if file_config is not None:
         _merge(cfg, file_config, "")
     if out_dir is not None:
@@ -390,4 +307,14 @@ def resolve_config(
         if "rtol" not in cfg["numerics"]:
             raise ConfigInvalid(f"numerics.rtol: {experiment} takes no tolerance flag")
         cfg["numerics"]["rtol"] = rtol
-    return _validate(cfg)
+    _check(tree, cfg)
+    for test, path, message in rules:
+        if not test(cfg):
+            raise ConfigInvalid(f"{path}: {message}")
+    return RunConfig(
+        experiment=experiment,
+        model=cfg["model"],
+        protocol=cfg["protocol"],
+        numerics=cfg["numerics"],
+        output=cfg["output"],
+    )

@@ -229,7 +229,9 @@ def _ordered(lam, vr):
     lam = lam[rows, order]
     vr = vr[rows[:, None], cols[:, None], order[:, None, :]]
     upper = _upper_pairs(lam.shape[1])
-    return lam, vr, np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
+    # a gap past the double range is inf, which no guard rejects
+    with np.errstate(over="ignore"):
+        return lam, vr, np.abs(lam[:, upper[0]] - lam[:, upper[1]]).min(axis=1)
 
 
 def _gap_check(gap):
@@ -296,8 +298,10 @@ def _closed_eigensystem(B):
     defective or degenerate matrix gives NaN or parallel columns.
     """
     m = B.shape[1]
-    scale = np.ldexp(1.0, np.frexp(np.abs(B).max(axis=(1, 2)))[1])[:, None]
-    A = B / scale[:, :, None]
+    e = np.frexp(np.abs(B).max(axis=(1, 2)))[1][:, None]
+    # 2^-e is a double for every exponent of a finite entry, and 2^e past
+    # 2^1023 is not: scale down by the one, and back up by 2^e in two halves
+    A = B * np.ldexp(1.0, -e)[:, :, None]
     shift = np.trace(A, axis1=1, axis2=2)[:, None] / m
     C = A - shift[:, :, None] * np.eye(m)
     if m == 2:
@@ -319,7 +323,7 @@ def _closed_eigensystem(B):
     cof = _cofactors(C[:, None] - x[:, :, None, None] * np.eye(m))
     best = np.argmax((cof * cof.conj()).real.sum(axis=3), axis=2)
     vr = cof[np.arange(len(B))[:, None], np.arange(m), best].transpose(0, 2, 1)
-    return scale * (x + shift), vr
+    return (x + shift) * np.ldexp(1.0, e - e // 2) * np.ldexp(1.0, e // 2), vr
 
 
 def _certified(B, lam, vr):
@@ -340,13 +344,14 @@ def _certified(B, lam, vr):
 def _frobenius(B: np.ndarray) -> np.ndarray:
     """Frobenius norm of every matrix of an (N, m, m) stack.  A matrix whose
     squares overflow (entries past 1e154) is scaled by the power of two of
-    its largest entry first, so its norm stays finite."""
+    its largest entry first, so its norm is inf only past the double range."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(B, axis=(1, 2))
-    big = np.isinf(norm)
-    if big.any():
-        unit = np.ldexp(1.0, np.frexp(np.abs(B[big]).max(axis=(1, 2)))[1])
-        norm[big] = unit * np.linalg.norm(B[big] / unit[:, None, None], axis=(1, 2))
+        big = np.isinf(norm)
+        if big.any():
+            e = np.frexp(np.abs(B[big]).max(axis=(1, 2)))[1]
+            unit = np.linalg.norm(B[big] * np.ldexp(1.0, -e)[:, None, None], axis=(1, 2))
+            norm[big] = np.ldexp(unit, e)
     return norm
 
 

@@ -139,15 +139,25 @@ def _sqrt(x):
 def _first_positive_root(A: float, B: float, C: float) -> float:
     """Earliest positive real root of A x^2 + B x + C = 0 for nonzero C, or inf.
 
-    The roots are q/A and C/q with q = -(B + sign(B) sqrt(B^2 - 4AC))/2,
-    so none cancels when 4AC is small against B^2, and C/q is the root of
-    the linear equation when A is 0.  q vanishes only at B = 0 where 4AC
-    is 0 or underflows, with no root or roots beyond 1e150.
+    The coefficients are first scaled by the power of two of the largest
+    where all of them lie below 1, or where B^2 - 4AC overflows (|B| past
+    1e154, or |AC| past 1e307).  The scaling is exact, so the roots stay
+    where they are, and B^2 and 4AC stay in range.  Only an overflow
+    scales down, because that flushes a coefficient 2^1074 times smaller
+    than the largest to 0.  The roots are q/A and C/q with
+    q = -(B + sign(B) sqrt(B^2 - 4AC))/2, so none cancels when 4AC is
+    small against B^2, and q = -B gives C/q, the root of the linear
+    equation, when A is 0.  q vanishes only at B = 0 where 4AC is 0 or
+    underflows, with no root or roots beyond 1e150.
     """
+    e = math.frexp(max(abs(A), abs(B), abs(C)))[1]
     disc = B * B - 4.0 * A * C
+    if e < 0 or not math.isfinite(disc):
+        A, B, C = math.ldexp(A, -e), math.ldexp(B, -e), math.ldexp(C, -e)
+        disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return math.inf
-    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    q = -B if A == 0.0 else -0.5 * (B + math.copysign(math.sqrt(disc), B))
     roots = () if q == 0.0 else (C / q,) if A == 0.0 else (q / A, C / q)
     return min((x for x in roots if x > 0.0), default=math.inf)
 

@@ -677,6 +677,23 @@ def ho_horizon_mp(omega0, chi0, a):
         return float(min((x for x in roots if x > 0), default=mpmath.inf))
 
 
+def first_positive_root_mp(A, B, C):
+    """Earliest positive real root of A x^2 + B x + C = 0 (C != 0), or inf,
+    from the textbook quadratic formula at 1,400 digits: the squares of
+    doubles span fewer decades than that, so no cancellation survives."""
+    import mpmath
+
+    with mpmath.workdps(1400):
+        A, B, C = mpmath.mpf(A), mpmath.mpf(B), mpmath.mpf(C)
+        if A == 0:
+            roots = [-C / B] if B != 0 else []
+        else:
+            disc = B * B - 4 * A * C
+            roots = [(-B + sign * mpmath.sqrt(disc)) / (2 * A)
+                     for sign in (-1, 1)] if disc >= 0 else []
+        return min((x for x in roots if x > 0), default=mpmath.inf)
+
+
 def ho_ramp_closed_form(omega0, chi0, a, t, mass=1.0):
     """Phase-space propagator M with (q, p)(t) = M (q, p)(0) on the ramp
     1/omega(s) = 1/omega0 - chi0 s - a s^2 / 2.

@@ -162,6 +162,55 @@ class TestConfigResolution:
 
 KINDS = ("ho", "tls", "two-spin-local", "two-spin-nonlocal")
 SECTIONS = ("model", "protocol", "numerics", "output")
+# resolve_config(experiment, model_kind=kind).sha256() of every pair
+DEFAULT_SHA256 = {
+    ("sweep", "ho"): "a4fc06c704a1221cdd0bbae4663abd0f42edc8b722ccbe25377e326d45cf2854",
+    ("sweep", "tls"): "f1bf9958a15ed3a9e85bf6224fea88e255622b05b66d36aa0a34a6c406ebe5ac",
+    ("diagnose", "ho"): "d81d9dae2a59706e7cc486c734b3094fec277ddb908aa5dd78e1cbcde6a4a862",
+    ("diagnose", "tls"): "504443ff354018bcfda0032a7ae48a65a23c4cc5ce90b96a87e9db487412f07c",
+    ("single", "ho"): "f3f587c135891aaaa677ae9068453605098a3a1debb2a723c78102fc5d4c657e",
+    ("single", "tls"): "201a7a2bb85b6d751ea6a0889f079e6fb5ce7515ae1ed1a9318e218ffd45dc5e",
+    ("open", "tls"): "5d5b9bf6fdbf3e7fb22f84b69b9485ab324c0014d5e9dcff736ece902e8a8ca0",
+    ("geo", "ho"): "96d88ff4add4372efea1c9faa3065950f1ff0e1a5d320d6c1a5bc95329c2e8e6",
+    ("geo", "tls"): "2c5ed2bcb9f11d23f3e50ddea55e5755b89865e51534ab454915f6b2122629c5",
+    ("geo", "two-spin-local"): "418ad65dcf826e33e1a4157998314feeea8598cac7cb9de0af2a80ebe0fec1d5",
+    ("geo", "two-spin-nonlocal"): "0d921c062d7938c9a18df22cf9d3b752b94cd097f2f9b26dd4507104f6f02a3e",
+}
+
+
+def _leaf_paths(tree, path=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}"
+
+
+LEAVES = [
+    (experiment, kind, path)
+    for experiment, kind in DEFAULT_SHA256
+    for path in _leaf_paths(
+        {s: resolve_config(experiment, model_kind=kind).to_dict()[s] for s in SECTIONS})
+]
+
+
+class TestConfigSchema:
+    def test_defaults_keep_their_hashes(self):
+        assert len(DEFAULT_SHA256) == 11 and len(LEAVES) == 139
+        for (experiment, kind), want in DEFAULT_SHA256.items():
+            assert resolve_config(experiment, model_kind=kind).sha256() == want
+
+    @pytest.mark.parametrize(
+        "experiment, kind, path", LEAVES, ids=["/".join(leaf) for leaf in LEAVES]
+    )
+    def test_every_key_is_checked_and_named(self, experiment, kind, path):
+        # an empty list is the wrong type for every key
+        value = []
+        for part in reversed(path.split(".")):
+            value = {part: value}
+        with pytest.raises(ConfigInvalid) as err:
+            resolve_config(experiment, {"experiment": experiment, **value}, model_kind=kind)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def _defaults_by_key(experiment):
@@ -291,28 +340,33 @@ def geo_configs(draw):
 
 @st.composite
 def open_configs(draw):
-    # static and driven ramps; horizons from 1e-3 to 1e4 and couplings up
-    # to 1 are drawn log-uniformly, and some couplings are exactly 0; a
-    # horizon past t_max exits 2
-    drive = st.just(0.0) | st.floats(-0.05, 0.05)
+    # static and driven ramps, drive rates out to the extremes; horizons
+    # from 1e-3 to 1e4 and couplings up to 1 are drawn log-uniformly, and
+    # some couplings are exactly 0; a horizon past t_max exits 2, as does a
+    # level-shift cutoff whose cube leaves the double range
+    drive = st.just(0.0) | st.floats(-0.05, 0.05) | _EXTREMES
     protocol = {
         "epsilon": draw(st.floats(0.5, 16.0)),
         "omega0": draw(st.floats(0.0, 40.0)),
         "chi0": draw(drive),
-        "abar": draw(st.just(0.0) | st.floats(-0.01, 0.01)),
+        "abar": draw(st.just(0.0) | st.floats(-0.01, 0.01) | _EXTREMES),
     }
+    lamb_shift = draw(st.booleans())
+    cutoff = st.floats(1.0, 300.0)
+    if lamb_shift:
+        cutoff = cutoff | st.floats(2.0, 300.0).map(lambda e: 10.0**e)
     model = {
         "initial_bloch": draw(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)),
         "bath": {
             "temperature": draw(st.floats(0.0, 30.0)),
             "coupling": draw(st.just(0.0) | st.floats(-6.0, 0.0).map(lambda e: 10.0**e)),
-            "cutoff": draw(st.floats(1.0, 300.0)),
+            "cutoff": draw(cutoff),
         },
     }
     numerics = {
         "t_final": 10.0 ** draw(st.floats(-3.0, 4.0)),
         "points": draw(st.integers(2, 201)),
-        "lamb_shift": draw(st.booleans()),
+        "lamb_shift": lamb_shift,
         "picture": draw(st.sampled_from(("schrodinger", "interaction"))),
     }
     return {"experiment": "open", "model": model, "protocol": protocol, "numerics": numerics}
@@ -497,6 +551,31 @@ class TestExitCodes:
         )
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert "numerics.t_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chi0", [1e200, -1e300])
+    def test_open_drive_past_1e154_exits_two(self, tmp_path, capsys, chi0):
+        # chi0^2 overflows, and the horizon used to come out as inf: the
+        # run then failed at t = 0.02 with DomainExceeded
+        cfg = write_json(tmp_path / "c.json", {"experiment": "open", "protocol": {"chi0": chi0}})
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert "numerics.t_final" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lamb_shift, cutoff, code", [
+        (True, 1e103, 2), (True, 5e102, 0), (False, 1e300, 0),
+    ])
+    def test_level_shift_cutoff_past_its_cube_root_exits_two(
+        self, tmp_path, capsys, lamb_shift, cutoff, code
+    ):
+        # with the level shifts on, cutoff^3 used to overflow in the run: exit 4
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "open",
+            "model": {"bath": {"cutoff": cutoff}},
+            "numerics": {"lamb_shift": lamb_shift},
+        })
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == code
+        if code == 2:
+            assert "model.bath.cutoff" in capsys.readouterr().err
 
     def test_open_static_phase_beyond_double_precision_exits_two(self, tmp_path, capsys):
         # ||H|| = 8.5 at the default static drive: 1.2e11 * 8.5 > 1e12 rad

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liouvdyn.errors import AmbiguousMatching, DegenerateSpectrum, NotDiagonalizable
-from liouvdyn import linalg
+from liouvdyn import linalg, models
 from liouvdyn.linalg import EigenFrame, bi_eigendecompose, eigenframes, track_continuity
 
 import oracles
@@ -165,6 +165,38 @@ class TestFailureModes:
             assert got[[0, 2]].tobytes() == want[[0, 2]].tobytes()
             assert got[1].tobytes() == eig[0].tobytes()
             assert got[1].tobytes() != want[1].tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "B, solver, closed",
+        [(9.5e307 * tls(0.3), "eigh", False), (5e307 * ho_upper(0.3), "eig", True)],
+        ids=["eigh", "eig"],
+    )
+    def test_residual_guard_holds_for_entries_past_2_to_the_1023(
+        self, monkeypatch, B, solver, closed
+    ):
+        # the power of two of such an entry, 2^1024, is no double; the
+        # norms stay below the largest one, so the bound stays finite
+        assert np.abs(B).max() >= 2.0**1023
+        bi_eigendecompose(B)
+        monkeypatch.setattr(np.linalg, solver, turned(getattr(np.linalg, solver)))
+        if closed:
+            monkeypatch.setattr(linalg, "_closed_eigensystem", turned(linalg._closed_eigensystem))
+        with pytest.raises(NotDiagonalizable, match="residual"):
+            bi_eigendecompose(B)
+
+    def test_frobenius_norm_near_the_largest_double(self):
+        B = np.array([[[1e308, 1.0], [1.0, -1e308]]], dtype=complex)
+        assert linalg._frobenius(B)[0] == pytest.approx(1.41421356e308, rel=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chi", [9e307, -9e307, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("family", ["TLS_FAMILY", "TLS_EMBEDDED_FAMILY", "HO_FAMILY"])
+    def test_families_at_the_top_of_the_double_range_warn_nothing(self, family, chi):
+        # gaps and norms past the double range end at inf without a warning
+        family = getattr(models, family)
+        lam = eigenframes(family(np.array([chi])), blocks=family.blocks)[0]
+        assert np.isfinite(lam).all()
 
     def test_hermitian_route_checks_orthonormality(self, monkeypatch):
         # eigenvectors each mixed with 1e-6 of their neighbour are no

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -569,6 +570,43 @@ class TestQuadraticHorizons:
         # z(t) = z0 - t/8 reaches -1 near t = 8 (1 + z0)
         p = TLSProtocol(epsilon=1.0, omega0=0.001, chi0=-0.125, abar=-2.2e-309)
         assert p.t_max == pytest.approx(8.0 * (1.0 + p.z0), rel=1e-15)
+
+
+@st.composite
+def coefficients(draw):
+    """0 one time in ten, else either sign from 1e-300 to 1e300."""
+    if draw(st.integers(0, 9)) == 0:
+        return 0.0
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return sign * draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, 299))
+
+
+class TestFirstPositiveRoot:
+    """``_first_positive_root`` over coefficients up to 1e300, where B^2
+    and 4AC leave the double range at either end."""
+
+    @settings(max_examples=300)
+    @given(coefficients(), coefficients(), coefficients().filter(bool))
+    def test_matches_mpmath(self, A, B, C):
+        want = oracles.first_positive_root_mp(A, B, C)
+        # a root past the normal range, or roots near a double root (the
+        # discriminant cancels to 1e-3 of B^2), is not one a double
+        # resolves to 1e-12; mpf exponents do not overflow
+        a, b, c = (mpmath.mpf(x) for x in (A, B, C))
+        assume(want == math.inf or 1e-300 <= want <= 1e300)
+        assume(abs(b * b - 4 * a * c) > 1e-3 * b * b)
+        got = models._first_positive_root(A, B, C)
+        assert got == want if want == math.inf else abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "protocol, want",
+        [(TLSProtocol(8.0, 15.0, 1e200, 0.0), 1.4705882352941176e-202),
+         (HOProtocol(20.0, 1e200, 0.0), 5e-202)],
+        ids=["tls", "ho"],
+    )
+    def test_drives_past_1e154_keep_their_horizon(self, protocol, want):
+        # chi0^2 overflows: the horizon used to come out as inf
+        assert protocol.t_max == pytest.approx(want, rel=1e-15)
 
 
 class TestTLSConstantRateTheta:
