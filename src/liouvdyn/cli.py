@@ -7,7 +7,9 @@ the thermal-bath master equation, ``geo`` evaluates geometric phases on
 a parameter circuit, and ``single`` scores one protocol end to end.
 Outputs are a data file plus a manifest recording the resolved config
 hash, tool version, column provenance, and per-point error flags; a
-fixed config yields byte-identical files on every run.
+fixed config yields byte-identical files on every run.  Each experiment
+imports the modules that only it uses when it runs, so ``sweep`` never
+loads ``geometric`` or ``open_quantum``, for example.
 """
 
 import argparse
@@ -21,20 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
-from .diagnostics import adiabatic_parameter, fidelity_sweep, inertial_parameters, log_time_grid
+from .config import RunConfig, load_config_file, resolve_config
 from .errors import POINT_ERRORS, ConfigInvalid, settle
-from .geometric import (
-    ParameterCircuit,
-    ho_family,
-    line_phases,
-    surface_phases,
-    tls_family,
-    two_spin_local_family,
-    two_spin_nonlocal_family,
-)
 from .models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol
-from .open_quantum import MAX_STATIC_PHASE, BathSpec, magnus_levels, mesolve, trajectory_rows
 
 _SWEEP_COLUMNS = (
     "t_f",
@@ -52,13 +43,6 @@ _SWEEP_SOURCES = {
     "neglog1mF_inertial": "diagnostics.fidelity_sweep",
     "mu_max": "diagnostics.max_mu_along (adiabatic_parameter)",
     "upsilon_max": "diagnostics.upsilon_maxima (inertial parameter)",
-}
-
-_GEO_FAMILIES = {
-    "ho": ho_family,
-    "tls": tls_family,
-    "two-spin-local": two_spin_local_family,
-    "two-spin-nonlocal": two_spin_nonlocal_family,
 }
 
 
@@ -80,6 +64,8 @@ def _ramp_model(cfg: RunConfig, t_f: float):
 
 
 def _sweep_outputs(cfg: RunConfig, grid):
+    from .diagnostics import fidelity_sweep
+
     num = cfg.numerics
     result = fidelity_sweep(
         _seed_model(cfg),
@@ -98,6 +84,8 @@ def _sweep_outputs(cfg: RunConfig, grid):
 
 
 def _run_sweep(cfg: RunConfig):
+    from .diagnostics import log_time_grid
+
     num = cfg.numerics
     grid = log_time_grid(num["t_min"], num["t_max"], num["points"])
     return _sweep_outputs(cfg, grid)
@@ -112,6 +100,8 @@ def _run_single(cfg: RunConfig):
 
 
 def _run_diagnose(cfg: RunConfig):
+    from .diagnostics import adiabatic_parameter, inertial_parameters
+
     model = _ramp_model(cfg, cfg.protocol["t_f"])
     fact = model.factorization()
     closed = model.protocol.inertial_parameter_closed
@@ -145,6 +135,8 @@ def _run_diagnose(cfg: RunConfig):
 
 
 def _run_open(cfg: RunConfig):
+    from .open_quantum import MAX_STATIC_PHASE, BathSpec, magnus_levels, mesolve, trajectory_rows
+
     num = cfg.numerics
     # the open protocol and bath sections hold exactly the dataclass fields
     model = TLSModel(protocol=TLSProtocol(**cfg.protocol))
@@ -200,7 +192,22 @@ def _run_open(cfg: RunConfig):
 
 
 def _run_geo(cfg: RunConfig):
-    family = _GEO_FAMILIES[cfg.model["kind"]]()
+    from .geometric import (
+        ParameterCircuit,
+        ho_family,
+        line_phases,
+        surface_phases,
+        tls_family,
+        two_spin_local_family,
+        two_spin_nonlocal_family,
+    )
+
+    family = {
+        "ho": ho_family,
+        "tls": tls_family,
+        "two-spin-local": two_spin_local_family,
+        "two-spin-nonlocal": two_spin_nonlocal_family,
+    }[cfg.model["kind"]]()
     circuit = ParameterCircuit.from_waypoints(
         cfg.protocol["waypoints"],
         closed=cfg.protocol["closed"],

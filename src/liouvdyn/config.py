@@ -36,6 +36,9 @@ _MODEL_KINDS = {
 # the level shifts take cutoff^3 in plain floats, which overflows past this
 _CUTOFF_MAX = sys.float_info.max ** (1.0 / 3.0)
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
+# circuits are tested up to here; past about 9e307 a segment's difference
+# of two waypoints overflows
+_WAYPOINT_MAX = 1e300
 
 
 def _is_number(v) -> bool:
@@ -128,7 +131,9 @@ def _schema(experiment: str, kind: str):
             "waypoints": (corners, (
                 lambda v: isinstance(v, list) and len(v) >= 2
                 and all(_is_vector(p, width) for p in v),
-                f"must be a list of >= 2 points with {width} coordinate(s) each")),
+                f"must be a list of >= 2 points with {width} coordinate(s) each"), (
+                lambda v: all(abs(x) <= _WAYPOINT_MAX for p in v for x in p),
+                f"must have coordinates of magnitude at most {_WAYPOINT_MAX:.0e}")),
             "closed": (True, _FLAG),
             "samples": (None, (lambda v: v is None or _is_int(v, 4),
                                "must be null or an integer >= 4")),

@@ -261,14 +261,26 @@ def _pair_checks(B, lam, rights, inverse, lefts):
         np.linalg.norm(lefts, axis=1) * np.linalg.norm(rights, axis=1)
     )
     biortho = np.abs(cross - np.eye(rights.shape[2])).max(axis=(1, 2))
-    residual = np.abs(B @ rights - rights * lam[:, None, :]).max(axis=(1, 2))
+    # residual and bound in units of 2^e, e >= 0 the exponent of a node's
+    # largest entry: both stay finite for every finite B, and a node whose
+    # norm is a double compares exactly as in plain units
+    e = np.maximum(np.frexp(np.abs(B).max(axis=(1, 2)))[1], 0)
+    unit = np.ldexp(1.0, -e)
+    scaled = B * unit[:, None, None]
+    residual = np.abs(scaled @ rights - rights * (lam * unit[:, None])[:, None, :]).max(axis=(1, 2))
+    bound = _RESIDUAL_TOL * np.maximum(unit, np.linalg.norm(scaled, axis=(1, 2)))
+
+    def residual_message(i):
+        # the residual in plain units, inf past the double range
+        with np.errstate(over="ignore"):
+            return f"eigenpair residual {np.ldexp(residual[i], e[i]):.3e} too large"
+
     checks = (
         (quality < _QUALITY_FLOOR, lambda i: (
             f"right/left pair {i[1]} nearly orthogonal (normalized |G^H F| = {quality[i]:.3e})")),
         (biortho > _BIORTHO_TOL, lambda i: (
             "bi-orthonormality violated beyond tolerance; generator is too close to defective")),
-        (residual > _RESIDUAL_TOL * np.maximum(1.0, _frobenius(B)),
-         lambda i: f"eigenpair residual {residual[i]:.3e} too large"),
+        (residual > bound, residual_message),
     )
     return checks, np.isfinite(biortho) & np.isfinite(residual)
 
@@ -339,20 +351,6 @@ def _certified(B, lam, vr):
     for bad in (_gap_check(gap)[0], *(bad for bad, _ in checks)):
         ok &= ~bad.reshape(len(bad), -1).any(axis=1)
     return lam, rights, lefts, ok
-
-
-def _frobenius(B: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix of an (N, m, m) stack.  A matrix whose
-    squares overflow (entries past 1e154) is scaled by the power of two of
-    its largest entry first, so its norm is inf only past the double range."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(B, axis=(1, 2))
-        big = np.isinf(norm)
-        if big.any():
-            e = np.frexp(np.abs(B[big]).max(axis=(1, 2)))[1]
-            unit = np.linalg.norm(B[big] * np.ldexp(1.0, -e)[:, None, None], axis=(1, 2))
-            norm[big] = np.ldexp(unit, e)
-    return norm
 
 
 def bi_eigendecompose(B: np.ndarray) -> EigenFrame:

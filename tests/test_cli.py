@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from oracles import per_row_diagnose
 
 import liouvdyn
-from liouvdyn import __version__, cli, diagnostics, engine, geometric, linalg, models
+from liouvdyn import __version__, cli, diagnostics, engine, geometric, linalg, models, open_quantum
 from liouvdyn.cli import main
 from liouvdyn.config import EXPERIMENTS, RunConfig, load_config_file, resolve_config
 from liouvdyn.errors import ConfigInvalid, LiouvdynError
@@ -325,9 +325,11 @@ def geo_configs(draw):
     kind = draw(st.sampled_from(KINDS))
     width = 1 if kind in ("ho", "tls") else 2
     # coordinates on both sides of |chi| = 2, where the oscillator's
-    # generator stops being diagonalizable, and extremes whose eigenvalues
-    # reach past 1e299
-    point = st.lists(st.floats(-2.5, 2.5) | _EXTREMES, min_size=width, max_size=width)
+    # generator stops being diagonalizable, extremes whose eigenvalues
+    # reach past 1e299, and magnitudes up to and past the 1e300 bound
+    beyond = st.builds(lambda s, x: s * x, st.sampled_from((-1.0, 1.0)),
+                       st.floats(1e299, sys.float_info.max))
+    point = st.lists(st.floats(-2.5, 2.5) | _EXTREMES | beyond, min_size=width, max_size=width)
     protocol = {
         "waypoints": draw(st.lists(point, min_size=2, max_size=4)),
         "closed": draw(st.booleans()),
@@ -512,6 +514,22 @@ class TestExitCodes:
             assert "numerics.method" in err and "protocol.closed" in err
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("end, rejected", [
+        (1e308, True), (math.nextafter(1e300, math.inf), True), (1e300, False),
+    ])
+    def test_geo_waypoints_past_1e300_exit_two(self, tmp_path, capsys, end, rejected):
+        # at 1e308 the difference of the two endpoints used to overflow: exit
+        # 4 with a RuntimeWarning.  1e300 itself is accepted, and its run fails
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "geo",
+            "model": {"kind": "tls"},
+            "protocol": {"waypoints": [[0.1], [-end]]},
+            "numerics": {"method": "both"},
+        })
+        code = run_cli(["geo", "--config", cfg, "--out", tmp_path / "out"])
+        assert ("protocol.waypoints" in capsys.readouterr().err) == rejected
+        assert code == 2 if rejected else code == 4
+
     def test_total_runtime_failure_exits_four(self, tmp_path):
         # a cutoff below the gap leaves the level shift undefined: mesolve
         # fails before a single state is produced
@@ -594,8 +612,10 @@ class TestExitCodes:
         # MAGNUS_MAX_STEPS steps, so the run stops before any integration.
         # The interaction picture needs no free propagator and runs.
         solves = []
-        real = cli.mesolve
-        monkeypatch.setattr(cli, "mesolve", lambda *a, **k: solves.append(a) or real(*a, **k))
+        real = open_quantum.mesolve
+        monkeypatch.setattr(
+            open_quantum, "mesolve", lambda *a, **k: solves.append(a) or real(*a, **k)
+        )
         config = {"experiment": "open", "protocol": {"chi0": 1e-10},
                   "numerics": {"t_final": 1e4}}
         cfg = write_json(tmp_path / "c.json", config)
@@ -1169,16 +1189,17 @@ def _count_columns(monkeypatch):
 
         return call
 
-    monkeypatch.setattr(cli, "adiabatic_parameter", counted("mu", cli.adiabatic_parameter))
-    monkeypatch.setattr(cli, "inertial_parameters", counted("upsilon", cli.inertial_parameters))
+    monkeypatch.setattr(diagnostics, "adiabatic_parameter",
+                        counted("mu", diagnostics.adiabatic_parameter))
+    monkeypatch.setattr(diagnostics, "inertial_parameters",
+                        counted("upsilon", diagnostics.inertial_parameters))
     monkeypatch.setattr(models.HOProtocol, "inertial_parameter_closed", counted(
         "upsilon_closed", models.HOProtocol.inertial_parameter_closed))
 
     def no_rows(fact, t):
         raise AssertionError("per-row evaluation of upsilon")
 
-    for module in (cli, diagnostics):
-        monkeypatch.setattr(module, "inertial_parameter_at", no_rows, raising=False)
+    monkeypatch.setattr(diagnostics, "inertial_parameter_at", no_rows)
     return calls
 
 
@@ -1397,13 +1418,98 @@ def test_sweep_and_single_leave_scipy_unimported(tmp_path):
 
 
 def test_import_leaves_fft_and_polynomial_unloaded():
-    # numpy loads both lazily; only the level-phase quadrature needs them
+    # numpy loads both lazily; only the level-phase quadrature needs them.
+    # The star import loads every module the package exports from
     script = (
         "import sys\n"
-        "import liouvdyn\n"
+        "from liouvdyn import *\n"
         "print(sorted(m for m in ('numpy.fft', 'numpy.polynomial') if m in sys.modules))\n"
     )
     assert _last_line_of(script) == "[]"
+
+
+def _package_modules(script: str, *args) -> set:
+    """The liouvdyn modules a fresh interpreter holds after ``script``."""
+    return set(json.loads(_last_line_of(
+        script + "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'liouvdyn']))\n",
+        *args,
+    )))
+
+
+def test_import_and_config_load_only_config_and_errors():
+    # what a run needs before it reads its config: the package exports
+    # lazily, and config depends on errors alone
+    script = (
+        "import liouvdyn\n"
+        "from liouvdyn.config import _MODEL_KINDS, resolve_config\n"
+        "for experiment, kinds in _MODEL_KINDS.items():\n"
+        "    for kind in kinds:\n"
+        "        resolve_config(experiment, model_kind=kind)\n"
+    )
+    assert _package_modules(script) == {"liouvdyn", "liouvdyn.config", "liouvdyn.errors"}
+
+
+# the modules each experiment imports for itself, and those it leaves alone
+_OWN_MODULES = {"sweep": {"diagnostics"}, "single": {"diagnostics"},
+                "diagnose": {"diagnostics"}, "open": {"open_quantum"}, "geo": {"geometric"}}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_experiment_loads_only_its_own_modules(tmp_path, experiment):
+    loaded = _package_modules(_CLI_RUNS, json.dumps([[experiment, "--out", str(tmp_path)]]))
+    own = {f"liouvdyn.{m}" for m in _OWN_MODULES[experiment]}
+    others = {f"liouvdyn.{m}" for m in set().union(*_OWN_MODULES.values())} - own
+    assert own <= loaded and not loaded & others, sorted(loaded)
+
+
+# the names ``liouvdyn`` exported when every module was imported eagerly
+_EXPORTED = [
+    "Alignment", "AmbiguousMatching", "BathSpec", "BlochState", "ConfigInvalid",
+    "DegenerateSpectrum", "DomainExceeded", "EigenFrame", "GaussianState",
+    "GeneratorFactorization", "GeneratorFamily", "HOModel", "HOProtocol", "InertialSolution",
+    "IntegratorFailure", "LiouvdynError", "LiouvilleVector", "MasterEquationSpec",
+    "NotConverged", "NotDiagonalizable", "ParameterCircuit", "PositivityViolation",
+    "RunConfig", "SingularDenominator", "SweepResult", "TLSModel", "TLSProtocol",
+    "UnphysicalState", "UnsupportedDimension", "adiabatic_parameter", "bi_eigendecompose",
+    "bose_occupation", "build_master_equation", "coefficients", "decay_rate", "fidelity",
+    "fidelity_sweep", "geometric_phase_line", "geometric_phase_surface", "ho_family",
+    "ho_generator", "ho_inertial_parameter_closed", "inertial_parameter_at",
+    "inertial_parameters", "initial_vector", "inverse_scaled_time", "lamb_shift",
+    "line_phases", "liouville_curvature", "load_config_file", "log_time_grid",
+    "max_mu_along", "max_parameters_along", "mesolve", "one_minus_fidelity",
+    "propagate_adiabatic", "propagate_adiabatic_batch", "propagate_constant_chi",
+    "propagate_exact", "propagate_inertial", "propagate_inertial_batch", "reconstruct_state",
+    "resolve_config", "surface_phases", "tls_family", "tls_generator",
+    "tls_generator_embedded", "track_continuity", "trajectory_rows", "two_spin_generators",
+    "two_spin_local_family", "two_spin_nonlocal_family", "upsilon_maxima",
+]
+
+
+class TestLazyExports:
+    def test_every_name_is_its_defining_object(self):
+        assert sorted(liouvdyn.__all__) == _EXPORTED
+        for name in _EXPORTED:
+            value = getattr(liouvdyn, name)
+            home = importlib.import_module(f".{liouvdyn._EXPORTS[name]}", "liouvdyn")
+            assert value is getattr(home, name) and value.__module__ == home.__name__, name
+
+    def test_star_import_and_dir_list_every_name(self):
+        namespace = {}
+        exec("from liouvdyn import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == _EXPORTED
+        assert set(_EXPORTED) | {"__version__", "models", "open_quantum"} <= set(dir(liouvdyn))
+
+    def test_a_submodule_attribute_loads_that_module(self):
+        # as when the package imported every module: liouvdyn.geometric works
+        # after a bare ``import liouvdyn``
+        loaded = _package_modules("import liouvdyn\nliouvdyn.geometric.tls_family\n")
+        assert "liouvdyn.geometric" in loaded and "liouvdyn.open_quantum" not in loaded
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'propagate'"):
+            liouvdyn.propagate
+        assert not hasattr(liouvdyn, "cli_main")
 
 
 def test_everything_but_the_exact_reference_runs_with_scipy_refused(tmp_path):

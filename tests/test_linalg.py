@@ -169,14 +169,19 @@ class TestFailureModes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "B, solver, closed",
-        [(9.5e307 * tls(0.3), "eigh", False), (5e307 * ho_upper(0.3), "eig", True)],
-        ids=["eigh", "eig"],
+        [
+            (9.5e307 * tls(0.3), "eigh", False),
+            (5e307 * ho_upper(0.3), "eig", True),
+            (1.5e308 * tls(0.3), "eigh", False),
+        ],
+        ids=["eigh", "eig", "eigh-norm-past-the-largest-double"],
     )
     def test_residual_guard_holds_for_entries_past_2_to_the_1023(
         self, monkeypatch, B, solver, closed
     ):
-        # the power of two of such an entry, 2^1024, is no double; the
-        # norms stay below the largest one, so the bound stays finite
+        # the power of two of such an entry, 2^1024, is no double, and at
+        # 1.5e308 the Frobenius norm is none either: residual and bound are
+        # compared in units of that power of two
         assert np.abs(B).max() >= 2.0**1023
         bi_eigendecompose(B)
         monkeypatch.setattr(np.linalg, solver, turned(getattr(np.linalg, solver)))
@@ -184,10 +189,6 @@ class TestFailureModes:
             monkeypatch.setattr(linalg, "_closed_eigensystem", turned(linalg._closed_eigensystem))
         with pytest.raises(NotDiagonalizable, match="residual"):
             bi_eigendecompose(B)
-
-    def test_frobenius_norm_near_the_largest_double(self):
-        B = np.array([[[1e308, 1.0], [1.0, -1e308]]], dtype=complex)
-        assert linalg._frobenius(B)[0] == pytest.approx(1.41421356e308, rel=1e-8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chi", [9e307, -9e307, 1.7e308, -1.7e308])
