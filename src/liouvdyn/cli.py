@@ -9,23 +9,23 @@ Outputs are a data file plus a manifest recording the resolved config
 hash, tool version, column provenance, and per-point error flags; a
 fixed config yields byte-identical files on every run.  Each experiment
 imports the modules that only it uses when it runs, so ``sweep`` never
-loads ``geometric`` or ``open_quantum``, for example.
+loads ``geometric`` or ``open_quantum``, for example, and a run loads
+numpy only after its config is valid: ``--help``, ``--version`` and a
+rejected config exit without it.
 """
 
 import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config_file, resolve_config
 from .errors import POINT_ERRORS, ConfigInvalid, settle
-from .models import BlochState, HOModel, HOProtocol, TLSModel, TLSProtocol
 
 _SWEEP_COLUMNS = (
     "t_f",
@@ -48,6 +48,8 @@ _SWEEP_SOURCES = {
 
 def _seed_model(cfg: RunConfig):
     """The configured model on a chi0 = 0 ramp from protocol.omega_start."""
+    from .models import HOModel, HOProtocol, TLSModel, TLSProtocol
+
     proto, model = cfg.protocol, cfg.model
     if model["kind"] == "ho":
         p = HOProtocol(proto["omega_start"], 0.0, proto["acceleration"])
@@ -92,6 +94,8 @@ def _run_sweep(cfg: RunConfig):
 
 
 def _run_single(cfg: RunConfig):
+    import numpy as np
+
     columns, rows, sources, errors = _sweep_outputs(
         cfg, np.array([cfg.protocol["t_f"]])
     )
@@ -100,6 +104,8 @@ def _run_single(cfg: RunConfig):
 
 
 def _run_diagnose(cfg: RunConfig):
+    import numpy as np
+
     from .diagnostics import adiabatic_parameter, inertial_parameters
 
     model = _ramp_model(cfg, cfg.protocol["t_f"])
@@ -135,6 +141,9 @@ def _run_diagnose(cfg: RunConfig):
 
 
 def _run_open(cfg: RunConfig):
+    import numpy as np
+
+    from .models import BlochState, TLSModel, TLSProtocol
     from .open_quantum import MAX_STATIC_PHASE, BathSpec, magnus_levels, mesolve, trajectory_rows
 
     num = cfg.numerics
@@ -251,7 +260,8 @@ _RUNNERS = {
 
 
 def _json_cell(x):
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+    # numpy registers its integer types as Integral, and not its bool_
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
         return int(x)
     x = float(x)
     return x if math.isfinite(x) else None

@@ -42,14 +42,18 @@ _WAYPOINT_MAX = 1e300
 
 
 def _is_number(v) -> bool:
-    # json parses NaN and Infinity, which no numeric setting accepts
+    # json parses NaN, Infinity and integers past the double range, none of
+    # which a numeric setting accepts
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
-    return isinstance(v, int) or math.isfinite(v)
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v, minimum: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+    return isinstance(v, int) and _is_number(v) and v >= minimum
 
 
 def _is_vector(v, n: int) -> bool:

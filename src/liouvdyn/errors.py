@@ -10,12 +10,12 @@ flagged leading index to the message its one-node call gives, and
 ``str(exc)`` is the first of them; an error that names no node has empty
 ``nodes``.  A caller that slices or reshapes a stack moves the indices to
 its own (``nodes_at``), and ``settle`` flags them and runs the rest again.
+These three helpers import numpy on first use, so the exceptions and
+``POINT_ERRORS`` need only the standard library.
 """
 
 from contextlib import contextmanager
 from types import MappingProxyType
-
-import numpy as np
 
 
 class LiouvdynError(Exception):
@@ -80,6 +80,8 @@ def guard(cls, *checks) -> None:
     node's message is ``message(index)`` of its first check, at the index
     tuple of its first True entry; none is built unless a mask fires.
     """
+    import numpy as np
+
     nodes = {}
     for bad, message in checks:
         if bad.any():
@@ -101,6 +103,8 @@ def nodes_at(where):
         yield
     except (LiouvdynError, ValueError) as exc:
         if getattr(exc, "nodes", None):
+            import numpy as np
+
             moved = {}
             for node, text in sorted(exc.nodes.items()):
                 for index in np.atleast_1d(where[node]).tolist():
@@ -118,6 +122,8 @@ def settle(run, count: int, flags=POINT_ERRORS):
     rest: each round clears a guard stage for good.  An error that names no
     node propagates.
     """
+    import numpy as np
+
     kept, failed = np.arange(count), {}
     while True:
         try:

@@ -278,6 +278,13 @@ _EXTREMES = st.builds(
     st.floats(1.0, 9.99),
     st.integers(-300, 299),
 )
+# JSON integers of both signs that no double holds
+_PAST_DOUBLE = st.builds(lambda s, n: s * n, st.sampled_from((-1, 1)), st.integers(2**1024, 10**400))
+
+
+def _or_past_double(strategy):
+    """``strategy``, or about one time in ten an integer past the double range."""
+    return st.integers(0, 9).flatmap(lambda i: _PAST_DOUBLE if i == 0 else strategy)
 
 
 @st.composite
@@ -293,7 +300,7 @@ def diagnose_configs(draw):
     if kind == "tls":
         protocol["epsilon"] = draw(st.floats(0.5, 4.5))
     for key in draw(st.lists(st.sampled_from(sorted(protocol)), max_size=2, unique=True)):
-        protocol[key] = draw(_EXTREMES | st.just(0.0))
+        protocol[key] = draw(_or_past_double(_EXTREMES | st.just(0.0)))
     numerics = {"samples": draw(st.integers(2, 257))}
     return {"experiment": "diagnose", "model": {"kind": kind},
             "protocol": protocol, "numerics": numerics}
@@ -312,7 +319,7 @@ def sweep_configs(draw):
     if draw(st.booleans()):
         protocol["omega_start"] = draw(_EXTREMES)
     if experiment == "sweep":
-        numerics = {"points": draw(st.integers(2, 3))}
+        numerics = {"points": draw(_or_past_double(st.integers(2, 3)))}
     else:
         protocol["t_f"] = draw(st.floats(0.01, 5.0))
         numerics = {}
@@ -366,7 +373,7 @@ def open_configs(draw):
         },
     }
     numerics = {
-        "t_final": 10.0 ** draw(st.floats(-3.0, 4.0)),
+        "t_final": draw(_or_past_double(st.floats(-3.0, 4.0).map(lambda e: 10.0**e))),
         "points": draw(st.integers(2, 201)),
         "lamb_shift": lamb_shift,
         "picture": draw(st.sampled_from(("schrodinger", "interaction"))),
@@ -699,6 +706,24 @@ class TestExitCodes:
         assert time.monotonic() - start < 5.0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, section, key", [
+        ("open", "numerics", "t_final"), ("single", "model", "mass"), ("sweep", "numerics", "points"),
+    ])
+    def test_integers_past_the_double_range_exit_two(self, tmp_path, capsys, experiment,
+                                                     section, key):
+        # each used to exit 4 with an OverflowError once the run converted it
+        cfg = write_json(tmp_path / "c.json", {"experiment": experiment, section: {key: 10**400}})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"{section}.{key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_largest_double_as_an_integer_is_a_number(self):
+        cfg = resolve_config("single", {"experiment": "single",
+                                       "model": {"mass": int(sys.float_info.max)}})
+        assert cfg.model["mass"] == int(sys.float_info.max)
+        with pytest.raises(ConfigInvalid, match="model.mass"):
+            resolve_config("single", {"experiment": "single", "model": {"mass": 2**1024}})
+
     @pytest.mark.parametrize("experiment", ["sweep", "single", "diagnose", "open", "geo"])
     def test_threads_outside_sweeps_exits_two(self, tmp_path, experiment):
         # no experiment takes a thread count: the key is unknown, the flag absent
@@ -1010,6 +1035,20 @@ class TestDeterminism:
         data_path, _, _ = cli.write_outputs(cfg, tuple(cells), [row, row], {}, [None, None])
         text = ",".join(want for _, want in cells.values())
         assert data_path.read_text() == ",".join(cells) + "\n" + text + "\n" + text + "\n"
+
+    def test_json_cells(self, tmp_path):
+        # ints (numpy's too) stay ints, bools (numpy's too) become floats,
+        # and non-finite floats null
+        cells = [np.int64(3), 7, True, np.bool_(True), False, np.float64(0.5), math.nan]
+        values = [cli._json_cell(x) for x in cells]
+        assert values == [3, 7, 1.0, 1.0, 0.0, 0.5, None]
+        assert [type(v) for v in values[:-1]] == [int, int, float, float, float, float]
+        # a geo run writes its mode column as JSON integers
+        out = tmp_path / "out"
+        assert run_cli(["geo", "--model", "two-spin-local", "--format", "json", "--out", out]) == 0
+        text = (out / "geo.json").read_text()
+        modes = [row[0] for row in json.loads(text)["rows"]]
+        assert modes == list(range(len(modes))) and all(type(m) is int for m in modes)
 
 
 class TestSingleCommand:
@@ -1448,6 +1487,36 @@ def test_import_and_config_load_only_config_and_errors():
         "        resolve_config(experiment, model_kind=kind)\n"
     )
     assert _package_modules(script) == {"liouvdyn", "liouvdyn.config", "liouvdyn.errors"}
+    # nor does either import numpy
+    assert _last_line_of(script + "import sys\nprint('numpy' in sys.modules)\n") == "False"
+
+
+# runs the CLI argument list in sys.argv[1], which must exit with sys.argv[2],
+# and prints whether numpy was loaded
+_CLI_EXIT = (
+    "import contextlib, io, json, sys\n"
+    "import liouvdyn.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    try:\n"
+    "        code = liouvdyn.cli.main(json.loads(sys.argv[1]))\n"
+    "    except SystemExit as exc:\n"
+    "        code = exc.code\n"
+    "assert code == int(sys.argv[2]), code\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["sweep", "--threads", "2"], 2),
+    (["geo", "--model", "ho", "--tol", "1e-9"], 2),
+    (["open", "--config", "{config}"], 2),
+], ids=["version", "help", "argparse-error", "flag-config-error", "file-config-error"])
+def test_runs_that_exit_before_computing_leave_numpy_unloaded(tmp_path, argv, code):
+    cfg = write_json(tmp_path / "c.json", {"experiment": "open", "numerics": {"t_final": 10**400}})
+    argv = [a.format(config=cfg) for a in argv]
+    assert _last_line_of(_CLI_EXIT, json.dumps(argv), str(code)) == "False"
 
 
 # the modules each experiment imports for itself, and those it leaves alone
