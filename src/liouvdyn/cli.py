@@ -7,7 +7,9 @@ the thermal-bath master equation, ``geo`` evaluates geometric phases on
 a parameter circuit, and ``single`` scores one protocol end to end.
 Outputs are a data file plus a manifest recording the resolved config
 hash, tool version, column provenance, and per-point error flags; a
-fixed config yields byte-identical files on every run.  Each experiment
+fixed config yields byte-identical files on every run.  The flags
+choose only the config file, the model kind and the output; every
+numerical setting comes from the config.  Each experiment
 imports the modules that only it uses when it runs, so ``sweep`` never
 loads ``geometric`` or ``open_quantum``, for example, and a run loads
 numpy only after its config is valid: ``--help``, ``--version`` and a
@@ -69,14 +71,14 @@ def _sweep_outputs(cfg: RunConfig, grid):
     from .diagnostics import fidelity_sweep
 
     num = cfg.numerics
+    # the oscillator's config holds phase_tol alone: its exact state is closed form
+    tolerances = {key: num[key] for key in ("rtol", "atol", "phase_tol") if key in num}
     result = fidelity_sweep(
         _seed_model(cfg),
         grid,
         omega_target=cfg.protocol["omega_target"],
         samples=num["samples"],
-        rtol=num["rtol"],
-        atol=num["atol"],
-        phase_tol=num["phase_tol"],
+        **tolerances,
     )
     rows = [
         (tf, fi, fa, nl, mu, ups)
@@ -144,7 +146,8 @@ def _run_open(cfg: RunConfig):
     import numpy as np
 
     from .models import BlochState, TLSModel, TLSProtocol
-    from .open_quantum import MAX_STATIC_PHASE, BathSpec, magnus_levels, mesolve, trajectory_rows
+    from .open_quantum import (MAX_STATIC_PHASE, BathSpec, _tls_alpha_closed, magnus_levels,
+                               mesolve, trajectory_rows)
 
     num = cfg.numerics
     # the open protocol and bath sections hold exactly the dataclass fields
@@ -170,6 +173,22 @@ def _run_open(cfg: RunConfig):
             f"numerics.t_final: the driven free propagator cannot compare two "
             f"Magnus levels within {cap} steps on this horizon"
         )
+    if num["lamb_shift"]:
+        # f = ln alpha^2 = ln(epsilon^2 (1 + mu^2) / (1 - z^2)) has f' = 2 mu g
+        # with g = abar / (1 + mu^2) + epsilon z / (1 - z^2), and where g = 0
+        # and mu != 0, f'' = 2 (epsilon mu)^2 / (1 - z^2) > 0: a minimum.  So
+        # the largest |alpha| lies at an end or where mu = chi0 + abar t = 0
+        p = model.protocol
+        stops = [0.0, num["t_final"]]
+        if p.abar != 0.0 and 0.0 < -p.chi0 / p.abar < num["t_final"]:
+            stops.append(-p.chi0 / p.abar)
+        with np.errstate(over="ignore"):
+            largest = float(np.max(np.abs(_tls_alpha_closed(p, np.array(stops)))))
+        if not largest < bath.cutoff:
+            raise ConfigInvalid(
+                f"model.bath.cutoff: must exceed the largest effective frequency "
+                f"|alpha| = {largest:.6g} of the run with numerics.lamb_shift"
+            )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         states = mesolve(
@@ -324,7 +343,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model kind selecting the embedded defaults")
         p.add_argument("--out", help="output directory (default: current)")
         p.add_argument("--format", choices=("csv", "json"), help="data file format")
-        p.add_argument("--tol", type=float, help="relative tolerance override")
     return parser
 
 
@@ -338,7 +356,6 @@ def main(argv=None) -> int:
             model_kind=args.model,
             out_dir=args.out,
             out_format=args.format,
-            rtol=args.tol,
         )
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ config file (or the command line) leaves out, and each check is a test
 of the value with the message the key fails with, tried in turn.  The
 rules that tie several keys together follow the leaves, each a test of
 the whole config with the key it names.  Unknown or ill-typed keys fail
-with the offending key path spelled out.  The schemas are built once,
-at import.
+with the offending key path spelled out.  Only the model kind and the
+output's directory and format come from the command line, never a
+tolerance.  The schemas are built once, at import.
 """
 
 import copy
@@ -158,16 +159,18 @@ def _schema(experiment: str, kind: str):
         # the boundary-value ramp shared by sweep, diagnose and single
         protocol = {"omega_start": (20.0, _POSITIVE), "omega_target": (10.0, _POSITIVE),
                     "acceleration": (-5e-3, _FINITE)}
+        # the oscillator's exact state is closed form, the two-level one an
+        # SU(2) flow refined to rtol/atol
+        tolerances = {"phase_tol": (1e-10, _POSITIVE)}
         if kind == "ho":
             model.update(mass=(1.0, _POSITIVE), q0=(0.0, _FINITE), p0=(0.0, _FINITE))
         else:
+            tolerances = {"rtol": (1e-10, _POSITIVE), "atol": (1e-12, _POSITIVE), **tolerances}
             model["initial_values"] = ([4.0, 1.0, 1.0], _TRIPLE)
             protocol["epsilon"] = (8.0, _POSITIVE)
             rules += [(lambda c, key=key: c["protocol"][key] > c["protocol"]["epsilon"],
                        f"protocol.{key}", "must exceed protocol.epsilon (the gap never closes)")
                       for key in ("omega_start", "omega_target")]
-        tolerances = {"rtol": (1e-10, _POSITIVE), "atol": (1e-12, _POSITIVE),
-                      "phase_tol": (1e-10, _POSITIVE)}
         if experiment == "sweep":
             numerics = {"t_min": (0.05, _POSITIVE), "t_max": (5.0, _POSITIVE),
                         "points": (20, _COUNT), "samples": (65, _COUNT), **tolerances}
@@ -260,7 +263,6 @@ def resolve_config(
     model_kind: str = None,
     out_dir: str = None,
     out_format: str = None,
-    rtol: float = None,
 ) -> RunConfig:
     """Merge defaults, an optional config file, and command-line overrides.
 
@@ -312,10 +314,6 @@ def resolve_config(
         cfg["output"]["dir"] = out_dir
     if out_format is not None:
         cfg["output"]["format"] = out_format
-    if rtol is not None:
-        if "rtol" not in cfg["numerics"]:
-            raise ConfigInvalid(f"numerics.rtol: {experiment} takes no tolerance flag")
-        cfg["numerics"]["rtol"] = rtol
     _check(tree, cfg)
     for test, path, message in rules:
         if not test(cfg):

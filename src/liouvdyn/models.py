@@ -252,7 +252,8 @@ class HOProtocol:
     def _require_valid(self, t):
         """1/omega(t), once every time in t is checked to lie in the domain."""
         q = self._q(t)
-        # a plain-float test first: the ODE right-hand side calls this per step
+        # a plain-float test first: state reconstruction, theta and the boundary
+        # solves call this on one float at a time, hundreds of times per sweep
         if not (isinstance(t, float) and t < self.t_max and q > 0.0):
             _require_inside(t, (t >= self.t_max) | (q <= 0.0), self.t_max)
         return q

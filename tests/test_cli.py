@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import importlib
+import inspect
 import io
 import json
 import math
@@ -86,12 +87,30 @@ class TestConfigResolution:
     def test_flag_overrides_beat_file(self):
         cfg = resolve_config(
             "sweep",
-            {"experiment": "sweep", "output": {"format": "csv"}},
+            {"experiment": "sweep", "output": {"format": "csv", "dir": "a"}},
             out_format="json",
-            rtol=1e-8,
+            out_dir="b",
         )
-        assert cfg.output["format"] == "json"
-        assert cfg.numerics["rtol"] == 1e-8
+        assert cfg.output == {"format": "json", "dir": "b", "stem": "sweep"}
+
+    @pytest.mark.parametrize("experiment", ["sweep", "single"])
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    def test_exact_tolerances_only_where_the_exact_state_uses_them(self, experiment, key):
+        # the oscillator's exact state is closed form, the two-level one an
+        # SU(2) flow refined to rtol/atol
+        file_config = {"experiment": experiment, "numerics": {key: 1e-8}}
+        with pytest.raises(ConfigInvalid, match=rf"^unknown key numerics\.{key} "):
+            resolve_config(experiment, file_config)
+        assert resolve_config(experiment, file_config, model_kind="tls").numerics[key] == 1e-8
+        assert resolve_config("open", {"experiment": "open", "numerics": {key: 1e-8}}
+                              ).numerics[key] == 1e-8
+
+    def test_no_tolerance_comes_from_the_command_line(self):
+        assert "rtol" not in inspect.signature(resolve_config).parameters
+        for experiment in EXPERIMENTS:
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                main([experiment, "--tol", "1e-9"])
+            assert exc.value.code == 2
 
     def test_model_kind_conflict_is_rejected(self):
         file_config = {"experiment": "sweep", "model": {"kind": "tls"}}
@@ -164,11 +183,11 @@ KINDS = ("ho", "tls", "two-spin-local", "two-spin-nonlocal")
 SECTIONS = ("model", "protocol", "numerics", "output")
 # resolve_config(experiment, model_kind=kind).sha256() of every pair
 DEFAULT_SHA256 = {
-    ("sweep", "ho"): "a4fc06c704a1221cdd0bbae4663abd0f42edc8b722ccbe25377e326d45cf2854",
+    ("sweep", "ho"): "7df7574dcc321f06855469bf71f0a0ac4f780e89dc0aaf47def80cc3e8263d73",
     ("sweep", "tls"): "f1bf9958a15ed3a9e85bf6224fea88e255622b05b66d36aa0a34a6c406ebe5ac",
     ("diagnose", "ho"): "d81d9dae2a59706e7cc486c734b3094fec277ddb908aa5dd78e1cbcde6a4a862",
     ("diagnose", "tls"): "504443ff354018bcfda0032a7ae48a65a23c4cc5ce90b96a87e9db487412f07c",
-    ("single", "ho"): "f3f587c135891aaaa677ae9068453605098a3a1debb2a723c78102fc5d4c657e",
+    ("single", "ho"): "6b937951f4d3e4a73573639ea89f3be7e184dde140a0b39278add52a1324aff0",
     ("single", "tls"): "201a7a2bb85b6d751ea6a0889f079e6fb5ce7515ae1ed1a9318e218ffd45dc5e",
     ("open", "tls"): "5d5b9bf6fdbf3e7fb22f84b69b9485ab324c0014d5e9dcff736ece902e8a8ca0",
     ("geo", "ho"): "96d88ff4add4372efea1c9faa3065950f1ff0e1a5d320d6c1a5bc95329c2e8e6",
@@ -196,7 +215,7 @@ LEAVES = [
 
 class TestConfigSchema:
     def test_defaults_keep_their_hashes(self):
-        assert len(DEFAULT_SHA256) == 11 and len(LEAVES) == 139
+        assert len(DEFAULT_SHA256) == 11 and len(LEAVES) == 135
         for (experiment, kind), want in DEFAULT_SHA256.items():
             assert resolve_config(experiment, model_kind=kind).sha256() == want
 
@@ -352,7 +371,8 @@ def open_configs(draw):
     # static and driven ramps, drive rates out to the extremes; horizons
     # from 1e-3 to 1e4 and couplings up to 1 are drawn log-uniformly, and
     # some couplings are exactly 0; a horizon past t_max exits 2, as does a
-    # level-shift cutoff whose cube leaves the double range
+    # level-shift cutoff whose cube leaves the double range or that does not
+    # exceed the largest |alpha| of the run
     drive = st.just(0.0) | st.floats(-0.05, 0.05) | _EXTREMES
     protocol = {
         "epsilon": draw(st.floats(0.5, 16.0)),
@@ -386,9 +406,11 @@ class TestRunFuzz:
     """Whole ``sweep``, ``single``, ``diagnose``, ``geo`` and ``open`` runs
     on drawn file configs end with a documented exit code, no traceback, no
     RuntimeWarning (an overflow or an invalid operation), and a manifest
-    status that says the same as the code."""
+    status that says the same as the code.  An exit 4 is a numerical
+    failure, never a value the config checks should have refused."""
 
     STATUS = {0: ("ok",), 3: ("partial",), 4: ("failed", None), 2: (None,)}
+    CONFIG_GAPS = r"run failed: (ZeroDivisionError|OverflowError)|cutoff must exceed"
 
     def run(self, config):
         with tempfile.TemporaryDirectory() as tmp:
@@ -400,6 +422,7 @@ class TestRunFuzz:
             status = json.loads(manifest.read_text())["status"] if manifest.exists() else None
         assert code in self.STATUS, (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert not (code == 4 and re.search(self.CONFIG_GAPS, err.getvalue())), err.getvalue()
         assert status in self.STATUS[code], (code, status)
 
     @settings(max_examples=60)
@@ -448,6 +471,9 @@ class TestRunFuzz:
     @example({"experiment": "open", "model": {"bath": {"temperature": 0.0625}},
               "numerics": {"lamb_shift": True}})
     @example({"experiment": "open", "protocol": {"epsilon": 1e-200, "omega0": 1.0}})
+    # a level-shift cutoff below the gap, 17
+    @example({"experiment": "open", "model": {"bath": {"cutoff": 5.0}},
+              "numerics": {"lamb_shift": True}})
     def test_open(self, config):
         self.run(config)
 
@@ -537,18 +563,15 @@ class TestExitCodes:
         assert ("protocol.waypoints" in capsys.readouterr().err) == rejected
         assert code == 2 if rejected else code == 4
 
-    def test_total_runtime_failure_exits_four(self, tmp_path):
-        # a cutoff below the gap leaves the level shift undefined: mesolve
-        # fails before a single state is produced
+    def test_total_runtime_failure_exits_four(self, tmp_path, capsys):
+        # no double meets these tolerances: mesolve fails before a single
+        # state is produced
         cfg = write_json(
             tmp_path / "c.json",
-            {
-                "experiment": "open",
-                "model": {"bath": {"cutoff": 5.0}},
-                "numerics": {"lamb_shift": True},
-            },
+            {"experiment": "open", "numerics": {"rtol": 1e-300, "atol": 1e-300}},
         )
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == 4
+        assert "run failed: NotConverged" in capsys.readouterr().err
 
     def test_open_horizon_beyond_the_protocol_exits_two(self, tmp_path, capsys):
         # |omega/Omega| reaches 1 at t ~ 0.012, long before t_final
@@ -601,6 +624,29 @@ class TestExitCodes:
         assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == code
         if code == 2:
             assert "model.bath.cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol, cutoff, code", [
+        # the static default's |alpha| is the gap hypot(8, 15) = 17
+        ({}, 5.0, 2), ({}, 17.0, 2), ({}, 17.5, 0),
+        # |alpha| is 8.26 at both ends and 8.92 at t = 1, where mu = 0
+        ({"omega0": 2.0, "chi0": 0.05, "abar": -0.05}, 8.5, 2),
+        ({"omega0": 2.0, "chi0": 0.05, "abar": -0.05}, 8.95, 0),
+    ])
+    def test_level_shift_cutoff_below_the_largest_alpha_exits_two(
+        self, tmp_path, capsys, protocol, cutoff, code
+    ):
+        # the level shift is defined below the cutoff only, and the largest
+        # |alpha| of the run is known before it starts
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": "open",
+            "protocol": protocol,
+            "model": {"bath": {"cutoff": cutoff}},
+            "numerics": {"lamb_shift": True},
+        })
+        assert run_cli(["open", "--config", cfg, "--out", tmp_path / "out"]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith("config error: model.bath.cutoff: ")
+            assert not (tmp_path / "out").exists()
 
     def test_open_static_phase_beyond_double_precision_exits_two(self, tmp_path, capsys):
         # ||H|| = 8.5 at the default static drive: 1.2e11 * 8.5 > 1e12 rad
@@ -1510,7 +1556,7 @@ _CLI_EXIT = (
     (["--version"], 0),
     (["--help"], 0),
     (["sweep", "--threads", "2"], 2),
-    (["geo", "--model", "ho", "--tol", "1e-9"], 2),
+    (["open", "--model", "ho"], 2),
     (["open", "--config", "{config}"], 2),
 ], ids=["version", "help", "argparse-error", "flag-config-error", "file-config-error"])
 def test_runs_that_exit_before_computing_leave_numpy_unloaded(tmp_path, argv, code):
