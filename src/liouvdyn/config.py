@@ -37,6 +37,8 @@ _MODEL_KINDS = {
 # the level shifts take cutoff^3 in plain floats, which overflows past this
 _CUTOFF_MAX = sys.float_info.max ** (1.0 / 3.0)
 _SEPARATORS = tuple(sep for sep in (os.sep, os.altsep) if sep)
+# the two-level ramp squares its frequencies in plain floats, finite up to here
+_SQUARE_MAX = math.sqrt(sys.float_info.max)
 # circuits are tested up to here; past about 9e307 a segment's difference
 # of two waypoints overflows
 _WAYPOINT_MAX = 1e300
@@ -68,6 +70,8 @@ _FLAG = (lambda v: isinstance(v, bool), "must be true or false")
 _NO_NUL = (lambda v: "\0" not in v, "must not contain a NUL character")
 _TRIPLE = (lambda v: _is_vector(v, 3), "must be a list of three numbers")
 _COUNT = (lambda v: _is_int(v, 2), "must be an integer >= 2")
+_SQUARABLE = (lambda v: math.isfinite(float(v) * float(v)),
+              f"must be at most {_SQUARE_MAX:.6g}: its square must be a finite double")
 
 
 def _one_of(choices, message):
@@ -168,6 +172,8 @@ def _schema(experiment: str, kind: str):
             tolerances = {"rtol": (1e-10, _POSITIVE), "atol": (1e-12, _POSITIVE), **tolerances}
             model["initial_values"] = ([4.0, 1.0, 1.0], _TRIPLE)
             protocol["epsilon"] = (8.0, _POSITIVE)
+            for key in ("omega_start", "omega_target"):
+                protocol[key] += (_SQUARABLE,)
             rules += [(lambda c, key=key: c["protocol"][key] > c["protocol"]["epsilon"],
                        f"protocol.{key}", "must exceed protocol.epsilon (the gap never closes)")
                       for key in ("omega_start", "omega_target")]

@@ -27,7 +27,7 @@ from .errors import (
     NotConverged,
     UnsupportedDimension,
 )
-from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes, transport
+from .linalg import DEGENERACY_GAP, STACK_NODES, eigenframes, interleave, transport
 
 _REFINE_TOL = 1e-8
 _MAX_DOUBLINGS = 6
@@ -61,11 +61,16 @@ class ParameterCircuit:
     def dim(self) -> int:
         return np.atleast_1d(np.asarray(self.path(0.0))).size
 
-    def points(self, n: int = None) -> np.ndarray:
-        """(n+1, d) array of path samples at uniform s."""
+    def points(self, n: int = None, *, odd: bool = False) -> np.ndarray:
+        """(n+1, d) array of path samples at s = i/n, or with ``odd`` the
+        n/2 samples at odd i alone: the nodes that level n adds to level
+        n/2, whose points i are its points 2i bit for bit."""
         n = self.samples if n is None else int(n)
         return np.array(
-            [np.atleast_1d(np.asarray(self.path(i / n), dtype=float)) for i in range(n + 1)]
+            [
+                np.atleast_1d(np.asarray(self.path(i / n), dtype=float))
+                for i in range(1 if odd else 0, n + 1, 2 if odd else 1)
+            ]
         )
 
     @classmethod
@@ -177,18 +182,20 @@ def _combine(family: GeneratorFamily, values) -> np.ndarray:
     )
 
 
-def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.ndarray:
+def _walk_logs(family: GeneratorFamily, frames: list, closed: bool) -> np.ndarray:
     """Per-mode transport log sums along a path of sampled parameter points.
 
-    Each part (``_parts``) is walked on its own frames: the log of a
-    Kronecker product mode is the sum of its factors' logs, and modes of
-    different blocks never overlap.  For closed paths the return to the
-    start reuses the part's starting frame, so per-node gauge choices
-    cancel exactly; a non-identity closing permutation means the circuit
-    encloses a branch point.
+    ``frames`` holds each part's (``_parts``) rights and lefts at the
+    points, the closing point of a closed path left out; each part is
+    walked on its own frames: the log of a Kronecker product mode is the
+    sum of its factors' logs, and modes of different blocks never
+    overlap.  For closed paths the return to the start reuses the part's
+    starting frame, so per-node gauge choices cancel exactly; a
+    non-identity closing permutation means the circuit encloses a branch
+    point.
     """
     logs = []
-    for _, rights, lefts, _, _, _ in _parts(family, pts[:-1] if closed else pts):
+    for rights, lefts in frames:
         if closed:
             rights = np.concatenate([rights, rights[:1]])
             lefts = np.concatenate([lefts, lefts[:1]])
@@ -200,6 +207,34 @@ def _walk_logs(family: GeneratorFamily, pts: np.ndarray, closed: bool) -> np.nda
             )
         logs.append(part_logs)
     return _combine(family, logs)
+
+
+def _line_levels(family: GeneratorFamily, circuit: ParameterCircuit):
+    """Part frames for ``_walk_logs`` of the levels n0, 2 n0, 4 n0, ... of
+    ``circuit.samples`` = n0 segments, one per ``next``, in the order
+    ``_refine`` evaluates them.
+
+    Point i of level n is point 2i of level 2n bit for bit, and each node's
+    frame is its matrix's alone, so one ``_parts`` stack on level 2 n0's
+    nodes serves the first two levels, and each later level diagonalizes
+    only its new odd nodes, woven between the frames of the level before.
+    """
+
+    def frames(pts):
+        return [(rights, lefts) for _, rights, lefts, *_ in _parts(family, pts)]
+
+    n = 2 * circuit.samples
+    pts = circuit.points(n)
+    level = frames(pts[:-1] if circuit.closed else pts)
+    yield [(rights[::2], lefts[::2]) for rights, lefts in level]
+    while True:
+        yield level
+        n *= 2
+        new = frames(circuit.points(n, odd=True))
+        level = [
+            (interleave(rights, odd_rights), interleave(lefts, odd_lefts))
+            for (rights, lefts), (odd_rights, odd_lefts) in zip(level, new)
+        ]
 
 
 def _refine(evaluate, n0: int) -> np.ndarray:
@@ -300,12 +335,33 @@ def line_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.ndarra
     Gauge-invariant for closed circuits.  One walk per refinement level
     serves every mode; the discretization is doubled and
     Richardson-extrapolated at second order until every mode's raw levels
-    agree within 1e-9 or its successive extrapolants within 1e-8.
+    agree within 1e-9 or its successive extrapolants within 1e-8.  The
+    levels are nested (``_line_levels``): one eigenframes stack samples the
+    first two, and each later one diagonalizes only the nodes it adds, so
+    the phases are those of evaluating every level whole.
     """
+    levels = _line_levels(family, circuit)
     return _refine(
-        lambda n: -_walk_logs(family, circuit.points(n), circuit.closed).imag,
-        circuit.samples,
+        lambda n: -_walk_logs(family, next(levels), circuit.closed).imag, circuit.samples
     )
+
+
+@functools.cache
+def _spoke_rule():
+    """Nodes and weights of the 8-node Gauss-Legendre rule on [0, 1] that
+    ``surface_phases`` integrates along each spoke, built on first use and
+    read-only.
+
+    The boundary's midpoint rule carries the second-order error the
+    extrapolation removes; a fixed 8-node spoke rule sits far below the
+    tolerance, and its residual is a near-constant offset that cancels
+    between levels, so the rule needs no more nodes as n grows.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    rule = (nodes + 1.0) / 2.0, weights / 2.0
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.ndarray:
@@ -333,12 +389,7 @@ def surface_phases(family: GeneratorFamily, circuit: ParameterCircuit) -> np.nda
     def padded(v):
         return np.pad(v, ((0, 0), (0, 3 - v.shape[1])))
 
-    # the boundary's midpoint rule carries the second-order error the
-    # extrapolation removes; a fixed 8-node spoke rule sits far below the
-    # tolerance, and its residual is a near-constant offset that cancels
-    # between levels, so the rule needs no more nodes as n grows
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    r, w = (nodes + 1.0) / 2.0, weights / 2.0
+    r, w = _spoke_rule()
 
     def evaluate(n):
         both = circuit.points(2 * n)

@@ -4,11 +4,15 @@ The propagators in this package diagonalize generators whose right and left
 eigenvectors differ in general.  This module produces gauge-fixed
 bi-orthonormal frames and tracks eigenpair identity along parameter sweeps,
 on whole stacks of generators at once (``eigenframes``, ``transport``).
-Each matrix takes one of three routes, all sharing the gauge and every
+Each matrix takes one of four routes, all sharing the gauge and every
 guard:
-- exactly Hermitian, as every two-level and spin generator 1j (A0 + chi A1)
-  with real antisymmetric A0, A1 is: ``eigh``, whose orthonormal rights are
-  their own lefts;
+- exactly Hermitian 3 x 3 with zero real part, as every two-level and spin
+  generator 1j (A0 + chi A1) with real antisymmetric A0, A1 is: B = i [a]x
+  generates rotations about a, so its frame is closed: eigenvalues 0 and
+  +-|a| with the axis a/|a| and the circular vectors about it, no
+  root-finding and no sort;
+- any other exactly Hermitian one: ``eigh``; on both Hermitian routes the
+  orthonormal rights are their own lefts;
 - non-Hermitian of size 2 or 3, as the oscillator's blocks are: closed
   form, the roots of the characteristic quadratic or cubic (Smith, Commun.
   ACM 4, 168, 1961) with adjugate eigenvectors, certified by the guards
@@ -18,7 +22,8 @@ guard:
 - any other: the general ``eig`` and an inverse.
 ``chebyshev_nodes`` and ``interleave`` hold the nested node set of the
 spectral quadratures: a level is sampled whole once, and each doubling
-only at its new odd nodes, interleaved with the samples before.
+only at its new odd nodes, interleaved with the samples before; the
+geometric line form nests its uniform levels the same way.
 ``su2_flow`` is the one propagator of a spin-1/2 in a time-dependent field:
 stacked sixth-order Magnus steps (``magnus_axes``), exponentiated by ``su2``
 and multiplied by ``ordered_product``.  The two-level exact reference
@@ -59,6 +64,8 @@ _CYCLIC = np.array([1, 2, 0, 1])
 _CHECKERBOARD = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # the three cube roots of unity
 _CUBE_UNITY = np.exp(2j * np.pi / 3.0) ** np.arange(3)
+# the coordinate axes, row by row
+_AXES = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,11 @@ def eigenframes(B, *, blocks=None):
     each right eigenvector real and positive with unit 2-norm; the lefts
     come from the inverse right-eigenvector matrix, so G_k^H F_n =
     delta_kn.  Each matrix takes its own route, so every frame of a stack
-    is the frame of its matrix alone: an exactly Hermitian one ``eigh``,
-    its lefts equal to its orthonormal rights (in an array of their own);
-    a non-Hermitian 2 x 2 or 3 x 3 one the closed form of
+    is the frame of its matrix alone: an exactly Hermitian 3 x 3 one with
+    zero real part, i [a]x, the axial frame of ``_so3_eigensystem``; any
+    other exactly Hermitian one ``eigh``; on both, the lefts equal the
+    orthonormal rights (in an array of their own); a non-Hermitian 2 x 2
+    or 3 x 3 one the closed form of
     ``_closed_eigensystem`` (Smith 1961), kept where its frame passes
     every guard below and else diagonalized again by ``eig`` (closed roots
     lose accuracy near multiple eigenvalues; Kopp 2008); any other ``eig``.
@@ -167,18 +176,39 @@ def _diagonalize(B: np.ndarray):
         return B[:, 0, :].copy(), np.ones_like(B), np.ones_like(B)
 
     # B = 1j (A0 + chi A1) with A0, A1 real antisymmetric is Hermitian bit
-    # for bit: eigh gives orthonormal rights, whose inverse is their adjoint.
-    # Each matrix takes its own route, so no frame depends on its stack
+    # for bit, with orthonormal rights whose inverse is their adjoint, and
+    # at m = 3 it is i [a]x.  Each matrix takes its own route, so no frame
+    # depends on its stack
     exact = np.all(B == B.conj().transpose(0, 2, 1), axis=(1, 2))
-    if exact.any() and not exact.all():
-        lam, rights, lefts = np.empty(B.shape[:2], dtype=complex), np.empty_like(B), np.empty_like(B)
-        for part in (exact, ~exact):
-            with nodes_at(np.flatnonzero(part)):
-                lam[part], rights[part], lefts[part] = _diagonalize(B[part])
-        return lam, rights, lefts
-    if exact.all():
-        lam, vr = np.linalg.eigh(B)
-        return _framed(B, lam.astype(complex), vr, _adjoint)
+    route = exact.astype(np.intp)
+    if m == 3:
+        route += exact & ~B.real.any(axis=(1, 2))
+    # the Hermitian routes first: in a mixed stack their guard errors come first
+    kinds = np.flatnonzero(np.bincount(route, minlength=3))[::-1]
+    if len(kinds) == 1:
+        return _ROUTES[kinds[0]](B)
+    lam, rights, lefts = np.empty(B.shape[:2], dtype=complex), np.empty_like(B), np.empty_like(B)
+    for kind in kinds:
+        part = route == kind
+        with nodes_at(np.flatnonzero(part)):
+            lam[part], rights[part], lefts[part] = _ROUTES[kind](B[part])
+    return lam, rights, lefts
+
+
+def _hermitian(B):
+    lam, vr = np.linalg.eigh(B)
+    return _framed(B, lam.astype(complex), vr, _adjoint)
+
+
+def _so3(B):
+    # the frame comes in mode order, and its smallest gap is |a|
+    with np.errstate(all="ignore"):
+        lam, vr = _so3_eigensystem(B)
+    return _checked(B, lam, vr, lam[:, 1].real, _adjoint)
+
+
+def _general(B):
+    m = B.shape[1]
     if m > 3:
         return _framed(B, *np.linalg.eig(B), _inverse)
     # a node whose closed-form frame misses a bound is diagonalized again
@@ -193,10 +223,48 @@ def _diagonalize(B: np.ndarray):
     return lam, rights, lefts
 
 
+_ROUTES = (_general, _hermitian, _so3)
+
+
+def _so3_eigensystem(B):
+    """Eigenvalues and right eigenvectors, in ``_mode_order``, of a stack of
+    3 x 3 matrices B = i [a]x, a = (A21, A02, A10) read from A = B.imag.
+
+    B v = i a x v, so the eigenvalues are 0, |a| and -|a|, with the
+    orthonormal axis n = a/|a| and (u + i v)/sqrt 2, (u - i v)/sqrt 2,
+    where u = n x e_k normalized, e_k the axis least aligned with n, and
+    v = n x u: a x (u + i v) = -i |a| (u + i v).  a is scaled by the power
+    of two of its largest entry, as in ``_closed_eigensystem``, so |a|
+    neither overflows nor underflows before it is scaled back.  The caller
+    runs it with floating-point warnings off: a = 0 gives NaN vectors,
+    which the gap guard stops first.
+    """
+    a = B.imag[:, (2, 0, 1), (1, 2, 0)]
+    e = np.frexp(np.abs(a).max(axis=1))[1]
+    a = np.ldexp(a, -e[:, None])
+    size = np.sqrt((a * a).sum(axis=1))
+    n = a / size[:, None]
+    u = _cross(n, _AXES[np.abs(n).argmin(axis=1)])
+    u /= np.sqrt((u * u).sum(axis=1))[:, None]
+    lam = np.zeros((len(B), 3), dtype=complex)
+    lam[:, 1] = np.ldexp(size, e)
+    lam[:, 2] = -lam[:, 1]
+    vr = np.empty_like(B)
+    vr[:, :, 0] = n
+    vr[:, :, 1] = (u + 1j * _cross(n, u)) * math.sqrt(0.5)
+    vr[:, :, 2] = vr[:, :, 1].conj()
+    return lam, vr
+
+
 def _framed(B, lam, vr, invert):
     """Ordered, gauge-fixed frames of the eigenpairs (lam, vr) of a stack,
     the lefts from ``invert(rights)``, with every guard raising."""
-    lam, vr, gap = _ordered(lam, vr)
+    return _checked(B, *_ordered(lam, vr), invert)
+
+
+def _checked(B, lam, vr, gap, invert):
+    """``_framed`` of eigenpairs already in ``_mode_order``, with the
+    minimal eigenvalue gap of every node."""
     guard(DegenerateSpectrum, _gap_check(gap))
     rights = _gauged(vr)
     inverse = invert(rights)
@@ -443,8 +511,15 @@ def chebyshev_nodes(n: int) -> np.ndarray:
 
 def interleave(old, odd, axis: int = 0) -> np.ndarray:
     """Samples of the next level along ``axis``: those of the level before
-    (``old``) with the new odd nodes' samples (``odd``) between them."""
-    return np.insert(old, np.arange(1, old.shape[axis]), odd, axis=axis)
+    (``old``) at the even places and the new odd nodes' samples (``odd``)
+    at the odd ones, n + 1 and n of them on a closed interval, n and n on
+    a closed circuit, whose closing node is left out."""
+    shape = list(old.shape)
+    shape[axis] += odd.shape[axis]
+    out = np.empty(shape, dtype=old.dtype)
+    lead = (slice(None),) * axis
+    out[(*lead, slice(0, None, 2))], out[(*lead, slice(1, None, 2))] = old, odd
+    return out
 
 
 def chebyshev_coefficients(values) -> np.ndarray:
@@ -491,7 +566,7 @@ MAGNUS_MAX_STEPS = 2**16
 # steps per radian of rotation at which the users' first Magnus level
 # starts: about where two levels agree to 1e-10 on the two-level drives
 MAGNUS_STEPS_PER_RAD = 6.0
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def magnus_axes(field, edges) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Everything in this module is derived from first principles (operator
 algebra, textbook closed forms) without importing the package under test,
-so agreement between the two is meaningful.  Five exceptions replay an
+so agreement between the two is meaningful.  Six exceptions replay an
 older route through the package's own frame layer: ``per_row_diagnose``
 runs the ``diagnose`` row loop through the one-point functions, so the
 stacked column can be held to it, ``per_point_sweep`` runs a duration
@@ -10,7 +10,9 @@ sweep one point at a time through the one-point propagators, so the
 batched sweep can be held to it, ``grid_inertial`` runs the uniform
 grid inertial propagation, so the spectral route can be held to it,
 ``segment_surface_phases`` runs the surface form one curvature stack per
-boundary segment, so the stacked levels can be held to it, and
+boundary segment, so the stacked levels can be held to it,
+``level_line_phases`` samples and diagonalizes every level of the line
+form whole, so the nested levels can be held to it, and
 ``effective_frequencies`` takes the frame connection by a finite
 difference of the package's frames, so the closed-form two-level
 channel frequencies can be held to it.
@@ -870,6 +872,19 @@ def segment_surface_phases(family, circuit):
             for term in (w * r)[:, None] * (curv @ patch):
                 flux = flux + term
         return -flux.imag
+
+    return _refine(evaluate, circuit.samples)
+
+
+def level_line_phases(family, circuit):
+    """``geometric.line_phases`` with every refinement level sampled and
+    diagonalized whole, under the package's doubling loop."""
+    from liouvdyn.geometric import _parts, _refine, _walk_logs
+
+    def evaluate(n):
+        pts = circuit.points(n)
+        parts = _parts(family, pts[:-1] if circuit.closed else pts)
+        return -_walk_logs(family, [(r, g) for _, r, g, *_ in parts], circuit.closed).imag
 
     return _refine(evaluate, circuit.samples)
 

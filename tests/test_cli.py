@@ -770,6 +770,30 @@ class TestExitCodes:
         with pytest.raises(ConfigInvalid, match="model.mass"):
             resolve_config("single", {"experiment": "single", "model": {"mass": 2**1024}})
 
+    @pytest.mark.parametrize("value", [1.4e154, 1e300])
+    @pytest.mark.parametrize("key", ["omega_start", "omega_target"])
+    @pytest.mark.parametrize("experiment", ["sweep", "single", "diagnose"])
+    def test_two_level_ramp_frequencies_past_the_squared_range_exit_two(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        # the two-level ramp squares both; omega_start exited 4 with an
+        # OverflowError, omega_target failed its points
+        cfg = write_json(tmp_path / "c.json", {
+            "experiment": experiment, "model": {"kind": "tls"}, "protocol": {key: value}})
+        assert run_cli([experiment, "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert f"protocol.{key}: must be at most 1.34078e+154" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_the_largest_squarable_ramp_frequency_is_a_frequency(self):
+        top = math.sqrt(sys.float_info.max)
+        for value, kind in ((top, "tls"), (math.nextafter(top, math.inf), "ho")):
+            cfg = resolve_config("single", {"experiment": "single", "model": {"kind": kind},
+                                            "protocol": {"omega_start": value}})
+            assert cfg.protocol["omega_start"] == value
+        with pytest.raises(ConfigInvalid, match="protocol.omega_start"):
+            resolve_config("single", {"experiment": "single", "model": {"kind": "tls"},
+                                      "protocol": {"omega_start": math.nextafter(top, math.inf)}})
+
     @pytest.mark.parametrize("experiment", ["sweep", "single", "diagnose", "open", "geo"])
     def test_threads_outside_sweeps_exits_two(self, tmp_path, experiment):
         # no experiment takes a thread count: the key is unknown, the flag absent
@@ -846,9 +870,9 @@ class TestGeoCommand:
         calls = {}
         points, refine = geometric.ParameterCircuit.points, geometric._refine
 
-        def counted_points(circuit, n=None):
-            calls["points"] += 1
-            return points(circuit, n)
+        def counted_points(circuit, n=None, *, odd=False):
+            calls["odd" if odd else "points"] += 1
+            return points(circuit, n, odd=odd)
 
         def counted_refine(evaluate, n0):
             calls["refines"] += 1
@@ -863,7 +887,7 @@ class TestGeoCommand:
         monkeypatch.setattr(geometric, "_refine", counted_refine)
         counts = []
         for modes in ("all", [0]):
-            calls.update(points=0, refines=0, levels=0)
+            calls.update(points=0, odd=0, refines=0, levels=0)
             cfg = write_json(
                 tmp_path / "c.json",
                 {"experiment": "geo", "numerics": {"method": "both", "modes": modes}},
@@ -872,7 +896,10 @@ class TestGeoCommand:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["refines"] == 2
-        assert counts[0]["points"] == counts[0]["levels"]
+        # the surface form samples each level whole; the line form samples
+        # its first two levels in one call and each later one at its new
+        # odd nodes alone
+        assert counts[0]["points"] + counts[0]["odd"] == counts[0]["levels"] - 1
 
     def test_mode_subset_rows_match_all_modes_run(self, tmp_path):
         lines = {}
@@ -1166,10 +1193,10 @@ class TestExactRoute:
 
 
 class TestHermitianRoute:
-    """The two-level and two-spin generators are Hermitian bit for bit, so
-    their frames come from eigh.  A coupling that lost exact antisymmetry
-    would send them back through the general eig, and lose its speed
-    without failing any other test."""
+    """The two-level and two-spin generators are i [a]x bit for bit, so
+    their frames come from the closed so(3) route.  A coupling that lost
+    exact antisymmetry would send them back through eigh or the general
+    eig, and lose its speed without failing any other test."""
 
     @pytest.mark.parametrize(
         "experiment, kind",
@@ -1177,15 +1204,18 @@ class TestHermitianRoute:
     )
     def test_default_run_takes_no_general_eigensolve(self, tmp_path, monkeypatch, experiment, kind):
         # single is one point of the sweep, and geo's default method is line
-        general, hermitian = [], []
-        real_eig, real_eigh = np.linalg.eig, np.linalg.eigh
+        general, hermitian, axial = [], [], []
+        real_eig, real_eigh, real_so3 = np.linalg.eig, np.linalg.eigh, linalg._so3_eigensystem
         monkeypatch.setattr(np.linalg, "eig", lambda M: general.append(len(M)) or real_eig(M))
         monkeypatch.setattr(
             np.linalg, "eigh", lambda M: hermitian.append(len(M)) or real_eigh(M)
         )
+        monkeypatch.setattr(
+            linalg, "_so3_eigensystem", lambda B: axial.append(len(B)) or real_so3(B)
+        )
         cfg = write_json(tmp_path / "c.json", {"experiment": experiment, "model": {"kind": kind}})
         assert run_cli([experiment, "--config", cfg, "--out", tmp_path]) == 0
-        assert general == [] and hermitian
+        assert general == [] and hermitian == [] and axial
 
 
 class TestClosedFormRoute:

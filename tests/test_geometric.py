@@ -58,6 +58,14 @@ def spin_family():
     return GeneratorFamily(coupling=(ZERO, PAULI_X, PAULI_Y, PAULI_Z))
 
 
+def spin_one_family():
+    # chi . L of a spin 1 in the Cartesian basis, L_k = i [e_k]x: every
+    # node takes the so(3) route, and modes 1 and 2 pick up twice the
+    # phases of chi . sigma
+    axes = np.eye(3)
+    return GeneratorFamily(coupling=(np.zeros((3, 3)), *(1j * np.cross(axes, e) for e in axes)))
+
+
 def curved_block_family():
     # chi . sigma on parameters 0-2 beside the flat three-level block of
     # the spin triple on parameter 0
@@ -478,6 +486,36 @@ class TestSolidAngle:
         for phases in (line_phases(spin_family(), circ), surface_phases(spin_family(), circ)):
             err = np.remainder(phases - [half, -half] + math.pi, 2.0 * math.pi) - math.pi
             assert np.max(np.abs(err)) <= 2e-9
+
+
+class TestNestedLineLevels:
+    @pytest.mark.parametrize("family", [spin_family, spin_one_family])
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    def test_phases_equal_every_level_evaluated_whole(self, family, closed, monkeypatch):
+        # the anchor circle, or an open arc of it, refined from 16 segments
+        # to 128 or more: one stack holds the first two levels and each
+        # later one diagonalizes its new odd nodes alone, and since point i
+        # of level n is point 2i of level 2n, no phase moves by a bit
+        if closed:
+            circ = anchor_circuit(16)
+        else:
+            circ = ParameterCircuit(path=lambda s: anchor_point(0.6 * s), closed=False, samples=16)
+        levels, sizes = [], []
+        refine, frames = geometric._refine, geometric.eigenframes
+        monkeypatch.setattr(geometric, "_refine", lambda evaluate, n0: refine(
+            lambda n: levels.append(n) or evaluate(n), n0))
+        monkeypatch.setattr(geometric, "eigenframes", lambda B: sizes.append(len(B)) or frames(B))
+        got = line_phases(family(), circ)
+        assert len(levels) >= 4
+        assert sizes == [2 * levels[0] + (not closed)] + [n // 2 for n in levels[2:]]
+        monkeypatch.undo()
+        assert got.tobytes() == oracles.level_line_phases(family(), circ).tobytes()
+
+    def test_spin_one_carries_twice_the_spin_half_phases(self):
+        circ = anchor_circuit()
+        line = line_phases(spin_one_family(), circ)
+        assert line[0] == 0.0
+        assert np.max(np.abs(line[1:] - 2.0 * line_phases(spin_family(), circ))) < 1e-8
 
 
 class TestSpinAnchor:

@@ -20,6 +20,18 @@ def tls(mu):
     return 1j * np.array([[0, -mu, 0], [mu, 0, -1], [0, 1, 0]], dtype=complex)
 
 
+def hermitian(mu):
+    # Hermitian with a real part, so it takes eigh and not the so(3) route
+    return tls(mu) + np.array([[0.1, 0.05, 0.0], [0.05, 0.0, 0.0], [0.0, 0.0, -0.1]])
+
+
+# each Hermitian route: a matrix that takes it, and the solver it calls
+HERMITIAN_ROUTES = {
+    "so3": (tls, (linalg, "_so3_eigensystem")),
+    "eigh": (hermitian, (np.linalg, "eigh")),
+}
+
+
 def turned(solve, nodes=slice(None)):
     """``solve`` with the first two eigenvectors of the ``nodes`` of a stack
     turned by 1e-6 into each other: an orthonormal frame that no longer
@@ -133,12 +145,15 @@ class TestFailureModes:
         # entries of 1e160 square past 1e308, yet the residual bound stays
         # finite: exact frames pass, and eigenvectors each turned by 1e-6
         # into their neighbour, still orthonormal, fail.  The tls
-        # generator is Hermitian, so it is eigh that is spoiled
-        B = 1e160 * tls(0.3)
-        bi_eigendecompose(B)
-        monkeypatch.setattr(np.linalg, "eigh", turned(np.linalg.eigh))
-        with pytest.raises(NotDiagonalizable, match="residual"):
+        # generator takes the so(3) route, and one with a real part eigh:
+        # each route's solver is spoiled in turn
+        for build, (owner, name) in HERMITIAN_ROUTES.values():
+            B = 1e160 * build(0.3)
             bi_eigendecompose(B)
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, turned(getattr(owner, name)))
+                with pytest.raises(NotDiagonalizable, match="residual"):
+                    bi_eigendecompose(B)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_residual_guard_of_the_general_route(self, monkeypatch):
@@ -168,25 +183,25 @@ class TestFailureModes:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "B, solver, closed",
+        "B, solvers",
         [
-            (9.5e307 * tls(0.3), "eigh", False),
-            (5e307 * ho_upper(0.3), "eig", True),
-            (1.5e308 * tls(0.3), "eigh", False),
+            (9.5e307 * hermitian(0.3), [HERMITIAN_ROUTES["eigh"][1]]),
+            (9.5e307 * tls(0.3), [HERMITIAN_ROUTES["so3"][1]]),
+            (5e307 * ho_upper(0.3), [(np.linalg, "eig"), (linalg, "_closed_eigensystem")]),
+            (1.5e308 * hermitian(0.3), [HERMITIAN_ROUTES["eigh"][1]]),
+            (1.5e308 * tls(0.3), [HERMITIAN_ROUTES["so3"][1]]),
         ],
-        ids=["eigh", "eig", "eigh-norm-past-the-largest-double"],
+        ids=["eigh", "so3", "eig", "eigh-norm-past-the-largest-double",
+             "so3-norm-past-the-largest-double"],
     )
-    def test_residual_guard_holds_for_entries_past_2_to_the_1023(
-        self, monkeypatch, B, solver, closed
-    ):
+    def test_residual_guard_holds_for_entries_past_2_to_the_1023(self, monkeypatch, B, solvers):
         # the power of two of such an entry, 2^1024, is no double, and at
         # 1.5e308 the Frobenius norm is none either: residual and bound are
         # compared in units of that power of two
         assert np.abs(B).max() >= 2.0**1023
         bi_eigendecompose(B)
-        monkeypatch.setattr(np.linalg, solver, turned(getattr(np.linalg, solver)))
-        if closed:
-            monkeypatch.setattr(linalg, "_closed_eigensystem", turned(linalg._closed_eigensystem))
+        for owner, name in solvers:
+            monkeypatch.setattr(owner, name, turned(getattr(owner, name)))
         with pytest.raises(NotDiagonalizable, match="residual"):
             bi_eigendecompose(B)
 
@@ -201,16 +216,19 @@ class TestFailureModes:
 
     def test_hermitian_route_checks_orthonormality(self, monkeypatch):
         # eigenvectors each mixed with 1e-6 of their neighbour are no
-        # longer orthonormal, so their adjoint is no inverse
-        eigh = np.linalg.eigh
+        # longer orthonormal, so their adjoint is no inverse, on the
+        # so(3) route and on eigh
+        for build, (owner, name) in HERMITIAN_ROUTES.values():
+            solve = getattr(owner, name)
 
-        def mixed(M):
-            lam, vr = eigh(M)
-            return lam, vr + 1e-6 * np.roll(vr, 1, axis=-1)
+            def mixed(M, solve=solve):
+                lam, vr = solve(M)
+                return lam, vr + 1e-6 * np.roll(vr, 1, axis=-1)
 
-        monkeypatch.setattr(np.linalg, "eigh", mixed)
-        with pytest.raises(NotDiagonalizable, match="bi-orthonormality"):
-            bi_eigendecompose(tls(0.3))
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, mixed)
+                with pytest.raises(NotDiagonalizable, match="bi-orthonormality"):
+                    bi_eigendecompose(build(0.3))
 
     def test_hermitian_lefts_are_the_rights_in_their_own_array(self):
         frame = bi_eigendecompose(tls(0.3))

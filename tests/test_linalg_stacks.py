@@ -3,9 +3,10 @@
 Inputs are random diagonalizable non-Hermitian stacks V(s) diag(lam(s))
 V(s)^-1 along a path s in [0, 1], with a well-conditioned V and a
 spectrum spaced far above the degeneracy gap, and random Hermitian
-rotation generators 1j (A0 + chi A1), which take the ``eigh`` route.
-Non-Hermitian 2 x 2 and 3 x 3 stacks, and the oscillator's blocks, take
-the closed form, held here to the frames and errors of ``eig``.
+rotation generators 1j (A0 + chi A1), which take the so(3) route, held
+to the frames of ``eigh``.  Non-Hermitian 2 x 2 and 3 x 3 stacks, and
+the oscillator's blocks, take the closed form, held here to the frames
+and errors of ``eig``.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from liouvdyn import linalg, models
 from liouvdyn.errors import DegenerateSpectrum, LiouvdynError, NotDiagonalizable
-from liouvdyn.linalg import bi_eigendecompose, eigenframes, transport
+from liouvdyn.linalg import DEGENERACY_GAP, bi_eigendecompose, eigenframes, transport
 
 import oracles
 
@@ -130,6 +131,55 @@ def test_hermitian_route_agrees_with_the_general_route(seed, chis):
     np.testing.assert_allclose(rights, want_rights, rtol=0, atol=1e-10)
 
 
+@st.composite
+def axis_vectors(draw):
+    """Axis vectors a of i [a]x, the largest entry from 1e-300 to 1e300 in
+    size, half of them within 1e-16 to 1e-3 of a coordinate axis or on one."""
+    a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 2))
+        a *= draw(st.sampled_from([0.0, 1e-16, 1e-9, 1e-3]))
+        a[k] = draw(st.sampled_from([1.0, -1.0]))
+    assume(np.abs(a).max() > 0.0)
+    return a / np.abs(a).max() * 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+def cross_matrices(a):
+    """The (N, 3, 3) stack i [a]x of the (N, 3) axis vectors a."""
+    return 1j * np.cross(np.eye(3)[None], a[:, None, :])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.lists(axis_vectors(), min_size=1, max_size=4))
+def test_so3_route_agrees_with_eigh(axes):
+    # eigenvalues 0, +|a|, -|a| in mode order, with the gauged frames of
+    # eigh; an axis shorter than the degeneracy gap raises for its node.
+    # eigh's +-|a| pair may come in either order once 1e-9 rounding no
+    # longer ties their magnitudes, so its columns are sorted by eigenvalue
+    a = np.array(axes)
+    size = np.hypot(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
+    assume(np.all(np.abs(size / DEGENERACY_GAP - 1.0) > 1e-9))
+    B = cross_matrices(a)
+    short = np.flatnonzero(size < DEGENERACY_GAP)
+    if short.size:
+        with pytest.raises(DegenerateSpectrum) as info:
+            eigenframes(B)
+        assert sorted(info.value.nodes) == short.tolist()
+        return
+    lam, rights, lefts = eigenframes(B)
+    assert np.array_equal(linalg._mode_order(lam), np.tile(np.arange(3), (len(a), 1)))
+    assert np.all(lam[:, 0] == 0.0) and np.array_equal(lam[:, 1], -lam[:, 2])
+    np.testing.assert_allclose(lam[:, 1].real, size, rtol=1e-15)
+    want_lam, want_rights, want_lefts = linalg._hermitian(B)
+    order = np.argsort(-want_lam.real, axis=1)[:, [1, 0, 2]]
+    want = [np.take_along_axis(want_lam, order, axis=1)] + [
+        np.take_along_axis(f, order[:, None, :], axis=2) for f in (want_rights, want_lefts)
+    ]
+    assert np.all(np.abs(lam - want[0]).max(axis=1) <= 1e-14 * size)
+    np.testing.assert_allclose(rights, want[1], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(lefts, want[2], rtol=0, atol=1e-14)
+
+
 def _assemble(frames, sizes):
     """Per-block frame stacks placed block-diagonally at full dimension."""
     n, m = len(frames[0][0]), sum(sizes)
@@ -212,7 +262,7 @@ def test_a_bad_node_in_one_block_raises_as_the_per_block_call(stack, kind, data)
 @given(seeds)
 def test_a_mixed_stack_routes_each_matrix_alone(seed):
     # a Hermitian rotation generator between two non-Hermitian matrices
-    # still takes eigh, as it does alone
+    # still takes the so(3) route, as it does alone
     rng = np.random.default_rng(seed)
     H = 1j * (antisymmetric(rng) + 0.7 * antisymmetric(rng))
     assume(np.linalg.norm(H) > 0.1)
@@ -282,7 +332,8 @@ def test_closed_form_agrees_with_eig_on_interior_stacks(seed, m, n, real):
 @given(st.lists(st.floats(-1.99, 1.99), min_size=1, max_size=8), st.sampled_from(HO_BLOCKS))
 def test_closed_form_agrees_with_eig_on_oscillator_blocks(mus, block):
     B = ho_block(mus, block)
-    assume(not np.all(B == B.conj().transpose(0, 2, 1), axis=(1, 2)).any())  # mu = 0 takes eigh
+    # mu = 0 takes a Hermitian route
+    assume(not np.all(B == B.conj().transpose(0, 2, 1), axis=(1, 2)).any())
     assert_frames_agree(closed_form(B), general_route(B))
 
 
